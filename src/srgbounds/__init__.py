@@ -25,7 +25,7 @@ from .cab import (
     BoundsReport,
     CabWitness,
     cab,
-    cap_eval,
+    cap_value,
     cap_min_over_b,
     delsarte_bound,
     full_report,
@@ -64,7 +64,7 @@ __all__ = [
     "BoundsReport",
     "CabWitness",
     "cab",
-    "cap_eval",
+    "cap_value",
     "cap_min_over_b",
     "delsarte_bound",
     "full_report",

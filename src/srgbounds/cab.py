@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional
 
 from .quadext import QuadExt
 from .srg import (
@@ -29,11 +29,6 @@ def cap_value(v, k, lam, x, y):
     return x * (x + 1) * (v - y) - 2 * x * y * (k - y + 1) + y * (y - 1) * (lam - y + 2)
 
 
-def cap_eval(v: int, k: int, lam: int, x: int, y: int) -> int:
-    """Exact integer value of the clique adjacency polynomial."""
-    return cap_value(v, k, lam, x, y)
-
-
 def cap_min_over_b(v: int, k: int, lam: int, y: int) -> tuple[int, int]:
     """Minimize C(b, y) over all integers b.
 
@@ -48,8 +43,8 @@ def cap_min_over_b(v: int, k: int, lam: int, y: int) -> tuple[int, int]:
     # real vertex at -a1 / (2*a2); flanking integers by floor division
     b_lo = -a1 // (2 * a2)
     b_hi = b_lo + 1
-    v_lo = cap_eval(v, k, lam, b_lo, y)
-    v_hi = cap_eval(v, k, lam, b_hi, y)
+    v_lo = cap_value(v, k, lam, b_lo, y)
+    v_hi = cap_value(v, k, lam, b_hi, y)
     if v_hi < v_lo:
         return b_hi, v_hi
     return b_lo, v_lo
@@ -64,7 +59,7 @@ def cap_min_over_b_bruteforce(v: int, k: int, lam: int, y: int,
         hi = 2 * v
     best = None
     for b in range(lo, hi + 1):
-        val = cap_eval(v, k, lam, b, y)
+        val = cap_value(v, k, lam, b, y)
         if best is None or val < best[1]:
             best = (b, val)
     return best
@@ -92,7 +87,7 @@ def cab(p: EdgeRegularParams) -> tuple[int, CabWitness]:
             # the quadratic-in-b minimization needs leading coefficient
             # v - y > 0; at y >= v the witness b = 0 suffices, as
             # C(0, y) = y(y-1)(lam - y + 2) < 0 once y > lam + 2
-            b, val = 0, cap_eval(p.v, p.k, p.lam, 0, y)
+            b, val = 0, cap_value(p.v, p.k, p.lam, 0, y)
         else:
             b, val = cap_min_over_b(p.v, p.k, p.lam, y)
         if val < 0:
@@ -224,7 +219,6 @@ class BoundsReport:
     thm21: bool
     thm22: bool
     thm51: bool
-    thm_threshold: Union[QuadExt, float, None]
     improved: Optional[int]
 
     def to_json_dict(self) -> dict:
@@ -256,11 +250,10 @@ def full_report(p: SrgParams) -> BoundsReport:
 
     t21 = False
     t22 = False
-    threshold: Union[QuadExt, float, None] = None
     if tag is SrgType.TYPE_I_ONLY:
-        t21, threshold = thm21_applies(p.v)
+        t21, _ = thm21_applies(p.v)
     elif p.is_coconnected():
-        t22, threshold = thm22_applies(p)
+        t22, _ = thm22_applies(p)
 
     hoffman = None
     if p.is_connected() and p.is_coconnected():
@@ -279,7 +272,6 @@ def full_report(p: SrgParams) -> BoundsReport:
         thm21=t21,
         thm22=t22,
         thm51=thm51_predicate(p),
-        thm_threshold=threshold,
         improved=improved_bound(p),
     )
     if report.cab > report.trivial:

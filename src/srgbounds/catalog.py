@@ -1,21 +1,25 @@
 """Feasible-tuple enumeration, bound-comparison scans, and emitters.
 
-Enumeration runs a vectorized numpy prefilter per vertex count (exact int64
-arithmetic throughout; all quantities stay far below 2^63 at desk scale) and
-confirms every surviving candidate with the exact pure-python feasibility
-check, so the fast path can never admit a bad tuple.
+Candidates come from one of two pure-integer generators, picked by level.
+From INTEGRALITY up, a tuple is built from its restricted eigenvalues
+r >= 0 > s = -a: for r >= 1, a >= 2 and mu >= 1, k = mu + ra and
+lam = mu + r - a, so mu divides ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu;
+the families m*K_c, K_{m x a} and the conference tuples with non-square
+v = 1 (mod 4) cover the rest.  COUNTING also admits tuples without integral
+multiplicities, so its generator runs over k and 0 < mu <= k with k-lam-1 a
+multiple of mu/gcd(k, mu), plus the mu = 0 tuples.  The generators only
+propose: they skip conditions such as v-2k+lam >= 0, integral
+multiplicities and the Krein and absolute bounds, so is_feasible confirms
+every candidate and stays the one definition of feasibility.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .cab import full_report
 from .quadext import QuadExt
@@ -74,7 +78,6 @@ CURATED_NONEXISTENT: frozenset[tuple[int, int, int, int]] = frozenset(
 class ScanConfig:
     v_max: int
     level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND
-    jobs: int = 1
     filter: Optional[str] = None  # None | "gap" | "thm" | "thm51"
     pairs: bool = False
     fmt: str = "table"
@@ -136,43 +139,54 @@ class ScanRecord:
         )
 
 
-def _candidate_tuples_for_v(v: int) -> list[tuple[int, int, int]]:
-    """All (k, lam, mu) passing the counting constraints for this v (exact)."""
-    if v < 5:
-        return []
-    k = np.arange(1, v - 1, dtype=np.int64)[:, None]
-    lam = np.arange(0, v - 2, dtype=np.int64)[None, :]
-    den = v - k - 1  # >= 1 for k <= v-2
-    num = k * (k - lam - 1)
-    with np.errstate(all="ignore"):
-        mu = num // den
-    mask = (lam <= k - 1) & (num % den == 0) & (mu <= k) & (v - 2 * k + lam >= 0)
-    ks, ls = np.nonzero(mask)
-    kk = ks + 1
-    return [(int(a), int(b), int(c)) for a, b, c in zip(kk, ls, mu[ks, ls])]
+def _counting_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each (v, k, lam, mu) with v <= v_max, 0 <= lam < k, 0 <= mu <= k and
+    (v-k-1)mu = k(k-lam-1), once."""
+    for k in range(1, v_max - 1):
+        for v in range(k + 2, v_max + 1):
+            yield v, k, k - 1, 0
+        for mu in range(1, k + 1):
+            # t = k-lam-1 >= 1, and mu | kt exactly when mu/gcd(k, mu) | t
+            step = mu // gcd(k, mu)
+            for t in range(step, min(k - 1, (v_max - k - 1) * mu // k) + 1, step):
+                yield k + 1 + k * t // mu, k, k - 1 - t, mu
 
 
-def _integrality_prefilter(v: int, cands: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    if not cands:
-        return []
-    arr = np.array(cands, dtype=np.int64)
-    k, lam, mu = arr[:, 0], arr[:, 1], arr[:, 2]
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    t = np.sqrt(disc.astype(np.float64)).astype(np.int64)
-    t = np.where((t + 1) ** 2 <= disc, t + 1, t)
-    t = np.where(t**2 > disc, t - 1, t)
-    square = (t * t == disc) & (t > 0)
-    parity = (lam - mu + t) % 2 == 0
-    numer = 2 * k + (v - 1) * (lam - mu)
-    with np.errstate(all="ignore"):
-        div_ok = np.where(t > 0, numer % np.maximum(t, 1) == 0, False)
-        shift = numer // np.maximum(t, 1)
-    f2 = (v - 1) - shift
-    g2 = (v - 1) + shift
-    int_ok = square & parity & div_ok & (f2 % 2 == 0) & (f2 >= 0) & (g2 >= 0)
-    conf = (2 * k == v - 1) & (4 * lam == v - 5) & (4 * mu == v - 1)
-    keep = int_ok | conf
-    return [tuple(map(int, row)) for row in arr[keep]]
+def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """A superset, each tuple once, of those with v <= v_max that pass
+    INTEGRALITY: integer restricted eigenvalues r >= 0 > s = -a, or the
+    conference conditions with irrational eigenvalues."""
+    for c in range(2, v_max // 2 + 1):  # m*K_c: r = c-1, a = 1
+        for v in range(2 * c, v_max + 1, c):
+            yield v, c - 1, c - 2, 0
+    for a in range(2, v_max // 2 + 1):  # K_{m x a}: r = 0
+        for k in range(a, v_max - a + 1, a):
+            yield k + a, k, k - a, k
+    for v in range(5, v_max + 1, 4):
+        if isqrt(v) ** 2 != v:
+            yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4
+    # r >= 1, a >= 2: the counting identity holds exactly when mu divides
+    # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 sqrt(n)
+    a = 2
+    while _least_v(a, 1) <= v_max:
+        r = 1
+        while _least_v(a, r) <= v_max:
+            n = r * a * (r + 1) * (a - 1)
+            base = r * a + 1 + (r + 1) * (a - 1)
+            for d in range(1, isqrt(n) + 1):
+                if n % d == 0 and base + d + n // d <= v_max:
+                    for mu in {d, n // d}:
+                        if mu + r >= a:
+                            yield base + mu + n // mu, mu + r * a, mu + r - a, mu
+            r += 1
+        a += 1
+
+
+def _least_v(a: int, r: int) -> int:
+    """A lower bound on v over mu >= 1 for eigenvalues r >= 1 and -a <= -2;
+    it grows with both a and r."""
+    n = r * a * (r + 1) * (a - 1)
+    return r * a + 1 + (r + 1) * (a - 1) + 2 * isqrt(n)
 
 
 def enumerate_feasible(v_max: int,
@@ -181,12 +195,12 @@ def enumerate_feasible(v_max: int,
     """Yield feasible tuples with v_min <= v <= v_max in lexicographic
     (v, k, lam, mu) order.  Disconnected (mu = 0) and complete-multipartite
     tuples are included; callers filter on the connectivity flags."""
-    for v in range(v_min, v_max + 1):
-        cands = _candidate_tuples_for_v(v)
-        if level >= FeasibilityLevel.INTEGRALITY:
-            cands = _integrality_prefilter(v, cands)
-        cands.sort()
-        for k, lam, mu in cands:
+    if level >= FeasibilityLevel.INTEGRALITY:
+        cands = _eigenvalue_candidates(v_max)
+    else:
+        cands = _counting_candidates(v_max)
+    for v, k, lam, mu in sorted(cands):
+        if v >= v_min:
             p = SrgParams(v, k, lam, mu)
             ok, _ = is_feasible(p, level)
             if ok:
@@ -260,9 +274,6 @@ class ScanStats:
 def scan_compare(cfg: ScanConfig) -> tuple[list[ScanRecord], ScanStats]:
     """Full bounds report per feasible tuple, deterministic tuple order.
 
-    With jobs > 1 the per-tuple work fans out to threads; results are merged
-    back in enumeration order so output is identical to a serial run.
-
     The bound comparison needs the exact spectrum, so tuples admitted by a
     low scan level but lacking integral multiplicities (possible only below
     INTEGRALITY) are skipped.
@@ -274,11 +285,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[ScanRecord], ScanStats]:
         except InfeasibleParamsError:
             continue
         params.append(p)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_record_for, params))
-    else:
-        records = [_record_for(p) for p in params]
+    records = [_record_for(p) for p in params]
 
     stats = ScanStats(total=len(records))
     for rec in records:

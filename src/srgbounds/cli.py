@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="collapse complementary pairs to the member with k < v/2")
     s.add_argument("--format", choices=["table", "csv", "json"], default="table")
     s.add_argument("--out", default=None)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--stats", action="store_true",
                    help="print measured theorem-coverage fractions to stderr")
 
@@ -117,7 +116,6 @@ def _cmd_scan(args) -> int:
     cfg = catalog.ScanConfig(
         v_max=args.max_v,
         level=_LEVELS[args.level],
-        jobs=args.jobs,
         filter=args.filter,
         pairs=args.pairs,
         fmt=args.format,

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from srgbounds.cab import (
     cab,
-    cap_eval,
+    cap_value,
     delsarte_prefloor,
     full_report,
     hoffman_clique_bound,
@@ -128,7 +128,7 @@ def test_criterion_03_negativity_property_suite():
             spec = spectrum(p)
             b = (-QuadExt.make(p.mu) / spec.s).floor()
             y = (2 - QuadExt.make(p.k) / spec.s).floor()
-            assert cap_eval(p.v, p.k, p.lam, b, y) < 0, p
+            assert cap_value(p.v, p.k, p.lam, b, y) < 0, p
             rep = full_report(p)
             assert rep.cab <= rep.delsarte, p
             checked += 1

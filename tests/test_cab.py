@@ -5,7 +5,6 @@ import pytest
 
 from srgbounds.cab import (
     cab,
-    cap_eval,
     cap_min_over_b,
     cap_min_over_b_bruteforce,
     cap_value,
@@ -26,13 +25,13 @@ from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType
 class TestCapPolynomial:
     def test_known_value(self):
         # C(1, 4) for (21, 8, 3): 2*17 - 2*4*5 + 12*1 = 6
-        assert cap_eval(21, 8, 3, 1, 4) == 6
+        assert cap_value(21, 8, 3, 1, 4) == 6
 
     def test_zero_x_factorization(self):
         # C(0, y) = y(y-1)(lam - y + 2) for all y
         for v, k, lam in ((21, 8, 3), (17, 8, 3), (50, 7, 0)):
             for y in range(-3, 12):
-                assert cap_eval(v, k, lam, 0, y) == y * (y - 1) * (lam - y + 2)
+                assert cap_value(v, k, lam, 0, y) == y * (y - 1) * (lam - y + 2)
 
     def test_generic_over_fractions(self):
         val = cap_value(
@@ -69,8 +68,8 @@ class TestCapMinOverB:
         # C(x, y) in x has vertex at (2y(k-y+1) - (v-y)) / (2(v-y))
         # pick v=9,k=4,lam=1,y=3: vertex = (2*3*2 - 6)/12 = 1/2 -> tie at b=0,1
         b, val = cap_min_over_b(9, 4, 1, 3)
-        assert cap_eval(9, 4, 1, 0, 3) == cap_eval(9, 4, 1, 1, 3) or b in (0, 1)
-        assert val == min(cap_eval(9, 4, 1, t, 3) for t in range(-20, 20))
+        assert cap_value(9, 4, 1, 0, 3) == cap_value(9, 4, 1, 1, 3) or b in (0, 1)
+        assert val == min(cap_value(9, 4, 1, t, 3) for t in range(-20, 20))
 
 
 class TestCab:
@@ -89,7 +88,7 @@ class TestCab:
         assert c == expected
         assert wit.value < 0
         assert wit.c_plus_1 == c + 1
-        assert cap_eval(*params, wit.b, wit.c_plus_1) == wit.value
+        assert cap_value(*params, wit.b, wit.c_plus_1) == wit.value
 
     def test_witness_is_first_negative_level(self):
         p = EdgeRegularParams(21, 8, 3)
@@ -239,5 +238,5 @@ def test_level_monotonicity_randomized():
         lam = rng.randint(0, k - 1)
         c = rng.randint(2, lam + 2)
         b = rng.randint(0, c)
-        diff = cap_eval(v, k, lam, b, c) - cap_eval(v, k, lam, b, lam + 2)
+        diff = cap_value(v, k, lam, b, c) - cap_value(v, k, lam, b, lam + 2)
         assert diff >= 0

@@ -46,8 +46,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_matches_bruteforce_oracle(self, level):
-        fast = list(enumerate_feasible(40, level))
-        slow = list(enumerate_feasible_bruteforce(40, level))
+        fast = list(enumerate_feasible(150, level))
+        slow = list(enumerate_feasible_bruteforce(150, level))
         assert fast == slow
 
     def test_lexicographic_order(self):
@@ -81,12 +81,6 @@ class TestScanCompare:
     def test_gap_never_negative(self):
         records, _ = scan_compare(ScanConfig(v_max=80))
         assert all(r.gap >= 0 for r in records)
-
-    def test_parallel_equals_serial(self):
-        serial, sstats = scan_compare(ScanConfig(v_max=60, jobs=1))
-        parallel, pstats = scan_compare(ScanConfig(v_max=60, jobs=4))
-        assert serial == parallel
-        assert sstats == pstats
 
     def test_gap_filter(self):
         records, _ = scan_compare(ScanConfig(v_max=60, filter="gap"))

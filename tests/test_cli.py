@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import srgbounds
 from srgbounds.cli import main
 
 
@@ -57,6 +62,14 @@ class TestScan:
         data = json.loads(out)
         assert data[0]["v"] == 5
 
+    def test_csv_digest(self, capsys):
+        # the v <= 150 catalogue, 1227 tuples, byte for byte
+        code, out, _ = run(capsys, "scan", "--max-v", "150", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1227
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62")
+
     def test_stats_to_stderr(self, capsys):
         code, out, err = run(capsys, "scan", "--max-v", "60", "--stats")
         assert code == 0
@@ -78,6 +91,14 @@ class TestScan:
         code2, out2, _ = run(capsys, "scan", "--max-v", "30", "--level", "absolute",
                              "--format", "csv")
         assert len(out.splitlines()) >= len(out2.splitlines())
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(srgbounds.__file__))
+    code = "import sys, srgbounds.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
 
 
 class TestVerifyIdentities:
