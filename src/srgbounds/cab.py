@@ -102,6 +102,11 @@ def trivial_bound(p: EdgeRegularParams) -> int:
     return p.lam + 2
 
 
+def _ratio(p: SrgParams, spec: Spectrum) -> QuadExt:
+    """-k/s > 0, exact; sqrt(v) - 1 for conference tuples."""
+    return -(QuadExt.make(p.k) / spec.s)
+
+
 def delsarte_bound(p: SrgParams) -> int:
     """floor(1 - k/s) for least eigenvalue s < 0.
 
@@ -112,14 +117,12 @@ def delsarte_bound(p: SrgParams) -> int:
     p.validate()
     if p.mu == 0:
         return p.lam + 2
-    s = spectrum(p).s
-    return (1 - QuadExt.make(p.k) / s).floor()
+    return 1 + _ratio(p, spectrum(p)).floor()
 
 
 def delsarte_prefloor(p: SrgParams) -> QuadExt:
     """The exact value 1 - k/s before flooring (connected parameters)."""
-    s = spectrum(p).s
-    return 1 - QuadExt.make(p.k) / s
+    return 1 + _ratio(p, spectrum(p))
 
 
 def hoffman_clique_bound(v: int, k_bar: int, s_bar: QuadExt) -> int:
@@ -134,6 +137,11 @@ def hoffman_prefloor(v: int, k_bar: int, s_bar: QuadExt) -> QuadExt:
     return QuadExt.make(v) / (1 - QuadExt.make(k_bar) / s_bar)
 
 
+def _thm21(v: int) -> bool:
+    m = isqrt(v) // 2  # floor(sqrt(v)/2) = floor(isqrt(v)/2)
+    return v != (2 * m) ** 2 and 16 * v + 20 < (8 * m + 2) ** 2
+
+
 def thm21_applies(v: int) -> tuple[bool, float]:
     """Conference-graph improvement predicate on v vertices:
 
@@ -146,11 +154,15 @@ def thm21_applies(v: int) -> tuple[bool, float]:
     """
     if v < 5 or v % 4 != 1:
         raise ValueError(f"v={v} must be >= 5 and congruent to 1 mod 4")
-    m = (QuadExt.sqrt(v) * Fraction(1, 2)).floor()
-    positive_frac = v != (2 * m) ** 2
-    below_threshold = 16 * v + 20 < (8 * m + 2) ** 2
     threshold = 0.25 + (v**0.5 - (v + 1.25) ** 0.5) / 2
-    return positive_frac and below_threshold, threshold
+    return _thm21(v), threshold
+
+
+def _thm22(p: SrgParams, spec: Spectrum) -> tuple[bool, Fraction]:
+    r = spec.r.as_fraction()
+    frac = Fraction(p.k) / -spec.s.as_fraction() % 1
+    threshold = 1 - Fraction(int(r * r + r), p.v - 2 * p.k + p.lam)
+    return 0 < frac < threshold, threshold
 
 
 def thm22_applies(p: SrgParams) -> tuple[bool, QuadExt]:
@@ -160,37 +172,23 @@ def thm22_applies(p: SrgParams) -> tuple[bool, QuadExt]:
 
     for co-connected parameters with integer eigenvalues.
     """
-    tag = classify(p)
-    if tag is SrgType.TYPE_I_ONLY:
+    if classify(p) is SrgType.TYPE_I_ONLY:
         raise ValueError(f"{p} has irrational eigenvalues")
     if not p.is_coconnected():
         raise DegenerateParamsError(f"{p} is not co-connected")
-    spec = spectrum(p)
-    r = spec.r.as_fraction()
-    s = spec.s.as_fraction()
-    ratio = Fraction(p.k) / (-s)
-    frac = ratio - (ratio.numerator // ratio.denominator)
-    threshold = 1 - Fraction(int(r * r + r), p.v - 2 * p.k + p.lam)
-    return 0 < frac < threshold, QuadExt.make(threshold)
+    applies, threshold = _thm22(p, spectrum(p))
+    return applies, QuadExt.make(threshold)
 
 
 def improved_bound(p: SrgParams) -> Optional[int]:
     """floor(sqrt(v) - 1) or floor(-k/s) when the matching predicate holds."""
-    tag = classify(p)
-    if tag is SrgType.TYPE_I_ONLY:
-        applies, _ = thm21_applies(p.v)
-        if not applies:
-            return None
+    if classify(p) is SrgType.TYPE_I_ONLY:
         # v is not a perfect square here, so floor(sqrt(v)-1) = isqrt(v)-1
-        return isqrt(p.v) - 1
+        return isqrt(p.v) - 1 if _thm21(p.v) else None
     if not p.is_coconnected():
         return None
-    applies, _ = thm22_applies(p)
-    if not applies:
-        return None
-    s = spectrum(p).s.as_fraction()
-    ratio = Fraction(p.k) / (-s)
-    return ratio.numerator // ratio.denominator
+    spec = spectrum(p)
+    return _ratio(p, spec).floor() if _thm22(p, spec)[0] else None
 
 
 def thm51_predicate(p: SrgParams) -> bool:
@@ -200,8 +198,7 @@ def thm51_predicate(p: SrgParams) -> bool:
     if p.mu == 0:
         # s = -1, so the condition reads lam+1 <= k = lam+1
         return True
-    s = spectrum(p).s
-    return (QuadExt.make(p.lam + 1) + QuadExt.make(p.k) / s).sign() <= 0
+    return _ratio(p, spectrum(p)) >= p.lam + 1
 
 
 @dataclass(frozen=True)
@@ -239,40 +236,39 @@ class BoundsReport:
 
 
 def full_report(p: SrgParams) -> BoundsReport:
-    """Compute every bound and predicate for one tuple, with consistency
-    assertions (cab <= trivial and cab <= delsarte) checked before returning."""
-    p.validate()
-    tag = classify(p)
+    """Compute every bound and predicate for one tuple from a single spectrum,
+    with consistency assertions (cab <= trivial and cab <= delsarte) checked
+    before returning.
+
+    Delsarte is 1 + floor(-k/s), and for mu = 0 (s = -1) that is lam + 2.  By
+    the identity (1 - k/s)(1 - k_bar/s_bar) = v the complement Hoffman bound
+    equals it, and either improvement predicate lowers it by one.
+    """
+    spec = spectrum(p)
     cab_val, witness = cab(p.edge_regular)
-    degenerate = p.mu == 0
-    dels = delsarte_bound(p)
-    triv = trivial_bound(p.edge_regular)
+    ratio = _ratio(p, spec)
+    dels = 1 + ratio.floor()
 
     t21 = False
     t22 = False
-    if tag is SrgType.TYPE_I_ONLY:
-        t21, _ = thm21_applies(p.v)
+    if spec.type_tag is SrgType.TYPE_I_ONLY:
+        t21 = _thm21(p.v)
     elif p.is_coconnected():
-        t22, _ = thm22_applies(p)
-
-    hoffman = None
-    if p.is_connected() and p.is_coconnected():
-        spec = spectrum(p)
-        hoffman = hoffman_clique_bound(p.v, p.v - p.k - 1, -spec.r - 1)
+        t22, _ = _thm22(p, spec)
 
     report = BoundsReport(
         params=p,
-        type_tag=tag,
+        type_tag=spec.type_tag,
         cab=cab_val,
         cab_witness=witness,
         delsarte=dels,
-        delsarte_degenerate=degenerate,
-        trivial=triv,
-        hoffman_complement=hoffman,
+        delsarte_degenerate=p.mu == 0,
+        trivial=trivial_bound(p.edge_regular),
+        hoffman_complement=dels if p.is_connected() and p.is_coconnected() else None,
         thm21=t21,
         thm22=t22,
-        thm51=thm51_predicate(p),
-        improved=improved_bound(p),
+        thm51=ratio >= p.lam + 1,
+        improved=dels - 1 if t21 or t22 else None,
     )
     if report.cab > report.trivial:
         raise AssertionError(f"cab {report.cab} exceeds trivial bound for {p}")

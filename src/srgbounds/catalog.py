@@ -22,14 +22,12 @@ from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from .cab import full_report
-from .quadext import QuadExt
 from .srg import (
     FeasibilityLevel,
     InfeasibleParamsError,
     SrgParams,
     SrgType,
     is_feasible,
-    spectrum,
 )
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
@@ -276,16 +274,15 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[ScanRecord], ScanStats]:
 
     The bound comparison needs the exact spectrum, so tuples admitted by a
     low scan level but lacking integral multiplicities (possible only below
-    INTEGRALITY) are skipped.
+    INTEGRALITY) are skipped: full_report raises InfeasibleParamsError for
+    them, and for nothing else on an enumerated tuple.
     """
-    params = []
+    records = []
     for p in enumerate_feasible(cfg.v_max, cfg.level):
         try:
-            spectrum(p)
+            records.append(_record_for(p))
         except InfeasibleParamsError:
             continue
-        params.append(p)
-    records = [_record_for(p) for p in params]
 
     stats = ScanStats(total=len(records))
     for rec in records:
@@ -339,17 +336,17 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[ScanRecord], ScanStats]:
 
 def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     """Tuples whose clique adjacency bound drops below floor(-k/s) even though
-    lam + 1 > -k/s.  The floor and the lam+1 comparison are both exact; the
-    bound comparison is at integer level (cab and floor(-k/s) are integers,
-    and cab < -k/s as reals would already flag tuples where the two integers
+    lam + 1 > -k/s.  Both come exactly from the report: floor(-k/s) is
+    delsarte - 1 and lam + 1 > -k/s is the negated thm51 predicate.  The bound
+    comparison is at integer level (cab and floor(-k/s) are integers, and
+    cab < -k/s as reals would already flag tuples where the two integers
     coincide).  Expected empty; any hit is reported, not asserted."""
     out = []
     for p in enumerate_feasible(cfg.v_max, cfg.level):
         if p.mu == 0:
             continue
-        ratio = -(QuadExt.make(p.k) / spectrum(p).s)  # -k/s > 0
         rep = full_report(p)
-        if rep.cab < ratio.floor() and (ratio - (p.lam + 1)).sign() < 0:
+        if rep.cab < rep.delsarte - 1 and not rep.thm51:
             out.append(p)
     return out
 

@@ -253,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -164,45 +164,40 @@ def classify(p: SrgParams) -> SrgType:
     )
 
 
+def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
+    """f, g = ((v-1)t -/+ (2k + (v-1)(lam-mu))) / 2t from the trace identities,
+    for an integer t = r - s > 0; None unless both are nonnegative integers."""
+    m = p.v - 1
+    f, rem = divmod(m * t - 2 * p.k - m * (p.lam - p.mu), 2 * t)
+    return None if rem or not 0 <= f <= m else (f, m - f)
+
+
 def spectrum(p: SrgParams) -> Spectrum:
     """Exact r >= s with r+s = lam-mu and rs = mu-k, plus multiplicities.
 
-    r, s are the roots of x^2 - (lam-mu)x - (k-mu).  Multiplicities come from
-    the trace identities f,g = ((v-1) -/+ (2k+(v-1)(lam-mu))/(r-s))/2 when the
-    eigenvalues are rational, and f = g = (v-1)/2 in the conference case.
+    r, s = (lam-mu +/- t)/2 are the roots of x^2 - (lam-mu)x - (k-mu), with
+    t^2 the discriminant.  When t is an integer so are r and s, and the trace
+    identities give f and g; otherwise classify() has established the
+    conference case, where t = sqrt(v) and f = g = (v-1)/2.
     """
-    p.validate()
-    disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
-    if disc < 0:
-        raise InfeasibleParamsError(f"negative eigenvalue discriminant {disc}")
     tag = classify(p)
-    half = Fraction(1, 2)
+    d = p.lam - p.mu
+    disc = d * d + 4 * (p.k - p.mu)
+    t = isqrt(disc)
+    if t * t == disc:
+        fg = _multiplicities(p, t)
+        if fg is None:
+            mid, shift = Fraction(p.v - 1, 2), Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
+            raise InfeasibleParamsError(
+                f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
+            )
+        f, g = fg
+        return Spectrum(r=QuadExt.make((d + t) // 2), s=QuadExt.make((d - t) // 2),
+                        f=f, g=g, type_tag=tag)
     root = QuadExt.sqrt(disc)
-    r = (QuadExt.make(p.lam - p.mu) + root) * half
-    s = (QuadExt.make(p.lam - p.mu) - root) * half
-    if not root.is_rational:
-        # conference case with irrational eigenvalues
-        if (p.v - 1) % 2:
-            raise InfeasibleParamsError(
-                f"irrational eigenvalues need v odd, got v={p.v}"
-            )
-        f = g = (p.v - 1) // 2
-    else:
-        diff = root.as_fraction()  # r - s
-        if diff == 0:
-            raise InfeasibleParamsError("repeated restricted eigenvalue")
-        numer = 2 * p.k + (p.v - 1) * (p.lam - p.mu)
-        shift = Fraction(numer) / diff
-        f2 = Fraction(p.v - 1) - shift
-        g2 = Fraction(p.v - 1) + shift
-        f = f2 / 2
-        g = g2 / 2
-        if f.denominator != 1 or g.denominator != 1 or f < 0 or g < 0:
-            raise InfeasibleParamsError(
-                f"non-integral or negative multiplicities f={f}, g={g}"
-            )
-        f, g = int(f), int(g)
-    return Spectrum(r=r, s=s, f=f, g=g, type_tag=tag)
+    half = Fraction(1, 2)
+    f = (p.v - 1) // 2
+    return Spectrum(r=(d + root) * half, s=(d - root) * half, f=f, g=f, type_tag=tag)
 
 
 def complement(p: SrgParams) -> SrgParams:
@@ -249,32 +244,20 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         return False, "0<=mu<=k"
     if (v - k - 1) * mu != k * (k - lam - 1):
         return False, "counting identity"
-    if v - 2 * k + lam < 0:
-        return False, "v-2k+lambda>=0"
+    # v-2k+lam >= 0 follows: for mu > 0, v-k-1 = k(k-lam-1)/mu >= k-lam-1,
+    # and mu = 0 forces lam = k-1 with v-k-1 >= 1
     if level < FeasibilityLevel.INTEGRALITY:
         return True, None
-    # integrality
+    # integrality.  The discriminant is nonnegative as mu <= k, and t = isqrt
+    # has the parity of lam-mu (disc = (lam-mu)^2 mod 4), so a square gives
+    # integer r, s; t = 0 would need lam = mu = k.  Conference tuples have
+    # 2k + (v-1)(lam-mu) = 0, so their multiplicities f = g = (v-1)/2 pass.
     conf = _is_conference(v, k, lam, mu)
     disc = (lam - mu) ** 2 + 4 * (k - mu)
-    if disc < 0:
-        return False, "nonnegative discriminant"
     t = isqrt(disc)
-    square = t * t == disc
-    if square:
-        if (lam - mu + t) % 2:
-            return False, "integer eigenvalues"
-        if t == 0:
-            return False, "distinct restricted eigenvalues"
-        numer = 2 * k + (v - 1) * (lam - mu)
-        if numer % t:
-            if not conf:
-                return False, "integral multiplicities"
-        else:
-            f2 = (v - 1) - numer // t
-            g2 = (v - 1) + numer // t
-            if f2 % 2 or f2 < 0 or g2 < 0:
-                if not conf:
-                    return False, "integral multiplicities"
+    if t * t == disc:
+        if _multiplicities(p, t) is None:
+            return False, "integral multiplicities"
     elif not conf:
         return False, "conference or perfect-square discriminant"
     if conf and not is_sum_of_two_squares(v):

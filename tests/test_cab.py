@@ -18,8 +18,9 @@ from srgbounds.cab import (
     thm51_predicate,
     trivial_bound,
 )
+from srgbounds.catalog import enumerate_feasible
 from srgbounds.quadext import QuadExt
-from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType
+from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType, spectrum
 
 
 class TestCapPolynomial:
@@ -225,6 +226,29 @@ class TestFullReport:
     def test_hoffman_agrees_with_delsarte(self):
         rep = full_report(SrgParams(144, 39, 6, 12))
         assert rep.hoffman_complement == rep.delsarte
+
+    def test_matches_single_bound_api(self):
+        # full_report derives everything from one spectrum; the public
+        # single-bound functions each compute theirs on their own
+        for p in enumerate_feasible(300):
+            rep = full_report(p)
+            assert rep.delsarte == delsarte_bound(p), p
+            assert rep.thm51 == thm51_predicate(p), p
+            assert rep.improved == improved_bound(p), p
+            if rep.type_tag is SrgType.TYPE_I_ONLY:
+                assert rep.thm21 == thm21_applies(p.v)[0], p
+            else:
+                assert rep.thm21 is False, p
+            if rep.type_tag is not SrgType.TYPE_I_ONLY and p.is_coconnected():
+                assert rep.thm22 == thm22_applies(p)[0], p
+            else:
+                assert rep.thm22 is False, p
+            if p.is_connected() and p.is_coconnected():
+                r = spectrum(p).r
+                assert rep.hoffman_complement == hoffman_clique_bound(
+                    p.v, p.v - p.k - 1, -r - 1), p
+            else:
+                assert rep.hoffman_complement is None, p
 
 
 def test_level_monotonicity_randomized():

@@ -45,6 +45,17 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "not-a-number")
         assert code == 2
 
+    def test_invariant_violation_exits_1(self, capsys, monkeypatch):
+        def broken(p):
+            raise AssertionError(f"cab 9 exceeds Delsarte bound for {p}")
+
+        monkeypatch.setattr("srgbounds.cli.full_report", broken)
+        code, out, err = run(capsys, "bounds", "17", "8", "3", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invariant violation: cab 9 exceeds Delsarte bound")
+        assert "Traceback" not in err
+
 
 class TestScan:
     def test_csv_output(self, capsys):
@@ -62,13 +73,18 @@ class TestScan:
         data = json.loads(out)
         assert data[0]["v"] == 5
 
-    def test_csv_digest(self, capsys):
-        # the v <= 150 catalogue, 1227 tuples, byte for byte
-        code, out, _ = run(capsys, "scan", "--max-v", "150", "--format", "csv")
+    @pytest.mark.parametrize("level,tuples,digest", [
+        ("absolute", 1227, "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62"),
+        # the COUNTING scan skips tuples without integral multiplicities
+        ("counting", 1281, "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082"),
+    ], ids=["absolute", "counting"])
+    def test_csv_digest(self, capsys, level, tuples, digest):
+        # the v <= 150 catalogue, byte for byte
+        code, out, _ = run(capsys, "scan", "--max-v", "150", "--level", level,
+                           "--format", "csv")
         assert code == 0
-        assert len(out.splitlines()) == 1 + 1227
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62")
+        assert len(out.splitlines()) == 1 + tuples
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stats_to_stderr(self, capsys):
         code, out, err = run(capsys, "scan", "--max-v", "60", "--stats")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from srgbounds.catalog import enumerate_feasible
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
     DegenerateParamsError,
@@ -85,11 +86,32 @@ class TestSpectrum:
         assert spec.f == spec.g == 8
 
     def test_trace_identity(self):
-        # k + f r + g s = 0 for several integer-eigenvalue tuples
-        for p in (PETERSEN, SrgParams(16, 5, 0, 2), SrgParams(50, 7, 0, 1)):
+        # the traces of I, A and A^2 over every feasible tuple with v <= 500,
+        # conference tuples with irrational eigenvalues included
+        for p in enumerate_feasible(500):
             spec = spectrum(p)
-            total = QuadExt.make(p.k) + spec.f * spec.r + spec.g * spec.s
-            assert total == 0
+            assert spec.f + spec.g == p.v - 1
+            assert p.k + spec.f * spec.r + spec.g * spec.s == 0
+            assert (p.k * p.k + spec.f * spec.r * spec.r + spec.g * spec.s * spec.s
+                    == p.v * p.k)
+
+    def test_nonintegral_multiplicities_raise(self):
+        # 7 vertices cannot split into disjoint triangles: f = 4/3
+        with pytest.raises(InfeasibleParamsError, match="f=4/3, g=14/3"):
+            spectrum(SrgParams(7, 2, 1, 0))
+
+    def test_raises_exactly_when_integrality_rejects(self):
+        # spectrum() and the INTEGRALITY step derive the multiplicities alike;
+        # the sum-of-two-squares condition is the only rejection it ignores
+        spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
+        for p in enumerate_feasible(150, FeasibilityLevel.COUNTING):
+            ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
+            try:
+                spectrum(p)
+                raised = False
+            except InfeasibleParamsError:
+                raised = True
+            assert raised == (not ok and reason in spectral), p
 
     def test_root_equations(self):
         for p in (PALEY17, PETERSEN, SrgParams(144, 39, 6, 12)):
