@@ -1,4 +1,5 @@
-"""Graph input/output: plain edge-list text and the graph6 encoding (n < 63)."""
+"""Graph input/output: plain edge-list text and the graph6 encoding, short
+form (n < 63) and long form ("~" and n in three 6-bit groups, n <= 258047)."""
 
 from __future__ import annotations
 
@@ -34,8 +35,31 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+GRAPH6_MAX_N = 258047
+
+
+def _encode_size(n: int) -> str:
+    """graph6 header for n vertices."""
+    if n < 63:
+        return chr(n + 63)
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"graph6 for n={n} > {GRAPH6_MAX_N} is unsupported")
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+
+def _decode_size(data: list[int]) -> tuple[int, int]:
+    """(n, header length) from the 6-bit groups of a graph6 line."""
+    if data[0] < 63:
+        return data[0], 1
+    if len(data) > 1 and data[1] == 63:
+        raise GraphFormatError(f"graph6 for n > {GRAPH6_MAX_N} is unsupported")
+    if len(data) < 4:
+        raise GraphFormatError("graph6 long-form header is truncated")
+    return data[1] << 12 | data[2] << 6 | data[3], 4
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line; only the short form (n < 63) is supported."""
+    """Decode one graph6 line (n <= 258047)."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -44,11 +68,9 @@ def parse_graph6(text: str) -> Graph:
     data = [ord(ch) - 63 for ch in s]
     if any(not 0 <= x <= 63 for x in data):
         raise GraphFormatError(f"invalid graph6 characters in {text!r}")
-    n = data[0]
-    if n == 63:
-        raise GraphFormatError("graph6 long form (n >= 63) is unsupported")
+    n, start = _decode_size(data)
     need = (n * (n - 1) // 2 + 5) // 6
-    bits_data = data[1:]
+    bits_data = data[start:]
     if len(bits_data) != need:
         raise GraphFormatError(
             f"graph6 body has {len(bits_data)} groups, expected {need} for n={n}"
@@ -68,15 +90,14 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n >= 63:
-        raise GraphFormatError("graph6 long form (n >= 63) is unsupported")
+    header = _encode_size(g.n)
     bits = []
     for v in range(1, g.n):
         for u in range(v):
             bits.append(1 if g.has_edge(u, v) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    out = [header]
     for i in range(0, len(bits), 6):
         x = 0
         for bit in bits[i : i + 6]:

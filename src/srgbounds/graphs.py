@@ -2,10 +2,19 @@
 
 Graphs are stored as dense bitset adjacency rows (one Python int per vertex),
 which keeps the branch-and-bound clique search fast at desk scale (n <= 512).
+
+Before branching, `max_clique` reads symmetry from the labeling.  If each
+row adj[u] is row 0 rotated by u (a circulant on Z_n), translations are
+automorphisms and vertex 0 is forced into the clique.  If also S = N(0) is
+nonempty, made of units mod n and closed under products, S is a group,
+x -> s*x (s in S) are automorphisms, and the edge {0, 1} is forced; Paley
+graphs are such.  The search then runs on the common neighbourhood of the
+forced vertices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -72,6 +81,11 @@ class Graph:
 # -- constructions -----------------------------------------------------------
 
 
+def _rotate(row: int, u: int, n: int) -> int:
+    """Row of vertex u in the circulant on Z_n whose row 0 is `row`."""
+    return (row << u | row >> (n - u)) & ((1 << n) - 1)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -94,12 +108,11 @@ def paley(p: int) -> Graph:
         raise ValueError(f"{p} is not prime (prime powers are unsupported)")
     if p % 4 != 1:
         raise ValueError(f"{p} != 1 mod 4: Paley adjacency would not be symmetric")
-    squares = {(x * x) % p for x in range(1, p)}
+    row = 0
+    for x in range(1, p):
+        row |= 1 << (x * x % p)
     g = Graph(p)
-    for a in range(p):
-        for b in range(a + 1, p):
-            if (a - b) % p in squares:
-                g.add_edge(a, b)
+    g.adj = [_rotate(row, a, p) for a in range(p)]
     return g
 
 
@@ -237,10 +250,27 @@ def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, colors
 
 
+def _forced_clique(adj: list[int]) -> tuple[int, ...]:
+    """Vertices that some maximum clique contains, read from the labeling:
+    (0,) for a circulant, (0, 1) for a circulant whose connection set is a
+    multiplicative subgroup of the units mod n, () otherwise."""
+    n = len(adj)
+    row = adj[0]
+    if any(adj[u] != _rotate(row, u, n) for u in range(1, n)):
+        return ()
+    conn = [s for s in range(1, n) if row >> s & 1]
+    # S nonempty, all units and closed under products => S is a group, 1 in S
+    if conn and all(math.gcd(s, n) == 1 for s in conn) and all(
+        row >> (s * t % n) & 1 for s in conn for t in conn
+    ):
+        return (0, 1)
+    return (0,)
+
+
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch-and-bound on bitsets with a greedy
     coloring upper bound.  Deterministic: vertices are explored in
-    degree-descending order with index tie-break."""
+    degree-descending order with index tie-break, from `_forced_clique`."""
     if g.n > MAX_CLIQUE_VERTEX_LIMIT:
         raise GraphSizeError(f"n={g.n} exceeds limit {MAX_CLIQUE_VERTEX_LIMIT}")
     if g.n == 0:
@@ -259,9 +289,10 @@ def max_clique(g: Graph) -> CliqueResult:
             rest &= rest - 1
             adj[pos[old_u]] |= 1 << pos[old_v]
 
-    best_size = 0
-    best: tuple[int, ...] = ()
-    clique: list[int] = []
+    # a circulant is regular, so the relabeling above kept its labeling
+    best = _forced_clique(adj)
+    best_size = len(best)
+    clique = list(best)
 
     def expand(cand: int) -> None:
         nonlocal best_size, best
@@ -280,7 +311,10 @@ def max_clique(g: Graph) -> CliqueResult:
             clique.pop()
             cand &= ~(1 << v)
 
-    expand((1 << g.n) - 1)
+    cand = (1 << g.n) - 1
+    for v in clique:
+        cand &= adj[v]
+    expand(cand)
     witness = tuple(sorted(perm[v] for v in best))
     return CliqueResult(best_size, witness)
 

@@ -67,13 +67,19 @@ class QuadExt:
         b = Fraction(b)
         if d < 0:
             raise ValueError("radicand must be nonnegative")
+        if b != 0 and d != 0:
+            root, d = squarefree_split(d)
+            b *= root
+            if d == 1:
+                a, b = a + b, Fraction(0)
+        return QuadExt._from_parts(a, b, d)
+
+    @staticmethod
+    def _from_parts(a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """Arithmetic result; d is an operand's radicand, already square-free."""
         if b == 0 or d == 0:
             return QuadExt(a, Fraction(0), 0)
-        root, core = squarefree_split(d)
-        b *= root
-        if core in (0, 1):
-            return QuadExt(a + b * core, Fraction(0), 0)
-        return QuadExt(a, b, core)
+        return QuadExt(a, b, d)
 
     @staticmethod
     def sqrt(n: int) -> "QuadExt":
@@ -114,7 +120,7 @@ class QuadExt:
         if other is NotImplemented:
             return NotImplemented
         d = self._join(other)
-        return QuadExt.make(self.a + other.a, self.b + other.b, d)
+        return QuadExt._from_parts(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
@@ -137,7 +143,7 @@ class QuadExt:
         d = self._join(other)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return QuadExt.make(a, b, d)
+        return QuadExt._from_parts(a, b, d)
 
     __rmul__ = __mul__
 
@@ -148,7 +154,7 @@ class QuadExt:
             if self.a == 0 and self.b == 0:
                 raise ZeroDivisionError("division by zero")
             raise ZeroDivisionError("zero field norm")  # unreachable for square-free d
-        return QuadExt.make(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._from_parts(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         other = QuadExt._coerce(other)

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import srgbounds
 from srgbounds.cli import main
+from srgbounds.graphio import write_graph6
+from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, Graph, paley
 
 
 def run(capsys, *argv):
@@ -141,6 +144,15 @@ class TestGraphCommands:
         assert "strongly regular (17,8,3,4)" in out
         assert "clique number 3" in out
 
+    def test_paley_241_clique_within_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "paley", "241", "--clique")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "strongly regular (241,120,59,60)" in out
+        assert "clique number 7" in out
+        assert elapsed < 10, f"paley 241 --clique took {elapsed:.1f} s"
+
     def test_paley_bad_input(self, capsys):
         code, _, err = run(capsys, "paley", "8")
         assert code == 2
@@ -159,6 +171,21 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "maxclique", str(f))
         assert code == 0
         assert "omega=3" in out
+
+    def test_maxclique_long_form_graph6_file(self, capsys, tmp_path):
+        f = tmp_path / "paley101.g6"
+        f.write_text(write_graph6(paley(101)) + "\n")
+        code, out, _ = run(capsys, "maxclique", str(f))
+        assert code == 0
+        assert "n=101 m=2525 omega=5" in out
+
+    def test_maxclique_over_vertex_limit(self, capsys, tmp_path):
+        f = tmp_path / "empty513.g6"
+        f.write_text(write_graph6(Graph(MAX_CLIQUE_VERTEX_LIMIT + 1)) + "\n")
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n=513 exceeds limit 512")
 
     def test_maxclique_missing_file(self, capsys):
         code, _, err = run(capsys, "maxclique", "/nonexistent/file")

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from srgbounds.graphio import (
+    GRAPH6_MAX_N,
     GraphFormatError,
+    _decode_size,
+    _encode_size,
     load_graph,
     parse_graph6,
     read_edge_list,
@@ -65,11 +68,33 @@ class TestGraph6:
         g = paley(29)
         assert parse_graph6(write_graph6(g)) == g
 
-    def test_long_form_unsupported(self):
+    def test_long_form_spec_vector(self):
+        # the graph6 specification encodes n = 12345 as bytes 126 66 63 120
+        assert [ord(c) for c in _encode_size(12345)] == [126, 66, 63, 120]
+        assert _decode_size([126 - 63, 66 - 63, 0, 120 - 63]) == (12345, 4)
+
+    def test_size_header_roundtrip(self):
+        for n in [*range(0, 200), 4095, 4096, GRAPH6_MAX_N]:
+            header = _encode_size(n)
+            assert len(header) == (1 if n < 63 else 4)
+            assert _decode_size([ord(c) - 63 for c in header]) == (n, len(header))
+
+    def test_long_form_roundtrip(self):
+        rng = random.Random(63)
+        for g in (paley(241), random_graph(63, 0.5, rng), random_graph(130, 0.3, rng)):
+            text = write_graph6(g)
+            assert text[0] == "~"
+            assert parse_graph6(text) == g
+
+    def test_eight_byte_form_unsupported(self):
         with pytest.raises(GraphFormatError):
-            write_graph6(Graph(63))
+            write_graph6(Graph(GRAPH6_MAX_N + 1))
         with pytest.raises(GraphFormatError):
-            parse_graph6(chr(63 + 63))
+            parse_graph6("~~" + "?" * 6)
+
+    def test_truncated_long_header(self):
+        with pytest.raises(GraphFormatError):
+            parse_graph6("~??")
 
     def test_truncated_body(self):
         with pytest.raises(GraphFormatError):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from srgbounds.graphs import (
     max_clique_bruteforce,
     paley,
 )
+from srgbounds.graphs import _forced_clique
 from srgbounds.srg import EdgeRegularParams, SrgParams
 
 
@@ -27,6 +29,43 @@ def random_graph(n, p, rng):
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def circulant(n, conn):
+    """Circulant on Z_n with symmetric connection set conn, built edge by edge."""
+    return Graph(n, [(u, (u + s) % n) for u in range(n) for s in conn if u < (u + s) % n])
+
+
+def relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def pairwise_paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return Graph(p, [(a, b) for a in range(p) for b in range(a + 1, p) if (b - a) % p in squares])
+
+
+def random_connection_set(n, rng):
+    """A symmetric connection set on Z_n; every third one is the subgroup of
+    the units generated by -1 and a few random units."""
+    if rng.random() < 1 / 3:
+        units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+        group = {1, n - 1}
+        for gen in rng.sample(units, min(len(units), rng.randint(0, 2))):
+            while True:
+                grown = group | {x * gen % n for x in group}
+                if grown == group:
+                    break
+                group = grown
+        return {x % n for x in group} - {0}
+    conn = set()
+    for d in range(1, n // 2 + 1):
+        if rng.random() < 0.5:
+            conn |= {d, n - d}
+    return conn
+
+
+PALEY_PRIMES_TO_61 = [5, 13, 17, 29, 37, 41, 53, 61]
 
 
 class TestGraph:
@@ -69,6 +108,11 @@ class TestPaley:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             paley(9)  # prime power, unsupported
+
+    def test_rotated_rows_match_pairwise_construction(self):
+        for p in range(5, 102, 4):
+            if all(p % d for d in range(2, p)):
+                assert paley(p) == pairwise_paley(p), p
 
     def test_wrong_residue_rejected(self):
         with pytest.raises(ValueError):
@@ -196,3 +240,52 @@ class TestMaxClique:
 
     def test_paley37(self):
         assert max_clique(paley(37)).size == 4
+
+
+class TestSymmetryShortcut:
+    """`max_clique` seeds the search with the vertices `_forced_clique` reads
+    from a circulant labeling; the brute force and the plain search on a
+    relabelled copy are the oracles."""
+
+    def test_random_circulants_match_bruteforce(self):
+        rng = random.Random(41)
+        paths = {(): 0, (0,): 0, (0, 1): 0}
+        for _ in range(2000):
+            n = rng.randint(1, 18)
+            g = circulant(n, random_connection_set(n, rng))
+            if rng.random() < 0.2:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = relabel(g, perm)
+            paths[_forced_clique(g.adj)] += 1
+            res = max_clique(g)
+            assert res.size == max_clique_bruteforce(g) == len(res.witness)
+            assert all(g.has_edge(u, v) for i, u in enumerate(res.witness)
+                       for v in res.witness[i + 1 :])
+        assert min(paths.values()) >= 100, paths
+
+    @pytest.mark.parametrize("p", PALEY_PRIMES_TO_61)
+    def test_paley_matches_full_search_on_relabelled_copy(self, p):
+        g = paley(p)
+        perm = list(range(p))
+        random.Random(p).shuffle(perm)
+        h = relabel(g, perm)
+        assert _forced_clique(g.adj) == (0, 1)
+        assert _forced_clique(h.adj) == ()
+        assert max_clique(g).size == max_clique(h).size
+
+    def test_closed_set_without_units_forces_one_vertex(self):
+        # S = {3} on Z_6 is closed under products but does not contain 1
+        g = circulant(6, {3})
+        assert _forced_clique(g.adj) == (0,)
+        assert max_clique(g).size == 2
+
+    @pytest.mark.parametrize("p", PALEY_PRIMES_TO_61)
+    def test_paley_complement_forces_one_vertex(self, p):
+        g = paley(p)
+        non_residues = set(range(1, p)) - {x * x % p for x in range(1, p)}
+        comp = circulant(p, non_residues)
+        assert all(comp.adj[u] == g.adj[u] ^ ((1 << p) - 1) ^ (1 << u) for u in range(p))
+        assert _forced_clique(comp.adj) == (0,)
+        # Paley graphs are self-complementary
+        assert max_clique(comp).size == max_clique(g).size

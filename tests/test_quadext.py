@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -81,6 +82,51 @@ class TestArith:
 
     def test_rational_mixes_with_any_radicand(self):
         assert QuadExt.make(2) * QuadExt.sqrt(3) == QuadExt.make(0, 2, 3)
+
+    def test_results_are_normalized(self):
+        rng = random.Random(5)
+
+        def operand(d):
+            if rng.random() < 0.25:
+                return rng.randint(-5, 5)
+            b = 0 if rng.random() < 0.25 else frac(rng.randint(-9, 9), rng.randint(1, 6))
+            return QuadExt.make(frac(rng.randint(-9, 9), rng.randint(1, 6)), b, d)
+
+        checked = 0
+        for _ in range(2000):
+            d = rng.choice(SQUAREFREE)
+            x, y = operand(d), operand(d)
+            if not isinstance(x, QuadExt) and not isinstance(y, QuadExt):
+                continue
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                if op is operator.truediv and y == 0:
+                    continue
+                r = op(x, y)
+                assert r == QuadExt.make(r.a, r.b, r.d), (x, op, y)
+                checked += 1
+        assert checked > 6000
+
+    def test_arithmetic_does_not_refactor_radicand(self, monkeypatch):
+        # a 15-digit prime radicand: factoring it again after every operation
+        # costs about 0.1 s each
+        big = 100000000000037
+        x, y = QuadExt.sqrt(big), QuadExt.make(3, -2, big)
+        norm = 9 - 4 * big
+        expected = {
+            "sum": QuadExt.make(3, -1, big),
+            "product": QuadExt.make(-9 - 3 * big, 12, big),
+            "quotient": QuadExt.make(frac(2 * big, norm), frac(3, norm), big),
+        }
+
+        def refuse(n):
+            raise AssertionError(f"squarefree_split({n}) called on an arithmetic result")
+
+        monkeypatch.setattr("srgbounds.quadext.squarefree_split", refuse)
+        assert x + y == expected["sum"]
+        assert (x + y) * (x - y) == expected["product"]
+        assert x / y == expected["quotient"]
+        assert x * x == big and (x * x).is_rational
+        assert y - y == 0 and (y - y).d == 0
 
     @given(
         a=st.fractions(max_denominator=20),
