@@ -14,9 +14,8 @@ from .srg import (
     EdgeRegularParams,
     SrgParams,
     SrgType,
-    Spectrum,
+    _int_spectrum,
     classify,
-    complement,
     spectrum,
 )
 
@@ -38,13 +37,15 @@ def cap_min_over_b(v: int, k: int, lam: int, y: int) -> tuple[int, int]:
     """
     if y >= v:
         raise ValueError(f"y={y} >= v={v}: leading coefficient nonpositive")
+    # C(x, y) = a2 x^2 + a1 x + a0, evaluated by Horner's rule
     a2 = v - y
-    a1 = (v - y) - 2 * y * (k - y + 1)
+    a1 = a2 - 2 * y * (k - y + 1)
+    a0 = y * (y - 1) * (lam - y + 2)
     # real vertex at -a1 / (2*a2); flanking integers by floor division
     b_lo = -a1 // (2 * a2)
     b_hi = b_lo + 1
-    v_lo = cap_value(v, k, lam, b_lo, y)
-    v_hi = cap_value(v, k, lam, b_hi, y)
+    v_lo = (a2 * b_lo + a1) * b_lo + a0
+    v_hi = (a2 * b_hi + a1) * b_hi + a0
     if v_hi < v_lo:
         return b_hi, v_hi
     return b_lo, v_lo
@@ -80,20 +81,21 @@ def cab(p: EdgeRegularParams) -> tuple[int, CabWitness]:
     Terminates with c <= lam+2 since C(0, lam+3) = -(lam+3)(lam+2) < 0.
     """
     p.validate()
+    v, k, lam = p.v, p.k, p.lam
     c = 2
     while True:
         y = c + 1
-        if y >= p.v:
+        if y >= v:
             # the quadratic-in-b minimization needs leading coefficient
             # v - y > 0; at y >= v the witness b = 0 suffices, as
             # C(0, y) = y(y-1)(lam - y + 2) < 0 once y > lam + 2
-            b, val = 0, cap_value(p.v, p.k, p.lam, 0, y)
+            b, val = 0, cap_value(v, k, lam, 0, y)
         else:
-            b, val = cap_min_over_b(p.v, p.k, p.lam, y)
+            b, val = cap_min_over_b(v, k, lam, y)
         if val < 0:
             return c, CabWitness(b=b, c_plus_1=y, value=val)
         c += 1
-        if c > p.lam + 2:
+        if c > lam + 2:
             raise AssertionError(f"CAB search exceeded lambda+2 for {p}")
 
 
@@ -102,9 +104,17 @@ def trivial_bound(p: EdgeRegularParams) -> int:
     return p.lam + 2
 
 
-def _ratio(p: SrgParams, spec: Spectrum) -> QuadExt:
-    """-k/s > 0, exact; sqrt(v) - 1 for conference tuples."""
-    return -(QuadExt.make(p.k) / spec.s)
+def _delsarte(p: SrgParams, s: Optional[int]) -> int:
+    """1 + floor(-k/s) for the integer least eigenvalue s < 0; s is None for
+    conference tuples, where -k/s = sqrt(v) - 1 with v not a square."""
+    return isqrt(p.v) if s is None else 1 + p.k // -s
+
+
+def _thm51(p: SrgParams, s: Optional[int]) -> bool:
+    """-k/s >= lam + 1; for s is None, sqrt(v) >= lam + 2."""
+    if s is None:
+        return p.v >= (p.lam + 2) ** 2
+    return p.k >= -s * (p.lam + 1)
 
 
 def delsarte_bound(p: SrgParams) -> int:
@@ -117,12 +127,12 @@ def delsarte_bound(p: SrgParams) -> int:
     p.validate()
     if p.mu == 0:
         return p.lam + 2
-    return 1 + _ratio(p, spectrum(p)).floor()
+    return _delsarte(p, _int_spectrum(p)[2])
 
 
 def delsarte_prefloor(p: SrgParams) -> QuadExt:
     """The exact value 1 - k/s before flooring (connected parameters)."""
-    return 1 + _ratio(p, spectrum(p))
+    return 1 - QuadExt.make(p.k) / spectrum(p).s
 
 
 def hoffman_clique_bound(v: int, k_bar: int, s_bar: QuadExt) -> int:
@@ -158,11 +168,13 @@ def thm21_applies(v: int) -> tuple[bool, float]:
     return _thm21(v), threshold
 
 
-def _thm22(p: SrgParams, spec: Spectrum) -> tuple[bool, Fraction]:
-    r = spec.r.as_fraction()
-    frac = Fraction(p.k) / -spec.s.as_fraction() % 1
-    threshold = 1 - Fraction(int(r * r + r), p.v - 2 * p.k + p.lam)
-    return 0 < frac < threshold, threshold
+def _thm22(p: SrgParams, r: int, s: int) -> bool:
+    """0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam > 0: frc(-k/s)
+    is m/a for -s = a and k = qa + m, so clearing a and D gives
+    0 < m and m*D < a*(D - r^2 - r)."""
+    dd = p.v - 2 * p.k + p.lam
+    m = p.k % -s
+    return 0 < m and m * dd < -s * (dd - r * r - r)
 
 
 def thm22_applies(p: SrgParams) -> tuple[bool, QuadExt]:
@@ -176,8 +188,9 @@ def thm22_applies(p: SrgParams) -> tuple[bool, QuadExt]:
         raise ValueError(f"{p} has irrational eigenvalues")
     if not p.is_coconnected():
         raise DegenerateParamsError(f"{p} is not co-connected")
-    applies, threshold = _thm22(p, spectrum(p))
-    return applies, QuadExt.make(threshold)
+    _, r, s, _, _ = _int_spectrum(p)
+    threshold = 1 - Fraction(r * r + r, p.v - 2 * p.k + p.lam)
+    return _thm22(p, r, s), QuadExt.make(threshold)
 
 
 def improved_bound(p: SrgParams) -> Optional[int]:
@@ -187,8 +200,8 @@ def improved_bound(p: SrgParams) -> Optional[int]:
         return isqrt(p.v) - 1 if _thm21(p.v) else None
     if not p.is_coconnected():
         return None
-    spec = spectrum(p)
-    return _ratio(p, spec).floor() if _thm22(p, spec)[0] else None
+    _, r, s, _, _ = _int_spectrum(p)
+    return p.k // -s if _thm22(p, r, s) else None
 
 
 def thm51_predicate(p: SrgParams) -> bool:
@@ -198,7 +211,7 @@ def thm51_predicate(p: SrgParams) -> bool:
     if p.mu == 0:
         # s = -1, so the condition reads lam+1 <= k = lam+1
         return True
-    return _ratio(p, spectrum(p)) >= p.lam + 1
+    return _thm51(p, _int_spectrum(p)[2])
 
 
 @dataclass(frozen=True)
@@ -236,29 +249,28 @@ class BoundsReport:
 
 
 def full_report(p: SrgParams) -> BoundsReport:
-    """Compute every bound and predicate for one tuple from a single spectrum,
-    with consistency assertions (cab <= trivial and cab <= delsarte) checked
-    before returning.
+    """Compute every bound and predicate for one tuple from a single integer
+    spectrum, with consistency assertions (cab <= trivial and cab <= delsarte)
+    checked before returning.
 
     Delsarte is 1 + floor(-k/s), and for mu = 0 (s = -1) that is lam + 2.  By
     the identity (1 - k/s)(1 - k_bar/s_bar) = v the complement Hoffman bound
     equals it, and either improvement predicate lowers it by one.
     """
-    spec = spectrum(p)
+    tag, r, s, _, _ = _int_spectrum(p)
     cab_val, witness = cab(p.edge_regular)
-    ratio = _ratio(p, spec)
-    dels = 1 + ratio.floor()
+    dels = _delsarte(p, s)
 
     t21 = False
     t22 = False
-    if spec.type_tag is SrgType.TYPE_I_ONLY:
+    if s is None:
         t21 = _thm21(p.v)
     elif p.is_coconnected():
-        t22, _ = _thm22(p, spec)
+        t22 = _thm22(p, r, s)
 
     report = BoundsReport(
         params=p,
-        type_tag=spec.type_tag,
+        type_tag=tag,
         cab=cab_val,
         cab_witness=witness,
         delsarte=dels,
@@ -267,7 +279,7 @@ def full_report(p: SrgParams) -> BoundsReport:
         hoffman_complement=dels if p.is_connected() and p.is_coconnected() else None,
         thm21=t21,
         thm22=t22,
-        thm51=ratio >= p.lam + 1,
+        thm51=_thm51(p, s),
         improved=dels - 1 if t21 or t22 else None,
     )
     if report.cab > report.trivial:

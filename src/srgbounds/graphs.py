@@ -22,10 +22,14 @@ from .cab import cap_min_over_b
 from .srg import EdgeRegularParams, SrgParams
 
 MAX_CLIQUE_VERTEX_LIMIT = 512
+# largest p accepted by paley(): the primality test is O(sqrt(p)) trial
+# division and the rows take p^2 bits, so p is bounded before either runs
+PALEY_MAX_P = 4096
 
 
 class GraphSizeError(ValueError):
-    """Graph exceeds the desk-scale vertex limit for exact clique search."""
+    """Graph exceeds a desk-scale size limit: the vertex limit of the exact
+    clique search, or the largest p of a Paley construction."""
 
 
 class Graph:
@@ -104,6 +108,8 @@ def _is_prime(n: int) -> bool:
 def paley(p: int) -> Graph:
     """Paley graph on a prime p = 1 mod 4: a ~ b iff a-b is a nonzero square
     mod p.  The congruence makes -1 a square, so adjacency is symmetric."""
+    if p > PALEY_MAX_P:
+        raise GraphSizeError(f"p={p} exceeds limit {PALEY_MAX_P}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime (prime powers are unsupported)")
     if p % 4 != 1:

@@ -172,32 +172,44 @@ def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
     return None if rem or not 0 <= f <= m else (f, m - f)
 
 
-def spectrum(p: SrgParams) -> Spectrum:
-    """Exact r >= s with r+s = lam-mu and rs = mu-k, plus multiplicities.
+def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
+    """(type, r, s, f, g) in integers, validating p once; r = s = None flags
+    a conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2.
 
     r, s = (lam-mu +/- t)/2 are the roots of x^2 - (lam-mu)x - (k-mu), with
-    t^2 the discriminant.  When t is an integer so are r and s, and the trace
-    identities give f and g; otherwise classify() has established the
-    conference case, where t = sqrt(v) and f = g = (v-1)/2.
+    t^2 the discriminant.  When t is an integer so are r and s (t has the
+    parity of lam-mu), and the trace identities give f and g; otherwise the
+    tuple must be conference, where t = sqrt(v) and f = g = (v-1)/2.
     """
-    tag = classify(p)
+    p.validate()
+    conf = _is_conference(p.v, p.k, p.lam, p.mu)
     d = p.lam - p.mu
     disc = d * d + 4 * (p.k - p.mu)
     t = isqrt(disc)
-    if t * t == disc:
-        fg = _multiplicities(p, t)
-        if fg is None:
-            mid, shift = Fraction(p.v - 1, 2), Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
+    if t * t != disc:
+        if not conf:
             raise InfeasibleParamsError(
-                f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
+                f"{p} is neither conference nor has integer eigenvalues"
             )
-        f, g = fg
-        return Spectrum(r=QuadExt.make((d + t) // 2), s=QuadExt.make((d - t) // 2),
-                        f=f, g=g, type_tag=tag)
-    root = QuadExt.sqrt(disc)
-    half = Fraction(1, 2)
-    f = (p.v - 1) // 2
-    return Spectrum(r=(d + root) * half, s=(d - root) * half, f=f, g=f, type_tag=tag)
+        f = (p.v - 1) // 2
+        return SrgType.TYPE_I_ONLY, None, None, f, f
+    fg = _multiplicities(p, t)
+    if fg is None:
+        mid, shift = Fraction(p.v - 1, 2), Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
+        raise InfeasibleParamsError(
+            f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
+        )
+    tag = SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
+    return tag, (d + t) // 2, (d - t) // 2, fg[0], fg[1]
+
+
+def spectrum(p: SrgParams) -> Spectrum:
+    """Exact r >= s with r+s = lam-mu and rs = mu-k, plus multiplicities."""
+    tag, r, s, f, g = _int_spectrum(p)
+    if r is None:
+        root, half = QuadExt.sqrt(p.v), Fraction(1, 2)
+        return Spectrum(r=(root - 1) * half, s=(-1 - root) * half, f=f, g=g, type_tag=tag)
+    return Spectrum(r=QuadExt.make(r), s=QuadExt.make(s), f=f, g=g, type_tag=tag)
 
 
 def complement(p: SrgParams) -> SrgParams:
@@ -253,10 +265,12 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     # integer r, s; t = 0 would need lam = mu = k.  Conference tuples have
     # 2k + (v-1)(lam-mu) = 0, so their multiplicities f = g = (v-1)/2 pass.
     conf = _is_conference(v, k, lam, mu)
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    d = lam - mu
+    disc = d * d + 4 * (k - mu)
     t = isqrt(disc)
     if t * t == disc:
-        if _multiplicities(p, t) is None:
+        fg = _multiplicities(p, t)
+        if fg is None:
             return False, "integral multiplicities"
     elif not conf:
         return False, "conference or perfect-square discriminant"
@@ -270,21 +284,25 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         # tuples only; disjoint unions of cliques and complete multipartite
         # graphs (and their complements) are exempt
         return True, None
-    spec = spectrum(p)
-    r, s = spec.r, spec.s
-    # Krein conditions, exact
-    lhs1 = (r + 1) * (k + r + 2 * r * s)
-    rhs1 = (k + r) * (s + 1) * (s + 1)
-    if (lhs1 - rhs1).sign() > 0:
+    if t * t != disc:
+        # conference with u = sqrt(v) irrational: k = (v-1)/2, r, s =
+        # (-1 +/- u)/2, so k + r + 2rs = (u-1)/2 and k + s + 2rs = -(u+1)/2,
+        # and the Krein slacks (k+r)(s+1)^2 - (r+1)(k+r+2rs) and
+        # (k+s)(r+1)^2 - (s+1)(k+s+2rs) expand to (v -/+ u)(v-5)/8 >= 0 as
+        # lam = (v-5)/4 >= 0.  f = g = (v-1)/2 meets the absolute bound,
+        # since g(g+3) - 2v = (v-5)(v+1)/4 >= 0.
+        return True, None
+    r, s = (d + t) // 2, (d - t) // 2
+    # Krein conditions, exact in integers
+    if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) * (s + 1):
         return False, "Krein 1"
-    lhs2 = (s + 1) * (k + s + 2 * r * s)
-    rhs2 = (k + s) * (r + 1) * (r + 1)
-    if (lhs2 - rhs2).sign() > 0:
+    if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) * (r + 1):
         return False, "Krein 2"
     if level < FeasibilityLevel.ABSOLUTE_BOUND:
         return True, None
-    if 2 * v > spec.f * (spec.f + 3):
+    f, g = fg
+    if 2 * v > f * (f + 3):
         return False, "absolute bound (f)"
-    if 2 * v > spec.g * (spec.g + 3):
+    if 2 * v > g * (g + 3):
         return False, "absolute bound (g)"
     return True, None

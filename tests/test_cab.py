@@ -228,27 +228,46 @@ class TestFullReport:
         assert rep.hoffman_complement == rep.delsarte
 
     def test_matches_single_bound_api(self):
-        # full_report derives everything from one spectrum; the public
-        # single-bound functions each compute theirs on their own
-        for p in enumerate_feasible(300):
+        # full_report and the single-bound functions decide in integers; the
+        # QuadExt derivation is the oracle for both
+        for p in enumerate_feasible(500):
             rep = full_report(p)
-            assert rep.delsarte == delsarte_bound(p), p
-            assert rep.thm51 == thm51_predicate(p), p
-            assert rep.improved == improved_bound(p), p
+            dels, thm51, thm22, improved = quadext_bounds(p)
+            assert rep.delsarte == delsarte_bound(p) == dels, p
+            assert rep.thm51 == thm51, p
+            assert thm51_predicate(p) == (True if p.mu == 0 else thm51), p
+            assert rep.improved == improved_bound(p) == improved, p
+            assert rep.thm22 == thm22, p
             if rep.type_tag is SrgType.TYPE_I_ONLY:
                 assert rep.thm21 == thm21_applies(p.v)[0], p
             else:
                 assert rep.thm21 is False, p
             if rep.type_tag is not SrgType.TYPE_I_ONLY and p.is_coconnected():
-                assert rep.thm22 == thm22_applies(p)[0], p
-            else:
-                assert rep.thm22 is False, p
+                assert thm22_applies(p)[0] == thm22, p
             if p.is_connected() and p.is_coconnected():
                 r = spectrum(p).r
                 assert rep.hoffman_complement == hoffman_clique_bound(
                     p.v, p.v - p.k - 1, -r - 1), p
             else:
                 assert rep.hoffman_complement is None, p
+
+
+def quadext_bounds(p):
+    """Delsarte, thm51, thm22 and the improved bound of a feasible tuple,
+    derived in QuadExt arithmetic from the exact spectrum:
+    1 + floor(-k/s), -k/s >= lam+1, 0 < frc(-k/s) < 1 - (r^2+r)/(v-2k+lam)
+    and floor(-k/s) when thm21 or thm22 holds."""
+    spec = spectrum(p)
+    ratio = -(QuadExt.make(p.k) / spec.s)
+    irrational = spec.type_tag is SrgType.TYPE_I_ONLY
+    thm22 = False
+    if not irrational and p.is_coconnected():
+        r = spec.r
+        threshold = 1 - (r * r + r) / QuadExt.make(p.v - 2 * p.k + p.lam)
+        thm22 = 0 < ratio.frac() < threshold
+    thm21 = irrational and thm21_applies(p.v)[0]
+    improved = ratio.floor() if thm21 or thm22 else None
+    return 1 + ratio.floor(), ratio >= p.lam + 1, thm22, improved
 
 
 def test_level_monotonicity_randomized():

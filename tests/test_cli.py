@@ -10,7 +10,7 @@ import pytest
 import srgbounds
 from srgbounds.cli import main
 from srgbounds.graphio import write_graph6
-from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, Graph, paley
+from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
 
 
 def run(capsys, *argv):
@@ -76,14 +76,21 @@ class TestScan:
         data = json.loads(out)
         assert data[0]["v"] == 5
 
-    @pytest.mark.parametrize("level,tuples,digest", [
-        ("absolute", 1227, "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62"),
+    @pytest.mark.parametrize("max_v,level,tuples,digest", [
+        (150, "absolute", 1227,
+         "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62"),
         # the COUNTING scan skips tuples without integral multiplicities
-        ("counting", 1281, "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082"),
-    ], ids=["absolute", "counting"])
-    def test_csv_digest(self, capsys, level, tuples, digest):
-        # the v <= 150 catalogue, byte for byte
-        code, out, _ = run(capsys, "scan", "--max-v", "150", "--level", level,
+        (150, "counting", 1281,
+         "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082"),
+        (500, "absolute", 5681,
+         "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739"),
+        # the range of the published parameter tables
+        (1300, "absolute", 18011,
+         "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3"),
+    ], ids=["absolute", "counting", "absolute-500", "absolute-1300"])
+    def test_csv_digest(self, capsys, max_v, level, tuples, digest):
+        # the catalogue, byte for byte
+        code, out, _ = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
                            "--format", "csv")
         assert code == 0
         assert len(out.splitlines()) == 1 + tuples
@@ -156,6 +163,26 @@ class TestGraphCommands:
     def test_paley_bad_input(self, capsys):
         code, _, err = run(capsys, "paley", "8")
         assert code == 2
+
+    def test_paley_over_limit(self, capsys):
+        # 4097 = 17 * 241: the size limit is reported before primality
+        assert 1000 <= PALEY_MAX_P < 4097
+        code, out, err = run(capsys, "paley", "4097")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: p=4097 exceeds limit {PALEY_MAX_P}")
+
+    def test_paley_huge_prime_candidate_is_rejected_fast(self):
+        # a 30-digit prime p = 1 (mod 4): trial division alone would take
+        # years, and its bitset rows p^2/8 bytes
+        src = os.path.dirname(os.path.dirname(srgbounds.__file__))
+        p = "100000000000000000000000000481"
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "paley", p],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: p={p} exceeds limit {PALEY_MAX_P}")
 
     def test_maxclique_file(self, capsys, tmp_path):
         f = tmp_path / "k4.txt"

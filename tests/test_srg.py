@@ -1,7 +1,10 @@
+import fractions
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from srgbounds.cab import full_report
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -101,17 +104,21 @@ class TestSpectrum:
             spectrum(SrgParams(7, 2, 1, 0))
 
     def test_raises_exactly_when_integrality_rejects(self):
-        # spectrum() and the INTEGRALITY step derive the multiplicities alike;
-        # the sum-of-two-squares condition is the only rejection it ignores
+        # spectrum(), full_report and the INTEGRALITY step derive the
+        # multiplicities alike, and the first two raise the same message;
+        # the sum-of-two-squares condition is the only rejection they ignore
         spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
         for p in enumerate_feasible(150, FeasibilityLevel.COUNTING):
             ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
-            try:
-                spectrum(p)
-                raised = False
-            except InfeasibleParamsError:
-                raised = True
-            assert raised == (not ok and reason in spectral), p
+            errors = set()
+            for compute in (spectrum, full_report):
+                try:
+                    compute(p)
+                    errors.add(None)
+                except InfeasibleParamsError as exc:
+                    errors.add(str(exc))
+            assert len(errors) == 1, (p, errors)
+            assert (errors != {None}) == (not ok and reason in spectral), p
 
     def test_root_equations(self):
         for p in (PALEY17, PETERSEN, SrgParams(144, 39, 6, 12)):
@@ -208,3 +215,69 @@ class TestFeasibility:
             s = spectrum(p).s.as_fraction()
             ratio = Fraction(p.k) / (-s)
             assert ratio.denominator <= -s
+
+
+def krein_oracle(p):
+    """The Krein and absolute-bound steps of is_feasible for an INTEGRALITY-
+    feasible tuple, evaluated in QuadExt arithmetic on the exact spectrum."""
+    if p.mu == 0 or p.v - 2 * p.k + p.lam == 0:
+        return True, None
+    spec = spectrum(p)
+    r, s, k = spec.r, spec.s, p.k
+    if ((r + 1) * (k + r + 2 * r * s) - (k + r) * (s + 1) * (s + 1)).sign() > 0:
+        return False, "Krein 1"
+    if ((s + 1) * (k + s + 2 * r * s) - (k + s) * (r + 1) * (r + 1)).sign() > 0:
+        return False, "Krein 2"
+    if 2 * p.v > spec.f * (spec.f + 3):
+        return False, "absolute bound (f)"
+    if 2 * p.v > spec.g * (spec.g + 3):
+        return False, "absolute bound (g)"
+    return True, None
+
+
+class TestKreinOracle:
+    def test_integer_path_matches_quadext(self):
+        reasons = Counter()
+        for p in enumerate_feasible(1000, FeasibilityLevel.INTEGRALITY):
+            want = krein_oracle(p)
+            assert is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND) == want, p
+            krein_ok = want[0] or want[1].startswith("absolute")
+            assert is_feasible(p, FeasibilityLevel.KREIN) == (
+                (True, None) if krein_ok else want), p
+            reasons[want[1]] += 1
+        assert reasons["Krein 1"] == 234
+        assert reasons["Krein 2"] == 66
+        assert reasons["absolute bound (f)"] == 43
+        assert reasons["absolute bound (g)"] == 43
+
+    def test_irrational_conference_slacks_nonnegative(self):
+        # is_feasible accepts these without evaluating the Krein conditions
+        count = 0
+        for p in enumerate_feasible(1000, FeasibilityLevel.INTEGRALITY):
+            if classify(p) is not SrgType.TYPE_I_ONLY:
+                continue
+            spec = spectrum(p)
+            r, s, k = spec.r, spec.s, p.k
+            slack1 = (k + r) * (s + 1) * (s + 1) - (r + 1) * (k + r + 2 * r * s)
+            slack2 = (k + s) * (r + 1) * (r + 1) - (s + 1) * (k + s + 2 * r * s)
+            # the closed forms (v -/+ sqrt(v))(v-5)/8
+            root = QuadExt.sqrt(p.v)
+            assert slack1 == (p.v - root) * Fraction(p.v - 5, 8), p
+            assert slack2 == (p.v + root) * Fraction(p.v - 5, 8), p
+            assert slack1.sign() >= 0 and slack2.sign() >= 0, p
+            assert 2 * p.v <= spec.f * (spec.f + 3), p
+            count += 1
+        assert count == 137
+
+    def test_no_quadext_or_fraction_on_the_scan_path(self, monkeypatch):
+        tuples = list(enumerate_feasible(500))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("QuadExt or Fraction built on the scan path")
+
+        monkeypatch.setattr(QuadExt, "__init__", forbidden)
+        monkeypatch.setattr(fractions.Fraction, "__new__", forbidden)
+        for p in tuples:
+            for level in FeasibilityLevel:
+                assert is_feasible(p, level) == (True, None), p
+            full_report(p)
