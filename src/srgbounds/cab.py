@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from .quadext import QuadExt
 from .srg import (
@@ -75,28 +75,132 @@ class CabWitness:
     value: int
 
 
+def _start_level(v: int, k: int, lam: int) -> int:
+    """Least level y = c+1 that can hold a negative value of C, z = x - y.
+
+    For k = lam+1 and c = k+1 (the parameters of disjoint copies of K_c):
+
+        C(x, y) = (c-y) z(z+1) + (v-c) x(x+1)
+
+    For lam = 2k-v with a = v-k dividing v and m = v/a (the parameters of
+    the complete multipartite K_{m x a}):
+
+        C(x, y) = a(m-y) z(z+1) + (a-1) y (z+1)(z+2)
+
+    n(n+1) >= 0 for every integer n, so at integer x the first sum is >= 0
+    for every y <= c and the second for every 0 <= y <= m.  The walk may
+    start at c+1 = lam+3, resp. m+1, and both are the CAB levels themselves:
+    lam+3 is the last possible level, and K_{m x a} has cliques of size m,
+    which the CAB bounds from above (Soicher, J. Algebra 421, 2015).
+    """
+    if k == lam + 1:
+        return lam + 3
+    a = v - k
+    if lam == 2 * k - v and v % a == 0:
+        return v // a + 1
+    return 3
+
+
+def _certificate_cubic(v: int, k: int, lam: int) -> tuple[int, int, int, int]:
+    """Coefficients (c3, c2, c1, c0) of P(y) = 4 a2 a0 - a1^2, where
+    C(x, y) = a2 x^2 + a1 x + a0.  The y^4 terms cancel, so P is a cubic."""
+    return (
+        4 * (2 * k - lam - v),
+        4 * lam * (v + 1) + 8 * v - 4 * k * k - 12 * k - 1,
+        2 * v * (2 * k - 2 * lam - 1),
+        -v * v,
+    )
+
+
+def _cubic(cs: tuple[int, int, int, int], y: int) -> int:
+    c3, c2, c1, c0 = cs
+    return ((c3 * y + c2) * y + c1) * y + c0
+
+
+def _floor_root(n: int, sign: int, d: int, q: int) -> int:
+    """floor((n + sign*sqrt(d)) / q) exactly, for d >= 0 and q != 0."""
+    if q < 0:
+        n, sign, q = -n, -sign, -q
+    t = isqrt(d)
+    if sign > 0:
+        return (n + t) // q
+    # floor(n - sqrt(d)) = n - ceil(sqrt(d)), and for q > 0
+    # floor(floor(u)/q) = floor(u/q)
+    return (n - t - (t * t != d)) // q
+
+
+def _negative_runs(cs: tuple[int, int, int, int], lo: int,
+                   hi: int) -> Iterator[tuple[int, int]]:
+    """Yield, in increasing order, integer runs [a, b] covering exactly the
+    integers of [lo, hi] where the cubic cs is negative.
+
+    The range is cut after floor(r) for each real root r of P', so that P is
+    monotone on every piece, and each piece's negative run is found by
+    bisection.  Everything is decided in integers.
+    """
+    c3, c2, c1, _ = cs
+    cuts = []
+    if c3:
+        # P'(y) = 3c3 y^2 + 2c2 y + c1, roots (-c2 +- sqrt(c2^2 - 3c3c1)) / (3c3)
+        d = c2 * c2 - 3 * c3 * c1
+        if d >= 0:
+            cuts = [_floor_root(-c2, -1, d, 3 * c3), _floor_root(-c2, 1, d, 3 * c3)]
+    elif c2:
+        cuts = [-c1 // (2 * c2)]
+    first = lo
+    for last in sorted(cuts) + [hi]:
+        last = min(last, hi)
+        if last < first:
+            continue
+        neg_first, neg_last = _cubic(cs, first) < 0, _cubic(cs, last) < 0
+        if neg_first and neg_last:
+            yield first, last
+        elif neg_first or neg_last:
+            # bisect for the sign change, keeping the negative end at neg
+            neg, pos = (first, last) if neg_first else (last, first)
+            while abs(pos - neg) > 1:
+                mid = (neg + pos) // 2
+                if _cubic(cs, mid) < 0:
+                    neg = mid
+                else:
+                    pos = mid
+            yield (first, neg) if neg_first else (neg, last)
+        first = last + 1
+
+
 def cab(p: EdgeRegularParams) -> tuple[int, CabWitness]:
     """Clique adjacency bound: least c >= 2 with C(b, c+1) < 0 for some b.
 
-    Terminates with c <= lam+2 since C(0, lam+3) = -(lam+3)(lam+2) < 0.
+    It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  The levels
+    y = c+1 are walked in increasing order, skipping two kinds of level
+    that are proved to hold no negative value:
+
+    * levels below _start_level, by the two sum-of-squares identities for
+      the disjoint-clique and complete-multipartite parameters;
+    * levels where the quadratic in x, C = a2 x^2 + a1 x + a0 with
+      a2 = v - y > 0, has P(y) = 4 a2 a0 - a1^2 >= 0: then C >= 0 at every
+      real x.  P is a cubic in y, and its negative runs are isolated
+      exactly in integers.
+
+    Every other level is still minimized over b by cap_min_over_b, so the
+    first negative level and its witness are those of the plain walk
+    y = 3, 4, ...
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
-    c = 2
-    while True:
-        y = c + 1
-        if y >= v:
-            # the quadratic-in-b minimization needs leading coefficient
-            # v - y > 0; at y >= v the witness b = 0 suffices, as
-            # C(0, y) = y(y-1)(lam - y + 2) < 0 once y > lam + 2
-            b, val = 0, cap_value(v, k, lam, 0, y)
-        else:
+    start = _start_level(v, k, lam)
+    for lo, hi in _negative_runs(_certificate_cubic(v, k, lam), start, min(lam + 3, v - 1)):
+        for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
-        if val < 0:
-            return c, CabWitness(b=b, c_plus_1=y, value=val)
-        c += 1
-        if c > lam + 2:
-            raise AssertionError(f"CAB search exceeded lambda+2 for {p}")
+            if val < 0:
+                return y - 1, CabWitness(b=b, c_plus_1=y, value=val)
+    # Reached only when lam + 3 >= v (a level lam + 3 <= v - 1 is negative
+    # at b = 0), so every level below v is nonnegative.  The quadratic-in-b
+    # minimization needs leading coefficient v - y > 0; at y >= v the
+    # witness b = 0 suffices, as C(0, y) = y(y-1)(lam - y + 2) < 0 first at
+    # y = lam + 3 <= v + 1.
+    y = lam + 3
+    return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
 
 
 def trivial_bound(p: EdgeRegularParams) -> int:

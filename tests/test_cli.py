@@ -8,9 +8,13 @@ import time
 import pytest
 
 import srgbounds
+from srgbounds.cab import full_report
 from srgbounds.cli import main
 from srgbounds.graphio import write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
+from srgbounds.srg import SrgParams
+
+SRC = os.path.dirname(os.path.dirname(srgbounds.__file__))
 
 
 def run(capsys, *argv):
@@ -47,6 +51,51 @@ class TestBounds:
     def test_garbage_params(self, capsys):
         code, _, err = run(capsys, "bounds", "not-a-number")
         assert code == 2
+
+    def test_usage_error_then_valid_call_matches_fresh_process(self, capsys):
+        # an argparse exit leaves nothing behind for the next in-process call
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        code, out, _ = run(capsys, "bounds", "17", "8", "3", "4", "--json")
+        assert code == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "srgbounds.cli", "bounds", "17", "8", "3", "4", "--json"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert fresh.returncode == 0
+        assert out == fresh.stdout
+
+    def test_fifteen_digit_conference_tuple_within_budget(self):
+        # the CAB level is 10^7: a level-by-level walk takes seconds
+        argv = ["bounds", "100000000000037", "50000000000018", "25000000000008",
+                "25000000000009", "--json"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {
+            "v": 100000000000037, "k": 50000000000018, "lambda": 25000000000008,
+            "mu": 25000000000009, "cab": 9999999, "cab_witness_b": 4999999,
+            "cab_witness_y": 10000000, "delsarte": 10000000,
+            "trivial": 25000000000010, "thm21": True, "thm22": False,
+            "improved": 9999999,
+        }
+        assert elapsed < 1, f"bounds took {elapsed:.2f} s"
+
+    def test_twenty_digit_conference_tuple_within_budget(self):
+        # v = 4000000000^2 + 3^2 = 1 (mod 4), a sum of two squares
+        v = 16000000000000000009
+        p = SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4)
+        start = time.perf_counter()
+        rep = full_report(p)
+        elapsed = time.perf_counter() - start
+        assert (rep.cab, rep.delsarte, rep.improved) == (3999999999, 4000000000, 3999999999)
+        assert rep.cab_witness.c_plus_1 == 4000000000
+        assert elapsed < 0.05, f"full_report took {elapsed * 1e3:.1f} ms"
 
     def test_invariant_violation_exits_1(self, capsys, monkeypatch):
         def broken(p):
@@ -87,7 +136,9 @@ class TestScan:
         # the range of the published parameter tables
         (1300, "absolute", 18011,
          "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3"),
-    ], ids=["absolute", "counting", "absolute-500", "absolute-1300"])
+        (3000, "absolute", 47721,
+         "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee"),
+    ], ids=["absolute", "counting", "absolute-500", "absolute-1300", "absolute-3000"])
     def test_csv_digest(self, capsys, max_v, level, tuples, digest):
         # the catalogue, byte for byte
         code, out, _ = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
@@ -120,10 +171,9 @@ class TestScan:
 
 
 def test_import_leaves_numpy_out():
-    src = os.path.dirname(os.path.dirname(srgbounds.__file__))
     code = "import sys, srgbounds.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0
 
 
@@ -175,11 +225,10 @@ class TestGraphCommands:
     def test_paley_huge_prime_candidate_is_rejected_fast(self):
         # a 30-digit prime p = 1 (mod 4): trial division alone would take
         # years, and its bitset rows p^2/8 bytes
-        src = os.path.dirname(os.path.dirname(srgbounds.__file__))
         p = "100000000000000000000000000481"
         proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "paley", p],
                               capture_output=True, text=True, timeout=30,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: p={p} exceeds limit {PALEY_MAX_P}")
@@ -234,3 +283,24 @@ class TestConjecture:
         code, out, _ = run(capsys, "conjecture", "--max-v", "60")
         assert code == 0
         assert "no counterexamples" in out
+
+    def test_hits_up_to_3000(self, capsys):
+        # empty for v <= 2184 only
+        code, out, _ = run(capsys, "conjecture", "--max-v", "3000")
+        assert code == 0
+        assert out.splitlines() == [
+            "13 counterexample candidate(s):",
+            "  (2185,264,23,33)",
+            "  (2205,290,25,40)",
+            "  (2376,275,22,33)",
+            "  (2491,384,32,64)",
+            "  (2574,248,22,24)",
+            "  (2584,315,26,40)",
+            "  (2598,392,31,64)",
+            "  (2646,345,24,48)",
+            "  (2704,424,36,72)",
+            "  (2809,432,35,72)",
+            "  (2829,378,27,54)",
+            "  (2883,262,21,24)",
+            "  (2916,440,34,72)",
+        ]

