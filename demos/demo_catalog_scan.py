@@ -7,7 +7,7 @@ curated existence/sharpness notes.
 Run:  python3 demos/demo_catalog_scan.py
 """
 
-from srgbounds.catalog import ScanConfig, emit, scan_compare
+from srgbounds.catalog import CURATED_NOTES, ScanConfig, emit, scan_compare
 
 records, stats = scan_compare(ScanConfig(v_max=150, filter="gap"))
 print(emit(records, "table"))
@@ -24,7 +24,8 @@ print(f"complementary pairs covered by the predicate: "
       f"({stats.pair_fraction:.1%})")
 
 for r in records:
-    if r.annotations:
-        p = r.params
-        print(f"  ({p.v},{p.k},{p.lam},{p.mu}): exists {r.annotations['exists']}, "
-              f"bound sharp {r.annotations['sharp']}")
+    p = r.params
+    notes = CURATED_NOTES.get((p.v, p.k, p.lam, p.mu))
+    if notes:
+        print(f"  ({p.v},{p.k},{p.lam},{p.mu}): exists {notes['exists']}, "
+              f"bound sharp {notes['sharp']}")

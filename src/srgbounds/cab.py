@@ -51,22 +51,7 @@ def cap_min_over_b(v: int, k: int, lam: int, y: int) -> tuple[int, int]:
     return b_lo, v_lo
 
 
-def cap_min_over_b_bruteforce(v: int, k: int, lam: int, y: int,
-                              lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
-    """Debug cross-check: scan b over an explicit range (default [-2v, 2v])."""
-    if lo is None:
-        lo = -2 * v
-    if hi is None:
-        hi = 2 * v
-    best = None
-    for b in range(lo, hi + 1):
-        val = cap_value(v, k, lam, b, y)
-        if best is None or val < best[1]:
-            best = (b, val)
-    return best
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CabWitness:
     """Point certifying the clique adjacency bound: C(b, c_plus_1) = value < 0."""
 
@@ -318,7 +303,7 @@ def thm51_predicate(p: SrgParams) -> bool:
     return _thm51(p, _int_spectrum(p)[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Every bound for one parameter tuple, plus the predicate outcomes."""
 
@@ -334,6 +319,11 @@ class BoundsReport:
     thm22: bool
     thm51: bool
     improved: Optional[int]
+
+    @property
+    def gap(self) -> int:
+        """How far the clique adjacency bound sits below Delsarte."""
+        return self.delsarte - self.cab
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,11 +16,11 @@ every candidate and stays the one definition of feasibility.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .cab import full_report
+from .cab import BoundsReport, full_report
 from .srg import (
     FeasibilityLevel,
     InfeasibleParamsError,
@@ -77,63 +77,12 @@ class ScanConfig:
     level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND
     filter: Optional[str] = None  # None | "gap" | "thm" | "thm51"
     pairs: bool = False
-    fmt: str = "table"
 
     def __post_init__(self):
         if self.v_max < 5:
             raise ValueError("v_max must be >= 5")
         if self.filter not in (None, "gap", "thm", "thm51"):
             raise ValueError(f"unknown filter {self.filter!r}")
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    params: SrgParams
-    type_tag: SrgType
-    cab: int
-    delsarte: int
-    gap: int
-    thm21: bool
-    thm22: bool
-    thm51: bool
-    connected: bool
-    coconnected: bool
-    annotations: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "v": self.params.v,
-            "k": self.params.k,
-            "lambda": self.params.lam,
-            "mu": self.params.mu,
-            "type": self.type_tag.value,
-            "cab": self.cab,
-            "delsarte": self.delsarte,
-            "gap": self.gap,
-            "thm21": self.thm21,
-            "thm22": self.thm22,
-            "thm51": self.thm51,
-        }
-        if self.annotations:
-            out["annotations"] = self.annotations
-        return out
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ScanRecord":
-        p = SrgParams(d["v"], d["k"], d["lambda"], d["mu"])
-        return ScanRecord(
-            params=p,
-            type_tag=SrgType(d["type"]),
-            cab=d["cab"],
-            delsarte=d["delsarte"],
-            gap=d["gap"],
-            thm21=d["thm21"],
-            thm22=d["thm22"],
-            thm51=d["thm51"],
-            connected=p.is_connected(),
-            coconnected=p.is_coconnected(),
-            annotations=d.get("annotations"),
-        )
 
 
 def _counting_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
@@ -204,47 +153,6 @@ def enumerate_feasible(v_max: int,
                 yield p
 
 
-def enumerate_feasible_bruteforce(v_max: int,
-                                  level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND,
-                                  v_min: int = 5) -> Iterator[SrgParams]:
-    """Independent slow path: triple loop plus the exact feasibility check."""
-    for v in range(v_min, v_max + 1):
-        for k in range(1, v - 1):
-            for lam in range(0, k):
-                num = k * (k - lam - 1)
-                den = v - k - 1
-                if num % den:
-                    continue
-                p = SrgParams(v, k, lam, num // den)
-                ok, _ = is_feasible(p, level)
-                if ok:
-                    yield p
-
-
-def _record_for(p: SrgParams) -> ScanRecord:
-    rep = full_report(p)
-    return ScanRecord(
-        params=p,
-        type_tag=rep.type_tag,
-        cab=rep.cab,
-        delsarte=rep.delsarte,
-        gap=rep.delsarte - rep.cab,
-        thm21=rep.thm21,
-        thm22=rep.thm22,
-        thm51=rep.thm51,
-        connected=p.is_connected(),
-        coconnected=p.is_coconnected(),
-        annotations=_annotations_for(p),
-    )
-
-
-def _annotations_for(p: SrgParams) -> Optional[dict]:
-    key = (p.v, p.k, p.lam, p.mu)
-    if key in CURATED_NONEXISTENT:
-        return {"exists": "N"}
-    return CURATED_NOTES.get(key)
-
-
 @dataclass
 class ScanStats:
     total: int = 0
@@ -268,69 +176,67 @@ class ScanStats:
         return self.pairs_type2_thm / self.pairs_type2_total if self.pairs_type2_total else 0.0
 
 
-def scan_compare(cfg: ScanConfig) -> tuple[list[ScanRecord], ScanStats]:
-    """Full bounds report per feasible tuple, deterministic tuple order.
+def _key(p: SrgParams) -> tuple[int, int, int, int]:
+    return p.v, p.k, p.lam, p.mu
+
+
+def _complement_key(p: SrgParams) -> tuple[int, int, int, int]:
+    return p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2, p.v - 2 * p.k + p.lam
+
+
+def _keeps_pair_member(p: SrgParams) -> bool:
+    """One member per complementary pair: True unless p is connected and
+    co-connected with a complement tuple that sorts before it.  A pair with
+    v = 2k+1 has k = k_bar, so the tuple order, not k < v/2, picks the member."""
+    return not (p.is_connected() and p.is_coconnected()) or _key(p) <= _complement_key(p)
+
+
+def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
+    """full_report of each enumerated tuple, in tuple order.
 
     The bound comparison needs the exact spectrum, so tuples admitted by a
     low scan level but lacking integral multiplicities (possible only below
     INTEGRALITY) are skipped: full_report raises InfeasibleParamsError for
     them, and for nothing else on an enumerated tuple.
     """
-    records = []
     for p in enumerate_feasible(cfg.v_max, cfg.level):
         try:
-            records.append(_record_for(p))
+            yield full_report(p)
         except InfeasibleParamsError:
             continue
 
-    stats = ScanStats(total=len(records))
-    for rec in records:
-        if rec.type_tag is SrgType.TYPE_I_ONLY:
+
+def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
+    """Full bounds report per feasible tuple, deterministic tuple order."""
+    reports = list(_reports(cfg))
+
+    stats = ScanStats(total=len(reports))
+    thm22_by_key = {_key(r.params): r.thm22 for r in reports}
+    for r in reports:
+        p = r.params
+        if r.type_tag is SrgType.TYPE_I_ONLY:
             stats.type1_total += 1
-            if rec.thm21:
-                stats.type1_thm21 += 1
-        else:
-            if rec.connected and rec.coconnected:
-                stats.type2_total += 1
-                if rec.thm22:
-                    stats.type2_thm22 += 1
-                if 2 * rec.params.k < rec.params.v or 2 * rec.params.k + 1 == rec.params.v:
-                    stats.pairs_type2_total += 1
-
-    # pair-level theorem coverage: a pair counts if either member triggers
-    by_key: dict[tuple[int, int, int, int], bool] = {}
-    seen_pairs = set()
-    for rec in records:
-        by_key[(rec.params.v, rec.params.k, rec.params.lam, rec.params.mu)] = rec.thm22
-
-    for rec in records:
-        if rec.type_tag is SrgType.TYPE_I_ONLY or not (rec.connected and rec.coconnected):
-            continue
-        p = rec.params
-        comp = (p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2, p.v - 2 * p.k + p.lam)
-        key = min((p.v, p.k, p.lam, p.mu), comp)
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        if rec.thm22 or by_key.get(comp, False):
-            stats.pairs_type2_thm += 1
+            stats.type1_thm21 += r.thm21
+        elif p.is_connected() and p.is_coconnected():
+            stats.type2_total += 1
+            stats.type2_thm22 += r.thm22
+            # a pair counts once, and is covered if either member triggers
+            if _keeps_pair_member(p):
+                stats.pairs_type2_total += 1
+                stats.pairs_type2_thm += r.thm22 or thm22_by_key.get(_complement_key(p), False)
 
     if cfg.pairs:
-        # keep the member of each complementary pair with k < v/2
-        records = [r for r in records if 2 * r.params.k < r.params.v
-                   or not (r.connected and r.coconnected)]
+        reports = [r for r in reports if _keeps_pair_member(r.params)]
 
     if cfg.filter == "gap":
         # mirror curated catalogs: proven-nonexistent tuples are excluded
-        records = [
-            r for r in records
-            if r.gap > 0 and (r.annotations or {}).get("exists") != "N"
-        ]
+        reports = [r for r in reports
+                   if r.gap > 0 and _key(r.params) not in CURATED_NONEXISTENT]
     elif cfg.filter == "thm":
-        records = [r for r in records if r.thm21 or r.thm22]
+        reports = [r for r in reports if r.thm21 or r.thm22]
     elif cfg.filter == "thm51":
-        records = [r for r in records if r.thm51]
-    return records, stats
+        reports = [r for r in reports if r.thm51]
+    return reports, stats
 
 
 def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
@@ -342,14 +248,7 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     coincide).  The list is empty for v <= 2184 only: the first hit is
     (2185, 264, 23, 33) with CAB 11 and Delsarte 13, and there are 13 hits
     with v <= 3000.  Hits are reported, not asserted."""
-    out = []
-    for p in enumerate_feasible(cfg.v_max, cfg.level):
-        if p.mu == 0:
-            continue
-        rep = full_report(p)
-        if rep.cab < rep.delsarte - 1 and not rep.thm51:
-            out.append(p)
-    return out
+    return [r.params for r in _reports(cfg) if r.cab < r.delsarte - 1 and not r.thm51]
 
 
 # -- emitters ----------------------------------------------------------------
@@ -359,11 +258,11 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def emit(records: list[ScanRecord], fmt: str) -> str:
+def emit(reports: list[BoundsReport], fmt: str) -> str:
     """Deterministic rendering; identical inputs give byte-identical output."""
     if fmt == "csv":
         lines = [CSV_HEADER]
-        for r in records:
+        for r in reports:
             p = r.params
             lines.append(
                 f"{p.v},{p.k},{p.lam},{p.mu},{r.type_tag.value},{r.cab},"
@@ -371,11 +270,23 @@ def emit(records: list[ScanRecord], fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+        rows = []
+        for r in reports:
+            p = r.params
+            row = {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu,
+                   "type": r.type_tag.value, "cab": r.cab, "delsarte": r.delsarte,
+                   "gap": r.gap, "thm21": r.thm21, "thm22": r.thm22, "thm51": r.thm51}
+            key = _key(p)
+            if key in CURATED_NONEXISTENT:
+                row["annotations"] = {"exists": "N"}
+            elif key in CURATED_NOTES:
+                row["annotations"] = CURATED_NOTES[key]
+            rows.append(row)
+        return json.dumps(rows, indent=2) + "\n"
     if fmt == "table":
         header = f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}  {'t21':>3}  {'t22':>3}  {'t51':>3}"
         lines = [header, "-" * len(header)]
-        for r in records:
+        for r in reports:
             p = r.params
             tup = f"({p.v},{p.k},{p.lam},{p.mu})"
             lines.append(
@@ -384,8 +295,3 @@ def emit(records: list[ScanRecord], fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_records(text: str) -> list[ScanRecord]:
-    """Inverse of emit(..., 'json')."""
-    return [ScanRecord.from_json_dict(d) for d in json.loads(text)]

@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--level", choices=sorted(_LEVELS), default="absolute")
     s.add_argument("--filter", choices=["gap", "thm", "thm51"], default=None)
     s.add_argument("--pairs", action="store_true",
-                   help="collapse complementary pairs to the member with k < v/2")
+                   help="keep one member of each complementary pair of connected, "
+                        "co-connected tuples: the one whose (v,k,lambda,mu) sorts first")
     s.add_argument("--format", choices=["table", "csv", "json"], default="table")
     s.add_argument("--out", default=None)
     s.add_argument("--stats", action="store_true",
@@ -118,7 +119,6 @@ def _cmd_scan(args) -> int:
         level=_LEVELS[args.level],
         filter=args.filter,
         pairs=args.pairs,
-        fmt=args.format,
     )
     records, stats = catalog.scan_compare(cfg)
     if any(r.gap < 0 for r in records):

@@ -24,7 +24,6 @@ from typing import Callable, Mapping
 
 from .cab import cap_value
 from .mpoly import MPoly, PolyFrac
-from .srg import SrgParams
 
 
 class ResidualDivisionError(ValueError):
@@ -309,38 +308,3 @@ def random_point_crosscheck(case: IdentityCase, trials: int, seed: int = 0) -> b
         if case.lhs(sym) != case.rhs(sym):
             return False
     return True
-
-
-def substitute(p: MPoly, parameterization: str) -> MPoly:
-    """Substitute the parameterization into p; the result must be a polynomial
-    in the free variables (anything leaving a denominator is an error)."""
-    sym = _symbolic_symbols(parameterization)
-    total = PolyFrac.from_poly(0)
-    from .mpoly import VARS
-
-    for exp, coeff in p.terms.items():
-        term = PolyFrac.from_poly(MPoly.const(coeff))
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            name = VARS[i]
-            if name not in sym:
-                raise ValueError(
-                    f"symbol {name!r} has no meaning under {parameterization!r}"
-                )
-            value = PolyFrac._coerce(sym[name])
-            for _ in range(e):
-                term = term * value
-        total = total + term
-    return total.as_poly()
-
-
-def general_srg_point(p: SrgParams) -> dict:
-    """Numeric general-parameterization symbols for a concrete integer tuple
-    with integer eigenvalues (useful for instance-level cross-checks)."""
-    from .srg import spectrum
-
-    spec = spectrum(p)
-    r = spec.r.as_fraction()
-    s = spec.s.as_fraction()
-    return general_srg_symbols(r, s, Fraction(p.mu))

@@ -69,9 +69,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_ZERO_EXP}
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0

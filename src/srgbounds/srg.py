@@ -91,9 +91,6 @@ class SrgParams:
     def is_coconnected(self) -> bool:
         return self.v - 2 * self.k + self.lam > 0
 
-    def to_json_dict(self) -> dict:
-        return {"v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu}
-
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -25,7 +25,6 @@ from srgbounds.graphs import (
     is_edge_regular,
     is_strongly_regular,
     max_clique,
-    max_clique_bruteforce,
     paley,
 )
 from srgbounds.identities import (
@@ -43,6 +42,7 @@ from srgbounds.srg import (
     complement,
     spectrum,
 )
+from test_graphs import max_clique_bruteforce
 
 # (v, k, lambda, mu) -> (type, cab) golden rows for the gap scan on v <= 150
 GOLDEN_GAP_TABLE = [

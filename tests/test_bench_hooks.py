@@ -1,0 +1,62 @@
+"""The benchmark's tracing hooks still find their targets.
+
+perfbench/workloads.py times each layer by rebinding the names listed in
+its HOOKS.  A span whose every target is gone reads as a missing metric, so
+a refactor that renames or inlines such a name silently blanks a per-layer
+number.  HOOKS is read here with ast; the benchmark module is neither
+imported nor edited.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import srgbounds.catalog as catalog
+from srgbounds.catalog import ScanConfig, scan_compare
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def read_hooks() -> tuple[tuple[str, str, str], ...]:
+    tree = ast.parse(WORKLOADS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no HOOKS assignment in perfbench/workloads.py")
+
+
+def resolves(owner: str, attr: str) -> bool:
+    """The lookup the tracer makes: a module global, or for "module:Class"
+    an attribute in the class's own namespace."""
+    module_name, _, class_name = owner.partition(":")
+    try:
+        target = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    if class_name:
+        target = getattr(target, class_name, None)
+        return target is not None and attr in target.__dict__
+    return hasattr(target, attr)
+
+
+def test_every_span_keeps_a_target():
+    spans: dict[str, list[bool]] = {}
+    for owner, attr, span in read_hooks():
+        spans.setdefault(span, []).append(resolves(owner, attr))
+    assert spans
+    assert {span for span, found in spans.items() if not any(found)} == set()
+
+
+def test_scan_reports_through_the_catalog_name(monkeypatch):
+    # catalog.report_s times full_report as rebound in srgbounds.catalog
+    calls = []
+    original = catalog.full_report
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(catalog, "full_report", counted)
+    reports, stats = scan_compare(ScanConfig(v_max=20))
+    assert len(calls) == len(reports) == stats.total > 0

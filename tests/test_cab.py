@@ -10,7 +10,6 @@ from srgbounds.cab import (
     CabWitness,
     cab,
     cap_min_over_b,
-    cap_min_over_b_bruteforce,
     cap_value,
     delsarte_bound,
     delsarte_prefloor,
@@ -29,6 +28,22 @@ from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType, spectrum
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
+
+
+def cap_min_over_b_bruteforce(v: int, k: int, lam: int, y: int,
+                              lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
+    """The oracle for cap_min_over_b: scan b over an explicit range
+    (default [-2v, 2v])."""
+    if lo is None:
+        lo = -2 * v
+    if hi is None:
+        hi = 2 * v
+    best = None
+    for b in range(lo, hi + 1):
+        val = cap_value(v, k, lam, b, y)
+        if best is None or val < best[1]:
+            best = (b, val)
+    return best
 
 
 def cab_linear(p: EdgeRegularParams) -> tuple[int, CabWitness]:

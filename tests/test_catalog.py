@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,34 @@ from srgbounds.catalog import (
     CURATED_NONEXISTENT,
     CURATED_NOTES,
     ScanConfig,
-    ScanRecord,
     conjecture_scan,
     emit,
     enumerate_feasible,
-    enumerate_feasible_bruteforce,
-    parse_records,
     scan_compare,
 )
-from srgbounds.srg import FeasibilityLevel, SrgParams
+from srgbounds.srg import FeasibilityLevel, SrgParams, is_feasible
+
+
+def key(p: SrgParams) -> tuple[int, int, int, int]:
+    return p.v, p.k, p.lam, p.mu
+
+
+def enumerate_feasible_bruteforce(v_max: int,
+                                  level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND,
+                                  v_min: int = 5):
+    """The oracle for enumerate_feasible: triple loop plus the exact
+    feasibility check."""
+    for v in range(v_min, v_max + 1):
+        for k in range(1, v - 1):
+            for lam in range(0, k):
+                num = k * (k - lam - 1)
+                den = v - k - 1
+                if num % den:
+                    continue
+                p = SrgParams(v, k, lam, num // den)
+                ok, _ = is_feasible(p, level)
+                if ok:
+                    yield p
 
 
 def render_rational(x: Fraction) -> str:
@@ -111,8 +131,35 @@ class TestScanCompare:
         halved, _ = scan_compare(ScanConfig(v_max=60, pairs=True))
         assert len(halved) < len(full)
         for r in halved:
-            if r.connected and r.coconnected:
-                assert 2 * r.params.k < r.params.v
+            p = r.params
+            if p.is_connected() and p.is_coconnected():
+                assert 2 * p.k < p.v
+
+    def test_pair_with_equal_valencies_counted_once(self):
+        # v = 2k+1: (21,10,3,6) and its complement (21,10,5,4) both have
+        # 2k < v, but the pair keeps only the member that sorts first
+        everything, stats = scan_compare(ScanConfig(v_max=21))
+        kept, _ = scan_compare(ScanConfig(v_max=21, pairs=True))
+        at21 = [key(r.params) for r in everything if r.params.v == 21]
+        assert (21, 10, 3, 6) in at21 and (21, 10, 5, 4) in at21
+        kept21 = [key(r.params) for r in kept if r.params.v == 21]
+        assert (21, 10, 3, 6) in kept21 and (21, 10, 5, 4) not in kept21
+        type2 = [r.params for r in everything if r.type_tag.value != "I"
+                 and r.params.is_connected() and r.params.is_coconnected()]
+        keys = {key(p) for p in type2}
+        pairs = {min(key(p), (p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2,
+                               p.v - 2 * p.k + p.lam)) for p in type2}
+        assert pairs <= keys
+        assert stats.pairs_type2_total == len(pairs)
+
+    @pytest.mark.parametrize("v_max,pairs,covered", [(150, 125, 15), (300, 327, 53)])
+    def test_pair_totals(self, v_max, pairs, covered):
+        _, stats = scan_compare(ScanConfig(v_max=v_max))
+        assert (stats.pairs_type2_total, stats.pairs_type2_thm) == (pairs, covered)
+
+    def test_pairs_row_count(self):
+        kept, _ = scan_compare(ScanConfig(v_max=150, pairs=True))
+        assert len(kept) == 1107
 
     def test_thm51_filter(self):
         records, _ = scan_compare(ScanConfig(v_max=60, filter="thm51"))
@@ -125,10 +172,11 @@ class TestScanCompare:
         assert stats.pairs_type2_thm <= stats.pairs_type2_total
 
     def test_curated_annotations_attached(self):
-        records, _ = scan_compare(ScanConfig(v_max=150, filter="gap"))
-        for r in records:
-            key = (r.params.v, r.params.k, r.params.lam, r.params.mu)
-            assert r.annotations == CURATED_NOTES[key]
+        reports, _ = scan_compare(ScanConfig(v_max=150, filter="gap"))
+        rows = json.loads(emit(reports, "json"))
+        assert len(rows) == len(CURATED_NOTES)
+        for r, row in zip(reports, rows):
+            assert row["annotations"] == CURATED_NOTES[key(r.params)]
 
 
 class TestConjecture:
@@ -148,9 +196,29 @@ class TestEmitters:
         assert all(len(line.split(",")) == 11 for line in lines)
         assert lines[1].startswith("5,2,0,1,")
 
-    def test_json_roundtrip(self):
-        records = self._records()
-        assert parse_records(emit(records, "json")) == records
+    # every annotated tuple with v <= 50, from CURATED_NONEXISTENT and CURATED_NOTES
+    ANNOTATED_UP_TO_50 = {
+        (17, 8, 3, 4): {"exists": "!", "sharp": "Y"},
+        (37, 18, 8, 9): {"exists": "+", "sharp": "Y"},
+        (49, 16, 3, 6): {"exists": "N"},
+        (49, 32, 21, 20): {"exists": "N"},
+        (50, 7, 0, 1): {"exists": "!", "sharp": "Y"},
+    }
+
+    def test_json_rows_match_reports(self):
+        reports, _ = scan_compare(ScanConfig(v_max=50))
+        rows = json.loads(emit(reports, "json"))
+        assert len(rows) == len(reports)
+        for r, row in zip(reports, rows):
+            p = r.params
+            expected = {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu,
+                        "type": r.type_tag.value, "cab": r.cab, "delsarte": r.delsarte,
+                        "gap": r.delsarte - r.cab, "thm21": r.thm21, "thm22": r.thm22,
+                        "thm51": r.thm51}
+            if key(p) in self.ANNOTATED_UP_TO_50:
+                expected["annotations"] = self.ANNOTATED_UP_TO_50[key(p)]
+            assert row == expected
+            assert list(row) == list(expected)
 
     def test_table_deterministic(self):
         records = self._records()
@@ -163,8 +231,3 @@ class TestEmitters:
     def test_render_rational(self):
         assert render_rational(Fraction(13, 3)) == "13/3 (4.333333)"
 
-
-def test_scan_record_json_roundtrip():
-    records, _ = scan_compare(ScanConfig(v_max=50, filter="gap"))
-    for r in records:
-        assert ScanRecord.from_json_dict(r.to_json_dict()) == r

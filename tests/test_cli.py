@@ -147,6 +147,17 @@ class TestScan:
         assert len(out.splitlines()) == 1 + tuples
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt,lines,digest", [
+        ("json", 39400, "72055d45d7cd9bb7eecad749066df7d619495b594e5be27d214d2ad33cc2a5e7"),
+        ("table", 3026, "d33cc40f161b3cf0980ad6a2c3efcc2ad93c23a0a01e662d66a35807c0db07cf"),
+    ], ids=["json", "table"])
+    def test_digest_up_to_300(self, capsys, fmt, lines, digest):
+        # the JSON rows with their annotations, and the table, byte for byte
+        code, out, _ = run(capsys, "scan", "--max-v", "300", "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_stats_to_stderr(self, capsys):
         code, out, err = run(capsys, "scan", "--max-v", "60", "--stats")
         assert code == 0

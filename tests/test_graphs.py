@@ -7,7 +7,6 @@ from srgbounds.graphs import (
     FANO_LINES,
     Graph,
     GraphSizeError,
-    check_thm42,
     distance_graph,
     heawood_graph,
     heawood_line_distance3,
@@ -15,11 +14,43 @@ from srgbounds.graphs import (
     is_strongly_regular,
     line_graph,
     max_clique,
-    max_clique_bruteforce,
     paley,
 )
+from srgbounds.cab import cap_min_over_b
 from srgbounds.graphs import _forced_clique
 from srgbounds.srg import EdgeRegularParams, SrgParams
+
+
+def max_clique_bruteforce(g: Graph) -> int:
+    """The oracle for max_clique: exhaustive subset growth; exponential,
+    n <= ~20."""
+    best = 0
+
+    def grow(cand: list[int], size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        for i, u in enumerate(cand):
+            rest = [w for w in cand[i + 1 :] if g.has_edge(u, w)]
+            if size + 1 + len(rest) > best:
+                grow(rest, size + 1)
+
+    grow(list(range(g.n)), 0)
+    return best
+
+
+def check_thm42(g: Graph, p: EdgeRegularParams) -> bool:
+    """For every clique size c in 2..omega(g), the clique adjacency polynomial
+    must be nonnegative over all integer b at level y = c."""
+    actual = is_edge_regular(g)
+    if actual != p:
+        raise ValueError(f"graph has parameters {actual}, expected {p}")
+    omega = max_clique(g).size
+    for c in range(2, omega + 1):
+        _, val = cap_min_over_b(p.v, p.k, p.lam, c)
+        if val < 0:
+            return False
+    return True
 
 
 def random_graph(n, p, rng):

@@ -7,19 +7,47 @@ from srgbounds.identities import (
     ResidualDivisionError,
     cleared_degree,
     cleared_sides,
-    general_srg_point,
     general_srg_symbols,
     random_point_crosscheck,
     rhs_term_count,
-    substitute,
     type1_symbols,
     verify_identity,
     verify_identity_mutated,
 )
-from srgbounds.mpoly import MPoly
-from srgbounds.srg import SrgParams
+from srgbounds.identities import _symbolic_symbols
+from srgbounds.mpoly import VARS, MPoly, PolyFrac
+from srgbounds.srg import SrgParams, spectrum
 
 CASE_BY_NAME = {case.name: case for case in CASES}
+
+
+def substitute(p: MPoly, parameterization: str) -> MPoly:
+    """Substitute the parameterization into p; the result must be a polynomial
+    in the free variables (anything leaving a denominator is an error)."""
+    sym = _symbolic_symbols(parameterization)
+    total = PolyFrac.from_poly(0)
+    for exp, coeff in p.terms.items():
+        term = PolyFrac.from_poly(MPoly.const(coeff))
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            name = VARS[i]
+            if name not in sym:
+                raise ValueError(
+                    f"symbol {name!r} has no meaning under {parameterization!r}"
+                )
+            value = PolyFrac._coerce(sym[name])
+            for _ in range(e):
+                term = term * value
+        total = total + term
+    return total.as_poly()
+
+
+def general_srg_point(p: SrgParams) -> dict:
+    """Numeric general-parameterization symbols for a concrete integer tuple
+    with integer eigenvalues."""
+    spec = spectrum(p)
+    return general_srg_symbols(spec.r.as_fraction(), spec.s.as_fraction(), Fraction(p.mu))
 
 EXPECTED_DEGREES = {
     "cap-negative-at-ratio-point": 6,
