@@ -10,32 +10,49 @@ class GraphFormatError(ValueError):
     pass
 
 
+GRAPH6_MAX_N = 258047
+
+
 def read_edge_list(text: str) -> Graph:
-    """First line is n; each subsequent non-empty line is "u v" (0-indexed)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """First line is n (at most GRAPH6_MAX_N); each subsequent non-empty line
+    is "u v" (0-indexed).  Lines starting with "#" are comments."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphFormatError("empty edge-list input")
     try:
         n = int(lines[0])
     except ValueError as exc:
         raise GraphFormatError(f"bad vertex count line {lines[0]!r}") from exc
+    # bounded before Graph(n) allocates its n rows
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported")
     g = Graph(n)
+    adj = g.adj
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line {ln!r}")
-        g.add_edge(int(parts[0]), int(parts[1]))
+        u = int(parts[0])
+        v = int(parts[1])
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            g.add_edge(u, v)  # raises the loop or range error
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return g
 
 
 def write_edge_list(g: Graph) -> str:
+    """n, then one "u v" line per edge with u < v, in (u, v) order."""
+    names = [str(u) for u in range(g.n)]
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-GRAPH6_MAX_N = 258047
+    for u, row in enumerate(g.adj):
+        # the neighbours above u are the set bits of the shifted row; its
+        # binary digits reversed put bit i at string index i
+        bits = bin(row >> (u + 1))[:1:-1]
+        head = names[u] + " "
+        lines += [head + names[v] for v, bit in enumerate(bits, u + 1) if bit == "1"]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _encode_size(n: int) -> str:
@@ -109,7 +126,9 @@ def write_graph6(g: Graph) -> str:
 def load_graph(text: str) -> Graph:
     """Sniff the format: a leading integer line means edge-list, otherwise the
     input is treated as graph6."""
-    first = text.strip().splitlines()[0].strip() if text.strip() else ""
+    # the first line, cut at the first "\n" so the rest is never split
+    head = text.lstrip().partition("\n")[0]
+    first = head.splitlines()[0].strip() if head else ""
     tokens = first.split()
     if len(tokens) == 1 and tokens[0].lstrip("-").isdigit():
         return read_edge_list(text)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .srg import EdgeRegularParams, SrgParams
@@ -235,9 +236,14 @@ class CliqueResult:
     witness: tuple[int, ...]
 
 
-def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set; vertices returned in color order,
-    so colors[i] upper-bounds any clique inside order[:i+1]."""
+def _color_sort(cand: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the candidate set, one colour class at a time; the
+    vertices are returned in colour order, so colors[i] upper-bounds any
+    clique inside order[:i+1].  Every candidate is coloured, but only those
+    of colour >= kmin are returned.  The search passes kmin = best - depth
+    + 1: a candidate of a lower colour cannot grow the current clique of
+    size depth past the best one, so it is never branched on (the MCQ/MCS
+    rule of Tomita et al.)."""
     order: list[int] = []
     colors: list[int] = []
     uncolored = cand
@@ -246,12 +252,14 @@ def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
         color += 1
         avail = uncolored
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~adj[v]
-            avail &= ~(1 << v)
-            uncolored &= ~(1 << v)
-            order.append(v)
-            colors.append(color)
+            b = avail & -avail
+            v = b.bit_length() - 1
+            # adj[v] has no loop bit, so ~adj[v] ^ b drops v and its neighbours
+            avail &= ~adj[v] ^ b
+            uncolored ^= b
+            if color >= kmin:
+                order.append(v)
+                colors.append(color)
     return order, colors
 
 
@@ -281,42 +289,41 @@ def max_clique(g: Graph) -> CliqueResult:
     if g.n == 0:
         return CliqueResult(0, ())
 
-    # relabel by degree-descending, original index tie-break
-    perm = sorted(range(g.n), key=lambda u: (-g.degree(u), u))
-    pos = [0] * g.n
-    for new, old in enumerate(perm):
-        pos[old] = new
-    adj = [0] * g.n
-    for old_u in range(g.n):
-        rest = g.adj[old_u]
-        while rest:
-            old_v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            adj[pos[old_u]] |= 1 << pos[old_v]
+    # relabel by degree-descending, original index tie-break; a regular
+    # graph (so every circulant) keeps its labeling and its rows
+    n = g.n
+    perm = sorted(range(n), key=lambda u: (-g.degree(u), u))
+    if perm == list(range(n)):
+        adj = g.adj
+    else:
+        # new row i is old row perm[i] with bit perm[j] moved to bit j: pick
+        # those digits of its binary string, most significant first
+        pick = itemgetter(*reversed(perm))
+        adj = [int("".join(pick(bin(g.adj[u])[:1:-1].ljust(n, "0"))), 2) for u in perm]
 
-    # a circulant is regular, so the relabeling above kept its labeling
     best = _forced_clique(adj)
     best_size = len(best)
     clique = list(best)
 
     def expand(cand: int) -> None:
         nonlocal best_size, best
-        order, colors = _color_sort(cand, adj)
+        depth = len(clique)
+        order, colors = _color_sort(cand, adj, best_size - depth + 1)
         for i in range(len(order) - 1, -1, -1):
-            if len(clique) + colors[i] <= best_size:
+            if depth + colors[i] <= best_size:
                 return
             v = order[i]
             clique.append(v)
             new_cand = cand & adj[v]
             if new_cand:
                 expand(new_cand)
-            elif len(clique) > best_size:
-                best_size = len(clique)
+            elif depth + 1 > best_size:
+                best_size = depth + 1
                 best = tuple(clique)
             clique.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v  # v came from cand
 
-    cand = (1 << g.n) - 1
+    cand = (1 << n) - 1
     for v in clique:
         cand &= adj[v]
     expand(cand)

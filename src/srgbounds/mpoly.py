@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping
 
 VARS = ("t", "w", "b", "c", "v", "k", "lam", "mu", "r", "s")
@@ -44,6 +45,15 @@ class MPoly:
                 clean[tuple(exp)] = Fraction(coeff)
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, terms: dict) -> "MPoly":
+        """The polynomial with these terms, taken as they are: the ring
+        operations pass exponent tuples of the right arity and nonzero
+        Fraction coefficients only, so neither is checked or copied."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     @staticmethod
     def zero() -> "MPoly":
         return MPoly()
@@ -51,7 +61,7 @@ class MPoly:
     @staticmethod
     def const(c) -> "MPoly":
         c = _coerce_scalar(c)
-        return MPoly({_ZERO_EXP: c}) if c else MPoly()
+        return MPoly._wrap({_ZERO_EXP: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MPoly":
@@ -90,13 +100,21 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return MPoly(out)
+            c = out.get(exp)
+            if c is None:
+                out[exp] = coeff
+                continue
+            c += coeff
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+        return MPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({exp: -c for exp, c in self.terms.items()})
+        return MPoly._wrap({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         other = MPoly._coerce(other)
@@ -112,11 +130,13 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict[tuple, Fraction] = {}
+        other_terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return MPoly(out)
+            for e2, c2 in other_terms:
+                exp = tuple(map(add, e1, e2))
+                c = out.get(exp)
+                out[exp] = c1 * c2 if c is None else c + c1 * c2
+        return MPoly._wrap({exp: c for exp, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -198,23 +218,20 @@ class PolyFrac:
             return PolyFrac(MPoly.zero(), Fraction(1), _ZERO_EXP)
         common = list(self.den_exp)
         for exp in self.num.terms:
-            common = [min(c, e) for c, e in zip(common, exp)]
+            common = list(map(min, common, exp))
             if not any(common):
                 break
         if not any(common):
             return self
-        num = MPoly(
-            {
-                tuple(e - c for e, c in zip(exp, common)): coeff
-                for exp, coeff in self.num.terms.items()
-            }
+        num = MPoly._wrap(
+            {tuple(map(sub, exp, common)): coeff for exp, coeff in self.num.terms.items()}
         )
-        den = tuple(e - c for e, c in zip(self.den_exp, common))
+        den = tuple(map(sub, self.den_exp, common))
         return PolyFrac(num, self.den_coeff, den)
 
     @property
     def den(self) -> MPoly:
-        return MPoly({self.den_exp: self.den_coeff})
+        return MPoly._wrap({self.den_exp: self.den_coeff})
 
     def is_polynomial(self) -> bool:
         return not any(self.den_exp)
@@ -242,10 +259,8 @@ class PolyFrac:
         other = PolyFrac._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = self.num * MPoly({other.den_exp: other.den_coeff}) + other.num * MPoly(
-            {self.den_exp: self.den_coeff}
-        )
-        den_exp = tuple(a + b for a, b in zip(self.den_exp, other.den_exp))
+        num = self.num * other.den + other.num * self.den
+        den_exp = tuple(map(add, self.den_exp, other.den_exp))
         return PolyFrac(num, self.den_coeff * other.den_coeff, den_exp)._reduced()
 
     __radd__ = __add__
@@ -266,7 +281,7 @@ class PolyFrac:
         other = PolyFrac._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den_exp = tuple(a + b for a, b in zip(self.den_exp, other.den_exp))
+        den_exp = tuple(map(add, self.den_exp, other.den_exp))
         return PolyFrac(
             self.num * other.num, self.den_coeff * other.den_coeff, den_exp
         )._reduced()
@@ -290,8 +305,8 @@ class PolyFrac:
         if len(other.num.terms) != 1:
             raise ValueError("PolyFrac division requires a monomial divisor")
         ((m_exp, m_coeff),) = other.num.terms.items()
-        num = self.num * MPoly({other.den_exp: other.den_coeff})
-        den_exp = tuple(a + b for a, b in zip(self.den_exp, m_exp))
+        num = self.num * other.den
+        den_exp = tuple(map(add, self.den_exp, m_exp))
         return PolyFrac(num, self.den_coeff * m_coeff, den_exp)._reduced()
 
     def __rtruediv__(self, other):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srgbounds
 from srgbounds.cab import full_report
 from srgbounds.cli import main
-from srgbounds.graphio import write_graph6
+from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
 from srgbounds.srg import SrgParams
 
@@ -204,6 +208,22 @@ class TestVerifyIdentities:
         assert all(d["status"] == "PASS" for d in data)
         assert {d["parameterization"] for d in data} == {"general-srg", "type-i", "raw"}
 
+    def test_false_identity_fails(self, capsys, monkeypatch):
+        from srgbounds import identities
+
+        good = identities.CASES[-1]
+        bad = identities.IdentityCase(
+            name="off-by-one", parameterization="raw", lhs=good.lhs,
+            rhs=lambda sym: good.rhs(sym) + 1, clearing={},
+        )
+        monkeypatch.setattr(identities, "CASES", (good, bad))
+        code, out, _ = run(capsys, "verify-identities")
+        assert code == 1
+        assert out.splitlines() == [
+            "level-monotonicity                   raw          deg  3  PASS",
+            "off-by-one                           raw          deg  3  FAIL",
+        ]
+
 
 class TestGraphCommands:
     def test_paley(self, capsys):
@@ -278,6 +298,16 @@ class TestGraphCommands:
         code, _, err = run(capsys, "maxclique", "/nonexistent/file")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [GRAPH6_MAX_N + 1, 10**13])
+    def test_maxclique_huge_count_exits_2(self, capsys, tmp_path, n):
+        # rejected before a row is allocated, not by a MemoryError
+        f = tmp_path / "huge.txt"
+        f.write_text(f"{n}\n0 1\n")
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: edge list with n={n} > {GRAPH6_MAX_N} is unsupported\n"
+
     def test_delta3(self, capsys):
         code, out, _ = run(capsys, "delta3")
         assert code == 0
@@ -315,3 +345,66 @@ class TestConjecture:
             "  (2883,262,21,24)",
             "  (2916,440,34,72)",
         ]
+
+
+def _lines(line):
+    return st.lists(line, max_size=8).map(lambda ls: "\n".join(ls) + "\n")
+
+
+_COUNT = st.one_of(
+    st.integers(-5, 70).map(str),
+    st.integers(GRAPH6_MAX_N - 2, 10**40).map(str),
+    st.integers(-(10**40), -1).map(str),
+    st.sampled_from(["x", "3.0", "1e9", "--4", "0x10", "# n", "", "7 7"]),
+)
+_EDGE_LINE = st.one_of(
+    st.tuples(st.integers(-3, 80), st.integers(-3, 80)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.integers(0, 80).map(lambda u: f"{u} {u}"),
+    st.integers(0, 80).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)).map(
+        lambda e: " ".join(map(str, e))),
+    st.sampled_from(["# comment", "", "   ", "a b", "1 b", "0 1 # c", "1,2"]),
+)
+EDGE_LISTS = st.tuples(_COUNT, _lines(_EDGE_LINE)).map(lambda t: t[0] + "\n" + t[1])
+
+_G6_CHAR = st.integers(63, 126).map(chr)
+GRAPH6 = st.one_of(
+    # bad characters anywhere
+    st.text(st.characters(min_codepoint=1, max_codepoint=300), min_size=1, max_size=20),
+    # short header with a body of the wrong (or right) length
+    st.tuples(st.integers(63, 125).map(chr), st.text(_G6_CHAR, max_size=12)).map("".join),
+    # long header, truncated or with a short body
+    st.tuples(st.sampled_from(["~", "~~"]), st.text(_G6_CHAR, max_size=12)).map("".join),
+)
+
+
+class TestGraphFileFuzz:
+    """`maxclique` on malformed graph files: a fast answer or exit code 2
+    with a message, never a traceback."""
+
+    @staticmethod
+    def _maxclique(path, text):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["maxclique", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2), (text, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue().startswith("n=") and err.getvalue() == ""
+        else:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert elapsed < 1.0, (text, elapsed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=EDGE_LISTS)
+    def test_edge_lists(self, tmp_path_factory, text):
+        self._maxclique(tmp_path_factory.getbasetemp() / "fuzz.txt", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=GRAPH6)
+    def test_graph6(self, tmp_path_factory, text):
+        self._maxclique(tmp_path_factory.getbasetemp() / "fuzz.g6", text)

@@ -47,6 +47,41 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             read_edge_list("3\n0 1 2\n")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("3\n0 1\n1 1\n", ValueError, "loop at vertex 1"),
+        ("3\n0 1\n0 3\n", ValueError, "edge (0,3) out of range for n=3"),
+        ("3\n-1 2\n", ValueError, "edge (-1,2) out of range for n=3"),
+        ("3\n0 1 2\n", GraphFormatError, "bad edge line '0 1 2'"),
+        ("3\n0\n", GraphFormatError, "bad edge line '0'"),
+        ("x\n0 1\n", GraphFormatError, "bad vertex count line 'x'"),
+        ("-2\n", ValueError, "vertex count must be nonnegative"),
+    ])
+    def test_error_messages(self, text, error, message):
+        with pytest.raises(error) as exc:
+            read_edge_list(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [GRAPH6_MAX_N + 1, 10**13, 10**400],
+                             ids=["max+1", "1e13", "1e400"])
+    def test_huge_count_rejected_before_allocation(self, n):
+        with pytest.raises(GraphFormatError) as exc:
+            read_edge_list(f"{n}\n0 1\n")
+        assert str(exc.value) == f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported"
+
+    def test_largest_count_accepted(self):
+        g = read_edge_list(f"{GRAPH6_MAX_N}\n0 {GRAPH6_MAX_N - 1}\n")
+        assert g.n == GRAPH6_MAX_N and g.edges() == [(0, GRAPH6_MAX_N - 1)]
+
+    def test_text_matches_edges(self):
+        # the text write_edge_list produced when it formatted Graph.edges()
+        rng = random.Random(71)
+        graphs = [random_graph(rng.randint(0, 90), rng.choice([0.1, 0.5, 0.9]), rng)
+                  for _ in range(60)]
+        for g in [*graphs, Graph(1), Graph(3), paley(241)]:
+            text = "\n".join([str(g.n), *(f"{u} {v}" for u, v in g.edges())]) + "\n"
+            assert write_edge_list(g) == text
+            assert read_edge_list(text) == g
+
 
 class TestGraph6:
     def test_triangle_encoding(self):
@@ -112,6 +147,10 @@ class TestGraph6:
 class TestSniffing:
     def test_edge_list_detected(self):
         assert load_graph("3\n0 1\n").edges() == [(0, 1)]
+
+    def test_first_line_ends_at_any_line_break(self):
+        assert load_graph("3\r0 1\r").edges() == [(0, 1)]
+        assert load_graph("  \n 2 \r\n0 1").edges() == [(0, 1)]
 
     def test_graph6_detected(self):
         k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])

@@ -5,6 +5,7 @@ import pytest
 
 from srgbounds.graphs import (
     FANO_LINES,
+    CliqueResult,
     Graph,
     GraphSizeError,
     distance_graph,
@@ -37,6 +38,71 @@ def max_clique_bruteforce(g: Graph) -> int:
 
     grow(list(range(g.n)), 0)
     return best
+
+
+def _color_sort_reference(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
+    """Greedy colouring that records every candidate, whatever its colour."""
+    order: list[int] = []
+    colors: list[int] = []
+    uncolored = cand
+    color = 0
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~adj[v]
+            avail &= ~(1 << v)
+            uncolored &= ~(1 << v)
+            order.append(v)
+            colors.append(color)
+    return order, colors
+
+
+def max_clique_reference(g: Graph) -> CliqueResult:
+    """The oracle for the search order of max_clique: the same branch and
+    bound, but it always relabels the rows and branches on candidates of
+    every colour.  max_clique must return the same size and witness."""
+    if g.n == 0:
+        return CliqueResult(0, ())
+    perm = sorted(range(g.n), key=lambda u: (-g.degree(u), u))
+    pos = [0] * g.n
+    for new, old in enumerate(perm):
+        pos[old] = new
+    adj = [0] * g.n
+    for old_u in range(g.n):
+        rest = g.adj[old_u]
+        while rest:
+            old_v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            adj[pos[old_u]] |= 1 << pos[old_v]
+
+    best = _forced_clique(adj)
+    best_size = len(best)
+    clique = list(best)
+
+    def expand(cand: int) -> None:
+        nonlocal best_size, best
+        order, colors = _color_sort_reference(cand, adj)
+        for i in range(len(order) - 1, -1, -1):
+            if len(clique) + colors[i] <= best_size:
+                return
+            v = order[i]
+            clique.append(v)
+            new_cand = cand & adj[v]
+            if new_cand:
+                expand(new_cand)
+            elif len(clique) > best_size:
+                best_size = len(clique)
+                best = tuple(clique)
+            clique.pop()
+            cand &= ~(1 << v)
+
+    cand = (1 << g.n) - 1
+    for v in clique:
+        cand &= adj[v]
+    expand(cand)
+    return CliqueResult(best_size, tuple(sorted(perm[v] for v in best)))
 
 
 def check_thm42(g: Graph, p: EdgeRegularParams) -> bool:
@@ -97,6 +163,7 @@ def random_connection_set(n, rng):
 
 
 PALEY_PRIMES_TO_61 = [5, 13, 17, 29, 37, 41, 53, 61]
+PALEY_PRIMES_TO_241 = [p for p in range(5, 242, 4) if all(p % d for d in range(2, p))]
 
 
 class TestGraph:
@@ -320,3 +387,37 @@ class TestSymmetryShortcut:
         assert _forced_clique(comp.adj) == (0,)
         # Paley graphs are self-complementary
         assert max_clique(comp).size == max_clique(g).size
+
+
+class TestReferenceSearch:
+    """max_clique skips the relabel of regular graphs and never records the
+    candidates whose colour cannot beat the best clique; the full search,
+    `max_clique_reference`, must find the very same witness."""
+
+    @pytest.mark.parametrize("p", PALEY_PRIMES_TO_241)
+    def test_paley(self, p):
+        g = paley(p)
+        assert max_clique(g) == max_clique_reference(g)
+
+    def test_delta3(self):
+        g = heawood_line_distance3()
+        assert max_clique(g) == max_clique_reference(g) == CliqueResult(3, (10, 14, 20))
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(8)
+        kinds = {"gnp": 0, "regular": 0}
+        for j in range(240):
+            density = (0.3, 0.5, 0.7)[j % 3]
+            # G(n, 0.7) with n near 160 costs the reference seconds each
+            n = rng.randint(1, 110 if density == 0.7 else 160)
+            if j % 4 == 3:
+                # a circulant, regular, under a random labeling
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = relabel(circulant(n, random_connection_set(n, rng)), perm)
+                kinds["regular"] += 1
+            else:
+                g = random_graph(n, density, rng)
+                kinds["gnp"] += 1
+            assert max_clique(g) == max_clique_reference(g), (j, n, density)
+        assert kinds == {"gnp": 180, "regular": 60}

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ EXPECTED_DEGREES = {
 }
 
 
+# sha256 of str() of each cleared side, pinned before the ring operations
+# skipped re-checking their own results; both sides print the same text
+CLEARED_SHA256 = {
+    "cap-negative-at-ratio-point": "02819ad61de9f54a91caadbdd62b390b1ad355797e83f605a1277124e86bba1f",
+    "conference-level-3-shift": "d2faf279eb4466b04dfe1ab8dba56b5b7588c18f97e6502400c577568c5d5c3e",
+    "conference-level-2-shift": "2ec6681de137cafb46c87a16dbf655ce42284370d1c67bd26a7da299b78961bc",
+    "shifted-ratio-point-level-2": "de67d377264cdebf992af6250f1b645c674f0990ae1183f04a110aab9c93248d",
+    "shifted-ratio-point-level-1": "c256232f3bf00b625bf2af375438cb1a8a17ee4512ba0a92b871cbae8c9fbc00",
+    "complement-exclusivity-product": "e32ec6d43b6a66640b07249752adae488def31d3b310e0d162f4ee5a10610912",
+    "trivial-level-at-one": "b721fa4656c1f283c0cbfcaa508eed63798c4b16abbb8181769f33235f5adb69",
+    "level-monotonicity": "901311bbde1121b6586c22723b34c688c0b0d5e3514d12a9ba275cc3f43a6d3f",
+}
+
+
 def test_case_inventory():
     assert len(CASES) == 8
     assert set(CASE_BY_NAME) == set(EXPECTED_DEGREES)
@@ -74,6 +89,15 @@ def test_identity_verifies(case):
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_cleared_degree(case):
     assert cleared_degree(case) == EXPECTED_DEGREES[case.name]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_cleared_sides_pinned(case):
+    for side in cleared_sides(case):
+        assert hashlib.sha256(str(side).encode()).hexdigest() == CLEARED_SHA256[case.name]
+        # exact rationals only: a float would make the zero test inexact
+        assert all(type(c) is Fraction for c in side.terms.values())
+        assert all(len(exp) == len(VARS) and c != 0 for exp, c in side.terms.items())
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)

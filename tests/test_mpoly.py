@@ -84,6 +84,22 @@ class TestMPolyBasics:
             assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
             assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
+    def test_ring_results_are_clean(self):
+        # the ring operations skip the public constructor's checks, so their
+        # results must already hold what it would enforce
+        rng = random.Random(29)
+        s, t = V("s"), V("t")
+        assert ((s + t) * (s - t)).terms.keys() == (s * s - t * t).terms.keys()
+        assert ((t + 1) * (t - 1) - t**2 + 1).terms == {}
+        for _ in range(40):
+            a, b = (sum((MPoly.monomial(rng.randint(-3, 3), {rng.choice(VARS): rng.randint(0, 2)})
+                         for _ in range(rng.randint(1, 5))), MPoly.zero())
+                    for _ in range(2))
+            for p in (a + b, a - b, a * b, -a, a**2, 3 - a, Fraction(1, 2) * b):
+                assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+                assert all(len(exp) == len(VARS) for exp in p.terms)
+                assert MPoly(p.terms).terms == p.terms
+
 
 class TestPolyFrac:
     def test_monomial_division_reduces(self):
