@@ -3,6 +3,8 @@ form (n < 63) and long form ("~" and n in three 6-bit groups, n <= 258047)."""
 
 from __future__ import annotations
 
+import re
+
 from .graphs import Graph
 
 
@@ -123,13 +125,31 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+# the line boundaries of str.splitlines, which read_edge_list uses; compiled
+# on first use (and cached by re), not at import
+_LINE_BREAK = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+
+
+def _first_content_line(text: str) -> str:
+    """The first line that is neither blank nor a "#" comment, stripped; ""
+    if there is none.  Only the lines up to it are read."""
+    line_break = re.compile(_LINE_BREAK)
+    pos = 0
+    while True:
+        brk = line_break.search(text, pos)
+        line = text[pos : brk.start() if brk else len(text)].strip()
+        if line and line[0] != "#":
+            return line
+        if brk is None:
+            return ""
+        pos = brk.end()
+
+
 def load_graph(text: str) -> Graph:
-    """Sniff the format: a leading integer line means edge-list, otherwise the
-    input is treated as graph6."""
-    # the first line, cut at the first "\n" so the rest is never split
-    head = text.lstrip().partition("\n")[0]
-    first = head.splitlines()[0].strip() if head else ""
-    tokens = first.split()
+    """Sniff the format: a leading integer line, after any blank and "#"
+    comment lines, means edge-list, otherwise the input is treated as graph6
+    (whose lines never start with "#")."""
+    tokens = _first_content_line(text).split()
     if len(tokens) == 1 and tokens[0].lstrip("-").isdigit():
         return read_edge_list(text)
     return parse_graph6(text)

@@ -9,7 +9,8 @@ automorphisms and vertex 0 is forced into the clique.  If also S = N(0) is
 nonempty, made of units mod n and closed under products, S is a group,
 x -> s*x (s in S) are automorphisms, and the edge {0, 1} is forced; Paley
 graphs are such.  The search then runs on the common neighbourhood of the
-forced vertices.
+forced vertices.  The regularity checks read the same labeling: on a
+circulant, lam and mu are read from the pairs at vertex 0.
 """
 
 from __future__ import annotations
@@ -186,12 +187,29 @@ def heawood_line_distance3() -> Graph:
 # -- regularity checks -------------------------------------------------------
 
 
-def is_edge_regular(g: Graph) -> Optional[EdgeRegularParams]:
-    """Parameters (v, k, lam) if g is non-empty, regular, and the common
-    neighbour count is constant over edges; None otherwise."""
+def _bits(x: int) -> Iterable[int]:
+    """Indices of the set bits of x, ascending."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
+
+
+def _is_circulant(adj: list[int]) -> bool:
+    """True iff each row adj[u] is row 0 rotated by u: a circulant on Z_n,
+    whose translations x -> x + u are automorphisms."""
+    n = len(adj)
+    return n > 0 and all(adj[u] == _rotate(adj[0], u, n) for u in range(1, n))
+
+
+def _edge_regular(g: Graph, circulant: bool) -> Optional[EdgeRegularParams]:
     if g.n == 0 or g.edge_count() == 0:
         return None
     k = g.degree(0)
+    if circulant:
+        # a translation takes each edge to one at vertex 0: read lam off row 0
+        row = g.adj[0]
+        lams = {(row & g.adj[v]).bit_count() for v in _bits(row)}
+        return EdgeRegularParams(g.n, k, lams.pop()) if len(lams) == 1 else None
     if any(g.degree(u) != k for u in range(1, g.n)):
         return None
     lam = None
@@ -208,12 +226,27 @@ def is_edge_regular(g: Graph) -> Optional[EdgeRegularParams]:
     return EdgeRegularParams(g.n, k, lam)
 
 
+def is_edge_regular(g: Graph) -> Optional[EdgeRegularParams]:
+    """Parameters (v, k, lam) if g is non-empty, regular, and the common
+    neighbour count is constant over edges; None otherwise.  A circulant
+    labeling is checked from row 0 alone."""
+    return _edge_regular(g, _is_circulant(g.adj))
+
+
 def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
     """SrgParams if g is edge-regular, non-complete, and the common neighbour
-    count over non-adjacent pairs is also constant; None otherwise."""
-    er = is_edge_regular(g)
+    count over non-adjacent pairs is also constant; None otherwise.  A
+    circulant labeling is checked from row 0 alone."""
+    circulant = _is_circulant(g.adj)
+    er = _edge_regular(g, circulant)
     if er is None or er.k == g.n - 1:
         return None
+    if circulant:
+        # a translation takes each non-adjacent pair to one at vertex 0
+        row = g.adj[0]
+        non_nbrs = ((1 << g.n) - 1) & ~row & ~1
+        mus = {(row & g.adj[v]).bit_count() for v in _bits(non_nbrs)}
+        return SrgParams(er.v, er.k, er.lam, mus.pop()) if len(mus) == 1 else None
     mu = None
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -267,10 +300,10 @@ def _forced_clique(adj: list[int]) -> tuple[int, ...]:
     """Vertices that some maximum clique contains, read from the labeling:
     (0,) for a circulant, (0, 1) for a circulant whose connection set is a
     multiplicative subgroup of the units mod n, () otherwise."""
+    if not _is_circulant(adj):
+        return ()
     n = len(adj)
     row = adj[0]
-    if any(adj[u] != _rotate(row, u, n) for u in range(1, n)):
-        return ()
     conn = [s for s in range(1, n) if row >> s & 1]
     # S nonempty, all units and closed under products => S is a group, 1 in S
     if conn and all(math.gcd(s, n) == 1 for s in conn) and all(

@@ -268,22 +268,44 @@ def cleared_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
         raise ResidualDivisionError(f"{case.name}: {exc}") from exc
 
 
+# The sides of the last proof of each case, keyed by the case's contents (an
+# IdentityCase is unhashable: its clearing is a dict).  Only verify_identity
+# writes a fresh expansion; the term count, the degree and the mutation
+# checks reuse it.
+_SIDES: dict[tuple, tuple[MPoly, MPoly]] = {}
+
+
+def _case_key(case: IdentityCase) -> tuple:
+    return (case.name, case.parameterization, case.lhs, case.rhs,
+            tuple(sorted(case.clearing.items())))
+
+
+def _proved_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
+    """The stored sides of `case`, expanded and stored first if absent."""
+    key = _case_key(case)
+    sides = _SIDES.get(key)
+    if sides is None:
+        sides = _SIDES[key] = cleared_sides(case)
+    return sides
+
+
 def verify_identity(case: IdentityCase) -> bool:
-    """True iff the substituted, cleared difference is the zero polynomial."""
-    lhs, rhs = cleared_sides(case)
+    """True iff the substituted, cleared difference is the zero polynomial.
+    Always expands afresh, and stores the sides for the functions below."""
+    lhs, rhs = _SIDES[_case_key(case)] = cleared_sides(case)
     return (lhs - rhs).is_zero()
 
 
 def cleared_degree(case: IdentityCase) -> int:
     """Total degree of the cleared sides before they cancel against each other."""
-    lhs, rhs = cleared_sides(case)
+    lhs, rhs = _proved_sides(case)
     return max(lhs.total_degree(), rhs.total_degree())
 
 
 def verify_identity_mutated(case: IdentityCase, term_index: int) -> bool:
     """Re-run verification with the sign of one rhs term flipped; a correct
     identity must fail for every choice of term."""
-    lhs, rhs = cleared_sides(case)
+    lhs, rhs = _proved_sides(case)
     exps = sorted(rhs.terms)
     if not 0 <= term_index < len(exps):
         raise IndexError(f"rhs of {case.name} has {len(exps)} terms")
@@ -293,7 +315,7 @@ def verify_identity_mutated(case: IdentityCase, term_index: int) -> bool:
 
 
 def rhs_term_count(case: IdentityCase) -> int:
-    _, rhs = cleared_sides(case)
+    _, rhs = _proved_sides(case)
     return len(rhs.terms)
 
 

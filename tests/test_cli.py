@@ -272,6 +272,13 @@ class TestGraphCommands:
         assert "omega=4" in out
         assert "witness 0 1 2 3" in out
 
+    def test_maxclique_file_with_leading_comment(self, capsys, tmp_path):
+        f = tmp_path / "k4-commented.txt"
+        f.write_text("# K4, written by hand\n\n4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert (code, err) == (0, "")
+        assert out == "n=4 m=6 omega=4\nwitness 0 1 2 3\n"
+
     def test_maxclique_graph6_file(self, capsys, tmp_path):
         f = tmp_path / "k3.g6"
         f.write_text("Bw\n")

@@ -155,3 +155,16 @@ class TestSniffing:
     def test_graph6_detected(self):
         k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
         assert load_graph("Bw") == k3
+
+    def test_leading_comments_and_blanks_skipped(self):
+        assert load_graph("# a comment\n3\n0 1\n").edges() == [(0, 1)]
+        assert load_graph("\n  # c\r\n\r\n#\n 3 \r0 1\r").edges() == [(0, 1)]
+        text = "# n, then one edge per line\n# (written by hand)\n\n4\n0 1\n# mid\n2 3\n"
+        assert load_graph(text) == read_edge_list(text)
+
+    def test_graph6_after_blank_lines(self):
+        assert load_graph("\n \nBw\n") == Graph(3, [(0, 1), (0, 2), (1, 2)])
+
+    def test_only_comments_is_not_an_edge_list(self):
+        with pytest.raises(GraphFormatError):
+            load_graph("# nothing here\n\n")

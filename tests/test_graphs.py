@@ -18,7 +18,7 @@ from srgbounds.graphs import (
     paley,
 )
 from srgbounds.cab import cap_min_over_b
-from srgbounds.graphs import _forced_clique
+from srgbounds.graphs import _forced_clique, _is_circulant
 from srgbounds.srg import EdgeRegularParams, SrgParams
 
 
@@ -103,6 +103,46 @@ def max_clique_reference(g: Graph) -> CliqueResult:
         cand &= adj[v]
     expand(cand)
     return CliqueResult(best_size, tuple(sorted(perm[v] for v in best)))
+
+
+def edge_regular_pairwise(g: Graph):
+    """The oracle for is_edge_regular: the common neighbours of every edge."""
+    if g.n == 0 or g.edge_count() == 0:
+        return None
+    k = g.degree(0)
+    if any(g.degree(u) != k for u in range(1, g.n)):
+        return None
+    lam = None
+    for u in range(g.n):
+        rest = g.adj[u] >> (u + 1) << (u + 1)
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            common = (g.adj[u] & g.adj[v]).bit_count()
+            if lam is None:
+                lam = common
+            elif lam != common:
+                return None
+    return EdgeRegularParams(g.n, k, lam)
+
+
+def strongly_regular_pairwise(g: Graph):
+    """The oracle for is_strongly_regular: the common neighbours of every
+    non-adjacent pair."""
+    er = edge_regular_pairwise(g)
+    if er is None or er.k == g.n - 1:
+        return None
+    mu = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            common = (g.adj[u] & g.adj[v]).bit_count()
+            if mu is None:
+                mu = common
+            elif mu != common:
+                return None
+    return SrgParams(er.v, er.k, er.lam, mu if mu is not None else 0)
 
 
 def check_thm42(g: Graph, p: EdgeRegularParams) -> bool:
@@ -303,6 +343,65 @@ class TestRegularityChecks:
         g = heawood_line_distance3()
         assert is_edge_regular(g) is not None
         assert is_strongly_regular(g) is None
+
+
+class TestRegularityOracle:
+    """On a circulant labeling the regularity checks read lam and mu from
+    vertex 0 alone; any other labeling takes the pairwise loops.  Both must
+    equal the pairwise oracle."""
+
+    @staticmethod
+    def _check(g):
+        er, srg = edge_regular_pairwise(g), strongly_regular_pairwise(g)
+        assert is_edge_regular(g) == er
+        assert is_strongly_regular(g) == srg
+        return er, srg
+
+    def test_seeded_circulants_and_relabellings(self):
+        rng = random.Random(59)
+        kinds = {"lam varies": 0, "edge-regular only": 0, "strongly regular": 0,
+                 "empty or complete": 0, "relabelled pairwise": 0}
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            g = circulant(n, random_connection_set(n, rng))
+            assert _is_circulant(g.adj)
+            er, srg = self._check(g)
+            if er is None:
+                kinds["lam varies" if g.edge_count() else "empty or complete"] += 1
+            elif srg is None and er.k < n - 1:
+                kinds["edge-regular only"] += 1
+            elif srg is not None:
+                kinds["strongly regular"] += 1
+            else:
+                kinds["empty or complete"] += 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            if not _is_circulant(h.adj):
+                kinds["relabelled pairwise"] += 1
+            assert self._check(h) == (er, srg)
+        assert kinds["lam varies"] >= 50, kinds
+        assert kinds["edge-regular only"] >= 20, kinds
+        assert kinds["strongly regular"] >= 10, kinds
+        assert kinds["relabelled pairwise"] >= 250, kinds
+
+    @pytest.mark.parametrize("n", [6, 7, 12, 60])
+    def test_cycle_is_edge_regular_not_strongly_regular(self, n):
+        g = circulant(n, {1, n - 1})
+        assert self._check(g) == (EdgeRegularParams(n, 2, 0), None)
+
+    def test_lam_varies(self):
+        # Z_8 with S = {1, 2, 6, 7}: the edge {0, 1} has common neighbours
+        # 2 and 7, the edge {0, 2} only 1
+        g = circulant(8, {1, 2, 6, 7})
+        assert self._check(g) == (None, None)
+
+    @pytest.mark.parametrize("p", PALEY_PRIMES_TO_241)
+    def test_paley(self, p):
+        g = paley(p)
+        assert _is_circulant(g.adj)
+        assert self._check(g) == (EdgeRegularParams(p, (p - 1) // 2, (p - 5) // 4),
+                                  SrgParams(p, (p - 1) // 2, (p - 5) // 4, (p - 1) // 4))
 
 
 class TestMaxClique:

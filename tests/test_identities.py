@@ -15,7 +15,8 @@ from srgbounds.identities import (
     verify_identity,
     verify_identity_mutated,
 )
-from srgbounds.identities import _symbolic_symbols
+from srgbounds import identities
+from srgbounds.identities import IdentityCase, _symbolic_symbols
 from srgbounds.mpoly import VARS, MPoly, PolyFrac
 from srgbounds.srg import SrgParams, spectrum
 
@@ -171,8 +172,6 @@ def test_substitute_unknown_symbol_rejected():
 
 def test_residual_division_error():
     # a lhs with an uncleared 1/s pole must be reported, not silently dropped
-    from srgbounds.identities import IdentityCase
-
     bad = IdentityCase(
         name="bad",
         parameterization="general-srg",
@@ -182,3 +181,94 @@ def test_residual_division_error():
     )
     with pytest.raises(ResidualDivisionError):
         cleared_sides(bad)
+
+
+class TestStoredSides:
+    """verify_identity stores the sides it expands; the term count, the
+    degree and the mutation checks reuse them."""
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+    def test_mutations_match_fresh_expansion(self, case):
+        assert verify_identity(case)
+        lhs, rhs = cleared_sides(case)
+        exps = sorted(rhs.terms)
+        assert rhs_term_count(case) == len(exps)
+        assert cleared_degree(case) == max(lhs.total_degree(), rhs.total_degree())
+        for t, exp in enumerate(exps):
+            mutated = dict(rhs.terms)
+            mutated[exp] = -mutated[exp]
+            assert verify_identity_mutated(case, t) == (lhs - MPoly(mutated)).is_zero()
+
+    def test_same_name_different_rhs_never_share(self, monkeypatch):
+        monkeypatch.setattr(identities, "_SIDES", {})
+        good = CASE_BY_NAME["level-monotonicity"]
+        bad = IdentityCase(name=good.name, parameterization=good.parameterization,
+                           lhs=good.lhs, rhs=lambda sym: good.rhs(sym) + 1,
+                           clearing=dict(good.clearing))
+        assert verify_identity(good)
+        assert not verify_identity(bad)
+        assert verify_identity(good)
+        assert len(identities._SIDES) == 2
+        # the broken rhs has one more term (the constant), and its mutants
+        # are judged against its own sides
+        assert rhs_term_count(bad) == rhs_term_count(good) + 1
+        assert not any(verify_identity_mutated(bad, t) for t in range(rhs_term_count(bad)))
+
+    def test_stored_sides_are_keyed_by_contents(self, monkeypatch):
+        monkeypatch.setattr(identities, "_SIDES", {})
+        case = CASE_BY_NAME["cap-negative-at-ratio-point"]
+        # an equal case built afresh shares the entry; another clearing does not
+        twin = IdentityCase(name=case.name, parameterization=case.parameterization,
+                            lhs=case.lhs, rhs=case.rhs, clearing={"mu": 1, "s": 3})
+        other = IdentityCase(name=case.name, parameterization=case.parameterization,
+                             lhs=case.lhs, rhs=case.rhs, clearing={"s": 4, "mu": 1})
+        assert verify_identity(case) and verify_identity(twin)
+        assert len(identities._SIDES) == 1
+        assert verify_identity(other)
+        assert len(identities._SIDES) == 2
+        assert cleared_degree(other) == cleared_degree(case) + 1
+
+    def test_store_holds_at_most_one_pair_per_case(self, monkeypatch):
+        monkeypatch.setattr(identities, "_SIDES", {})
+        for _ in range(3):
+            for case in CASES:
+                verify_identity(case)
+                rhs_term_count(case)
+                cleared_degree(case)
+        assert len(identities._SIDES) == len(CASES)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Names of the cases `cleared_sides` expands, in order."""
+    calls = []
+    expand = identities.cleared_sides
+
+    def counted(case):
+        calls.append(case.name)
+        return expand(case)
+
+    monkeypatch.setattr(identities, "cleared_sides", counted)
+    return calls
+
+
+def test_one_expansion_per_case_in_a_verification_pass(expansions):
+    """Proof, term count and every mutation check of each case, in the order
+    the graph_verify benchmark runs them, expand each case exactly once."""
+    for _ in range(2):
+        expansions.clear()
+        for case in CASES:
+            assert verify_identity(case)
+            assert not any(verify_identity_mutated(case, t)
+                           for t in range(rhs_term_count(case)))
+        assert len(expansions) == 8, len(expansions)
+        assert expansions == [case.name for case in CASES]
+
+
+def test_term_count_before_any_proof_expands_once(expansions, monkeypatch):
+    monkeypatch.setattr(identities, "_SIDES", {})
+    case = CASES[0]
+    count = rhs_term_count(case)
+    assert not any(verify_identity_mutated(case, t) for t in range(count))
+    assert cleared_degree(case) == EXPECTED_DEGREES[case.name]
+    assert expansions == [case.name]
