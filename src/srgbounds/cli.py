@@ -18,6 +18,7 @@ from .cab import (
 )
 from .graphio import load_graph
 from .graphs import (
+    MAX_CLIQUE_VERTEX_LIMIT,
     heawood_line_distance3,
     is_edge_regular,
     is_strongly_regular,
@@ -194,7 +195,7 @@ def _cmd_paley(args) -> int:
 
 def _cmd_maxclique(args) -> int:
     with open(args.file) as fh:
-        g = load_graph(fh.read())
+        g = load_graph(fh.read(), max_n=MAX_CLIQUE_VERTEX_LIMIT)
     res = max_clique(g)
     print(f"n={g.n} m={g.edge_count()} omega={res.size}")
     print("witness " + " ".join(map(str, res.witness)))

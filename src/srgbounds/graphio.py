@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from .graphs import Graph
+from .graphs import Graph, GraphSizeError
 
 
 class GraphFormatError(ValueError):
@@ -13,33 +13,63 @@ class GraphFormatError(ValueError):
 
 
 GRAPH6_MAX_N = 258047
+# read_edge_list memoises 1 << v only for v below this: the stored bits then
+# take at most 4096**2 / 16 bytes (1 MiB), where memoising every vertex of a
+# star on GRAPH6_MAX_N vertices would hold about 4 GB
+_MEMO_VERTICES = 4096
 
 
-def read_edge_list(text: str) -> Graph:
+def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     """First line is n (at most GRAPH6_MAX_N); each subsequent non-empty line
-    is "u v" (0-indexed).  Lines starting with "#" are comments."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
-    if not lines:
+    is "u v" (0-indexed).  Lines starting with "#" are comments.  A count
+    above max_n raises GraphSizeError before any row is built."""
+    lines = iter(text.splitlines())
+    for ln in lines:
+        head = ln.strip()
+        if head and head[0] != "#":
+            break
+    else:
         raise GraphFormatError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError as exc:
-        raise GraphFormatError(f"bad vertex count line {lines[0]!r}") from exc
+        raise GraphFormatError(f"bad vertex count line {head!r}") from exc
     # bounded before Graph(n) allocates its n rows
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported")
+    if n > max_n:
+        raise GraphSizeError(f"n={n} exceeds limit {max_n}")
     g = Graph(n)
     adj = g.adj
-    for ln in lines[1:]:
+    # token -> (vertex, 1 << vertex), once the token has passed int() and the
+    # range check; vertices from _MEMO_VERTICES up are parsed on every line
+    memo: dict[str, tuple[int, int]] = {}
+    for ln in lines:
         parts = ln.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
-        u = int(parts[0])
-        v = int(parts[1])
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            g.add_edge(u, v)  # raises the loop or range error
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+            raise GraphFormatError(f"bad edge line {ln.strip()!r}")
+        a, b = parts
+        try:
+            u, ubit = memo[a]
+            v, vbit = memo[b]
+        except KeyError:
+            u = int(a)
+            v = int(b)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                g.add_edge(u, v)  # raises the loop or range error
+            ubit = 1 << u
+            vbit = 1 << v
+            if u < _MEMO_VERTICES:
+                memo[a] = (u, ubit)
+            if v < _MEMO_VERTICES:
+                memo[b] = (v, vbit)
+        else:
+            if u == v:
+                g.add_edge(u, v)  # raises the loop error
+        adj[u] |= vbit
+        adj[v] |= ubit
     return g
 
 
@@ -77,8 +107,9 @@ def _decode_size(data: list[int]) -> tuple[int, int]:
     return data[1] << 12 | data[2] << 6 | data[3], 4
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (n <= 258047)."""
+def parse_graph6(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
+    """Decode one graph6 line (n <= 258047).  A header with n above max_n
+    raises GraphSizeError before any row is built."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -88,6 +119,8 @@ def parse_graph6(text: str) -> Graph:
     if any(not 0 <= x <= 63 for x in data):
         raise GraphFormatError(f"invalid graph6 characters in {text!r}")
     n, start = _decode_size(data)
+    if n > max_n:
+        raise GraphSizeError(f"n={n} exceeds limit {max_n}")
     need = (n * (n - 1) // 2 + 5) // 6
     bits_data = data[start:]
     if len(bits_data) != need:
@@ -145,11 +178,12 @@ def _first_content_line(text: str) -> str:
         pos = brk.end()
 
 
-def load_graph(text: str) -> Graph:
+def load_graph(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     """Sniff the format: a leading integer line, after any blank and "#"
     comment lines, means edge-list, otherwise the input is treated as graph6
-    (whose lines never start with "#")."""
+    (whose lines never start with "#").  A graph with more than max_n
+    vertices raises GraphSizeError before any row is built."""
     tokens = _first_content_line(text).split()
     if len(tokens) == 1 and tokens[0].lstrip("-").isdigit():
-        return read_edge_list(text)
-    return parse_graph6(text)
+        return read_edge_list(text, max_n=max_n)
+    return parse_graph6(text, max_n=max_n)

@@ -45,9 +45,12 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self.adj = [0] * n
+        self.adj = adj = [0] * n
         for u, v in edges:
-            self.add_edge(u, v)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                self.add_edge(u, v)  # raises the loop or range error
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -269,33 +272,6 @@ class CliqueResult:
     witness: tuple[int, ...]
 
 
-def _color_sort(cand: int, adj: list[int], kmin: int) -> tuple[list[int], list[int]]:
-    """Greedy colouring of the candidate set, one colour class at a time; the
-    vertices are returned in colour order, so colors[i] upper-bounds any
-    clique inside order[:i+1].  Every candidate is coloured, but only those
-    of colour >= kmin are returned.  The search passes kmin = best - depth
-    + 1: a candidate of a lower colour cannot grow the current clique of
-    size depth past the best one, so it is never branched on (the MCQ/MCS
-    rule of Tomita et al.)."""
-    order: list[int] = []
-    colors: list[int] = []
-    uncolored = cand
-    color = 0
-    while uncolored:
-        color += 1
-        avail = uncolored
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            # adj[v] has no loop bit, so ~adj[v] ^ b drops v and its neighbours
-            avail &= ~adj[v] ^ b
-            uncolored ^= b
-            if color >= kmin:
-                order.append(v)
-                colors.append(color)
-    return order, colors
-
-
 def _forced_clique(adj: list[int]) -> tuple[int, ...]:
     """Vertices that some maximum clique contains, read from the labeling:
     (0,) for a circulant, (0, 1) for a circulant whose connection set is a
@@ -337,11 +313,41 @@ def max_clique(g: Graph) -> CliqueResult:
     best = _forced_clique(adj)
     best_size = len(best)
     clique = list(best)
+    # every vertex except v and its neighbours: one AND removes a coloured
+    # vertex and its neighbours from the colour class being filled
+    nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
 
     def expand(cand: int) -> None:
+        # greedy colouring of cand, one colour class at a time, so colors[i]
+        # upper-bounds any clique inside order[:i+1].  A vertex of colour
+        # below kmin cannot grow the current clique past the best one, so
+        # the first loop only colours; the second also records vertices for
+        # branching (the MCQ/MCS rule of Tomita et al.)
         nonlocal best_size, best
         depth = len(clique)
-        order, colors = _color_sort(cand, adj, best_size - depth + 1)
+        kmin = best_size - depth + 1
+        uncolored = cand
+        for _ in range(kmin - 1):
+            if not uncolored:
+                return
+            avail = uncolored
+            while avail:
+                b = avail & -avail
+                avail &= nadj[b.bit_length() - 1]
+                uncolored ^= b
+        order: list[int] = []
+        colors: list[int] = []
+        color = max(kmin - 1, 0)
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                avail &= nadj[v]
+                uncolored ^= b
+                order.append(v)
+                colors.append(color)
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= best_size:
                 return

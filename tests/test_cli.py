@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,26 @@ class TestGraphCommands:
         assert code == 2
         assert out == ""
         assert err == f"error: edge list with n={n} > {GRAPH6_MAX_N} is unsupported\n"
+
+    def test_maxclique_refuses_wide_edge_list_before_rows(self, capsys, tmp_path):
+        # 2000 edges to the last vertex would make 2000 rows of 258047 bits
+        # (67 MiB) if the rows were built before the vertex limit is checked
+        f = tmp_path / "wide.txt"
+        f.write_text(f"{GRAPH6_MAX_N}\n" + "".join(f"{u} {GRAPH6_MAX_N - 1}\n" for u in range(2000)))
+        assert f.stat().st_size == 22897
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "maxclique", str(f))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n={GRAPH6_MAX_N} exceeds limit {MAX_CLIQUE_VERTEX_LIMIT}\n"
+        assert elapsed < 1.0, elapsed
+        assert peak < 4 * 2**20, peak
 
     def test_delta3(self, capsys):
         code, out, _ = run(capsys, "delta3")

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srgbounds.graphio import (
     GRAPH6_MAX_N,
@@ -13,7 +16,7 @@ from srgbounds.graphio import (
     write_edge_list,
     write_graph6,
 )
-from srgbounds.graphs import Graph, paley
+from srgbounds.graphs import Graph, GraphSizeError, paley
 
 
 def random_graph(n, p, rng):
@@ -23,6 +26,39 @@ def random_graph(n, p, rng):
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def read_edge_list_reference(text: str) -> Graph:
+    """The oracle for read_edge_list: strip every line, drop blanks and
+    comments, then parse both tokens of each edge line with int()."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    if not lines:
+        raise GraphFormatError("empty edge-list input")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise GraphFormatError(f"bad vertex count line {lines[0]!r}") from exc
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported")
+    g = Graph(n)
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"bad edge line {ln!r}")
+        g.add_edge(int(parts[0]), int(parts[1]))
+    return g
+
+
+def outcome(reader, text):
+    """The graph that reader returns, or the type and message it raises."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_reference(text):
+    assert outcome(read_edge_list, text) == outcome(read_edge_list_reference, text), text
 
 
 class TestEdgeList:
@@ -81,6 +117,169 @@ class TestEdgeList:
             text = "\n".join([str(g.n), *(f"{u} {v}" for u, v in g.edges())]) + "\n"
             assert write_edge_list(g) == text
             assert read_edge_list(text) == g
+
+
+_TOKENS = ["0", "1", "2", "3", "4", "007", "+3", "-0", "3_0", "\u0663", "01", "-1",
+           "5", "9", "x", "1.0", "#", "#1", "0x1"]
+_SEPARATORS = [" ", "  ", "\t", " \t "]
+_BREAKS = ["\n", "\r\n", "\r", "\x1c", "\u2028"]
+
+
+def _edge_line(rng):
+    r = rng.random()
+    if r < 0.05:
+        return ""
+    if r < 0.1:
+        return rng.choice(["# comment", "# 1", "#", "   "])
+    k = 2 if r < 0.95 else rng.choice([1, 3])
+    line = rng.choice(_SEPARATORS).join(rng.choice(_TOKENS) for _ in range(k))
+    return rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t"])
+
+
+def _random_text(rng, valid):
+    """An edge list over the token pool; with valid set, only tokens of
+    vertices in range, no loops and no bad lines."""
+    n = rng.randint(0, 12) if valid else rng.choice([0, 1, 2, 5, 5, 5, 8, 40])
+    lines = [rng.choice(["", "# header"]) for _ in range(rng.randint(0, 2))]
+    lines.append(str(n) if valid or rng.random() < 0.9 else rng.choice(["x", "3 3", "-2"]))
+    for _ in range(rng.randint(0, 30)):
+        if valid:
+            if n < 2:
+                break
+            u, v = rng.sample(range(n), 2)
+            lines.append(f"{rng.choice(['', '0', '00'])}{u}{rng.choice(_SEPARATORS)}{v}")
+        else:
+            lines.append(_edge_line(rng))
+    breaks = [rng.choice(_BREAKS) for _ in lines]
+    return "".join(ln + brk for ln, brk in zip(lines, breaks))
+
+
+class TestEdgeListOracle:
+    """read_edge_list splits each line once and memoises tokens; the reader
+    it replaced, read_edge_list_reference, must return an equal Graph or
+    raise the same exception with the same message."""
+
+    def test_seeded_valid_texts(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            text = _random_text(rng, valid=True)
+            assert isinstance(outcome(read_edge_list, text), Graph)
+            assert_same_as_reference(text)
+
+    def test_seeded_malformed_texts(self):
+        rng = random.Random(12)
+        kinds = set()
+        for _ in range(1500):
+            text = _random_text(rng, valid=False)
+            assert_same_as_reference(text)
+            res = outcome(read_edge_list, text)
+            kinds.add("graph" if isinstance(res, Graph) else res[1].split()[0])
+        # every kind of failure shows up: count line, edge line, int(),
+        # loop, range, negative count
+        assert kinds >= {"graph", "bad", "invalid", "loop", "edge", "vertex"}, kinds
+
+    @pytest.mark.parametrize("text", [
+        "8\n007 3\n",
+        "8\n+3 1\n",
+        "8\n-0 1\n-0 2\n",
+        "40\n3_0 1\n",
+        "8\n\u0663 1\n3 \u0663\n",
+        "8\n\u0663 3\n",
+        "8\n007 7\n",
+        "5\t\n0\t1\n\t1 \t2\t\n",
+        "5\r\n0 1\r\n2 3\r\n",
+        "5\x1c0 1\x1c1 2",
+        "5\n# 1\n0 1\n",
+        "5\n0 1\n#1 2 3\n",
+        "5\n0 1\n1 0\n0 1\n0 1\n",
+        # a loop or a bad vertex after both tokens are memoised
+        "5\n0 1\n1 1\n1 9\n",
+        "5\n0 1\n01 1\n",
+        "5\n01 2\n1 2\n01 1\n",
+        "5\n0 1\n1 9\n",
+        "5\n0 1\n9 1\n",
+        "5\n0 1\n-1 1\n",
+        "5\n0 1\n1 x\n",
+        "5\n0 1\nx 9\n",
+        "5\n0 1\n9 x\n",
+        "5\n0 1\n9 9\n",
+        "5\n0 1\n0 1 2\n",
+        "5\n0 1\n 0 \n",
+        "# only\n\n",
+        "\n  \r\n 7 7 \n",
+    ])
+    def test_hand_written_cases(self, text):
+        assert_same_as_reference(text)
+
+    def test_vertices_past_the_memo(self):
+        # vertices from 4096 up are parsed on every line, not memoised
+        n = 5000
+        rng = random.Random(13)
+        lines = [f"{rng.randrange(n)} {rng.randrange(4000, n)}" for _ in range(400)]
+        lines = [ln for ln in lines if len(set(ln.split())) == 2]
+        text = "\n".join([str(n), *lines, "4999 4999"])
+        assert_same_as_reference("\n".join([str(n), *lines]))
+        assert_same_as_reference(text)
+
+    def test_memo_memory_is_bounded(self):
+        # a star: every leaf is a distinct token, and 1 << v for all of
+        # them would take n**2 / 16 bytes (25 MB here)
+        n = 20000
+        text = "\n".join([str(n), *(f"0 {v}" for v in range(1, n))])
+        tracemalloc.start()
+        try:
+            g = read_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.degree(0) == n - 1
+        assert peak < 8 * 2**20, peak
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(_TOKENS),
+        st.integers(-3, 12).map(str),
+        st.text(st.characters(min_codepoint=9, max_codepoint=0x700), max_size=3),
+    ), max_size=24), st.lists(st.sampled_from([*_SEPARATORS, *_BREAKS]), min_size=24,
+                              max_size=24), st.integers(0, 12))
+    def test_hypothesis_texts(self, tokens, gaps, n):
+        text = str(n) + "\n" + "".join(t + g for t, g in zip(tokens, gaps))
+        assert_same_as_reference(text)
+
+
+class TestVertexLimit:
+    """The readers refuse n above max_n once the header is decoded."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_edge_list, "513\n0 1\n"),
+        (load_graph, "# big\n513\n0 1\n"),
+        (parse_graph6, write_graph6(Graph(513))),
+        (load_graph, write_graph6(Graph(513))),
+        # the header alone decides: the body is short and the edge is a loop
+        (parse_graph6, write_graph6(Graph(513))[:6]),
+        (read_edge_list, "513\n7 7\n"),
+    ])
+    def test_over_limit(self, reader, text):
+        with pytest.raises(GraphSizeError) as exc:
+            reader(text, max_n=512)
+        assert str(exc.value) == "n=513 exceeds limit 512"
+
+    def test_at_limit(self):
+        g = Graph(512, [(0, 511)])
+        for text in (write_edge_list(g), write_graph6(g)):
+            assert load_graph(text, max_n=512) == g
+
+    def test_format_limit_reported_first(self):
+        n = GRAPH6_MAX_N + 1
+        with pytest.raises(GraphFormatError) as exc:
+            read_edge_list(f"{n}\n0 1\n", max_n=512)
+        assert str(exc.value) == f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported"
+        with pytest.raises(GraphFormatError):
+            parse_graph6("~~" + "?" * 6, max_n=512)
+
+    def test_default_is_the_format_limit(self):
+        g = read_edge_list(f"{GRAPH6_MAX_N}\n0 1\n")
+        assert g.n == GRAPH6_MAX_N
 
 
 class TestGraph6:

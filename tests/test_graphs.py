@@ -223,6 +223,60 @@ class TestGraph:
             Graph(3, [(0, 3)])
 
 
+def graph_by_add_edge(n, edges):
+    """The oracle for Graph(n, edges): one add_edge call per edge."""
+    g = Graph(n)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+def build_outcome(build, n, edges):
+    """The rows that build returns, or the type and message it raises."""
+    try:
+        return build(n, edges).adj
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestGraphConstruction:
+    """Graph(n, edges) sets the two bits of each edge itself and calls
+    add_edge only to raise its loop or range error."""
+
+    def test_seeded_edge_lists(self):
+        rng = random.Random(17)
+        kinds = {"graph": 0, "loop": 0, "edge": 0}
+        for _ in range(100):
+            n = rng.randint(0, 70)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+            edges = [(u, v) for u, v in edges if u != v]
+            if rng.random() < 0.4:
+                bad = rng.choice([(rng.randint(-3, n + 2),) * 2,
+                                  (rng.randint(-5, -1), rng.randint(0, n + 1)),
+                                  (rng.randint(0, n + 1), n + rng.randint(0, 3)),
+                                  (-1, -2)])
+                edges.insert(rng.randint(0, len(edges)), bad)
+            res = build_outcome(Graph, n, edges)
+            assert res == build_outcome(graph_by_add_edge, n, edges), (n, edges)
+            kinds["graph" if isinstance(res, list) else res[1].split()[0]] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1), (1, 1)], "loop at vertex 1"),
+        (3, [(-1, -1)], "loop at vertex -1"),
+        (3, [(5, 5)], "loop at vertex 5"),
+        (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range for n=3"),
+        (3, [(2, -3)], "edge (2,-3) out of range for n=3"),
+        (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+        (0, [(0, 1)], "edge (0,1) out of range for n=0"),
+    ])
+    def test_error_messages(self, n, edges, message):
+        for build in (Graph, graph_by_add_edge):
+            with pytest.raises(ValueError) as exc:
+                build(n, edges)
+            assert str(exc.value) == message
+
+
 class TestPaley:
     def test_paley5_is_pentagon(self):
         g = paley(5)
