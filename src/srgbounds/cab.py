@@ -4,7 +4,6 @@ guaranteeing that the clique adjacency bound beats the Delsarte bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -14,8 +13,9 @@ from .srg import (
     EdgeRegularParams,
     SrgParams,
     SrgType,
+    _eigenvalues,
+    _int_multiplicities,
     _int_spectrum,
-    classify,
     spectrum,
 )
 
@@ -241,7 +241,7 @@ def _thm21(v: int) -> bool:
     return v != (2 * m) ** 2 and 16 * v + 20 < (8 * m + 2) ** 2
 
 
-def thm21_applies(v: int) -> tuple[bool, float]:
+def thm21_applies(v: int) -> bool:
     """Conference-graph improvement predicate on v vertices:
 
         0 < frc(sqrt(v)/2) < 1/4 + (sqrt(v) - sqrt(v+5/4))/2
@@ -249,12 +249,11 @@ def thm21_applies(v: int) -> tuple[bool, float]:
     Both strict inequalities are decided exactly.  With m = floor(sqrt(v)/2)
     the left inequality is v != (2m)^2 and, after clearing denominators so
     only the integer radicand 16v+20 remains, the right inequality is
-    16v + 20 < (8m + 2)^2.  The returned threshold is display-only.
+    16v + 20 < (8m + 2)^2.
     """
     if v < 5 or v % 4 != 1:
         raise ValueError(f"v={v} must be >= 5 and congruent to 1 mod 4")
-    threshold = 0.25 + (v**0.5 - (v + 1.25) ** 0.5) / 2
-    return _thm21(v), threshold
+    return _thm21(v)
 
 
 def _thm22(p: SrgParams, r: int, s: int) -> bool:
@@ -266,30 +265,31 @@ def _thm22(p: SrgParams, r: int, s: int) -> bool:
     return 0 < m and m * dd < -s * (dd - r * r - r)
 
 
-def thm22_applies(p: SrgParams) -> tuple[bool, QuadExt]:
+def thm22_applies(p: SrgParams) -> bool:
     """Integer-eigenvalue improvement predicate:
 
         0 < frc(-k/s) < 1 - (r^2 + r)/(v - 2k + lambda)
 
     for co-connected parameters with integer eigenvalues.
     """
-    if classify(p) is SrgType.TYPE_I_ONLY:
+    _, r, s = _eigenvalues(p)
+    if r is None:
         raise ValueError(f"{p} has irrational eigenvalues")
     if not p.is_coconnected():
         raise DegenerateParamsError(f"{p} is not co-connected")
-    _, r, s, _, _ = _int_spectrum(p)
-    threshold = 1 - Fraction(r * r + r, p.v - 2 * p.k + p.lam)
-    return _thm22(p, r, s), QuadExt.make(threshold)
+    _int_multiplicities(p, r, s)  # raises for non-integral multiplicities
+    return _thm22(p, r, s)
 
 
 def improved_bound(p: SrgParams) -> Optional[int]:
     """floor(sqrt(v) - 1) or floor(-k/s) when the matching predicate holds."""
-    if classify(p) is SrgType.TYPE_I_ONLY:
+    _, r, s = _eigenvalues(p)
+    if r is None:
         # v is not a perfect square here, so floor(sqrt(v)-1) = isqrt(v)-1
         return isqrt(p.v) - 1 if _thm21(p.v) else None
     if not p.is_coconnected():
         return None
-    _, r, s, _, _ = _int_spectrum(p)
+    _int_multiplicities(p, r, s)  # raises for non-integral multiplicities
     return p.k // -s if _thm22(p, r, s) else None
 
 

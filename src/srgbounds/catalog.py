@@ -31,6 +31,11 @@ from .srg import (
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
+# largest v_max a scan accepts: enumeration sorts about v log v candidates
+# and the scan holds one report per feasible tuple, so a CSV scan at
+# v <= 10000 takes about 10 s and 250 MB, and time and memory grow with v
+SCAN_MAX_V = 10000
+
 # Existence/sharpness notes for the parameter tuples where the clique
 # adjacency bound beats the Delsarte bound on at most 150 vertices
 # (curated from the literature; not computed here).
@@ -81,6 +86,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.v_max < 5:
             raise ValueError("v_max must be >= 5")
+        if self.v_max > SCAN_MAX_V:
+            raise ValueError(f"v_max={self.v_max} exceeds limit {SCAN_MAX_V}")
         if self.filter not in (None, "gap", "thm", "thm51"):
             raise ValueError(f"unknown filter {self.filter!r}")
 

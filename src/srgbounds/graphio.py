@@ -127,35 +127,32 @@ def parse_graph6(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(bits_data)} groups, expected {need} for n={n}"
         )
-    bits = []
-    for x in bits_data:
-        for shift in range(5, -1, -1):
-            bits.append(x >> shift & 1)
+    # column v holds the bits of the pairs (u, v) for u < v in order of u
+    bits = "".join([format(x, "06b") for x in bits_data])
     g = Graph(n)
-    idx = 0
+    adj = g.adj
+    pos = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                g.add_edge(u, v)
-            idx += 1
+        col = bits[pos : pos + v]
+        pos += v
+        adj[v] |= int(col[::-1], 2)
+        vbit = 1 << v
+        u = col.find("1")
+        while u >= 0:
+            adj[u] |= vbit
+            u = col.find("1", u + 1)
     return g
 
 
 def write_graph6(g: Graph) -> str:
+    # column v is the row of v below v, read from bit 0 up: the binary digits
+    # of that row with a marker bit at v, reversed and cut before the marker
     header = _encode_size(g.n)
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [header]
-    for i in range(0, len(bits), 6):
-        x = 0
-        for bit in bits[i : i + 6]:
-            x = x << 1 | bit
-        out.append(chr(x + 63))
-    return "".join(out)
+    adj = g.adj
+    bits = "".join([bin(adj[v] & ((1 << v) - 1) | 1 << v)[:2:-1] for v in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join([chr(int(bits[i : i + 6], 2) + 63)
+                             for i in range(0, len(bits), 6)])
 
 
 # the line boundaries of str.splitlines, which read_edge_list uses; compiled

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .cab import cap_value
-from .mpoly import MPoly, PolyFrac
+from .mpoly import MPoly
 
 
 class ResidualDivisionError(ValueError):
@@ -70,12 +70,12 @@ _PARAM_FREE_VARS = {
 def _symbolic_symbols(parameterization: str) -> dict:
     if parameterization == "general-srg":
         return general_srg_symbols(
-            PolyFrac.var("r"), PolyFrac.var("s"), PolyFrac.var("mu"), PolyFrac.var("t")
+            MPoly.var("r"), MPoly.var("s"), MPoly.var("mu"), MPoly.var("t")
         )
     if parameterization == "type-i":
-        return type1_symbols(PolyFrac.var("w"), PolyFrac.var("t"))
+        return type1_symbols(MPoly.var("w"), MPoly.var("t"))
     if parameterization == "raw":
-        return {name: PolyFrac.var(name) for name in _PARAM_FREE_VARS["raw"]}
+        return {name: MPoly.var(name) for name in _PARAM_FREE_VARS["raw"]}
     raise ValueError(f"unknown parameterization {parameterization!r}")
 
 
@@ -252,20 +252,15 @@ CASES: tuple[IdentityCase, ...] = (
 )
 
 
-def _clearing_monomial(clearing: Mapping[str, int]) -> MPoly:
-    return MPoly.monomial(1, dict(clearing))
-
-
 def cleared_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
     """Both sides after substitution and denominator clearing, as polynomials."""
     sym = _symbolic_symbols(case.parameterization)
-    mult = PolyFrac.from_poly(_clearing_monomial(case.clearing))
-    lhs = PolyFrac._coerce(case.lhs(sym)) * mult
-    rhs = PolyFrac._coerce(case.rhs(sym)) * mult
-    try:
-        return lhs.as_poly(), rhs.as_poly()
-    except ValueError as exc:
-        raise ResidualDivisionError(f"{case.name}: {exc}") from exc
+    mult = MPoly.monomial(1, case.clearing)
+    sides = mult * case.lhs(sym), mult * case.rhs(sym)
+    for side in sides:
+        if any(e < 0 for exp in side.terms for e in exp):
+            raise ResidualDivisionError(f"{case.name}: residual denominator in {side}")
+    return sides
 
 
 # The sides of the last proof of each case, keyed by the case's contents (an

@@ -1,14 +1,15 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate Laurent polynomials over Q; division by monomials only.
 
 The variable list is fixed as (t, w, b, c, v, k, lam, mu, r, s); exponent
 vectors are dense tuples over this list so serialized polynomials are
-deterministic.  PolyFrac adds quotients with monomial denominators, which is
-all the identity checker needs (denominators only ever involve s and mu).
+deterministic.  Exponents may be negative, so a quotient by a monomial is
+again an MPoly, which is all the identity checker needs (denominators only
+ever involve s and mu).  The Laurent form is canonical: two quotients are
+equal exactly when their term dicts are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Mapping
@@ -32,7 +33,7 @@ def _coerce_scalar(x) -> Fraction:
 
 
 class MPoly:
-    """Immutable sparse polynomial; no zero coefficients are stored."""
+    """Immutable sparse Laurent polynomial; no zero coefficients are stored."""
 
     __slots__ = ("terms",)
 
@@ -140,6 +141,26 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Multiply by the inverse of a single-term divisor or nonzero scalar."""
+        other = MPoly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        if len(other.terms) != 1:
+            raise ValueError("division requires a monomial divisor")
+        ((m_exp, m_coeff),) = other.terms.items()
+        return MPoly._wrap(
+            {tuple(map(sub, exp, m_exp)): c / m_coeff for exp, c in self.terms.items()}
+        )
+
+    def __rtruediv__(self, other):
+        other = MPoly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
@@ -184,143 +205,10 @@ class MPoly:
             for i, e in enumerate(exp):
                 if e == 1:
                     factors.append(VARS[i])
-                elif e > 1:
+                elif e:
                     factors.append(f"{VARS[i]}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"MPoly<{self}>"
-
-
-@dataclass(frozen=True)
-class PolyFrac:
-    """Quotient num / (coeff * monomial); the denominator is always a single
-    monomial, kept reduced against the numerator's common monomial factor."""
-
-    num: MPoly
-    den_coeff: Fraction
-    den_exp: tuple
-
-    @staticmethod
-    def from_poly(p) -> "PolyFrac":
-        p = MPoly._coerce(p)
-        if p is NotImplemented:
-            raise TypeError("expected polynomial or rational")
-        return PolyFrac(p, Fraction(1), _ZERO_EXP)
-
-    @staticmethod
-    def var(name: str) -> "PolyFrac":
-        return PolyFrac.from_poly(MPoly.var(name))
-
-    def _reduced(self) -> "PolyFrac":
-        if self.num.is_zero():
-            return PolyFrac(MPoly.zero(), Fraction(1), _ZERO_EXP)
-        common = list(self.den_exp)
-        for exp in self.num.terms:
-            common = list(map(min, common, exp))
-            if not any(common):
-                break
-        if not any(common):
-            return self
-        num = MPoly._wrap(
-            {tuple(map(sub, exp, common)): coeff for exp, coeff in self.num.terms.items()}
-        )
-        den = tuple(map(sub, self.den_exp, common))
-        return PolyFrac(num, self.den_coeff, den)
-
-    @property
-    def den(self) -> MPoly:
-        return MPoly._wrap({self.den_exp: self.den_coeff})
-
-    def is_polynomial(self) -> bool:
-        return not any(self.den_exp)
-
-    def as_poly(self) -> MPoly:
-        reduced = self._reduced()
-        if not reduced.is_polynomial():
-            raise ValueError(f"residual denominator {reduced.den}")
-        return reduced.num * (1 / reduced.den_coeff)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    # -- field operations ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, PolyFrac):
-            return x
-        if isinstance(x, (MPoly, int, Fraction)):
-            return PolyFrac.from_poly(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        num = self.num * other.den + other.num * self.den
-        den_exp = tuple(map(add, self.den_exp, other.den_exp))
-        return PolyFrac(num, self.den_coeff * other.den_coeff, den_exp)._reduced()
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den_coeff, self.den_exp)
-
-    def __sub__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        den_exp = tuple(map(add, self.den_exp, other.den_exp))
-        return PolyFrac(
-            self.num * other.num, self.den_coeff * other.den_coeff, den_exp
-        )._reduced()
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = PolyFrac.from_poly(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __truediv__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if len(other.num.terms) != 1:
-            raise ValueError("PolyFrac division requires a monomial divisor")
-        ((m_exp, m_coeff),) = other.num.terms.items()
-        num = self.num * other.den
-        den_exp = tuple(map(add, self.den_exp, m_exp))
-        return PolyFrac(num, self.den_coeff * m_coeff, den_exp)._reduced()
-
-    def __rtruediv__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = PolyFrac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        reduced = self._reduced()
-        return hash((reduced.num, reduced.den_coeff, reduced.den_exp))

@@ -118,10 +118,6 @@ def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
     return SrgParams(*nums)
 
 
-def _is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def _is_conference(v: int, k: int, lam: int, mu: int) -> bool:
     return 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
 
@@ -146,19 +142,7 @@ def is_sum_of_two_squares(n: int) -> bool:
 
 def classify(p: SrgParams) -> SrgType:
     """Type I: conference parameter conditions; type II: integer eigenvalues."""
-    p.validate()
-    conf = _is_conference(p.v, p.k, p.lam, p.mu)
-    disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
-    square = _is_perfect_square(disc)
-    if conf and square:
-        return SrgType.BOTH
-    if conf:
-        return SrgType.TYPE_I_ONLY
-    if square:
-        return SrgType.TYPE_II_ONLY
-    raise InfeasibleParamsError(
-        f"{p} is neither conference nor has integer eigenvalues"
-    )
+    return _eigenvalues(p)[0]
 
 
 def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
@@ -169,14 +153,14 @@ def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
     return None if rem or not 0 <= f <= m else (f, m - f)
 
 
-def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
-    """(type, r, s, f, g) in integers, validating p once; r = s = None flags
-    a conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2.
+def _eigenvalues(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int]]:
+    """(type, r, s) in integers, validating p once; r = s = None flags a
+    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2.
 
     r, s = (lam-mu +/- t)/2 are the roots of x^2 - (lam-mu)x - (k-mu), with
     t^2 the discriminant.  When t is an integer so are r and s (t has the
-    parity of lam-mu), and the trace identities give f and g; otherwise the
-    tuple must be conference, where t = sqrt(v) and f = g = (v-1)/2.
+    parity of lam-mu); otherwise the tuple must be conference, where
+    t = sqrt(v).
     """
     p.validate()
     conf = _is_conference(p.v, p.k, p.lam, p.mu)
@@ -188,16 +172,32 @@ def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], 
             raise InfeasibleParamsError(
                 f"{p} is neither conference nor has integer eigenvalues"
             )
+        return SrgType.TYPE_I_ONLY, None, None
+    return SrgType.BOTH if conf else SrgType.TYPE_II_ONLY, (d + t) // 2, (d - t) // 2
+
+
+def _int_multiplicities(p: SrgParams, r: Optional[int], s: Optional[int]) -> tuple[int, int]:
+    """(f, g) for the eigenvalues r, s of _eigenvalues(p): (v-1)/2 each for
+    irrational ones, otherwise from the trace identities, raising
+    InfeasibleParamsError unless both are nonnegative integers."""
+    if r is None:
         f = (p.v - 1) // 2
-        return SrgType.TYPE_I_ONLY, None, None, f, f
+        return f, f
+    t = r - s
     fg = _multiplicities(p, t)
     if fg is None:
-        mid, shift = Fraction(p.v - 1, 2), Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
+        mid = Fraction(p.v - 1, 2)
+        shift = Fraction(2 * p.k + (p.v - 1) * (p.lam - p.mu), 2 * t)
         raise InfeasibleParamsError(
             f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
         )
-    tag = SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
-    return tag, (d + t) // 2, (d - t) // 2, fg[0], fg[1]
+    return fg
+
+
+def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
+    """(type, r, s, f, g) in integers, validating p once."""
+    tag, r, s = _eigenvalues(p)
+    return (tag, r, s, *_int_multiplicities(p, r, s))
 
 
 def spectrum(p: SrgParams) -> Spectrum:

@@ -224,7 +224,7 @@ def test_criterion_10_predicate_exclusivity():
             if 2 * p.k >= p.v:
                 continue  # visit each pair once via the sparse member
             q = complement(p)
-            if thm22_applies(p)[0] and thm22_applies(q)[0]:
+            if thm22_applies(p) and thm22_applies(q):
                 both.append(p)
         assert both == []
 

@@ -24,7 +24,14 @@ from srgbounds.cab import (
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
-from srgbounds.srg import EdgeRegularParams, SrgParams, SrgType, spectrum
+from srgbounds.srg import (
+    DegenerateParamsError,
+    EdgeRegularParams,
+    InfeasibleParamsError,
+    SrgParams,
+    SrgType,
+    spectrum,
+)
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
@@ -368,10 +375,10 @@ class TestDelsarteHoffman:
 
 class TestPredicates:
     def test_thm21_examples(self):
-        assert thm21_applies(17)[0] is True
-        assert thm21_applies(13)[0] is False
-        assert thm21_applies(9)[0] is False  # fails the threshold inequality
-        assert thm21_applies(37)[0] is True
+        assert thm21_applies(17) is True
+        assert thm21_applies(13) is False
+        assert thm21_applies(9) is False  # fails the threshold inequality
+        assert thm21_applies(37) is True
 
     def test_thm21_domain(self):
         with pytest.raises(ValueError):
@@ -380,11 +387,8 @@ class TestPredicates:
             thm21_applies(1)
 
     def test_thm22_examples(self):
-        ok, threshold = thm22_applies(SrgParams(144, 39, 6, 12))
-        assert ok is True
-        assert threshold.sign() > 0
-        ok, _ = thm22_applies(SrgParams(10, 3, 0, 1))
-        assert ok is False
+        assert thm22_applies(SrgParams(144, 39, 6, 12)) is True
+        assert thm22_applies(SrgParams(10, 3, 0, 1)) is False
 
     def test_thm22_rejects_irrational(self):
         with pytest.raises(ValueError):
@@ -396,6 +400,17 @@ class TestPredicates:
         # (144,39,6,12): floor(39/9) = 4 < delsarte 5
         assert improved_bound(SrgParams(144, 39, 6, 12)) == 4
         assert improved_bound(SrgParams(10, 3, 0, 1)) is None
+
+    def test_coconnected_checked_before_multiplicities(self):
+        # (5,3,1,3) has non-integral multiplicities, but the co-connected
+        # check comes first; (5,2,1,0) is co-connected and is rejected
+        p = SrgParams(5, 3, 1, 3)
+        assert improved_bound(p) is None
+        with pytest.raises(DegenerateParamsError):
+            thm22_applies(p)
+        for check in (improved_bound, thm22_applies):
+            with pytest.raises(InfeasibleParamsError, match="multiplicities"):
+                check(SrgParams(5, 2, 1, 0))
 
     def test_improved_bound_matches_cab_on_table_rows(self):
         for tup in ((17, 8, 3, 4), (144, 39, 6, 12), (50, 7, 0, 1), (37, 18, 8, 9)):
@@ -459,11 +474,11 @@ class TestFullReport:
             assert rep.improved == improved_bound(p) == improved, p
             assert rep.thm22 == thm22, p
             if rep.type_tag is SrgType.TYPE_I_ONLY:
-                assert rep.thm21 == thm21_applies(p.v)[0], p
+                assert rep.thm21 == thm21_applies(p.v), p
             else:
                 assert rep.thm21 is False, p
             if rep.type_tag is not SrgType.TYPE_I_ONLY and p.is_coconnected():
-                assert thm22_applies(p)[0] == thm22, p
+                assert thm22_applies(p) == thm22, p
             if p.is_connected() and p.is_coconnected():
                 r = spectrum(p).r
                 assert rep.hoffman_complement == hoffman_clique_bound(
@@ -485,7 +500,7 @@ def quadext_bounds(p):
         r = spec.r
         threshold = 1 - (r * r + r) / QuadExt.make(p.v - 2 * p.k + p.lam)
         thm22 = 0 < ratio.frac() < threshold
-    thm21 = irrational and thm21_applies(p.v)[0]
+    thm21 = irrational and thm21_applies(p.v)
     improved = ratio.floor() if thm21 or thm22 else None
     return 1 + ratio.floor(), ratio >= p.lam + 1, thm22, improved
 

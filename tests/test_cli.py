@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import srgbounds
 from srgbounds.cab import full_report
+from srgbounds.catalog import SCAN_MAX_V, ScanConfig
 from srgbounds.cli import main
 from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
@@ -184,6 +185,23 @@ class TestScan:
         code2, out2, _ = run(capsys, "scan", "--max-v", "30", "--level", "absolute",
                              "--format", "csv")
         assert len(out.splitlines()) >= len(out2.splitlines())
+
+    @pytest.mark.parametrize("command", ["scan", "conjecture"])
+    def test_max_v_over_limit_is_rejected_fast(self, command):
+        # without the limit enumeration sorts about v log v candidates first
+        assert SCAN_MAX_V >= 10000
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", command,
+                               "--max-v", "1000000000"],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: v_max=1000000000 exceeds limit {SCAN_MAX_V}\n"
+
+    def test_max_v_at_limit_is_accepted(self):
+        ScanConfig(v_max=SCAN_MAX_V)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            ScanConfig(v_max=SCAN_MAX_V + 1)
 
 
 def test_import_leaves_numpy_out():

@@ -49,6 +49,57 @@ def read_edge_list_reference(text: str) -> Graph:
     return g
 
 
+def write_graph6_reference(g: Graph) -> str:
+    """The oracle for write_graph6: one bit per pair (u, v), u < v, in
+    column order, packed six at a time."""
+    header = _encode_size(g.n)
+    bits = []
+    for v in range(1, g.n):
+        for u in range(v):
+            bits.append(1 if g.has_edge(u, v) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = [header]
+    for i in range(0, len(bits), 6):
+        x = 0
+        for bit in bits[i : i + 6]:
+            x = x << 1 | bit
+        out.append(chr(x + 63))
+    return "".join(out)
+
+
+def parse_graph6_reference(text: str) -> Graph:
+    """The oracle for parse_graph6: unpack every bit into a list, then add
+    one edge per set bit."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise GraphFormatError("empty graph6 input")
+    data = [ord(ch) - 63 for ch in s]
+    if any(not 0 <= x <= 63 for x in data):
+        raise GraphFormatError(f"invalid graph6 characters in {text!r}")
+    n, start = _decode_size(data)
+    need = (n * (n - 1) // 2 + 5) // 6
+    bits_data = data[start:]
+    if len(bits_data) != need:
+        raise GraphFormatError(
+            f"graph6 body has {len(bits_data)} groups, expected {need} for n={n}"
+        )
+    bits = []
+    for x in bits_data:
+        for shift in range(5, -1, -1):
+            bits.append(x >> shift & 1)
+    g = Graph(n)
+    idx = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[idx]:
+                g.add_edge(u, v)
+            idx += 1
+    return g
+
+
 def outcome(reader, text):
     """The graph that reader returns, or the type and message it raises."""
     try:
@@ -341,6 +392,43 @@ class TestGraph6:
     def test_empty(self):
         with pytest.raises(GraphFormatError):
             parse_graph6("   ")
+
+
+class TestGraph6Oracle:
+    """write_graph6 and parse_graph6 against the bit-by-bit reference codec."""
+
+    def seeded_graphs(self):
+        rng = random.Random(66)
+        sizes = [*range(0, 20), 61, 62, 63, 64, 65, 126, 127, 128]
+        sizes += [rng.randint(0, 140) for _ in range(120)]
+        for n in sizes:
+            yield random_graph(n, rng.choice([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]), rng)
+        yield paley(241)
+
+    def test_writer_matches_reference(self):
+        long_forms = 0
+        for g in self.seeded_graphs():
+            text = write_graph6(g)
+            assert text == write_graph6_reference(g), g.n
+            long_forms += text[0] == "~"
+        assert long_forms >= 50
+
+    def test_parser_matches_reference(self):
+        for g in self.seeded_graphs():
+            text = write_graph6(g)
+            assert parse_graph6(text) == parse_graph6_reference(text) == g, g.n
+
+    def test_parser_matches_reference_on_seeded_strings(self):
+        # random bodies, including set padding bits, and corrupted lines
+        rng = random.Random(67)
+        for _ in range(600):
+            n = rng.randint(0, 100)
+            body = "".join(chr(rng.randint(63, 126)) for _ in range((n * (n - 1) // 2 + 5) // 6))
+            text = _encode_size(n) + body
+            if rng.random() < 0.4:
+                i = rng.randint(0, len(text))
+                text = text[:i] + rng.choice(["", "?", "~", "\x05", "\x7f", " "]) + text[i + 1 :]
+            assert outcome(parse_graph6, text) == outcome(parse_graph6_reference, text), text
 
 
 class TestSniffing:

@@ -17,7 +17,7 @@ from srgbounds.identities import (
 )
 from srgbounds import identities
 from srgbounds.identities import IdentityCase, _symbolic_symbols
-from srgbounds.mpoly import VARS, MPoly, PolyFrac
+from srgbounds.mpoly import VARS, MPoly
 from srgbounds.srg import SrgParams, spectrum
 
 CASE_BY_NAME = {case.name: case for case in CASES}
@@ -27,9 +27,9 @@ def substitute(p: MPoly, parameterization: str) -> MPoly:
     """Substitute the parameterization into p; the result must be a polynomial
     in the free variables (anything leaving a denominator is an error)."""
     sym = _symbolic_symbols(parameterization)
-    total = PolyFrac.from_poly(0)
+    total = MPoly.zero()
     for exp, coeff in p.terms.items():
-        term = PolyFrac.from_poly(MPoly.const(coeff))
+        term = MPoly.const(coeff)
         for i, e in enumerate(exp):
             if not e:
                 continue
@@ -38,11 +38,13 @@ def substitute(p: MPoly, parameterization: str) -> MPoly:
                 raise ValueError(
                     f"symbol {name!r} has no meaning under {parameterization!r}"
                 )
-            value = PolyFrac._coerce(sym[name])
+            value = sym[name]
             for _ in range(e):
                 term = term * value
         total = total + term
-    return total.as_poly()
+    if any(e < 0 for exp in total.terms for e in exp):
+        raise ValueError(f"residual denominator in {total}")
+    return total
 
 
 def general_srg_point(p: SrgParams) -> dict:
@@ -168,6 +170,12 @@ def test_substitute_nonzero_poly():
 def test_substitute_unknown_symbol_rejected():
     with pytest.raises(ValueError):
         substitute(MPoly.var("b"), "type-i")
+
+
+def test_substitute_residual_denominator_rejected():
+    # v = k + 1 + k(k-lam-1)/mu keeps a 1/mu term under general-srg
+    with pytest.raises(ValueError, match="residual denominator"):
+        substitute(MPoly.var("v"), "general-srg")
 
 
 def test_residual_division_error():

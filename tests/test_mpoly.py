@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from srgbounds.mpoly import VARS, ArityMismatchError, MPoly, PolyFrac
+from srgbounds.mpoly import VARS, ArityMismatchError, MPoly
 
 
 def V(name):
@@ -101,43 +101,93 @@ class TestMPolyBasics:
                 assert MPoly(p.terms).terms == p.terms
 
 
-class TestPolyFrac:
+def rand_poly(rng, max_exp=3):
+    p = MPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        exps = {rng.choice(VARS): rng.randint(-max_exp, max_exp)}
+        p = p + MPoly.monomial(rng.randint(-5, 5), exps)
+    return p
+
+
+def rand_monomial(rng):
+    coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+    names = rng.sample(VARS, rng.randint(0, 3))
+    return MPoly.monomial(coeff, {name: rng.randint(-3, 3) for name in names})
+
+
+def rand_point(rng):
+    return {name: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            for name in VARS}
+
+
+class TestLaurent:
+    """Quotients by monomials are Laurent polynomials: negative exponents."""
+
     def test_monomial_division_reduces(self):
-        s = PolyFrac.var("s")
+        s = V("s")
         x = (s**3 + s**2) / s
-        assert x.is_polynomial()
-        assert x.as_poly() == V("s") ** 2 + V("s")
+        assert x == s**2 + s
+        assert all(e >= 0 for exp in x.terms for e in exp)
 
     def test_residual_denominator_detected(self):
-        s = PolyFrac.var("s")
+        s = V("s")
         x = (s + 1) / s
-        assert not x._reduced().is_polynomial()
-        with pytest.raises(ValueError):
-            x.as_poly()
+        assert x == 1 + MPoly.monomial(1, {"s": -1})
+        assert any(e < 0 for exp in x.terms for e in exp)
 
     def test_field_identities(self):
-        s, mu = PolyFrac.var("s"), PolyFrac.var("mu")
+        s, mu = V("s"), V("mu")
         x = (mu + 1) / s
         assert x * s == mu + 1
-        assert x - x == PolyFrac.from_poly(0)
+        assert x - x == MPoly.zero()
         assert (x + x) == 2 * x
 
     def test_nonmonomial_divisor_rejected(self):
-        s = PolyFrac.var("s")
+        s = V("s")
         with pytest.raises(ValueError):
             s / (s + 1)
+        with pytest.raises(ValueError):
+            1 / (s + 1)
 
     def test_division_by_zero(self):
-        s = PolyFrac.var("s")
+        s = V("s")
         with pytest.raises(ZeroDivisionError):
-            s / PolyFrac.from_poly(0)
+            s / MPoly.zero()
+        with pytest.raises(ZeroDivisionError):
+            s / 0
 
     def test_pow(self):
-        s = PolyFrac.var("s")
+        s = V("s")
         x = 1 / s
-        assert (x**2) * s**2 == PolyFrac.from_poly(1)
+        assert (x**2) * s**2 == 1
+        with pytest.raises(ValueError):
+            s ** -1
 
     def test_cross_denominator_addition(self):
-        s, mu = PolyFrac.var("s"), PolyFrac.var("mu")
+        s, mu = V("s"), V("mu")
         x = 1 / s + 1 / mu  # = (s + mu) / (s mu)
         assert x * (s * mu) == s + mu
+
+    def test_scalar_division(self):
+        t = V("t")
+        assert (2 * t + 1) / 2 == t + Fraction(1, 2)
+        assert t / Fraction(2, 3) == Fraction(3, 2) * t
+
+    def test_divide_then_multiply_is_identity(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            a, m = rand_poly(rng), rand_monomial(rng)
+            assert (a / m) * m == a
+
+    def test_division_commutes_with_evaluation(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            a, m = rand_poly(rng), rand_monomial(rng)
+            pt = rand_point(rng)
+            assert (a / m).evaluate(pt) == a.evaluate(pt) / m.evaluate(pt)
+
+    def test_str_shows_negative_exponents(self):
+        s, mu = V("s"), V("mu")
+        assert str(1 / s) == "1*s^-1"
+        assert str(mu / s**2) == "1*mu*s^-2"
+        assert str(s / s**2) != str(MPoly.const(1))
