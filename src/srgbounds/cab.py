@@ -213,8 +213,8 @@ def delsarte_bound(p: SrgParams) -> int:
     they fall back to the trivial bound lam + 2 (the clique size actually
     attained by a disjoint union of cliques).
     """
-    p.validate()
     if p.mu == 0:
+        p.validate()
         return p.lam + 2
     return _delsarte(p, _int_spectrum(p)[2])
 
@@ -296,8 +296,8 @@ def improved_bound(p: SrgParams) -> Optional[int]:
 def thm51_predicate(p: SrgParams) -> bool:
     """lam + 1 <= -k/s, exactly; when true the clique adjacency bound is
     pinned at the trivial value lam + 2."""
-    p.validate()
     if p.mu == 0:
+        p.validate()
         # s = -1, so the condition reads lam+1 <= k = lam+1
         return True
     return _thm51(p, _int_spectrum(p)[2])

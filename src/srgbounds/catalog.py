@@ -35,6 +35,10 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 # and the scan holds one report per feasible tuple, so a CSV scan at
 # v <= 10000 takes about 10 s and 250 MB, and time and memory grow with v
 SCAN_MAX_V = 10000
+# largest v_max at COUNTING, where no integrality condition cuts the
+# candidates: a scan sorts every tuple that passes the counting check and
+# tries a report on each, so v <= 700 already takes about 10 s (and 125 MB)
+COUNTING_MAX_V = 700
 
 # Existence/sharpness notes for the parameter tuples where the clique
 # adjacency bound beats the Delsarte bound on at most 150 vertices
@@ -86,8 +90,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.v_max < 5:
             raise ValueError("v_max must be >= 5")
-        if self.v_max > SCAN_MAX_V:
-            raise ValueError(f"v_max={self.v_max} exceeds limit {SCAN_MAX_V}")
+        limit = COUNTING_MAX_V if self.level == FeasibilityLevel.COUNTING else SCAN_MAX_V
+        if self.v_max > limit:
+            raise ValueError(f"v_max={self.v_max} exceeds limit {limit}")
         if self.filter not in (None, "gap", "thm", "thm51"):
             raise ValueError(f"unknown filter {self.filter!r}")
 

@@ -3,8 +3,6 @@ form (n < 63) and long form ("~" and n in three 6-bit groups, n <= 258047)."""
 
 from __future__ import annotations
 
-import re
-
 from .graphs import Graph, GraphSizeError
 
 
@@ -155,32 +153,13 @@ def write_graph6(g: Graph) -> str:
                              for i in range(0, len(bits), 6)])
 
 
-# the line boundaries of str.splitlines, which read_edge_list uses; compiled
-# on first use (and cached by re), not at import
-_LINE_BREAK = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
-
-
-def _first_content_line(text: str) -> str:
-    """The first line that is neither blank nor a "#" comment, stripped; ""
-    if there is none.  Only the lines up to it are read."""
-    line_break = re.compile(_LINE_BREAK)
-    pos = 0
-    while True:
-        brk = line_break.search(text, pos)
-        line = text[pos : brk.start() if brk else len(text)].strip()
-        if line and line[0] != "#":
-            return line
-        if brk is None:
-            return ""
-        pos = brk.end()
-
-
 def load_graph(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
-    """Sniff the format: a leading integer line, after any blank and "#"
-    comment lines, means edge-list, otherwise the input is treated as graph6
-    (whose lines never start with "#").  A graph with more than max_n
-    vertices raises GraphSizeError before any row is built."""
-    tokens = _first_content_line(text).split()
-    if len(tokens) == 1 and tokens[0].lstrip("-").isdigit():
+    """Sniff the format from the first non-blank character: a digit, "-" or
+    "#" starts an edge list (its vertex count or a comment line), anything
+    else is read as graph6, whose characters run from "?" (63) to "~" (126)
+    and whose optional ">>graph6<<" header starts with ">".  A graph with
+    more than max_n vertices raises GraphSizeError before any row is built."""
+    head = text.lstrip()[:1]
+    if head.isdigit() or head in ("-", "#"):
         return read_edge_list(text, max_n=max_n)
     return parse_graph6(text, max_n=max_n)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
+from .quadext import factorize
 from .srg import EdgeRegularParams, SrgParams
 
 MAX_CLIQUE_VERTEX_LIMIT = 512
@@ -31,6 +32,13 @@ PALEY_MAX_P = 4096
 class GraphSizeError(ValueError):
     """Graph exceeds a desk-scale size limit: the vertex limit of the exact
     clique search, or the largest p of a Paley construction."""
+
+
+def _bits(x: int) -> Iterable[int]:
+    """Indices of the set bits of x, ascending."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
 
 class Graph:
@@ -67,14 +75,8 @@ class Graph:
         return self.adj[u].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                out.append((u, v))
-                rest &= rest - 1
-        return out
+        return [(u, v) for u, row in enumerate(self.adj)
+                for v in _bits(row >> (u + 1) << (u + 1))]
 
     def edge_count(self) -> int:
         return sum(self.degree(u) for u in range(self.n)) // 2
@@ -95,18 +97,8 @@ def _rotate(row: int, u: int, n: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    # the least prime factor of n > 1 is n itself exactly when n is prime
+    return n > 1 and next(factorize(n))[0] == n
 
 
 def paley(p: int) -> Graph:
@@ -167,10 +159,7 @@ def distance_graph(g: Graph, i: int) -> Graph:
             d += 1
             nxt = []
             for u in frontier:
-                rest = g.adj[u]
-                while rest:
-                    w = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
+                for w in _bits(g.adj[u]):
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -190,13 +179,6 @@ def heawood_line_distance3() -> Graph:
 # -- regularity checks -------------------------------------------------------
 
 
-def _bits(x: int) -> Iterable[int]:
-    """Indices of the set bits of x, ascending."""
-    while x:
-        yield (x & -x).bit_length() - 1
-        x &= x - 1
-
-
 def _is_circulant(adj: list[int]) -> bool:
     """True iff each row adj[u] is row 0 rotated by u: a circulant on Z_n,
     whose translations x -> x + u are automorphisms."""
@@ -204,63 +186,56 @@ def _is_circulant(adj: list[int]) -> bool:
     return n > 0 and all(adj[u] == _rotate(adj[0], u, n) for u in range(1, n))
 
 
-def _edge_regular(g: Graph, circulant: bool) -> Optional[EdgeRegularParams]:
-    if g.n == 0 or g.edge_count() == 0:
-        return None
-    k = g.degree(0)
-    if circulant:
-        # a translation takes each edge to one at vertex 0: read lam off row 0
-        row = g.adj[0]
-        lams = {(row & g.adj[v]).bit_count() for v in _bits(row)}
-        return EdgeRegularParams(g.n, k, lams.pop()) if len(lams) == 1 else None
-    if any(g.degree(u) != k for u in range(1, g.n)):
-        return None
-    lam = None
-    for u in range(g.n):
-        rest = g.adj[u] >> (u + 1) << (u + 1)
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            common = (g.adj[u] & g.adj[v]).bit_count()
-            if lam is None:
-                lam = common
-            elif lam != common:
+def _pair_rows(g: Graph) -> Iterable[int]:
+    """Rows whose pairs {u, v}, u < v, stand for all pairs: row 0 on a
+    circulant labeling, whose translations take each pair to one at vertex 0,
+    and every row otherwise."""
+    return (0,) if _is_circulant(g.adj) else range(g.n)
+
+
+def _pair_count(g: Graph, rows: Iterable[int], adjacent: bool) -> Optional[int]:
+    """The common neighbour count of the pairs {u, v} with u in rows, v > u
+    and v a neighbour (adjacent) or a non-neighbour of u; None as soon as two
+    counts differ, or if there is no such pair."""
+    flip = 0 if adjacent else (1 << g.n) - 1
+    count = None
+    for u in rows:
+        row = g.adj[u]
+        for v in _bits((row ^ flip) >> (u + 1) << (u + 1)):
+            common = (row & g.adj[v]).bit_count()
+            if count is None:
+                count = common
+            elif count != common:
                 return None
-    return EdgeRegularParams(g.n, k, lam)
+    return count
+
+
+def _edge_regular(g: Graph, rows: Iterable[int]) -> Optional[EdgeRegularParams]:
+    # a regular graph with an edge has k > 0
+    k = g.degree(0) if g.n else 0
+    if k == 0 or any(g.degree(u) != k for u in range(1, g.n)):
+        return None
+    lam = _pair_count(g, rows, adjacent=True)
+    return None if lam is None else EdgeRegularParams(g.n, k, lam)
 
 
 def is_edge_regular(g: Graph) -> Optional[EdgeRegularParams]:
     """Parameters (v, k, lam) if g is non-empty, regular, and the common
     neighbour count is constant over edges; None otherwise.  A circulant
     labeling is checked from row 0 alone."""
-    return _edge_regular(g, _is_circulant(g.adj))
+    return _edge_regular(g, _pair_rows(g))
 
 
 def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
     """SrgParams if g is edge-regular, non-complete, and the common neighbour
     count over non-adjacent pairs is also constant; None otherwise.  A
     circulant labeling is checked from row 0 alone."""
-    circulant = _is_circulant(g.adj)
-    er = _edge_regular(g, circulant)
+    rows = _pair_rows(g)
+    er = _edge_regular(g, rows)
     if er is None or er.k == g.n - 1:
         return None
-    if circulant:
-        # a translation takes each non-adjacent pair to one at vertex 0
-        row = g.adj[0]
-        non_nbrs = ((1 << g.n) - 1) & ~row & ~1
-        mus = {(row & g.adj[v]).bit_count() for v in _bits(non_nbrs)}
-        return SrgParams(er.v, er.k, er.lam, mus.pop()) if len(mus) == 1 else None
-    mu = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            common = (g.adj[u] & g.adj[v]).bit_count()
-            if mu is None:
-                mu = common
-            elif mu != common:
-                return None
-    return SrgParams(er.v, er.k, er.lam, mu if mu is not None else 0)
+    mu = _pair_count(g, rows, adjacent=False)
+    return None if mu is None else SrgParams(er.v, er.k, er.lam, mu)
 
 
 # -- maximum clique ----------------------------------------------------------
@@ -280,7 +255,7 @@ def _forced_clique(adj: list[int]) -> tuple[int, ...]:
         return ()
     n = len(adj)
     row = adj[0]
-    conn = [s for s in range(1, n) if row >> s & 1]
+    conn = list(_bits(row))
     # S nonempty, all units and closed under products => S is a group, 1 in S
     if conn and all(math.gcd(s, n) == 1 for s in conn) and all(
         row >> (s * t % n) & 1 for s in conn for t in conn

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Iterator, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -25,29 +25,36 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def factorize(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (prime, exponent) for each prime factor of n in increasing
+    order; nothing for n <= 1.  Trial division: the numbers factored here
+    (radicands, conference v, Paley p) stay small."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (root, core) with n = root**2 * core and core square-free.
 
-    Requires n >= 0.  Trial division; radicands in this library stay small.
+    Requires n >= 0.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
-    if n in (0, 1):
-        return 1, n
+    if n == 0:
+        return 1, 0
     root, core = 1, 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            root *= p ** (e // 2)
-            if e % 2:
-                core *= p
-        p += 1 if p == 2 else 2
-    core *= m
+    for p, e in factorize(n):
+        root *= p ** (e // 2)
+        core *= p ** (e % 2)
     return root, core
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .quadext import QuadExt
+from .quadext import QuadExt, factorize
 
 
 class InfeasibleParamsError(ValueError):
@@ -125,19 +125,7 @@ def _is_conference(v: int, k: int, lam: int, mu: int) -> bool:
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff n = a^2 + b^2: every prime factor congruent to 3 mod 4 must
     occur to an even power."""
-    if n < 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if p % 4 == 3 and e % 2:
-                return False
-        p += 1 if p == 2 else 2
-    return n % 4 != 3
+    return n >= 0 and all(p % 4 != 3 or e % 2 == 0 for p, e in factorize(n))
 
 
 def classify(p: SrgParams) -> SrgType:

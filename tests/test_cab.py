@@ -432,6 +432,21 @@ class TestPredicates:
         # disconnected: always true
         assert thm51_predicate(SrgParams(10, 4, 3, 0)) is True
 
+    @pytest.mark.parametrize("check", [delsarte_bound, thm51_predicate, improved_bound])
+    @pytest.mark.parametrize("tup", [(10, 4, 3, 0), (17, 8, 3, 4), (144, 39, 6, 12)],
+                             ids=["mu0", "conference", "type-II"])
+    def test_validates_once(self, monkeypatch, check, tup):
+        calls = []
+        validate = SrgParams.validate
+
+        def counted(p):
+            calls.append(p)
+            validate(p)
+
+        monkeypatch.setattr(SrgParams, "validate", counted)
+        check(SrgParams(*tup))
+        assert len(calls) == 1
+
 
 class TestFullReport:
     def test_gap2_report(self):

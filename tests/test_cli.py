@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import srgbounds
 from srgbounds.cab import full_report
-from srgbounds.catalog import SCAN_MAX_V, ScanConfig
+from srgbounds.catalog import COUNTING_MAX_V, SCAN_MAX_V, ScanConfig
 from srgbounds.cli import main
 from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
-from srgbounds.srg import SrgParams
+from srgbounds.srg import FeasibilityLevel, SrgParams
 
 SRC = os.path.dirname(os.path.dirname(srgbounds.__file__))
 
@@ -202,6 +202,26 @@ class TestScan:
         ScanConfig(v_max=SCAN_MAX_V)
         with pytest.raises(ValueError, match="exceeds limit"):
             ScanConfig(v_max=SCAN_MAX_V + 1)
+
+    def test_counting_limit(self):
+        ScanConfig(v_max=COUNTING_MAX_V, level=FeasibilityLevel.COUNTING)
+        ScanConfig(v_max=COUNTING_MAX_V + 1, level=FeasibilityLevel.INTEGRALITY)
+        with pytest.raises(ValueError) as exc:
+            ScanConfig(v_max=COUNTING_MAX_V + 1, level=FeasibilityLevel.COUNTING)
+        assert str(exc.value) == f"v_max={COUNTING_MAX_V + 1} exceeds limit {COUNTING_MAX_V}"
+
+    def test_counting_over_limit_is_rejected_fast(self):
+        # without its own limit a counting scan at v <= 10000 sorts tens of
+        # millions of tuples and runs for hours
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "scan", "--level",
+                               "counting", "--max-v", "10000"],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: v_max=10000 exceeds limit {COUNTING_MAX_V}\n"
+        assert time.perf_counter() - start < 5
 
 
 def test_import_leaves_numpy_out():

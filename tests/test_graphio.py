@@ -431,6 +431,10 @@ class TestGraph6Oracle:
             assert outcome(parse_graph6, text) == outcome(parse_graph6_reference, text), text
 
 
+# edge-list and graph6 characters, blanks and line breaks of str.splitlines
+SNIFF_ALPHABET = st.sampled_from(list("0123456789-# \t\n\r\x0b\x1c\u2028?@ABw~>"))
+
+
 class TestSniffing:
     def test_edge_list_detected(self):
         assert load_graph("3\n0 1\n").edges() == [(0, 1)]
@@ -452,6 +456,25 @@ class TestSniffing:
     def test_graph6_after_blank_lines(self):
         assert load_graph("\n \nBw\n") == Graph(3, [(0, 1), (0, 2), (1, 2)])
 
-    def test_only_comments_is_not_an_edge_list(self):
-        with pytest.raises(GraphFormatError):
+    def test_only_comments_is_an_empty_edge_list(self):
+        with pytest.raises(GraphFormatError) as exc:
             load_graph("# nothing here\n\n")
+        assert str(exc.value) == "empty edge-list input"
+
+    @pytest.mark.parametrize("text, message", [
+        # a digit or "#" first selects the edge-list reader, which names the
+        # line it cannot read as a vertex count
+        ("5 6\n", "bad vertex count line '5 6'"),
+        ("# c\nBw", "bad vertex count line 'Bw'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(text)
+        assert str(exc.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(alphabet=SNIFF_ALPHABET, max_size=30)))
+    def test_reader_is_chosen_by_first_nonblank_character(self, text):
+        first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")[:1]
+        reader = read_edge_list if first.isdigit() or first in ("-", "#") else parse_graph6
+        assert outcome(load_graph, text) == outcome(reader, text), text

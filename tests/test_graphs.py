@@ -18,7 +18,7 @@ from srgbounds.graphs import (
     paley,
 )
 from srgbounds.cab import cap_min_over_b
-from srgbounds.graphs import _forced_clique, _is_circulant
+from srgbounds.graphs import _forced_clique, _is_circulant, _is_prime
 from srgbounds.srg import EdgeRegularParams, SrgParams
 
 
@@ -296,6 +296,10 @@ class TestPaley:
                 if not g.has_edge(u, v):
                     comp.add_edge(u, v)
         assert is_strongly_regular(comp) == SrgParams(13, 6, 2, 3)
+
+    def test_is_prime(self):
+        for n in range(-3, 5000):
+            assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):

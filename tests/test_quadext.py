@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srgbounds.quadext import IncompatibleRadicandsError, QuadExt, squarefree_split
+from srgbounds.quadext import IncompatibleRadicandsError, QuadExt, factorize, squarefree_split
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 17, 19, 21, 23, 29]
 
@@ -55,6 +56,23 @@ def test_squarefree_split():
     assert squarefree_split(0) == (1, 0)
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(360) == (6, 10)
+    # brute force: root is the largest r with r^2 | n
+    for n in range(1, 5000):
+        root = max(r for r in range(1, math.isqrt(n) + 1) if n % (r * r) == 0)
+        assert squarefree_split(n) == (root, n // (root * root)), n
+
+
+def test_factorize():
+    assert list(factorize(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(factorize(4099)) == [(4099, 1)]
+    for n in (-7, 0, 1):
+        assert list(factorize(n)) == []
+    for n in range(2, 5000):
+        factors = list(factorize(n))
+        primes = [p for p, _ in factors]
+        assert math.prod(p**e for p, e in factors) == n, n
+        assert primes == sorted(set(primes)), n
+        assert all(e >= 1 and all(p % d for d in range(2, p)) for p, e in factors), n
 
 
 class TestArith:

@@ -1,6 +1,7 @@
 import fractions
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -169,9 +170,11 @@ def test_params_bounds_check():
 
 
 def test_is_sum_of_two_squares():
-    yes = {a * a + b * b for a in range(20) for b in range(20)}
-    for n in range(200):
-        assert is_sum_of_two_squares(n) == (n in yes)
+    # brute force: some a with n - a^2 a perfect square
+    for n in range(5000):
+        brute = any(isqrt(n - a * a) ** 2 == n - a * a for a in range(isqrt(n) + 1))
+        assert is_sum_of_two_squares(n) == brute, n
+    assert not is_sum_of_two_squares(-2)
     assert not is_sum_of_two_squares(69)  # 3 * 23
     assert not is_sum_of_two_squares(105)  # 3 * 5 * 7
 
