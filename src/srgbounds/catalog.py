@@ -1,23 +1,21 @@
 """Feasible-tuple enumeration, bound-comparison scans, and emitters.
 
-Candidates come from one of two pure-integer generators, picked by level.
-From INTEGRALITY up, a tuple is built from its restricted eigenvalues
-r >= 0 > s = -a: for r >= 1, a >= 2 and mu >= 1, k = mu + ra and
-lam = mu + r - a, so mu divides ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu;
-the families m*K_c, K_{m x a} and the conference tuples with non-square
-v = 1 (mod 4) cover the rest.  COUNTING also admits tuples without integral
-multiplicities, so its generator runs over k and 0 < mu <= k with k-lam-1 a
-multiple of mu/gcd(k, mu), plus the mu = 0 tuples.  The generators only
-propose: they skip conditions such as v-2k+lam >= 0, integral
-multiplicities and the Krein and absolute bounds, so is_feasible confirms
-every candidate and stays the one definition of feasibility.
+Every bound is read off the spectrum, so candidates come from one
+pure-integer generator at every level: a tuple is built from its restricted
+eigenvalues r >= 0 > s = -a.  For r >= 1, a >= 2 and mu >= 1, k = mu + ra
+and lam = mu + r - a, so mu divides ra(r+1)(a-1) and
+v = k + 1 + k(r+1)(a-1)/mu; the families m*K_c, K_{m x a} and the
+conference tuples with non-square v = 1 (mod 4) cover the rest.  The
+generator only proposes: it skips conditions such as v-2k+lam >= 0,
+integral multiplicities and the Krein and absolute bounds, so is_feasible
+confirms every candidate and stays the one definition of feasibility.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator, Optional
 
 from .cab import BoundsReport, full_report
@@ -31,14 +29,10 @@ from .srg import (
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
-# largest v_max a scan accepts: enumeration sorts about v log v candidates
-# and the scan holds one report per feasible tuple, so a CSV scan at
-# v <= 10000 takes about 10 s and 250 MB, and time and memory grow with v
+# largest v_max a scan accepts, at every level: enumeration sorts about
+# v log v candidates and the scan holds one report per feasible tuple, so a
+# CSV scan at v <= 10000 takes 10-20 s and 250 MB, growing with v
 SCAN_MAX_V = 10000
-# largest v_max at COUNTING, where no integrality condition cuts the
-# candidates: a scan sorts every tuple that passes the counting check and
-# tries a report on each, so v <= 700 already takes about 10 s (and 125 MB)
-COUNTING_MAX_V = 700
 
 # Existence/sharpness notes for the parameter tuples where the clique
 # adjacency bound beats the Delsarte bound on at most 150 vertices
@@ -90,24 +84,10 @@ class ScanConfig:
     def __post_init__(self):
         if self.v_max < 5:
             raise ValueError("v_max must be >= 5")
-        limit = COUNTING_MAX_V if self.level == FeasibilityLevel.COUNTING else SCAN_MAX_V
-        if self.v_max > limit:
-            raise ValueError(f"v_max={self.v_max} exceeds limit {limit}")
+        if self.v_max > SCAN_MAX_V:
+            raise ValueError(f"v_max={self.v_max} exceeds limit {SCAN_MAX_V}")
         if self.filter not in (None, "gap", "thm", "thm51"):
             raise ValueError(f"unknown filter {self.filter!r}")
-
-
-def _counting_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """Each (v, k, lam, mu) with v <= v_max, 0 <= lam < k, 0 <= mu <= k and
-    (v-k-1)mu = k(k-lam-1), once."""
-    for k in range(1, v_max - 1):
-        for v in range(k + 2, v_max + 1):
-            yield v, k, k - 1, 0
-        for mu in range(1, k + 1):
-            # t = k-lam-1 >= 1, and mu | kt exactly when mu/gcd(k, mu) | t
-            step = mu // gcd(k, mu)
-            for t in range(step, min(k - 1, (v_max - k - 1) * mu // k) + 1, step):
-                yield k + 1 + k * t // mu, k, k - 1 - t, mu
 
 
 def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
@@ -147,18 +127,17 @@ def _least_v(a: int, r: int) -> int:
     return r * a + 1 + (r + 1) * (a - 1) + 2 * isqrt(n)
 
 
-def enumerate_feasible(v_max: int,
-                       level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND,
-                       v_min: int = 5) -> Iterator[SrgParams]:
-    """Yield feasible tuples with v_min <= v <= v_max in lexicographic
-    (v, k, lam, mu) order.  Disconnected (mu = 0) and complete-multipartite
-    tuples are included; callers filter on the connectivity flags."""
-    if level >= FeasibilityLevel.INTEGRALITY:
-        cands = _eigenvalue_candidates(v_max)
-    else:
-        cands = _counting_candidates(v_max)
-    for v, k, lam, mu in sorted(cands):
-        if v >= v_min:
+def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND
+                       ) -> Iterator[SrgParams]:
+    """Yield the tuples with 5 <= v <= v_max that pass level and have a
+    spectrum to bound, in lexicographic (v, k, lam, mu) order.  From
+    INTEGRALITY up these are all the feasible tuples.  At COUNTING they are
+    the tuples with integer or conference eigenvalues, less the m*K_c and
+    K_{m x a} ones whose clique or part size does not divide v.
+    Disconnected (mu = 0) and complete-multipartite tuples are included;
+    callers filter on the connectivity flags."""
+    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max)):
+        if v >= 5:
             p = SrgParams(v, k, lam, mu)
             ok, _ = is_feasible(p, level)
             if ok:
@@ -207,9 +186,10 @@ def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
     """full_report of each enumerated tuple, in tuple order.
 
     The bound comparison needs the exact spectrum, so tuples admitted by a
-    low scan level but lacking integral multiplicities (possible only below
-    INTEGRALITY) are skipped: full_report raises InfeasibleParamsError for
-    them, and for nothing else on an enumerated tuple.
+    low scan level but lacking integral multiplicities are skipped: at
+    COUNTING integer r, s can still come with non-integral f, g, and
+    full_report raises InfeasibleParamsError for them, and for nothing else
+    on an enumerated tuple.
     """
     for p in enumerate_feasible(cfg.v_max, cfg.level):
         try:

@@ -141,27 +141,33 @@ def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
     return None if rem or not 0 <= f <= m else (f, m - f)
 
 
-def _eigenvalues(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int]]:
-    """(type, r, s) in integers, validating p once; r = s = None flags a
-    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2.
+def _roots(p: SrgParams) -> tuple[bool, Optional[int], Optional[int]]:
+    """(conf, r, s) without validation, for mu <= k: conf flags the
+    conference conditions, and r, s are the integer restricted eigenvalues,
+    or None when the discriminant is not a square.
 
     r, s = (lam-mu +/- t)/2 are the roots of x^2 - (lam-mu)x - (k-mu), with
-    t^2 the discriminant.  When t is an integer so are r and s (t has the
-    parity of lam-mu); otherwise the tuple must be conference, where
-    t = sqrt(v).
+    t^2 the discriminant, nonnegative as mu <= k.  When t is an integer so
+    are r and s (t has the parity of lam-mu, as disc = (lam-mu)^2 mod 4).
     """
-    p.validate()
     conf = _is_conference(p.v, p.k, p.lam, p.mu)
     d = p.lam - p.mu
     disc = d * d + 4 * (p.k - p.mu)
     t = isqrt(disc)
     if t * t != disc:
-        if not conf:
-            raise InfeasibleParamsError(
-                f"{p} is neither conference nor has integer eigenvalues"
-            )
-        return SrgType.TYPE_I_ONLY, None, None
-    return SrgType.BOTH if conf else SrgType.TYPE_II_ONLY, (d + t) // 2, (d - t) // 2
+        return conf, None, None
+    return conf, (d + t) // 2, (d - t) // 2
+
+
+def _eigenvalues(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int]]:
+    """(type, r, s) in integers, validating p once; r = s = None flags a
+    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2."""
+    p.validate()
+    conf, r, s = _roots(p)
+    if r is None and not conf:
+        raise InfeasibleParamsError(f"{p} is neither conference nor has integer eigenvalues")
+    tag = SrgType.TYPE_I_ONLY if r is None else SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
+    return tag, r, s
 
 
 def _int_multiplicities(p: SrgParams, r: Optional[int], s: Optional[int]) -> tuple[int, int]:
@@ -235,16 +241,12 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     # and mu = 0 forces lam = k-1 with v-k-1 >= 1
     if level < FeasibilityLevel.INTEGRALITY:
         return True, None
-    # integrality.  The discriminant is nonnegative as mu <= k, and t = isqrt
-    # has the parity of lam-mu (disc = (lam-mu)^2 mod 4), so a square gives
-    # integer r, s; t = 0 would need lam = mu = k.  Conference tuples have
-    # 2k + (v-1)(lam-mu) = 0, so their multiplicities f = g = (v-1)/2 pass.
-    conf = _is_conference(v, k, lam, mu)
-    d = lam - mu
-    disc = d * d + 4 * (k - mu)
-    t = isqrt(disc)
-    if t * t == disc:
-        fg = _multiplicities(p, t)
+    # integrality.  Integer r, s have r - s = t >= 1, as t = 0 would need
+    # lam = mu = k.  Conference tuples have 2k + (v-1)(lam-mu) = 0, so their
+    # multiplicities f = g = (v-1)/2 pass.
+    conf, r, s = _roots(p)
+    if r is not None:
+        fg = _multiplicities(p, r - s)
         if fg is None:
             return False, "integral multiplicities"
     elif not conf:
@@ -259,7 +261,7 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         # tuples only; disjoint unions of cliques and complete multipartite
         # graphs (and their complements) are exempt
         return True, None
-    if t * t != disc:
+    if r is None:
         # conference with u = sqrt(v) irrational: k = (v-1)/2, r, s =
         # (-1 +/- u)/2, so k + r + 2rs = (u-1)/2 and k + s + 2rs = -(u+1)/2,
         # and the Krein slacks (k+r)(s+1)^2 - (r+1)(k+r+2rs) and
@@ -267,7 +269,6 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         # lam = (v-5)/4 >= 0.  f = g = (v-1)/2 meets the absolute bound,
         # since g(g+3) - 2v = (v-5)(v+1)/4 >= 0.
         return True, None
-    r, s = (d + t) // 2, (d - t) // 2
     # Krein conditions, exact in integers
     if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) * (s + 1):
         return False, "Krein 1"

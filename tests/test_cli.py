@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import srgbounds
 from srgbounds.cab import full_report
-from srgbounds.catalog import COUNTING_MAX_V, SCAN_MAX_V, ScanConfig
+from srgbounds.catalog import SCAN_MAX_V, ScanConfig
 from srgbounds.cli import main
 from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
@@ -137,6 +137,10 @@ class TestScan:
         # the COUNTING scan skips tuples without integral multiplicities
         (150, "counting", 1281,
          "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082"),
+        (700, "counting", 8891,
+         "27c394c3f249c3d2b5b202dad3a859fc2476b2bed6eb5c9cecb8541e840f2111"),
+        (1000, "counting", 13660,
+         "56ea2d46a4b2eb69e4a8c585270e7663a3b0de2b2998cbcafc76c68190b03715"),
         (500, "absolute", 5681,
          "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739"),
         # the range of the published parameter tables
@@ -144,7 +148,8 @@ class TestScan:
          "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3"),
         (3000, "absolute", 47721,
          "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee"),
-    ], ids=["absolute", "counting", "absolute-500", "absolute-1300", "absolute-3000"])
+    ], ids=["absolute", "counting", "counting-700", "counting-1000", "absolute-500",
+            "absolute-1300", "absolute-3000"])
     def test_csv_digest(self, capsys, max_v, level, tuples, digest):
         # the catalogue, byte for byte
         code, out, _ = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
@@ -186,41 +191,50 @@ class TestScan:
                              "--format", "csv")
         assert len(out.splitlines()) >= len(out2.splitlines())
 
-    @pytest.mark.parametrize("command", ["scan", "conjecture"])
+    @pytest.mark.parametrize("command", [["scan"], ["conjecture"], ["scan", "--level", "counting"]],
+                             ids=["scan", "conjecture", "counting"])
     def test_max_v_over_limit_is_rejected_fast(self, command):
-        # without the limit enumeration sorts about v log v candidates first
+        # without the limit enumeration sorts about v log v candidates first;
+        # every level shares it
         assert SCAN_MAX_V >= 10000
-        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", command,
-                               "--max-v", "1000000000"],
-                              capture_output=True, text=True, timeout=30,
-                              env={**os.environ, "PYTHONPATH": SRC})
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: v_max=1000000000 exceeds limit {SCAN_MAX_V}\n"
+        for max_v in (SCAN_MAX_V + 1, 1000000000):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", *command,
+                                   "--max-v", str(max_v)],
+                                  capture_output=True, text=True, timeout=30,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: v_max={max_v} exceeds limit {SCAN_MAX_V}\n"
+            assert time.perf_counter() - start < 5
 
     def test_max_v_at_limit_is_accepted(self):
-        ScanConfig(v_max=SCAN_MAX_V)
-        with pytest.raises(ValueError, match="exceeds limit"):
-            ScanConfig(v_max=SCAN_MAX_V + 1)
+        for level in FeasibilityLevel:
+            ScanConfig(v_max=SCAN_MAX_V, level=level)
+            with pytest.raises(ValueError) as exc:
+                ScanConfig(v_max=SCAN_MAX_V + 1, level=level)
+            assert str(exc.value) == f"v_max={SCAN_MAX_V + 1} exceeds limit {SCAN_MAX_V}"
 
     def test_counting_limit(self):
-        ScanConfig(v_max=COUNTING_MAX_V, level=FeasibilityLevel.COUNTING)
-        ScanConfig(v_max=COUNTING_MAX_V + 1, level=FeasibilityLevel.INTEGRALITY)
+        # COUNTING has no limit of its own: it accepts what INTEGRALITY accepts
+        # (701 was the first v_max over its former limit) and stops at SCAN_MAX_V
+        for v_max in (701, SCAN_MAX_V):
+            ScanConfig(v_max=v_max, level=FeasibilityLevel.COUNTING)
+            ScanConfig(v_max=v_max, level=FeasibilityLevel.INTEGRALITY)
         with pytest.raises(ValueError) as exc:
-            ScanConfig(v_max=COUNTING_MAX_V + 1, level=FeasibilityLevel.COUNTING)
-        assert str(exc.value) == f"v_max={COUNTING_MAX_V + 1} exceeds limit {COUNTING_MAX_V}"
+            ScanConfig(v_max=SCAN_MAX_V + 1, level=FeasibilityLevel.COUNTING)
+        assert str(exc.value) == f"v_max={SCAN_MAX_V + 1} exceeds limit {SCAN_MAX_V}"
 
-    def test_counting_over_limit_is_rejected_fast(self):
-        # without its own limit a counting scan at v <= 10000 sorts tens of
-        # millions of tuples and runs for hours
+    def test_counting_scan_is_fast(self):
+        # the counting scan enumerates only the tuples with a spectrum, like
+        # every other level
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "scan", "--level",
-                               "counting", "--max-v", "10000"],
-                              capture_output=True, text=True, timeout=30,
+                               "counting", "--max-v", "1000", "--format", "csv"],
+                              capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": SRC})
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: v_max=10000 exceeds limit {COUNTING_MAX_V}\n"
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 13660
         assert time.perf_counter() - start < 5
 
 

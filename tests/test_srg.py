@@ -22,6 +22,7 @@ from srgbounds.srg import (
     parse_params_string,
     spectrum,
 )
+from test_catalog import enumerate_feasible_bruteforce
 
 PALEY17 = SrgParams(17, 8, 3, 4)
 PETERSEN = SrgParams(10, 3, 0, 1)
@@ -116,9 +117,10 @@ class TestSpectrum:
     def test_raises_exactly_when_integrality_rejects(self):
         # spectrum(), full_report and the INTEGRALITY step derive the
         # multiplicities alike, and the first two raise the same message;
-        # the sum-of-two-squares condition is the only rejection they ignore
+        # the sum-of-two-squares condition is the only rejection they ignore.
+        # The oracle yields every COUNTING tuple, non-square discriminants too
         spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
-        for p in enumerate_feasible(150, FeasibilityLevel.COUNTING):
+        for p in enumerate_feasible_bruteforce(150, FeasibilityLevel.COUNTING):
             ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
             errors = set()
             for compute in (spectrum, full_report):
