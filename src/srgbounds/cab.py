@@ -153,8 +153,11 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
         first = last + 1
 
 
-def cab(p: EdgeRegularParams) -> tuple[int, CabWitness]:
+def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     """Clique adjacency bound: least c >= 2 with C(b, c+1) < 0 for some b.
+
+    It reads only v, k, lam and validate() of p, so a SrgParams is bounded
+    as its edge-regular triple, after its own (stricter) validation.
 
     It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  The levels
     y = c+1 are walked in increasing order, skipping two kinds of level
@@ -169,12 +172,21 @@ def cab(p: EdgeRegularParams) -> tuple[int, CabWitness]:
 
     Every other level is still minimized over b by cap_min_over_b, so the
     first negative level and its witness are those of the plain walk
-    y = 3, 4, ...
+    y = 3, 4, ...  The start level is probed before any run is isolated:
+    it is the first level the walk would visit, and it decides the bound of
+    every m*K_c and K_{m x a} tuple and of most others.
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
     start = _start_level(v, k, lam)
-    for lo, hi in _negative_runs(_certificate_cubic(v, k, lam), start, min(lam + 3, v - 1)):
+    top = min(lam + 3, v - 1)
+    cs = _certificate_cubic(v, k, lam)
+    if start <= top and _cubic(cs, start) < 0:
+        b, val = cap_min_over_b(v, k, lam, start)
+        if val < 0:
+            return start - 1, CabWitness(b=b, c_plus_1=start, value=val)
+    # the start level is visited (or skipped) at most once: resume after it
+    for lo, hi in _negative_runs(cs, start + 1, top):
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
@@ -352,14 +364,15 @@ def full_report(p: SrgParams) -> BoundsReport:
     equals it, and either improvement predicate lowers it by one.
     """
     tag, r, s, _, _ = _int_spectrum(p)
-    cab_val, witness = cab(p.edge_regular)
+    cab_val, witness = cab(p)
     dels = _delsarte(p, s)
+    coconnected = p.is_coconnected()
 
     t21 = False
     t22 = False
     if s is None:
         t21 = _thm21(p.v)
-    elif p.is_coconnected():
+    elif coconnected:
         t22 = _thm22(p, r, s)
 
     report = BoundsReport(
@@ -369,8 +382,8 @@ def full_report(p: SrgParams) -> BoundsReport:
         cab_witness=witness,
         delsarte=dels,
         delsarte_degenerate=p.mu == 0,
-        trivial=trivial_bound(p.edge_regular),
-        hoffman_complement=dels if p.is_connected() and p.is_coconnected() else None,
+        trivial=p.lam + 2,
+        hoffman_complement=dels if p.mu > 0 and coconnected else None,
         thm21=t21,
         thm22=t22,
         thm51=_thm51(p, s),

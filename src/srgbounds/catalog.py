@@ -6,9 +6,11 @@ eigenvalues r >= 0 > s = -a.  For r >= 1, a >= 2 and mu >= 1, k = mu + ra
 and lam = mu + r - a, so mu divides ra(r+1)(a-1) and
 v = k + 1 + k(r+1)(a-1)/mu; the families m*K_c, K_{m x a} and the
 conference tuples with non-square v = 1 (mod 4) cover the rest.  The
-generator only proposes: it skips conditions such as v-2k+lam >= 0,
-integral multiplicities and the Krein and absolute bounds, so is_feasible
-confirms every candidate and stays the one definition of feasibility.
+generator only proposes: from INTEGRALITY up it drops the r >= 1, a >= 2
+tuples whose multiplicity f is fractional, but it skips conditions such as
+v-2k+lam >= 0, nonnegative multiplicities and the Krein and absolute
+bounds, so is_feasible confirms every candidate and stays the one
+definition of feasibility.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration sorts about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# CSV scan at v <= 10000 takes 10-20 s and 250 MB, growing with v
+# CSV scan at v <= 10000 takes 6-8 s and 145 MB (14-16 s and 251 MB at
+# COUNTING, which keeps the fractional multiplicities), growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -90,10 +93,12 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
-def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
+def _eigenvalue_candidates(v_max: int, integral: bool) -> Iterator[tuple[int, int, int, int]]:
     """A superset, each tuple once, of those with v <= v_max that pass
     INTEGRALITY: integer restricted eigenvalues r >= 0 > s = -a, or the
-    conference conditions with irrational eigenvalues."""
+    conference conditions with irrational eigenvalues.  With integral False
+    the r >= 1, a >= 2 family also keeps its tuples with fractional
+    multiplicities, which pass COUNTING."""
     for c in range(2, v_max // 2 + 1):  # m*K_c: r = c-1, a = 1
         for v in range(2 * c, v_max + 1, c):
             yield v, c - 1, c - 2, 0
@@ -104,7 +109,10 @@ def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
         if isqrt(v) ** 2 != v:
             yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
-    # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 sqrt(n)
+    # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 sqrt(n).
+    # With lam - mu = r - a, the multiplicity f = ((v-1)(r+a) - 2k -
+    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a): a necessary
+    # condition for INTEGRALITY, which is_feasible still confirms in full
     a = 2
     while _least_v(a, 1) <= v_max:
         r = 1
@@ -115,7 +123,9 @@ def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
                 if n % d == 0 and base + d + n // d <= v_max:
                     for mu in {d, n // d}:
                         if mu + r >= a:
-                            yield base + mu + n // mu, mu + r * a, mu + r - a, mu
+                            v, k = base + mu + n // mu, mu + r * a
+                            if not integral or ((v - 1) * a - k) % (r + a) == 0:
+                                yield v, k, mu + r - a, mu
             r += 1
         a += 1
 
@@ -136,7 +146,8 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     K_{m x a} ones whose clique or part size does not divide v.
     Disconnected (mu = 0) and complete-multipartite tuples are included;
     callers filter on the connectivity flags."""
-    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max)):
+    integral = level >= FeasibilityLevel.INTEGRALITY
+    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max, integral)):
         if v >= 5:
             p = SrgParams(v, k, lam, mu)
             ok, _ = is_feasible(p, level)

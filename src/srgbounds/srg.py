@@ -6,7 +6,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 from .quadext import QuadExt, factorize
@@ -180,12 +180,20 @@ def _int_multiplicities(p: SrgParams, r: Optional[int], s: Optional[int]) -> tup
     t = r - s
     fg = _multiplicities(p, t)
     if fg is None:
-        mid = Fraction(p.v - 1, 2)
-        shift = Fraction(2 * p.k + (p.v - 1) * (p.lam - p.mu), 2 * t)
+        # f, g = ((v-1)t -/+ n) / 2t, printed as a Fraction prints
+        m, n = (p.v - 1) * t, 2 * p.k + (p.v - 1) * (p.lam - p.mu)
         raise InfeasibleParamsError(
-            f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
+            f"non-integral or negative multiplicities f={_ratio(m - n, 2 * t)}, "
+            f"g={_ratio(m + n, 2 * t)}"
         )
     return fg
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0: "n/d" in lowest terms, or "n"."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:

@@ -14,6 +14,9 @@ from pathlib import Path
 import srgbounds.catalog as catalog
 from srgbounds.catalog import ScanConfig, scan_compare
 
+# the package re-exports the function cab, which shadows the module name
+cab_module = importlib.import_module("srgbounds.cab")
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -60,3 +63,19 @@ def test_scan_reports_through_the_catalog_name(monkeypatch):
     monkeypatch.setattr(catalog, "full_report", counted)
     reports, stats = scan_compare(ScanConfig(v_max=20))
     assert len(calls) == len(reports) == stats.total > 0
+
+
+def test_full_report_bounds_through_the_cab_name(monkeypatch):
+    # cab.cab_s times cab as rebound in srgbounds.cab, so full_report must
+    # call it by that module-level name, once per report
+    calls = []
+    original = cab_module.cab
+
+    def counted(p):
+        calls.append((p.v, p.k, p.lam))
+        return original(p)
+
+    monkeypatch.setattr(cab_module, "cab", counted)
+    reports, _ = scan_compare(ScanConfig(v_max=20))
+    assert reports
+    assert calls == [(r.params.v, r.params.k, r.params.lam) for r in reports]

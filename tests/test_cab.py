@@ -97,6 +97,16 @@ def random_triples(seed: int, count: int, v_max: int):
             yield EdgeRegularParams(v, (v - 1) // 2, (v - 5) // 4)
 
 
+def probe_misses(p: EdgeRegularParams) -> bool:
+    """cab()'s first probe finds P(start) < 0 at the start level, but no
+    negative value there, so the walk resumes one level later."""
+    v, k, lam = p.v, p.k, p.lam
+    start = cab_module._start_level(v, k, lam)
+    return (start <= min(lam + 3, v - 1)
+            and cab_module._cubic(cab_module._certificate_cubic(v, k, lam), start) < 0
+            and cap_min_over_b(v, k, lam, start)[1] >= 0)
+
+
 class TestCapPolynomial:
     def test_known_value(self):
         # C(1, 4) for (21, 8, 3): 2*17 - 2*4*5 + 12*1 = 6
@@ -203,6 +213,16 @@ class TestCabOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_linear_walk_on_random_triples(self, seed):
         for p in random_triples(seed, 1200, 3000):
+            assert cab(p) == cab_linear(p), p
+
+    def test_matches_linear_walk_after_a_probe_miss(self):
+        catalogue = [p.edge_regular for p in enumerate_feasible(500)]
+        hits = [p for p in catalogue if probe_misses(p)]
+        assert len(hits) == 35
+        randoms = [p for seed in (4, 5) for p in random_triples(seed, 1200, 3000)
+                   if probe_misses(p)]
+        assert len(randoms) > 300
+        for p in hits + randoms:
             assert cab(p) == cab_linear(p), p
 
     def test_levels_visited(self, monkeypatch):

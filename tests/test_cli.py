@@ -143,13 +143,18 @@ class TestScan:
          "56ea2d46a4b2eb69e4a8c585270e7663a3b0de2b2998cbcafc76c68190b03715"),
         (500, "absolute", 5681,
          "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739"),
+        # the generator drops fractional multiplicities from INTEGRALITY up
+        (500, "integrality", 5860,
+         "a0bc4607e68e294402be7a5d22431d496ebf685094c750449b0a6b73638bcd9a"),
+        (500, "krein", 5719,
+         "43e35c849ce3daea5eadf7ae0070fca75f97261a0f15435978a706e702e0d41e"),
         # the range of the published parameter tables
         (1300, "absolute", 18011,
          "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3"),
         (3000, "absolute", 47721,
          "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee"),
     ], ids=["absolute", "counting", "counting-700", "counting-1000", "absolute-500",
-            "absolute-1300", "absolute-3000"])
+            "integrality-500", "krein-500", "absolute-1300", "absolute-3000"])
     def test_csv_digest(self, capsys, max_v, level, tuples, digest):
         # the catalogue, byte for byte
         code, out, _ = run(capsys, "scan", "--max-v", str(max_v), "--level", level,

@@ -15,6 +15,7 @@ from srgbounds.srg import (
     InfeasibleParamsError,
     SrgParams,
     SrgType,
+    _ratio,
     classify,
     complement,
     is_feasible,
@@ -26,6 +27,16 @@ from test_catalog import enumerate_feasible_bruteforce
 
 PALEY17 = SrgParams(17, 8, 3, 4)
 PETERSEN = SrgParams(10, 3, 0, 1)
+
+
+def multiplicity_message(p: SrgParams) -> str:
+    """The oracle for the non-integral multiplicity error: f, g =
+    (v-1)/2 -/+ (2k + (v-1)(lam-mu)) / 2(r-s), built from Fractions."""
+    d = p.lam - p.mu
+    t = isqrt(d * d + 4 * (p.k - p.mu))
+    mid = Fraction(p.v - 1, 2)
+    shift = Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
+    return f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
 
 
 def params_bounds_check(p: SrgParams) -> tuple[int, int]:
@@ -113,6 +124,22 @@ class TestSpectrum:
         # 7 vertices cannot split into disjoint triangles: f = 4/3
         with pytest.raises(InfeasibleParamsError, match="f=4/3, g=14/3"):
             spectrum(SrgParams(7, 2, 1, 0))
+
+    def test_multiplicity_message_matches_fraction_oracle(self):
+        # the message prints f, g as Fractions do, without building them
+        count = 0
+        for p in enumerate_feasible(700, FeasibilityLevel.COUNTING):
+            try:
+                spectrum(p)
+            except InfeasibleParamsError as exc:
+                assert str(exc) == multiplicity_message(p), p
+                count += 1
+        assert count == 10437
+
+    def test_ratio_prints_as_fraction(self):
+        for n in range(-60, 61):
+            for d in range(1, 31):
+                assert _ratio(n, d) == str(Fraction(n, d)), (n, d)
 
     def test_raises_exactly_when_integrality_rejects(self):
         # spectrum(), full_report and the INTEGRALITY step derive the
