@@ -13,8 +13,6 @@ from .srg import (
     EdgeRegularParams,
     SrgParams,
     SrgType,
-    _eigenvalues,
-    _int_multiplicities,
     _int_spectrum,
     spectrum,
 )
@@ -221,13 +219,9 @@ def _thm51(p: SrgParams, s: Optional[int]) -> bool:
 def delsarte_bound(p: SrgParams) -> int:
     """floor(1 - k/s) for least eigenvalue s < 0.
 
-    Disconnected parameters (mu = 0) have no negative-eigenvalue ratio story;
-    they fall back to the trivial bound lam + 2 (the clique size actually
-    attained by a disjoint union of cliques).
+    Disconnected parameters (mu = 0) have s = -1 and k = lam + 1, so the
+    bound is lam + 2, the clique size of the disjoint union of cliques.
     """
-    if p.mu == 0:
-        p.validate()
-        return p.lam + 2
     return _delsarte(p, _int_spectrum(p)[2])
 
 
@@ -284,34 +278,26 @@ def thm22_applies(p: SrgParams) -> bool:
 
     for co-connected parameters with integer eigenvalues.
     """
-    _, r, s = _eigenvalues(p)
+    _, r, s, _, _ = _int_spectrum(p)
     if r is None:
         raise ValueError(f"{p} has irrational eigenvalues")
     if not p.is_coconnected():
         raise DegenerateParamsError(f"{p} is not co-connected")
-    _int_multiplicities(p, r, s)  # raises for non-integral multiplicities
     return _thm22(p, r, s)
 
 
 def improved_bound(p: SrgParams) -> Optional[int]:
     """floor(sqrt(v) - 1) or floor(-k/s) when the matching predicate holds."""
-    _, r, s = _eigenvalues(p)
+    _, r, s, _, _ = _int_spectrum(p)
     if r is None:
         # v is not a perfect square here, so floor(sqrt(v)-1) = isqrt(v)-1
         return isqrt(p.v) - 1 if _thm21(p.v) else None
-    if not p.is_coconnected():
-        return None
-    _int_multiplicities(p, r, s)  # raises for non-integral multiplicities
-    return p.k // -s if _thm22(p, r, s) else None
+    return p.k // -s if p.is_coconnected() and _thm22(p, r, s) else None
 
 
 def thm51_predicate(p: SrgParams) -> bool:
     """lam + 1 <= -k/s, exactly; when true the clique adjacency bound is
     pinned at the trivial value lam + 2."""
-    if p.mu == 0:
-        p.validate()
-        # s = -1, so the condition reads lam+1 <= k = lam+1
-        return True
     return _thm51(p, _int_spectrum(p)[2])
 
 
@@ -364,6 +350,8 @@ def full_report(p: SrgParams) -> BoundsReport:
     equals it, and either improvement predicate lowers it by one.
     """
     tag, r, s, _, _ = _int_spectrum(p)
+    # cab validates p a second time; it is called by its module-level name
+    # so that perfbench can time the CAB walk on its own
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     coconnected = p.is_coconnected()

@@ -6,10 +6,10 @@ eigenvalues r >= 0 > s = -a.  For r >= 1, a >= 2 and mu >= 1, k = mu + ra
 and lam = mu + r - a, so mu divides ra(r+1)(a-1) and
 v = k + 1 + k(r+1)(a-1)/mu; the families m*K_c, K_{m x a} and the
 conference tuples with non-square v = 1 (mod 4) cover the rest.  The
-generator only proposes: from INTEGRALITY up it drops the r >= 1, a >= 2
-tuples whose multiplicity f is fractional, but it skips conditions such as
-v-2k+lam >= 0, nonnegative multiplicities and the Krein and absolute
-bounds, so is_feasible confirms every candidate and stays the one
+generator only proposes: at every level it drops the r >= 1, a >= 2 tuples
+whose multiplicity f is fractional, so every candidate has a spectrum, but
+it skips conditions such as the sum of two squares and the Krein and
+absolute bounds, so is_feasible confirms every candidate and stays the one
 definition of feasibility.
 """
 
@@ -21,20 +21,14 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .cab import BoundsReport, full_report
-from .srg import (
-    FeasibilityLevel,
-    InfeasibleParamsError,
-    SrgParams,
-    SrgType,
-    is_feasible,
-)
+from .srg import FeasibilityLevel, SrgParams, SrgType, is_feasible
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration sorts about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# CSV scan at v <= 10000 takes 6-8 s and 145 MB (14-16 s and 251 MB at
-# COUNTING, which keeps the fractional multiplicities), growing with v
+# CSV scan at v <= 10000 takes 7-8 s and 145-148 MB at every level, growing
+# with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -93,12 +87,12 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
-def _eigenvalue_candidates(v_max: int, integral: bool) -> Iterator[tuple[int, int, int, int]]:
-    """A superset, each tuple once, of those with v <= v_max that pass
-    INTEGRALITY: integer restricted eigenvalues r >= 0 > s = -a, or the
-    conference conditions with irrational eigenvalues.  With integral False
-    the r >= 1, a >= 2 family also keeps its tuples with fractional
-    multiplicities, which pass COUNTING."""
+def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each tuple once, the tuples with v <= v_max that pass COUNTING and
+    have a spectrum: integer restricted eigenvalues r >= 0 > s = -a, or the
+    conference conditions with irrational eigenvalues, and integral
+    multiplicities.  This is a superset of the tuples that pass
+    INTEGRALITY."""
     for c in range(2, v_max // 2 + 1):  # m*K_c: r = c-1, a = 1
         for v in range(2 * c, v_max + 1, c):
             yield v, c - 1, c - 2, 0
@@ -111,8 +105,8 @@ def _eigenvalue_candidates(v_max: int, integral: bool) -> Iterator[tuple[int, in
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
     # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 sqrt(n).
     # With lam - mu = r - a, the multiplicity f = ((v-1)(r+a) - 2k -
-    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a): a necessary
-    # condition for INTEGRALITY, which is_feasible still confirms in full
+    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a), and when it is an
+    # integer so is g = v-1-f; both are positive, as k <= v-2
     a = 2
     while _least_v(a, 1) <= v_max:
         r = 1
@@ -124,7 +118,7 @@ def _eigenvalue_candidates(v_max: int, integral: bool) -> Iterator[tuple[int, in
                     for mu in {d, n // d}:
                         if mu + r >= a:
                             v, k = base + mu + n // mu, mu + r * a
-                            if not integral or ((v - 1) * a - k) % (r + a) == 0:
+                            if ((v - 1) * a - k) % (r + a) == 0:
                                 yield v, k, mu + r - a, mu
             r += 1
         a += 1
@@ -141,13 +135,11 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
                        ) -> Iterator[SrgParams]:
     """Yield the tuples with 5 <= v <= v_max that pass level and have a
     spectrum to bound, in lexicographic (v, k, lam, mu) order.  From
-    INTEGRALITY up these are all the feasible tuples.  At COUNTING they are
-    the tuples with integer or conference eigenvalues, less the m*K_c and
-    K_{m x a} ones whose clique or part size does not divide v.
-    Disconnected (mu = 0) and complete-multipartite tuples are included;
-    callers filter on the connectivity flags."""
-    integral = level >= FeasibilityLevel.INTEGRALITY
-    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max, integral)):
+    INTEGRALITY up these are all the feasible tuples; at COUNTING they are
+    the tuples for which spectrum() does not raise.  Disconnected (mu = 0)
+    and complete-multipartite tuples are included; callers filter on the
+    connectivity flags."""
+    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max)):
         if v >= 5:
             p = SrgParams(v, k, lam, mu)
             ok, _ = is_feasible(p, level)
@@ -194,19 +186,10 @@ def _keeps_pair_member(p: SrgParams) -> bool:
 
 
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
-    """full_report of each enumerated tuple, in tuple order.
-
-    The bound comparison needs the exact spectrum, so tuples admitted by a
-    low scan level but lacking integral multiplicities are skipped: at
-    COUNTING integer r, s can still come with non-integral f, g, and
-    full_report raises InfeasibleParamsError for them, and for nothing else
-    on an enumerated tuple.
-    """
+    """full_report of each enumerated tuple, in tuple order; every enumerated
+    tuple has a spectrum, so every one is reported."""
     for p in enumerate_feasible(cfg.v_max, cfg.level):
-        try:
-            yield full_report(p)
-        except InfeasibleParamsError:
-            continue
+        yield full_report(p)
 
 
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:

@@ -180,6 +180,9 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals, and so hashes as, its coefficient (0 if empty)
+        if self.terms.keys() <= {_ZERO_EXP}:
+            return hash(self.terms.get(_ZERO_EXP, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- evaluation / display ------------------------------------------------

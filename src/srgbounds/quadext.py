@@ -213,7 +213,8 @@ class QuadExt:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value equals, and so hashes as, the Fraction self.a
+        return hash(self.a) if self.d == 0 else hash((self.a, self.b, self.d))
 
     # -- floor / fractional part -------------------------------------------
 

@@ -130,7 +130,7 @@ def is_sum_of_two_squares(n: int) -> bool:
 
 def classify(p: SrgParams) -> SrgType:
     """Type I: conference parameter conditions; type II: integer eigenvalues."""
-    return _eigenvalues(p)[0]
+    return _int_spectrum(p)[0]
 
 
 def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
@@ -159,24 +159,20 @@ def _roots(p: SrgParams) -> tuple[bool, Optional[int], Optional[int]]:
     return conf, (d + t) // 2, (d - t) // 2
 
 
-def _eigenvalues(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int]]:
-    """(type, r, s) in integers, validating p once; r = s = None flags a
-    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2."""
+def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
+    """(type, r, s, f, g) in integers, validating p once.  This is the one
+    test of whether p has a spectrum, and every spectral function goes
+    through it: integer or conference eigenvalues, with nonnegative integral
+    multiplicities, or InfeasibleParamsError.  r = s = None flags a
+    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2, where
+    f = g = (v-1)/2; otherwise f, g come from the trace identities."""
     p.validate()
     conf, r, s = _roots(p)
-    if r is None and not conf:
-        raise InfeasibleParamsError(f"{p} is neither conference nor has integer eigenvalues")
-    tag = SrgType.TYPE_I_ONLY if r is None else SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
-    return tag, r, s
-
-
-def _int_multiplicities(p: SrgParams, r: Optional[int], s: Optional[int]) -> tuple[int, int]:
-    """(f, g) for the eigenvalues r, s of _eigenvalues(p): (v-1)/2 each for
-    irrational ones, otherwise from the trace identities, raising
-    InfeasibleParamsError unless both are nonnegative integers."""
     if r is None:
+        if not conf:
+            raise InfeasibleParamsError(f"{p} is neither conference nor has integer eigenvalues")
         f = (p.v - 1) // 2
-        return f, f
+        return SrgType.TYPE_I_ONLY, None, None, f, f
     t = r - s
     fg = _multiplicities(p, t)
     if fg is None:
@@ -186,7 +182,7 @@ def _int_multiplicities(p: SrgParams, r: Optional[int], s: Optional[int]) -> tup
             f"non-integral or negative multiplicities f={_ratio(m - n, 2 * t)}, "
             f"g={_ratio(m + n, 2 * t)}"
         )
-    return fg
+    return (SrgType.BOTH if conf else SrgType.TYPE_II_ONLY), r, s, *fg
 
 
 def _ratio(n: int, d: int) -> str:
@@ -194,12 +190,6 @@ def _ratio(n: int, d: int) -> str:
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
-    """(type, r, s, f, g) in integers, validating p once."""
-    tag, r, s = _eigenvalues(p)
-    return (tag, r, s, *_int_multiplicities(p, r, s))
 
 
 def spectrum(p: SrgParams) -> Spectrum:

@@ -421,16 +421,16 @@ class TestPredicates:
         assert improved_bound(SrgParams(144, 39, 6, 12)) == 4
         assert improved_bound(SrgParams(10, 3, 0, 1)) is None
 
-    def test_coconnected_checked_before_multiplicities(self):
-        # (5,3,1,3) has non-integral multiplicities, but the co-connected
-        # check comes first; (5,2,1,0) is co-connected and is rejected
-        p = SrgParams(5, 3, 1, 3)
-        assert improved_bound(p) is None
+    def test_multiplicities_checked_before_coconnected(self):
+        # (5,3,1,3) is not co-connected, but its multiplicities are checked
+        # first and are non-integral, as are those of the co-connected
+        # (5,2,1,0); K_{3x2} has a spectrum and is not co-connected
+        for p in (SrgParams(5, 3, 1, 3), SrgParams(5, 2, 1, 0)):
+            for check in (improved_bound, thm22_applies):
+                with pytest.raises(InfeasibleParamsError, match="multiplicities"):
+                    check(p)
         with pytest.raises(DegenerateParamsError):
-            thm22_applies(p)
-        for check in (improved_bound, thm22_applies):
-            with pytest.raises(InfeasibleParamsError, match="multiplicities"):
-                check(SrgParams(5, 2, 1, 0))
+            thm22_applies(SrgParams(6, 4, 2, 4))
 
     def test_improved_bound_matches_cab_on_table_rows(self):
         for tup in ((17, 8, 3, 4), (144, 39, 6, 12), (50, 7, 0, 1), (37, 18, 8, 9)):

@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -14,7 +13,7 @@ from srgbounds.catalog import (
     enumerate_feasible,
     scan_compare,
 )
-from srgbounds.srg import FeasibilityLevel, SrgParams, is_feasible
+from srgbounds.srg import FeasibilityLevel, InfeasibleParamsError, SrgParams, is_feasible, spectrum
 
 
 def key(p: SrgParams) -> tuple[int, int, int, int]:
@@ -40,17 +39,12 @@ def enumerate_feasible_bruteforce(v_max: int,
 
 
 def has_spectrum(p: SrgParams) -> bool:
-    """A square discriminant (lam-mu)^2 + 4(k-mu), or the conference
-    equations; a disjoint union of cliques K_{k+1} (mu = 0) or a complete
-    multipartite graph with parts of size k-lam (mu = k) needs that size to
-    divide v."""
-    if p.mu == 0:
-        return p.v % (p.k + 1) == 0
-    if p.mu == p.k:
-        return p.v % (p.k - p.lam) == 0
-    disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
-    conference = 2 * p.k == p.v - 1 and 4 * p.lam == p.v - 5 and 4 * p.mu == p.v - 1
-    return isqrt(disc) ** 2 == disc or conference
+    """spectrum(p) does not raise."""
+    try:
+        spectrum(p)
+    except InfeasibleParamsError:
+        return False
+    return True
 
 
 def render_rational(x: Fraction) -> str:
@@ -87,10 +81,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_matches_bruteforce_oracle(self, level):
-        # at COUNTING the enumeration keeps only the tuples a bound applies to
+        # the enumeration keeps only the tuples with a spectrum to bound,
+        # which from INTEGRALITY up is every feasible tuple
         fast = list(enumerate_feasible(150, level))
-        slow = [p for p in enumerate_feasible_bruteforce(150, level)
-                if level > FeasibilityLevel.COUNTING or has_spectrum(p)]
+        slow = [p for p in enumerate_feasible_bruteforce(150, level) if has_spectrum(p)]
         assert fast == slow
 
     def test_lexicographic_order(self):
@@ -121,6 +115,12 @@ class TestScanConfig:
 
 
 class TestScanCompare:
+    @pytest.mark.parametrize("level", list(FeasibilityLevel))
+    def test_reports_every_enumerated_tuple(self, level):
+        reports, stats = scan_compare(ScanConfig(v_max=300, level=level))
+        assert [r.params for r in reports] == list(enumerate_feasible(300, level))
+        assert stats.total == len(reports)
+
     def test_gap_never_negative(self):
         records, _ = scan_compare(ScanConfig(v_max=80))
         assert all(r.gap >= 0 for r in records)

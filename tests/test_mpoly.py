@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srgbounds.mpoly import VARS, ArityMismatchError, MPoly
 
@@ -99,6 +101,17 @@ class TestMPolyBasics:
                 assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
                 assert all(len(exp) == len(VARS) for exp in p.terms)
                 assert MPoly(p.terms).terms == p.terms
+
+    @given(q=st.one_of(st.integers(), st.fractions()),
+           other=st.one_of(st.integers(), st.fractions()))
+    def test_equal_values_hash_alike(self, q, other):
+        # x == y implies hash(x) == hash(y), also against ints and Fractions;
+        # the zero polynomial has no terms at all
+        x = MPoly.const(q)
+        for y in (q, Fraction(q), other, MPoly.const(other), MPoly.zero(), V("s") + q):
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+        assert q in {x} and x in {q}
 
 
 def rand_poly(rng, max_exp=3):

@@ -156,6 +156,16 @@ class TestArith:
         conj = QuadExt.make(a, -b, d)
         assert x * conj == a * a - b * b * d
 
+    @given(q=st.one_of(st.integers(), st.fractions()),
+           other=st.one_of(st.integers(), st.fractions()))
+    def test_equal_values_hash_alike(self, q, other):
+        # x == y implies hash(x) == hash(y), also against ints and Fractions
+        x = QuadExt.make(q)
+        for y in (q, Fraction(q), other, QuadExt.make(other), QuadExt.make(q, 1, 2)):
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+        assert q in {x} and x in {q}
+
 
 class TestSign:
     def test_sqrt17_minus_4_positive(self):

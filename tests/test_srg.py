@@ -5,7 +5,13 @@ from math import isqrt
 
 import pytest
 
-from srgbounds.cab import full_report
+from srgbounds.cab import (
+    delsarte_bound,
+    full_report,
+    improved_bound,
+    thm22_applies,
+    thm51_predicate,
+)
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -126,14 +132,27 @@ class TestSpectrum:
             spectrum(SrgParams(7, 2, 1, 0))
 
     def test_multiplicity_message_matches_fraction_oracle(self):
-        # the message prints f, g as Fractions do, without building them
+        # the message prints f, g as Fractions do, without building them.
+        # Eigenvalues r >= 1 and s = -a <= -2 give k = mu + ra and
+        # lam = mu + r - a, and the counting identity holds exactly when mu
+        # divides n = ra(r+1)(a-1), with v = base + mu + n/mu: every such
+        # tuple with v <= 700 is tried, whatever its multiplicities
         count = 0
-        for p in enumerate_feasible(700, FeasibilityLevel.COUNTING):
-            try:
-                spectrum(p)
-            except InfeasibleParamsError as exc:
-                assert str(exc) == multiplicity_message(p), p
-                count += 1
+        for a in range(2, 700):
+            for r in range(1, 700):
+                n = r * a * (r + 1) * (a - 1)
+                base = r * a + 1 + (r + 1) * (a - 1)
+                if base >= 700:
+                    break
+                for mu in range(max(1, a - r), 700 - base):
+                    if n % mu or base + mu + n // mu > 700:
+                        continue
+                    p = SrgParams(base + mu + n // mu, mu + r * a, mu + r - a, mu)
+                    try:
+                        spectrum(p)
+                    except InfeasibleParamsError as exc:
+                        assert str(exc) == multiplicity_message(p), p
+                        count += 1
         assert count == 10437
 
     def test_ratio_prints_as_fraction(self):
@@ -142,20 +161,26 @@ class TestSpectrum:
                 assert _ratio(n, d) == str(Fraction(n, d)), (n, d)
 
     def test_raises_exactly_when_integrality_rejects(self):
-        # spectrum(), full_report and the INTEGRALITY step derive the
-        # multiplicities alike, and the first two raise the same message;
-        # the sum-of-two-squares condition is the only rejection they ignore.
-        # The oracle yields every COUNTING tuple, non-square discriminants too
+        # one spectrum rule: every spectral function and the INTEGRALITY
+        # step derive the eigenvalues and multiplicities alike, and the
+        # functions raise the same message; the sum-of-two-squares condition
+        # is the only rejection they ignore.  Other ValueErrors (irrational
+        # eigenvalues for thm22, degenerate parameters) are answers.  The
+        # oracle yields every COUNTING tuple, non-square discriminants too
         spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
+        functions = (spectrum, full_report, classify, delsarte_bound, thm51_predicate,
+                     improved_bound, thm22_applies)
         for p in enumerate_feasible_bruteforce(150, FeasibilityLevel.COUNTING):
             ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
             errors = set()
-            for compute in (spectrum, full_report):
+            for compute in functions:
                 try:
                     compute(p)
                     errors.add(None)
                 except InfeasibleParamsError as exc:
                     errors.add(str(exc))
+                except ValueError:
+                    errors.add(None)
             assert len(errors) == 1, (p, errors)
             assert (errors != {None}) == (not ok and reason in spectral), p
 
