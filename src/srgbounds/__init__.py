@@ -7,9 +7,15 @@ Key entry points:
   * identities            symbolic verification of the bound identities
   * graphs                Paley graphs, the distance-3 fixture, max clique
   * catalog               feasible-tuple scans and emitters
+
+Importing the package loads only srg and cab.  QuadExt and the nine graph
+names (CliqueResult, Graph, paley, max_clique, ...) load on first access,
+which imports quadext or graphs then.  They stay in __all__ and dir(), so
+`from srgbounds import *` still binds them.
 """
 
-from .quadext import QuadExt
+import importlib
+
 from .srg import (
     EdgeRegularParams,
     FeasibilityLevel,
@@ -36,17 +42,27 @@ from .cab import (
     thm51_predicate,
     trivial_bound,
 )
-from .graphs import (
-    CliqueResult,
-    Graph,
-    heawood_line_distance3,
-    is_edge_regular,
-    is_strongly_regular,
-    line_graph,
-    distance_graph,
-    max_clique,
-    paley,
+
+# names served on first access by __getattr__ (PEP 562), with their modules
+_LAZY = {"QuadExt": "quadext"} | dict.fromkeys(
+    ("CliqueResult", "Graph", "heawood_line_distance3", "is_edge_regular",
+     "is_strongly_regular", "line_graph", "distance_graph", "max_clique", "paley"),
+    "graphs",
 )
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

@@ -3,11 +3,9 @@ guaranteeing that the clique adjacency bound beats the Delsarte bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .quadext import QuadExt
 from .srg import (
     DegenerateParamsError,
     EdgeRegularParams,
@@ -16,6 +14,9 @@ from .srg import (
     _int_spectrum,
     spectrum,
 )
+
+if TYPE_CHECKING:
+    from .quadext import QuadExt
 
 
 def cap_value(v, k, lam, x, y):
@@ -49,8 +50,7 @@ def cap_min_over_b(v: int, k: int, lam: int, y: int) -> tuple[int, int]:
     return b_lo, v_lo
 
 
-@dataclass(frozen=True, slots=True)
-class CabWitness:
+class CabWitness(NamedTuple):
     """Point certifying the clique adjacency bound: C(b, c_plus_1) = value < 0."""
 
     b: int
@@ -227,6 +227,8 @@ def delsarte_bound(p: SrgParams) -> int:
 
 def delsarte_prefloor(p: SrgParams) -> QuadExt:
     """The exact value 1 - k/s before flooring (connected parameters)."""
+    from .quadext import QuadExt
+
     return 1 - QuadExt.make(p.k) / spectrum(p).s
 
 
@@ -239,6 +241,8 @@ def hoffman_clique_bound(v: int, k_bar: int, s_bar: QuadExt) -> int:
 
 
 def hoffman_prefloor(v: int, k_bar: int, s_bar: QuadExt) -> QuadExt:
+    from .quadext import QuadExt
+
     return QuadExt.make(v) / (1 - QuadExt.make(k_bar) / s_bar)
 
 
@@ -301,8 +305,7 @@ def thm51_predicate(p: SrgParams) -> bool:
     return _thm51(p, _int_spectrum(p)[2])
 
 
-@dataclass(frozen=True, slots=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Every bound for one parameter tuple, plus the predicate outcomes."""
 
     params: SrgParams

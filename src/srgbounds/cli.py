@@ -1,6 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage error.
+
+Only the bounds core (srg, cab) loads with this module; each handler
+imports the catalog, graph and arithmetic modules it needs, so that
+`srgbounds bounds` starts without them.
 """
 
 from __future__ import annotations
@@ -9,24 +13,13 @@ import argparse
 import json
 import sys
 
-from . import catalog
 from .cab import (
     cab,
     full_report,
     hoffman_clique_bound,
     trivial_bound,
 )
-from .graphio import load_graph
-from .graphs import (
-    MAX_CLIQUE_VERTEX_LIMIT,
-    heawood_line_distance3,
-    is_edge_regular,
-    is_strongly_regular,
-    max_clique,
-    paley,
-)
-from .quadext import QuadExt
-from .srg import EdgeRegularParams, FeasibilityLevel, SrgParams, parse_params_string
+from .srg import FeasibilityLevel, SrgParams, parse_params_string
 
 _LEVELS = {
     "counting": FeasibilityLevel.COUNTING,
@@ -115,6 +108,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import catalog
+
     cfg = catalog.ScanConfig(
         v_max=args.max_v,
         level=_LEVELS[args.level],
@@ -179,6 +174,8 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_paley(args) -> int:
+    from .graphs import is_strongly_regular, max_clique, paley
+
     g = paley(args.p)
     srg = is_strongly_regular(g)
     print(f"paley({args.p}): {g.n} vertices, {g.edge_count()} edges")
@@ -194,6 +191,9 @@ def _cmd_paley(args) -> int:
 
 
 def _cmd_maxclique(args) -> int:
+    from .graphio import load_graph
+    from .graphs import MAX_CLIQUE_VERTEX_LIMIT, max_clique
+
     with open(args.file) as fh:
         g = load_graph(fh.read(), max_n=MAX_CLIQUE_VERTEX_LIMIT)
     res = max_clique(g)
@@ -203,6 +203,9 @@ def _cmd_maxclique(args) -> int:
 
 
 def _cmd_delta3(args) -> int:
+    from .graphs import heawood_line_distance3, is_edge_regular, is_strongly_regular, max_clique
+    from .quadext import QuadExt
+
     g = heawood_line_distance3()
     er = is_edge_regular(g)
     if er is None:
@@ -226,6 +229,8 @@ def _cmd_delta3(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import catalog
+
     cfg = catalog.ScanConfig(v_max=args.max_v)
     hits = catalog.conjecture_scan(cfg)
     if not hits:

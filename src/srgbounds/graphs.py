@@ -16,11 +16,9 @@ circulant, lam and mu are read from the pairs at vertex 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .quadext import factorize
 from .srg import EdgeRegularParams, SrgParams
 
 MAX_CLIQUE_VERTEX_LIMIT = 512
@@ -97,6 +95,8 @@ def _rotate(row: int, u: int, n: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
+    from .quadext import factorize
+
     # the least prime factor of n > 1 is n itself exactly when n is prime
     return n > 1 and next(factorize(n))[0] == n
 
@@ -241,8 +241,7 @@ def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
 # -- maximum clique ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     size: int
     witness: tuple[int, ...]
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .quadext import QuadExt, factorize
+if TYPE_CHECKING:
+    from .quadext import QuadExt
 
 
 class InfeasibleParamsError(ValueError):
@@ -35,8 +34,7 @@ class FeasibilityLevel(enum.IntEnum):
     ABSOLUTE_BOUND = 4
 
 
-@dataclass(frozen=True)
-class EdgeRegularParams:
+class EdgeRegularParams(NamedTuple):
     """(v, k, lam): v vertices, valency k, lam common neighbours per edge."""
 
     v: int
@@ -52,8 +50,7 @@ class EdgeRegularParams:
             raise InfeasibleParamsError(f"lambda={self.lam} out of range for k={self.k}")
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """(v, k, lam, mu) parameter tuple of a strongly regular graph.
 
     The record itself is permissive (feasibility checks accept arbitrary
@@ -92,8 +89,7 @@ class SrgParams:
         return self.v - 2 * self.k + self.lam > 0
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Exact eigenvalue data of a strongly regular graph.
 
     r >= s are the restricted eigenvalues with multiplicities f, g; for
@@ -125,6 +121,8 @@ def _is_conference(v: int, k: int, lam: int, mu: int) -> bool:
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff n = a^2 + b^2: every prime factor congruent to 3 mod 4 must
     occur to an even power."""
+    from .quadext import factorize
+
     return n >= 0 and all(p % 4 != 3 or e % 2 == 0 for p, e in factorize(n))
 
 
@@ -194,6 +192,10 @@ def _ratio(n: int, d: int) -> str:
 
 def spectrum(p: SrgParams) -> Spectrum:
     """Exact r >= s with r+s = lam-mu and rs = mu-k, plus multiplicities."""
+    from fractions import Fraction
+
+    from .quadext import QuadExt
+
     tag, r, s, f, g = _int_spectrum(p)
     if r is None:
         root, half = QuadExt.sqrt(p.v), Fraction(1, 2)
