@@ -36,10 +36,7 @@ from .cab import (
     delsarte_bound,
     full_report,
     hoffman_clique_bound,
-    improved_bound,
     thm21_applies,
-    thm22_applies,
-    thm51_predicate,
     trivial_bound,
 )
 
@@ -85,10 +82,7 @@ __all__ = [
     "delsarte_bound",
     "full_report",
     "hoffman_clique_bound",
-    "improved_bound",
     "thm21_applies",
-    "thm22_applies",
-    "thm51_predicate",
     "trivial_bound",
     "CliqueResult",
     "Graph",

@@ -1,5 +1,7 @@
 """Clique adjacency bound, Delsarte bound, Hoffman bound, and the predicates
-guaranteeing that the clique adjacency bound beats the Delsarte bound."""
+guaranteeing that the clique adjacency bound beats the Delsarte bound.
+full_report decides all of them from one integer spectrum; the private
+helpers _delsarte, _thm21, _thm22 and _thm51 carry the derivations."""
 
 from __future__ import annotations
 
@@ -7,12 +9,10 @@ from math import isqrt
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .srg import (
-    DegenerateParamsError,
     EdgeRegularParams,
     SrgParams,
     SrgType,
     _int_spectrum,
-    spectrum,
 )
 
 if TYPE_CHECKING:
@@ -210,7 +210,9 @@ def _delsarte(p: SrgParams, s: Optional[int]) -> int:
 
 
 def _thm51(p: SrgParams, s: Optional[int]) -> bool:
-    """-k/s >= lam + 1; for s is None, sqrt(v) >= lam + 2."""
+    """lam + 1 <= -k/s, exactly; for s is None, sqrt(v) >= lam + 2.  When
+    true the clique adjacency bound is pinned at the trivial value lam + 2.
+    Disconnected parameters (s = -1, k = lam + 1) always pass."""
     if s is None:
         return p.v >= (p.lam + 2) ** 2
     return p.k >= -s * (p.lam + 1)
@@ -223,13 +225,6 @@ def delsarte_bound(p: SrgParams) -> int:
     bound is lam + 2, the clique size of the disjoint union of cliques.
     """
     return _delsarte(p, _int_spectrum(p)[2])
-
-
-def delsarte_prefloor(p: SrgParams) -> QuadExt:
-    """The exact value 1 - k/s before flooring (connected parameters)."""
-    from .quadext import QuadExt
-
-    return 1 - QuadExt.make(p.k) / spectrum(p).s
 
 
 def hoffman_clique_bound(v: int, k_bar: int, s_bar: QuadExt) -> int:
@@ -267,42 +262,13 @@ def thm21_applies(v: int) -> bool:
 
 
 def _thm22(p: SrgParams, r: int, s: int) -> bool:
-    """0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam > 0: frc(-k/s)
+    """Improvement predicate for co-connected integer eigenvalues r > s:
+    0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam > 0.  frc(-k/s)
     is m/a for -s = a and k = qa + m, so clearing a and D gives
     0 < m and m*D < a*(D - r^2 - r)."""
     dd = p.v - 2 * p.k + p.lam
     m = p.k % -s
     return 0 < m and m * dd < -s * (dd - r * r - r)
-
-
-def thm22_applies(p: SrgParams) -> bool:
-    """Integer-eigenvalue improvement predicate:
-
-        0 < frc(-k/s) < 1 - (r^2 + r)/(v - 2k + lambda)
-
-    for co-connected parameters with integer eigenvalues.
-    """
-    _, r, s, _, _ = _int_spectrum(p)
-    if r is None:
-        raise ValueError(f"{p} has irrational eigenvalues")
-    if not p.is_coconnected():
-        raise DegenerateParamsError(f"{p} is not co-connected")
-    return _thm22(p, r, s)
-
-
-def improved_bound(p: SrgParams) -> Optional[int]:
-    """floor(sqrt(v) - 1) or floor(-k/s) when the matching predicate holds."""
-    _, r, s, _, _ = _int_spectrum(p)
-    if r is None:
-        # v is not a perfect square here, so floor(sqrt(v)-1) = isqrt(v)-1
-        return isqrt(p.v) - 1 if _thm21(p.v) else None
-    return p.k // -s if p.is_coconnected() and _thm22(p, r, s) else None
-
-
-def thm51_predicate(p: SrgParams) -> bool:
-    """lam + 1 <= -k/s, exactly; when true the clique adjacency bound is
-    pinned at the trivial value lam + 2."""
-    return _thm51(p, _int_spectrum(p)[2])
 
 
 class BoundsReport(NamedTuple):

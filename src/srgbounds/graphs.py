@@ -19,7 +19,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .srg import EdgeRegularParams, SrgParams
+from .srg import EdgeRegularParams, SrgParams, factorize
 
 MAX_CLIQUE_VERTEX_LIMIT = 512
 # largest p accepted by paley(): the primality test is O(sqrt(p)) trial
@@ -95,8 +95,6 @@ def _rotate(row: int, u: int, n: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    from .quadext import factorize
-
     # the least prime factor of n > 1 is n itself exactly when n is prime
     return n > 1 and next(factorize(n))[0] == n
 

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Union
+from typing import Union
+
+from .srg import factorize
 
 RationalLike = Union[int, Fraction]
 
@@ -23,23 +25,6 @@ class IncompatibleRadicandsError(ValueError):
 
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def factorize(n: int) -> Iterator[tuple[int, int]]:
-    """Yield (prime, exponent) for each prime factor of n in increasing
-    order; nothing for n <= 1.  Trial division: the numbers factored here
-    (radicands, conference v, Paley p) stay small."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            yield p, e
-        p += 1 if p == 2 else 2
-    if n > 1:
-        yield n, 1
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

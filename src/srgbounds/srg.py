@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .quadext import QuadExt
@@ -63,20 +63,9 @@ class SrgParams(NamedTuple):
     mu: int
 
     def validate(self) -> None:
-        if self.v < 2:
-            raise InfeasibleParamsError(f"v={self.v} < 2")
-        if not 0 < self.k <= self.v - 2:
-            raise InfeasibleParamsError(f"k={self.k} out of range for v={self.v}")
-        if not 0 <= self.lam <= self.k - 1:
-            raise InfeasibleParamsError(f"lambda={self.lam} out of range for k={self.k}")
-        if not 0 <= self.mu <= self.k:
-            raise InfeasibleParamsError(f"mu={self.mu} out of range for k={self.k}")
-        lhs = (self.v - self.k - 1) * self.mu
-        rhs = self.k * (self.k - self.lam - 1)
-        if lhs != rhs:
-            raise InfeasibleParamsError(
-                f"counting identity fails: (v-k-1)mu={lhs} != k(k-lambda-1)={rhs}"
-            )
+        failure = _counting_failure(*self)
+        if failure:
+            raise InfeasibleParamsError(failure[1])
 
     @property
     def edge_regular(self) -> EdgeRegularParams:
@@ -87,6 +76,26 @@ class SrgParams(NamedTuple):
 
     def is_coconnected(self) -> bool:
         return self.v - 2 * self.k + self.lam > 0
+
+
+def _counting_failure(v: int, k: int, lam: int, mu: int) -> Optional[tuple[str, str]]:
+    """(constraint name, error message) for the first counting constraint
+    that (v, k, lam, mu) fails, or None.  This is the one counting rule:
+    SrgParams.validate raises the message, is_feasible returns the name."""
+    if v < 2:
+        return "v>=2", f"v={v} < 2"
+    if not 0 < k <= v - 2:
+        return "0<k<=v-2", f"k={k} out of range for v={v}"
+    if not 0 <= lam <= k - 1:
+        return "0<=lambda<=k-1", f"lambda={lam} out of range for k={k}"
+    if not 0 <= mu <= k:
+        return "0<=mu<=k", f"mu={mu} out of range for k={k}"
+    lhs = (v - k - 1) * mu
+    rhs = k * (k - lam - 1)
+    if lhs != rhs:
+        return ("counting identity",
+                f"counting identity fails: (v-k-1)mu={lhs} != k(k-lambda-1)={rhs}")
+    return None
 
 
 class Spectrum(NamedTuple):
@@ -118,11 +127,26 @@ def _is_conference(v: int, k: int, lam: int, mu: int) -> bool:
     return 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
 
 
+def factorize(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (prime, exponent) for each prime factor of n in increasing
+    order; nothing for n <= 1.  Trial division: the numbers factored here
+    (radicands, conference v, Paley p) stay small."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff n = a^2 + b^2: every prime factor congruent to 3 mod 4 must
     occur to an even power."""
-    from .quadext import factorize
-
     return n >= 0 and all(p % 4 != 3 or e % 2 == 0 for p, e in factorize(n))
 
 
@@ -225,18 +249,10 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     (or the conference conditions); KREIN the two Krein inequalities evaluated
     exactly; ABSOLUTE_BOUND the absolute bound v <= f(f+3)/2, v <= g(g+3)/2.
     """
-    v, k, lam, mu = p.v, p.k, p.lam, p.mu
-    # counting
-    if v < 2:
-        return False, "v>=2"
-    if not 0 < k <= v - 2:
-        return False, "0<k<=v-2"
-    if not 0 <= lam <= k - 1:
-        return False, "0<=lambda<=k-1"
-    if not 0 <= mu <= k:
-        return False, "0<=mu<=k"
-    if (v - k - 1) * mu != k * (k - lam - 1):
-        return False, "counting identity"
+    v, k, lam, mu = p
+    failure = _counting_failure(v, k, lam, mu)
+    if failure:
+        return False, failure[0]
     # v-2k+lam >= 0 follows: for mu > 0, v-k-1 = k(k-lam-1)/mu >= k-lam-1,
     # and mu = 0 forces lam = k-1 with v-k-1 >= 1
     if level < FeasibilityLevel.INTEGRALITY:

@@ -13,11 +13,9 @@ from functools import lru_cache
 from srgbounds.cab import (
     cab,
     cap_value,
-    delsarte_prefloor,
     full_report,
     hoffman_clique_bound,
     hoffman_prefloor,
-    thm22_applies,
 )
 from srgbounds.catalog import ScanConfig, conjecture_scan, enumerate_feasible, scan_compare
 from srgbounds.graphs import (
@@ -201,7 +199,7 @@ def test_criterion_08_delsarte_equals_hoffman():
             if not (p.is_connected() and p.is_coconnected()):
                 continue
             spec = spectrum(p)
-            lhs = delsarte_prefloor(p)
+            lhs = 1 - QuadExt.make(p.k) / spec.s
             rhs = hoffman_prefloor(p.v, p.v - p.k - 1, -spec.r - 1)
             assert lhs == rhs, p
             checked += 1
@@ -224,7 +222,7 @@ def test_criterion_10_predicate_exclusivity():
             if 2 * p.k >= p.v:
                 continue  # visit each pair once via the sparse member
             q = complement(p)
-            if thm22_applies(p) and thm22_applies(q):
+            if full_report(p).thm22 and full_report(q).thm22:
                 both.append(p)
         assert both == []
 

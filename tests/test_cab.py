@@ -12,20 +12,15 @@ from srgbounds.cab import (
     cap_min_over_b,
     cap_value,
     delsarte_bound,
-    delsarte_prefloor,
     full_report,
     hoffman_clique_bound,
-    improved_bound,
     thm21_applies,
-    thm22_applies,
-    thm51_predicate,
     trivial_bound,
 )
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
-    DegenerateParamsError,
     EdgeRegularParams,
     InfeasibleParamsError,
     SrgParams,
@@ -368,7 +363,7 @@ class TestDelsarteHoffman:
         assert delsarte_bound(SrgParams(10, 4, 3, 0)) == 5
 
     def test_prefloor_exact(self):
-        pre = delsarte_prefloor(SrgParams(17, 8, 3, 4))
+        pre = 1 - QuadExt.make(8) / spectrum(SrgParams(17, 8, 3, 4)).s
         # 1 + 16/(1 + sqrt17) = 1 + (sqrt17 - 1) = sqrt17
         assert pre == QuadExt.sqrt(17)
 
@@ -388,7 +383,7 @@ class TestDelsarteHoffman:
         for tup in ((10, 3, 0, 1), (17, 8, 3, 4), (144, 39, 6, 12), (56, 10, 0, 2)):
             p = SrgParams(*tup)
             spec = spectrum(p)
-            lhs = delsarte_prefloor(p)
+            lhs = 1 - QuadExt.make(p.k) / spec.s
             rhs = hoffman_prefloor(p.v, p.v - p.k - 1, -spec.r - 1)
             assert lhs == rhs
 
@@ -407,30 +402,30 @@ class TestPredicates:
             thm21_applies(1)
 
     def test_thm22_examples(self):
-        assert thm22_applies(SrgParams(144, 39, 6, 12)) is True
-        assert thm22_applies(SrgParams(10, 3, 0, 1)) is False
+        assert full_report(SrgParams(144, 39, 6, 12)).thm22 is True
+        assert full_report(SrgParams(10, 3, 0, 1)).thm22 is False
 
-    def test_thm22_rejects_irrational(self):
-        with pytest.raises(ValueError):
-            thm22_applies(SrgParams(17, 8, 3, 4))
+    def test_thm22_false_on_conference(self):
+        # irrational eigenvalues: thm21 decides, thm22 does not apply
+        assert full_report(SrgParams(17, 8, 3, 4)).thm22 is False
 
     def test_improved_bound(self):
         # (17,8,3,4): floor(sqrt17 - 1) = 3 < delsarte 4
-        assert improved_bound(SrgParams(17, 8, 3, 4)) == 3
+        assert full_report(SrgParams(17, 8, 3, 4)).improved == 3
         # (144,39,6,12): floor(39/9) = 4 < delsarte 5
-        assert improved_bound(SrgParams(144, 39, 6, 12)) == 4
-        assert improved_bound(SrgParams(10, 3, 0, 1)) is None
+        assert full_report(SrgParams(144, 39, 6, 12)).improved == 4
+        assert full_report(SrgParams(10, 3, 0, 1)).improved is None
 
     def test_multiplicities_checked_before_coconnected(self):
         # (5,3,1,3) is not co-connected, but its multiplicities are checked
         # first and are non-integral, as are those of the co-connected
         # (5,2,1,0); K_{3x2} has a spectrum and is not co-connected
         for p in (SrgParams(5, 3, 1, 3), SrgParams(5, 2, 1, 0)):
-            for check in (improved_bound, thm22_applies):
+            for check in (full_report, delsarte_bound):
                 with pytest.raises(InfeasibleParamsError, match="multiplicities"):
                     check(p)
-        with pytest.raises(DegenerateParamsError):
-            thm22_applies(SrgParams(6, 4, 2, 4))
+        rep = full_report(SrgParams(6, 4, 2, 4))
+        assert rep.thm22 is False and rep.improved is None
 
     def test_improved_bound_matches_cab_on_table_rows(self):
         for tup in ((17, 8, 3, 4), (144, 39, 6, 12), (50, 7, 0, 1), (37, 18, 8, 9)):
@@ -441,18 +436,18 @@ class TestPredicates:
 
     def test_thm51(self):
         # (378,52,1,8): s = -11, lam+1 = 2 <= 52/11 -> True, and cab = lam+2 = 3
-        assert thm51_predicate(SrgParams(378, 52, 1, 8)) is True
+        assert full_report(SrgParams(378, 52, 1, 8)).thm51 is True
         # (10,6,3,4): s = -2, -k/s = 3 < lam+1 = 4 -> False
-        assert thm51_predicate(SrgParams(10, 6, 3, 4)) is False
+        assert full_report(SrgParams(10, 6, 3, 4)).thm51 is False
         # complete multipartite K_{3x2}: (6,4,2,4) has s=-2, -k/s=2 < lam+1=3
-        assert thm51_predicate(SrgParams(6, 4, 2, 4)) is False
+        assert full_report(SrgParams(6, 4, 2, 4)).thm51 is False
         # (9,4,1,2): s=-2, -k/s=2 = lam+1 -> True, and cab = lam+2 = 3
-        assert thm51_predicate(SrgParams(9, 4, 1, 2)) is True
+        assert full_report(SrgParams(9, 4, 1, 2)).thm51 is True
         assert cab(EdgeRegularParams(9, 4, 1))[0] == 3
         # disconnected: always true
-        assert thm51_predicate(SrgParams(10, 4, 3, 0)) is True
+        assert full_report(SrgParams(10, 4, 3, 0)).thm51 is True
 
-    @pytest.mark.parametrize("check", [delsarte_bound, thm51_predicate, improved_bound])
+    @pytest.mark.parametrize("check", [delsarte_bound])
     @pytest.mark.parametrize("tup", [(10, 4, 3, 0), (17, 8, 3, 4), (144, 39, 6, 12)],
                              ids=["mu0", "conference", "type-II"])
     def test_validates_once(self, monkeypatch, check, tup):
@@ -505,15 +500,12 @@ class TestFullReport:
             dels, thm51, thm22, improved = quadext_bounds(p)
             assert rep.delsarte == delsarte_bound(p) == dels, p
             assert rep.thm51 == thm51, p
-            assert thm51_predicate(p) == (True if p.mu == 0 else thm51), p
-            assert rep.improved == improved_bound(p) == improved, p
+            assert rep.improved == improved, p
             assert rep.thm22 == thm22, p
             if rep.type_tag is SrgType.TYPE_I_ONLY:
                 assert rep.thm21 == thm21_applies(p.v), p
             else:
                 assert rep.thm21 is False, p
-            if rep.type_tag is not SrgType.TYPE_I_ONLY and p.is_coconnected():
-                assert thm22_applies(p) == thm22, p
             if p.is_connected() and p.is_coconnected():
                 r = spectrum(p).r
                 assert rep.hoffman_complement == hoffman_clique_bound(

@@ -1,17 +1,12 @@
 import fractions
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
 
-from srgbounds.cab import (
-    delsarte_bound,
-    full_report,
-    improved_bound,
-    thm22_applies,
-    thm51_predicate,
-)
+from srgbounds.cab import delsarte_bound, full_report
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -84,6 +79,46 @@ class TestValidate:
             EdgeRegularParams(5, 5, 0).validate()
         with pytest.raises(InfeasibleParamsError):
             EdgeRegularParams(5, 2, 2).validate()
+
+    def test_raises_exactly_when_counting_rejects(self):
+        # one counting rule: validate raises for exactly the tuples that
+        # is_feasible rejects at COUNTING, negative entries included, and
+        # its message names the constraint that is_feasible returns
+        prefix = {
+            "v>=2": "v=",
+            "0<k<=v-2": "k=",
+            "0<=lambda<=k-1": "lambda=",
+            "0<=mu<=k": "mu=",
+            "counting identity": "counting identity fails: ",
+        }
+        rejected = Counter()
+        for v in range(-1, 13):
+            for k, lam, mu in product(range(-1, v + 1), repeat=3):
+                p = SrgParams(v, k, lam, mu)
+                ok, reason = is_feasible(p, FeasibilityLevel.COUNTING)
+                try:
+                    p.validate()
+                except InfeasibleParamsError as exc:
+                    assert not ok and str(exc).startswith(prefix[reason]), (p, reason, exc)
+                    rejected[reason] += 1
+                else:
+                    assert ok, (p, reason)
+        assert set(rejected) == set(prefix)
+
+    @pytest.mark.parametrize("tup, name, message", [
+        ((1, 1, 0, 0), "v>=2", "v=1 < 2"),
+        ((5, 4, 3, 0), "0<k<=v-2", "k=4 out of range for v=5"),
+        ((6, 2, 2, 0), "0<=lambda<=k-1", "lambda=2 out of range for k=2"),
+        ((6, 2, 0, 3), "0<=mu<=k", "mu=3 out of range for k=2"),
+        ((10, 3, 1, 1), "counting identity",
+         "counting identity fails: (v-k-1)mu=6 != k(k-lambda-1)=3"),
+    ], ids=["v", "k", "lambda", "mu", "identity"])
+    def test_message_per_constraint(self, tup, name, message):
+        p = SrgParams(*tup)
+        assert is_feasible(p, FeasibilityLevel.COUNTING) == (False, name)
+        with pytest.raises(InfeasibleParamsError) as exc:
+            p.validate()
+        assert str(exc.value) == message
 
 
 class TestClassify:
@@ -164,12 +199,10 @@ class TestSpectrum:
         # one spectrum rule: every spectral function and the INTEGRALITY
         # step derive the eigenvalues and multiplicities alike, and the
         # functions raise the same message; the sum-of-two-squares condition
-        # is the only rejection they ignore.  Other ValueErrors (irrational
-        # eigenvalues for thm22, degenerate parameters) are answers.  The
-        # oracle yields every COUNTING tuple, non-square discriminants too
+        # is the only rejection they ignore.  The oracle yields every
+        # COUNTING tuple, non-square discriminants too
         spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
-        functions = (spectrum, full_report, classify, delsarte_bound, thm51_predicate,
-                     improved_bound, thm22_applies)
+        functions = (spectrum, full_report, classify, delsarte_bound)
         for p in enumerate_feasible_bruteforce(150, FeasibilityLevel.COUNTING):
             ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
             errors = set()
@@ -179,8 +212,6 @@ class TestSpectrum:
                     errors.add(None)
                 except InfeasibleParamsError as exc:
                     errors.add(str(exc))
-                except ValueError:
-                    errors.add(None)
             assert len(errors) == 1, (p, errors)
             assert (errors != {None}) == (not ok and reason in spectral), p
 

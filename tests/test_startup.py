@@ -84,6 +84,21 @@ print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - seen)}))
         assert {"srgbounds.graphs", "srgbounds.graphio"} <= set(out["loaded"])
         assert (HEAVY - {"srgbounds.graphs", "srgbounds.graphio"}) & set(out["loaded"]) == set()
 
+    def test_paley_loads_no_quadext(self):
+        # the Paley primality test factors with srg.factorize, so building
+        # and checking a Paley graph needs neither QuadExt nor Fraction
+        code = """
+import json, sys
+import srgbounds.cli
+seen = set(sys.modules)
+rc = srgbounds.cli.main(["paley", "13", "--clique"])
+print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - seen)}))
+"""
+        out = probe(code)
+        assert out["rc"] == 0
+        assert "srgbounds.graphs" in out["loaded"]
+        assert (HEAVY - {"srgbounds.graphs"}) & set(out["loaded"]) == set()
+
 
 class TestRecords:
     def test_repr_unchanged(self):
