@@ -272,20 +272,41 @@ def _thm22(p: SrgParams, r: int, s: int) -> bool:
 
 
 class BoundsReport(NamedTuple):
-    """Every bound for one parameter tuple, plus the predicate outcomes."""
+    """Every bound for one parameter tuple, plus the predicate outcomes.
+
+    The fields are the independent results; trivial, delsarte_degenerate,
+    hoffman_complement, improved and gap are read off them."""
 
     params: SrgParams
     type_tag: SrgType
     cab: int
     cab_witness: CabWitness
     delsarte: int
-    delsarte_degenerate: bool
-    trivial: int
-    hoffman_complement: Optional[int]
     thm21: bool
     thm22: bool
     thm51: bool
-    improved: Optional[int]
+
+    @property
+    def trivial(self) -> int:
+        return self.params.lam + 2
+
+    @property
+    def delsarte_degenerate(self) -> bool:
+        """Disconnected (mu = 0): Delsarte is lam + 2, the clique size."""
+        return self.params.mu == 0
+
+    @property
+    def hoffman_complement(self) -> Optional[int]:
+        """The Hoffman bound of the complement, which equals Delsarte by
+        (1 - k/s)(1 - k_bar/s_bar) = v; None unless connected and
+        co-connected."""
+        p = self.params
+        return self.delsarte if p.mu > 0 and p.is_coconnected() else None
+
+    @property
+    def improved(self) -> Optional[int]:
+        """Delsarte - 1 when either improvement predicate holds."""
+        return self.delsarte - 1 if self.thm21 or self.thm22 else None
 
     @property
     def gap(self) -> int:
@@ -314,40 +335,18 @@ def full_report(p: SrgParams) -> BoundsReport:
     spectrum, with consistency assertions (cab <= trivial and cab <= delsarte)
     checked before returning.
 
-    Delsarte is 1 + floor(-k/s), and for mu = 0 (s = -1) that is lam + 2.  By
-    the identity (1 - k/s)(1 - k_bar/s_bar) = v the complement Hoffman bound
-    equals it, and either improvement predicate lowers it by one.
+    Delsarte is 1 + floor(-k/s), and for mu = 0 (s = -1) that is lam + 2.
+    Either improvement predicate lowers it by one.
     """
     tag, r, s, _, _ = _int_spectrum(p)
     # cab validates p a second time; it is called by its module-level name
     # so that perfbench can time the CAB walk on its own
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
-    coconnected = p.is_coconnected()
-
-    t21 = False
-    t22 = False
-    if s is None:
-        t21 = _thm21(p.v)
-    elif coconnected:
-        t22 = _thm22(p, r, s)
-
-    report = BoundsReport(
-        params=p,
-        type_tag=tag,
-        cab=cab_val,
-        cab_witness=witness,
-        delsarte=dels,
-        delsarte_degenerate=p.mu == 0,
-        trivial=p.lam + 2,
-        hoffman_complement=dels if p.mu > 0 and coconnected else None,
-        thm21=t21,
-        thm22=t22,
-        thm51=_thm51(p, s),
-        improved=dels - 1 if t21 or t22 else None,
-    )
-    if report.cab > report.trivial:
-        raise AssertionError(f"cab {report.cab} exceeds trivial bound for {p}")
-    if report.cab > report.delsarte:
-        raise AssertionError(f"cab {report.cab} exceeds Delsarte bound for {p}")
-    return report
+    if cab_val > p.lam + 2:
+        raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
+    if cab_val > dels:
+        raise AssertionError(f"cab {cab_val} exceeds Delsarte bound for {p}")
+    t21 = s is None and _thm21(p.v)
+    t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
+    return BoundsReport(p, tag, cab_val, witness, dels, t21, t22, _thm51(p, s))

@@ -21,7 +21,7 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .cab import BoundsReport, full_report
-from .srg import FeasibilityLevel, SrgParams, SrgType, is_feasible
+from .srg import FeasibilityLevel, SrgParams, SrgType, complement, is_feasible
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
@@ -170,19 +170,12 @@ class ScanStats:
         return self.pairs_type2_thm / self.pairs_type2_total if self.pairs_type2_total else 0.0
 
 
-def _key(p: SrgParams) -> tuple[int, int, int, int]:
-    return p.v, p.k, p.lam, p.mu
-
-
-def _complement_key(p: SrgParams) -> tuple[int, int, int, int]:
-    return p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2, p.v - 2 * p.k + p.lam
-
-
 def _keeps_pair_member(p: SrgParams) -> bool:
     """One member per complementary pair: True unless p is connected and
     co-connected with a complement tuple that sorts before it.  A pair with
-    v = 2k+1 has k = k_bar, so the tuple order, not k < v/2, picks the member."""
-    return not (p.is_connected() and p.is_coconnected()) or _key(p) <= _complement_key(p)
+    v = 2k+1 has k = k_bar, so the tuple order, not k < v/2, picks the member.
+    complement cannot raise here: p is connected and co-connected."""
+    return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
 
 
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
@@ -197,7 +190,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     reports = list(_reports(cfg))
 
     stats = ScanStats(total=len(reports))
-    thm22_by_key = {_key(r.params): r.thm22 for r in reports}
+    thm22_by_params = {r.params: r.thm22 for r in reports}
     for r in reports:
         p = r.params
         if r.type_tag is SrgType.TYPE_I_ONLY:
@@ -209,7 +202,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
             # a pair counts once, and is covered if either member triggers
             if _keeps_pair_member(p):
                 stats.pairs_type2_total += 1
-                stats.pairs_type2_thm += r.thm22 or thm22_by_key.get(_complement_key(p), False)
+                stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
 
     if cfg.pairs:
         reports = [r for r in reports if _keeps_pair_member(r.params)]
@@ -217,7 +210,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     if cfg.filter == "gap":
         # mirror curated catalogs: proven-nonexistent tuples are excluded
         reports = [r for r in reports
-                   if r.gap > 0 and _key(r.params) not in CURATED_NONEXISTENT]
+                   if r.gap > 0 and r.params not in CURATED_NONEXISTENT]
     elif cfg.filter == "thm":
         reports = [r for r in reports if r.thm21 or r.thm22]
     elif cfg.filter == "thm51":
@@ -262,11 +255,10 @@ def emit(reports: list[BoundsReport], fmt: str) -> str:
             row = {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu,
                    "type": r.type_tag.value, "cab": r.cab, "delsarte": r.delsarte,
                    "gap": r.gap, "thm21": r.thm21, "thm22": r.thm22, "thm51": r.thm51}
-            key = _key(p)
-            if key in CURATED_NONEXISTENT:
+            if p in CURATED_NONEXISTENT:
                 row["annotations"] = {"exists": "N"}
-            elif key in CURATED_NOTES:
-                row["annotations"] = CURATED_NOTES[key]
+            elif p in CURATED_NOTES:
+                row["annotations"] = CURATED_NOTES[p]
             rows.append(row)
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "table":

@@ -123,10 +123,6 @@ def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
     return SrgParams(*nums)
 
 
-def _is_conference(v: int, k: int, lam: int, mu: int) -> bool:
-    return 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
-
-
 def factorize(n: int) -> Iterator[tuple[int, int]]:
     """Yield (prime, exponent) for each prime factor of n in increasing
     order; nothing for n <= 1.  Trial division: the numbers factored here
@@ -155,56 +151,52 @@ def classify(p: SrgParams) -> SrgType:
     return _int_spectrum(p)[0]
 
 
-def _multiplicities(p: SrgParams, t: int) -> Optional[tuple[int, int]]:
-    """f, g = ((v-1)t -/+ (2k + (v-1)(lam-mu))) / 2t from the trace identities,
-    for an integer t = r - s > 0; None unless both are nonnegative integers."""
-    m = p.v - 1
-    f, rem = divmod(m * t - 2 * p.k - m * (p.lam - p.mu), 2 * t)
-    return None if rem or not 0 <= f <= m else (f, m - f)
-
-
-def _roots(p: SrgParams) -> tuple[bool, Optional[int], Optional[int]]:
-    """(conf, r, s) without validation, for mu <= k: conf flags the
-    conference conditions, and r, s are the integer restricted eigenvalues,
-    or None when the discriminant is not a square.
+def _spectrum_or_failure(p: SrgParams) -> tuple:
+    """For p passing COUNTING, its integer spectrum (type, r, s, f, g), or
+    (constraint name, error message) for the INTEGRALITY constraint it fails.
+    This is the one spectrum rule: _int_spectrum raises the message,
+    is_feasible returns the name and reads r, s, f, g.
 
     r, s = (lam-mu +/- t)/2 are the roots of x^2 - (lam-mu)x - (k-mu), with
     t^2 the discriminant, nonnegative as mu <= k.  When t is an integer so
-    are r and s (t has the parity of lam-mu, as disc = (lam-mu)^2 mod 4).
+    are r and s (t has the parity of lam-mu, as disc = (lam-mu)^2 mod 4),
+    and t >= 1, as t = 0 would need lam = mu = k.  r = s = None flags a
+    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2, where
+    f = g = (v-1)/2; otherwise f, g come from the trace identities.
     """
-    conf = _is_conference(p.v, p.k, p.lam, p.mu)
-    d = p.lam - p.mu
-    disc = d * d + 4 * (p.k - p.mu)
+    v, k, lam, mu = p
+    conf = 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
+    d = lam - mu
+    disc = d * d + 4 * (k - mu)
     t = isqrt(disc)
     if t * t != disc:
-        return conf, None, None
-    return conf, (d + t) // 2, (d - t) // 2
+        if not conf:
+            return ("conference or perfect-square discriminant",
+                    f"{p} is neither conference nor has integer eigenvalues")
+        f = (v - 1) // 2
+        return SrgType.TYPE_I_ONLY, None, None, f, f
+    # f, g = ((v-1)t -/+ n) / 2t; conference tuples have n = 0, so their
+    # multiplicities f = g = (v-1)/2 pass
+    m, n = (v - 1) * t, 2 * k + (v - 1) * d
+    f, rem = divmod(m - n, 2 * t)
+    if rem or not 0 <= f <= v - 1:
+        # printed as a Fraction prints
+        return ("integral multiplicities",
+                f"non-integral or negative multiplicities f={_ratio(m - n, 2 * t)}, "
+                f"g={_ratio(m + n, 2 * t)}")
+    tag = SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
+    return tag, (d + t) // 2, (d - t) // 2, f, v - 1 - f
 
 
 def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
-    """(type, r, s, f, g) in integers, validating p once.  This is the one
-    test of whether p has a spectrum, and every spectral function goes
-    through it: integer or conference eigenvalues, with nonnegative integral
-    multiplicities, or InfeasibleParamsError.  r = s = None flags a
-    conference tuple with irrational eigenvalues (-1 +/- sqrt(v))/2, where
-    f = g = (v-1)/2; otherwise f, g come from the trace identities."""
+    """(type, r, s, f, g) in integers, validating p once, or the
+    InfeasibleParamsError of the spectrum rule.  Every spectral function
+    goes through it."""
     p.validate()
-    conf, r, s = _roots(p)
-    if r is None:
-        if not conf:
-            raise InfeasibleParamsError(f"{p} is neither conference nor has integer eigenvalues")
-        f = (p.v - 1) // 2
-        return SrgType.TYPE_I_ONLY, None, None, f, f
-    t = r - s
-    fg = _multiplicities(p, t)
-    if fg is None:
-        # f, g = ((v-1)t -/+ n) / 2t, printed as a Fraction prints
-        m, n = (p.v - 1) * t, 2 * p.k + (p.v - 1) * (p.lam - p.mu)
-        raise InfeasibleParamsError(
-            f"non-integral or negative multiplicities f={_ratio(m - n, 2 * t)}, "
-            f"g={_ratio(m + n, 2 * t)}"
-        )
-    return (SrgType.BOTH if conf else SrgType.TYPE_II_ONLY), r, s, *fg
+    spec = _spectrum_or_failure(p)
+    if len(spec) == 2:
+        raise InfeasibleParamsError(spec[1])
+    return spec
 
 
 def _ratio(n: int, d: int) -> str:
@@ -257,17 +249,11 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     # and mu = 0 forces lam = k-1 with v-k-1 >= 1
     if level < FeasibilityLevel.INTEGRALITY:
         return True, None
-    # integrality.  Integer r, s have r - s = t >= 1, as t = 0 would need
-    # lam = mu = k.  Conference tuples have 2k + (v-1)(lam-mu) = 0, so their
-    # multiplicities f = g = (v-1)/2 pass.
-    conf, r, s = _roots(p)
-    if r is not None:
-        fg = _multiplicities(p, r - s)
-        if fg is None:
-            return False, "integral multiplicities"
-    elif not conf:
-        return False, "conference or perfect-square discriminant"
-    if conf and not is_sum_of_two_squares(v):
+    spec = _spectrum_or_failure(p)
+    if len(spec) == 2:
+        return False, spec[0]
+    tag, r, s, f, g = spec
+    if tag is not SrgType.TYPE_II_ONLY and not is_sum_of_two_squares(v):
         # a conference graph requires v to be a sum of two squares
         return False, "conference sum of two squares"
     if level < FeasibilityLevel.KREIN:
@@ -292,7 +278,6 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         return False, "Krein 2"
     if level < FeasibilityLevel.ABSOLUTE_BOUND:
         return True, None
-    f, g = fg
     if 2 * v > f * (f + 3):
         return False, "absolute bound (f)"
     if 2 * v > g * (g + 3):

@@ -498,6 +498,8 @@ class TestFullReport:
         for p in enumerate_feasible(500):
             rep = full_report(p)
             dels, thm51, thm22, improved = quadext_bounds(p)
+            assert rep.trivial == p.lam + 2, p
+            assert rep.delsarte_degenerate == (p.mu == 0), p
             assert rep.delsarte == delsarte_bound(p) == dels, p
             assert rep.thm51 == thm51, p
             assert rep.improved == improved, p

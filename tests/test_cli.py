@@ -49,10 +49,17 @@ class TestBounds:
         d = json.loads(out)
         assert d["cab"] == 4 and d["mu"] is None and d["delsarte"] is None
 
-    def test_infeasible_tuple_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "bounds", "10", "3", "1", "1")
+    @pytest.mark.parametrize("params, message", [
+        ("10 3 1 1", "error: counting identity fails: (v-k-1)mu=6 != k(k-lambda-1)=3"),
+        # edge-regular triples are validated by cab itself
+        ("21 21 3", "error: k=21 out of range for v=21"),
+        ("21 8 8", "error: lambda=8 out of range for k=8"),
+    ], ids=["srg", "edge-regular-k", "edge-regular-lambda"])
+    def test_infeasible_tuple_is_usage_error(self, capsys, params, message):
+        code, out, err = run(capsys, "bounds", *params.split())
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert err.splitlines() == [message]
 
     def test_garbage_params(self, capsys):
         code, _, err = run(capsys, "bounds", "not-a-number")
@@ -103,12 +110,26 @@ class TestBounds:
         assert rep.cab_witness.c_plus_1 == 4000000000
         assert elapsed < 0.05, f"full_report took {elapsed * 1e3:.1f} ms"
 
-    def test_invariant_violation_exits_1(self, capsys, monkeypatch):
+    def test_degenerate_tuple_text(self, capsys):
+        # 2*K_5: Delsarte is flagged degenerate, and a disconnected tuple has
+        # no complement Hoffman bound
+        code, out, _ = run(capsys, "bounds", "10", "4", "3", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert "delsarte        5  (degenerate: disconnected)" in lines
+        assert not any(line.startswith("hoffman (comp)") for line in lines)
+
+    @pytest.mark.parametrize("target, argv", [
+        ("srgbounds.cli.full_report", ["bounds", "17", "8", "3", "4"]),
+        # the scan relies on full_report's assertion, not a check of its own
+        ("srgbounds.catalog.full_report", ["scan", "--max-v", "60"]),
+    ], ids=["bounds", "scan"])
+    def test_invariant_violation_exits_1(self, capsys, monkeypatch, target, argv):
         def broken(p):
             raise AssertionError(f"cab 9 exceeds Delsarte bound for {p}")
 
-        monkeypatch.setattr("srgbounds.cli.full_report", broken)
-        code, out, err = run(capsys, "bounds", "17", "8", "3", "4")
+        monkeypatch.setattr(target, broken)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("invariant violation: cab 9 exceeds Delsarte bound")

@@ -198,11 +198,17 @@ class TestSpectrum:
     def test_raises_exactly_when_integrality_rejects(self):
         # one spectrum rule: every spectral function and the INTEGRALITY
         # step derive the eigenvalues and multiplicities alike, and the
-        # functions raise the same message; the sum-of-two-squares condition
-        # is the only rejection they ignore.  The oracle yields every
-        # COUNTING tuple, non-square discriminants too
-        spectral = {"integral multiplicities", "conference or perfect-square discriminant"}
+        # functions raise the same message, which matches the constraint name
+        # is_feasible returns; the sum-of-two-squares condition is the only
+        # rejection they ignore.  The oracle yields every COUNTING tuple,
+        # non-square discriminants too
+        message_of = {
+            "integral multiplicities": "non-integral or negative multiplicities f=",
+            "conference or perfect-square discriminant":
+                "is neither conference nor has integer eigenvalues",
+        }
         functions = (spectrum, full_report, classify, delsarte_bound)
+        seen = set()
         for p in enumerate_feasible_bruteforce(150, FeasibilityLevel.COUNTING):
             ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
             errors = set()
@@ -213,7 +219,12 @@ class TestSpectrum:
                 except InfeasibleParamsError as exc:
                     errors.add(str(exc))
             assert len(errors) == 1, (p, errors)
-            assert (errors != {None}) == (not ok and reason in spectral), p
+            assert (errors != {None}) == (not ok and reason in message_of), p
+            if errors != {None}:
+                (message,) = errors
+                assert message_of[reason] in message, (p, message)
+                seen.add(reason)
+        assert seen == set(message_of)
 
     def test_root_equations(self):
         for p in (PALEY17, PETERSEN, SrgParams(144, 39, 6, 12)):

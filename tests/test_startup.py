@@ -114,8 +114,7 @@ class TestRecords:
             "BoundsReport(params=SrgParams(v=17, k=8, lam=3, mu=4), "
             "type_tag=<SrgType.TYPE_I_ONLY: 'I'>, cab=3, "
             "cab_witness=CabWitness(b=1, c_plus_1=4, value=-2), delsarte=4, "
-            "delsarte_degenerate=False, trivial=5, hoffman_complement=4, "
-            "thm21=True, thm22=False, thm51=False, improved=3)")
+            "thm21=True, thm22=False, thm51=False)")
 
     def test_error_messages_print_the_tuple(self):
         with pytest.raises(InfeasibleParamsError) as exc:
