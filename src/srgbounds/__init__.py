@@ -37,7 +37,6 @@ from .cab import (
     full_report,
     hoffman_clique_bound,
     thm21_applies,
-    trivial_bound,
 )
 
 # names served on first access by __getattr__ (PEP 562), with their modules
@@ -83,7 +82,6 @@ __all__ = [
     "full_report",
     "hoffman_clique_bound",
     "thm21_applies",
-    "trivial_bound",
     "CliqueResult",
     "Graph",
     "heawood_line_distance3",

@@ -1,7 +1,7 @@
 """Clique adjacency bound, Delsarte bound, Hoffman bound, and the predicates
 guaranteeing that the clique adjacency bound beats the Delsarte bound.
 full_report decides all of them from one integer spectrum; the private
-helpers _delsarte, _thm21, _thm22 and _thm51 carry the derivations."""
+helpers _delsarte, _thm22 and _thm51 carry the derivations."""
 
 from __future__ import annotations
 
@@ -198,11 +198,6 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
 
 
-def trivial_bound(p: EdgeRegularParams) -> int:
-    """lam + 2: the largest clique size not excluded by C(0, y)."""
-    return p.lam + 2
-
-
 def _delsarte(p: SrgParams, s: Optional[int]) -> int:
     """1 + floor(-k/s) for the integer least eigenvalue s < 0; s is None for
     conference tuples, where -k/s = sqrt(v) - 1 with v not a square."""
@@ -241,11 +236,6 @@ def hoffman_prefloor(v: int, k_bar: int, s_bar: QuadExt) -> QuadExt:
     return QuadExt.make(v) / (1 - QuadExt.make(k_bar) / s_bar)
 
 
-def _thm21(v: int) -> bool:
-    m = isqrt(v) // 2  # floor(sqrt(v)/2) = floor(isqrt(v)/2)
-    return v != (2 * m) ** 2 and 16 * v + 20 < (8 * m + 2) ** 2
-
-
 def thm21_applies(v: int) -> bool:
     """Conference-graph improvement predicate on v vertices:
 
@@ -258,7 +248,8 @@ def thm21_applies(v: int) -> bool:
     """
     if v < 5 or v % 4 != 1:
         raise ValueError(f"v={v} must be >= 5 and congruent to 1 mod 4")
-    return _thm21(v)
+    m = isqrt(v) // 2  # floor(sqrt(v)/2) = floor(isqrt(v)/2)
+    return v != (2 * m) ** 2 and 16 * v + 20 < (8 * m + 2) ** 2
 
 
 def _thm22(p: SrgParams, r: int, s: int) -> bool:
@@ -313,22 +304,6 @@ class BoundsReport(NamedTuple):
         """How far the clique adjacency bound sits below Delsarte."""
         return self.delsarte - self.cab
 
-    def to_json_dict(self) -> dict:
-        return {
-            "v": self.params.v,
-            "k": self.params.k,
-            "lambda": self.params.lam,
-            "mu": self.params.mu,
-            "cab": self.cab,
-            "cab_witness_b": self.cab_witness.b,
-            "cab_witness_y": self.cab_witness.c_plus_1,
-            "delsarte": self.delsarte,
-            "trivial": self.trivial,
-            "thm21": self.thm21,
-            "thm22": self.thm22,
-            "improved": self.improved,
-        }
-
 
 def full_report(p: SrgParams) -> BoundsReport:
     """Compute every bound and predicate for one tuple from a single integer
@@ -347,6 +322,8 @@ def full_report(p: SrgParams) -> BoundsReport:
         raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
     if cab_val > dels:
         raise AssertionError(f"cab {cab_val} exceeds Delsarte bound for {p}")
-    t21 = s is None and _thm21(p.v)
+    # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
+    # thm21_applies cannot raise; it too is called by its module-level name
+    t21 = s is None and thm21_applies(p.v)
     t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
     return BoundsReport(p, tag, cab_val, witness, dels, t21, t22, _thm51(p, s))

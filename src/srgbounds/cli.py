@@ -13,12 +13,7 @@ import argparse
 import json
 import sys
 
-from .cab import (
-    cab,
-    full_report,
-    hoffman_clique_bound,
-    trivial_bound,
-)
+from .cab import cab, full_report, hoffman_clique_bound
 from .srg import FeasibilityLevel, SrgParams, parse_params_string
 
 _LEVELS = {
@@ -73,36 +68,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bounds(args) -> int:
     p = parse_params_string(" ".join(args.params))
-    if isinstance(p, SrgParams):
-        rep = full_report(p)
-        if args.json:
-            print(json.dumps(rep.to_json_dict()))
-        else:
-            print(f"parameters      ({p.v},{p.k},{p.lam},{p.mu})  type {rep.type_tag.value}")
-            print(f"cab             {rep.cab}  (witness C({rep.cab_witness.b},"
-                  f"{rep.cab_witness.c_plus_1}) = {rep.cab_witness.value})")
-            dstr = f"{rep.delsarte}" + ("  (degenerate: disconnected)" if rep.delsarte_degenerate else "")
-            print(f"delsarte        {dstr}")
-            print(f"trivial         {rep.trivial}")
-            if rep.hoffman_complement is not None:
-                print(f"hoffman (comp)  {rep.hoffman_complement}")
-            print(f"thm21/thm22     {rep.thm21}/{rep.thm22}")
-            if rep.improved is not None:
-                print(f"improved bound  {rep.improved}")
-            print(f"thm51 predicate {rep.thm51}")
+    # an edge-regular triple has no mu and no spectrum: it gets only the CAB
+    rep = full_report(p) if isinstance(p, SrgParams) else None
+    c, wit = cab(p) if rep is None else (rep.cab, rep.cab_witness)
+    if args.json:
+        print(json.dumps({
+            "v": p.v, "k": p.k, "lambda": p.lam,
+            "mu": None if rep is None else p.mu,
+            "cab": c, "cab_witness_b": wit.b, "cab_witness_y": wit.c_plus_1,
+            "delsarte": None if rep is None else rep.delsarte,
+            "trivial": p.lam + 2,
+            "thm21": rep is not None and rep.thm21,
+            "thm22": rep is not None and rep.thm22,
+            "improved": None if rep is None else rep.improved,
+        }))
+    elif rep is None:
+        print(f"parameters  ({p.v},{p.k},{p.lam})  edge-regular")
+        print(f"cab         {c}  (witness C({wit.b},{wit.c_plus_1}) = {wit.value})")
+        print(f"trivial     {p.lam + 2}")
     else:
-        c, wit = cab(p)
-        if args.json:
-            print(json.dumps({
-                "v": p.v, "k": p.k, "lambda": p.lam, "mu": None,
-                "cab": c, "cab_witness_b": wit.b, "cab_witness_y": wit.c_plus_1,
-                "delsarte": None, "trivial": trivial_bound(p),
-                "thm21": False, "thm22": False, "improved": None,
-            }))
-        else:
-            print(f"parameters  ({p.v},{p.k},{p.lam})  edge-regular")
-            print(f"cab         {c}  (witness C({wit.b},{wit.c_plus_1}) = {wit.value})")
-            print(f"trivial     {trivial_bound(p)}")
+        print(f"parameters      ({p.v},{p.k},{p.lam},{p.mu})  type {rep.type_tag.value}")
+        print(f"cab             {c}  (witness C({wit.b},{wit.c_plus_1}) = {wit.value})")
+        dstr = f"{rep.delsarte}" + ("  (degenerate: disconnected)" if rep.delsarte_degenerate else "")
+        print(f"delsarte        {dstr}")
+        print(f"trivial         {rep.trivial}")
+        if rep.hoffman_complement is not None:
+            print(f"hoffman (comp)  {rep.hoffman_complement}")
+        print(f"thm21/thm22     {rep.thm21}/{rep.thm22}")
+        if rep.improved is not None:
+            print(f"improved bound  {rep.improved}")
+        print(f"thm51 predicate {rep.thm51}")
     return 0
 
 

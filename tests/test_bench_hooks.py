@@ -13,6 +13,7 @@ from pathlib import Path
 
 import srgbounds.catalog as catalog
 from srgbounds.catalog import ScanConfig, scan_compare
+from srgbounds.srg import SrgType
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
@@ -79,3 +80,20 @@ def test_full_report_bounds_through_the_cab_name(monkeypatch):
     reports, _ = scan_compare(ScanConfig(v_max=20))
     assert reports
     assert calls == [(r.params.v, r.params.k, r.params.lam) for r in reports]
+
+
+def test_full_report_decides_thm21_through_its_name(monkeypatch):
+    # cab.predicates_s times thm21_applies as rebound in srgbounds.cab, so
+    # full_report must call it by that name, once per type-I report
+    calls = []
+    original = cab_module.thm21_applies
+
+    def counted(v):
+        calls.append(v)
+        return original(v)
+
+    monkeypatch.setattr(cab_module, "thm21_applies", counted)
+    reports, _ = scan_compare(ScanConfig(v_max=150))
+    type1 = [r for r in reports if r.type_tag is SrgType.TYPE_I_ONLY]
+    assert type1
+    assert calls == [r.params.v for r in type1]

@@ -2,7 +2,7 @@ import importlib
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import pytest
 
@@ -15,7 +15,6 @@ from srgbounds.cab import (
     full_report,
     hoffman_clique_bound,
     thm21_applies,
-    trivial_bound,
 )
 from srgbounds.catalog import enumerate_feasible
 from srgbounds.mpoly import MPoly
@@ -185,7 +184,7 @@ class TestCab:
             lam = rng.randint(0, k - 1)
             p = EdgeRegularParams(v, k, lam)
             c, _ = cab(p)
-            assert 2 <= c <= trivial_bound(p)
+            assert 2 <= c <= p.lam + 2
 
 
 class TestCabOracle:
@@ -471,23 +470,6 @@ class TestFullReport:
         assert rep.trivial == 3
         assert rep.type_tag is SrgType.TYPE_II_ONLY
 
-    def test_json_fields(self):
-        d = full_report(SrgParams(17, 8, 3, 4)).to_json_dict()
-        assert d == {
-            "v": 17,
-            "k": 8,
-            "lambda": 3,
-            "mu": 4,
-            "cab": 3,
-            "cab_witness_b": d["cab_witness_b"],
-            "cab_witness_y": 4,
-            "delsarte": 4,
-            "trivial": 5,
-            "thm21": True,
-            "thm22": False,
-            "improved": 3,
-        }
-
     def test_hoffman_agrees_with_delsarte(self):
         rep = full_report(SrgParams(144, 39, 6, 12))
         assert rep.hoffman_complement == rep.delsarte
@@ -514,6 +496,43 @@ class TestFullReport:
                     p.v, p.v - p.k - 1, -r - 1), p
             else:
                 assert rep.hoffman_complement is None, p
+
+
+@pytest.fixture(scope="module")
+def reports_3000():
+    return [full_report(p) for p in enumerate_feasible(3000)]
+
+
+class TestPredicatesExact:
+    """On the catalogue the predicates decide the improvement exactly: the
+    CAB sits below Delsarte when, and only when, one of them holds.  The
+    reports' own cab and delsarte are the oracle, so no float is involved."""
+
+    # type-I v <= 3000 with 16v + 20 = (8m + 2)^2, m = floor(sqrt(v)/2): the
+    # paper's strict inequality fails by equality.  An 80-digit Decimal
+    # evaluation of it calls 5, 41, 701 and 1805 true.
+    EQUALITY_V = (5, 41, 109, 505, 701, 929, 1189, 1481, 1805, 2161, 2549, 2969)
+
+    def test_improved_exactly_when_cab_beats_delsarte(self, reports_3000):
+        assert len(reports_3000) == 47721
+        wrong = [r.params for r in reports_3000
+                 if (r.improved is not None) != (r.cab < r.delsarte)]
+        assert wrong == []
+
+    def test_thm21_exactly_when_cab_beats_delsarte(self, reports_3000):
+        type1 = [r for r in reports_3000 if r.type_tag is SrgType.TYPE_I_ONLY]
+        assert len(type1) == 396
+        assert [r.params for r in type1 if r.thm21 != (r.cab < r.delsarte)] == []
+
+    def test_equality_cases(self, reports_3000):
+        type1 = {r.params.v: r for r in reports_3000
+                 if r.type_tag is SrgType.TYPE_I_ONLY}
+        assert tuple(v for v in sorted(type1)
+                     if 16 * v + 20 == (8 * (isqrt(v) // 2) + 2) ** 2) == self.EQUALITY_V
+        for v in self.EQUALITY_V:
+            rep = type1[v]
+            assert rep.params == SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4)
+            assert rep.thm21 is False and rep.cab == rep.delsarte, rep
 
 
 def quadext_bounds(p):

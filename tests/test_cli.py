@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srgbounds
-from srgbounds.cab import full_report
-from srgbounds.catalog import SCAN_MAX_V, ScanConfig
+from srgbounds.cab import cab, full_report
+from srgbounds.catalog import SCAN_MAX_V, ScanConfig, enumerate_feasible
 from srgbounds.cli import main
 from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
-from srgbounds.srg import FeasibilityLevel, SrgParams
+from srgbounds.srg import EdgeRegularParams, FeasibilityLevel, SrgParams
 
 SRC = os.path.dirname(os.path.dirname(srgbounds.__file__))
 
@@ -27,6 +28,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bounds_json(p):
+    """The answer of `bounds --json`, keys in order: a tuple's report, or for
+    an edge-regular triple its CAB with no mu, Delsarte or predicate."""
+    if isinstance(p, SrgParams):
+        rep = full_report(p)
+        c, wit = rep.cab, rep.cab_witness
+        mu, delsarte, thm21, thm22, improved = (
+            p.mu, rep.delsarte, rep.thm21, rep.thm22, rep.improved)
+    else:
+        c, wit = cab(p)
+        mu, delsarte, thm21, thm22, improved = None, None, False, False, None
+    return {
+        "v": p.v,
+        "k": p.k,
+        "lambda": p.lam,
+        "mu": mu,
+        "cab": c,
+        "cab_witness_b": wit.b,
+        "cab_witness_y": wit.c_plus_1,
+        "delsarte": delsarte,
+        "trivial": p.lam + 2,
+        "thm21": thm21,
+        "thm22": thm22,
+        "improved": improved,
+    }
 
 
 class TestBounds:
@@ -48,6 +76,29 @@ class TestBounds:
         assert code == 0
         d = json.loads(out)
         assert d["cab"] == 4 and d["mu"] is None and d["delsarte"] is None
+
+    def test_json_fields(self, capsys):
+        rng = random.Random(19)
+        triples = []
+        for _ in range(200):
+            v = rng.randint(3, 300)
+            k = rng.randint(1, v - 2)
+            triples.append(EdgeRegularParams(v, k, rng.randint(0, k - 1)))
+        for p in [*enumerate_feasible(300), *triples]:
+            code, out, _ = run(capsys, "bounds", *map(str, p), "--json")
+            assert code == 0
+            assert list(json.loads(out).items()) == list(bounds_json(p).items()), p
+
+    @pytest.mark.parametrize("params, stdout", [
+        ("17 8 3 4", '{"v": 17, "k": 8, "lambda": 3, "mu": 4, "cab": 3, '
+                     '"cab_witness_b": 1, "cab_witness_y": 4, "delsarte": 4, '
+                     '"trivial": 5, "thm21": true, "thm22": false, "improved": 3}\n'),
+        ("21 8 3", '{"v": 21, "k": 8, "lambda": 3, "mu": null, "cab": 4, '
+                   '"cab_witness_b": 1, "cab_witness_y": 5, "delsarte": null, '
+                   '"trivial": 5, "thm21": false, "thm22": false, "improved": null}\n'),
+    ], ids=["srg", "edge-regular"])
+    def test_json_stdout(self, capsys, params, stdout):
+        assert run(capsys, "bounds", *params.split(), "--json") == (0, stdout, "")
 
     @pytest.mark.parametrize("params, message", [
         ("10 3 1 1", "error: counting identity fails: (v-k-1)mu=6 != k(k-lambda-1)=3"),
