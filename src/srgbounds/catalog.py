@@ -9,8 +9,10 @@ conference tuples with non-square v = 1 (mod 4) cover the rest.  The
 generator only proposes: at every level it drops the r >= 1, a >= 2 tuples
 whose multiplicity f is fractional, so every candidate has a spectrum, but
 it skips conditions such as the sum of two squares and the Krein and
-absolute bounds, so is_feasible confirms every candidate and stays the one
-definition of feasibility.
+absolute bounds, so is_feasible confirms every candidate except the two
+proved families and stays the one definition of feasibility.  The family
+rows are built in closed form (_family_report), and full_report bounds the
+rest.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Optional
 
-from .cab import BoundsReport, full_report
+from .cab import BoundsReport, CabWitness, cap_min_over_b, full_report
 from .srg import FeasibilityLevel, SrgParams, SrgType, complement, is_feasible
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration sorts about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# CSV scan at v <= 10000 takes 7-8 s and 145-148 MB at every level, growing
-# with v
+# CSV scan at v <= 10000 takes 4.5-5.5 s and 135-138 MB at every level,
+# growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -137,13 +139,14 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     spectrum to bound, in lexicographic (v, k, lam, mu) order.  From
     INTEGRALITY up these are all the feasible tuples; at COUNTING they are
     the tuples for which spectrum() does not raise.  Disconnected (mu = 0)
-    and complete-multipartite tuples are included; callers filter on the
-    connectivity flags."""
+    and complete-multipartite (mu = k) tuples are included; callers filter
+    on the connectivity flags.  The generator's mu = 0 and mu = k tuples are
+    exactly m*K_c and K_{m x a}, which pass every level (_family_report), so
+    is_feasible confirms only the others."""
     for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max)):
         if v >= 5:
             p = SrgParams(v, k, lam, mu)
-            ok, _ = is_feasible(p, level)
-            if ok:
+            if mu == 0 or mu == k or is_feasible(p, level)[0]:
                 yield p
 
 
@@ -178,11 +181,45 @@ def _keeps_pair_member(p: SrgParams) -> bool:
     return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
 
 
+def _family_report(p: SrgParams) -> BoundsReport:
+    """full_report(p), in closed form, for a generator tuple with mu = 0 or
+    mu = k: (v, c-1, c-2, 0) with v = mc, the disjoint cliques m*K_c, or
+    (ma, (m-1)a, (m-2)a, (m-1)a), the complete multipartite K_{m x a}, with
+    m, c, a >= 2 and v >= 5.
+
+    Both pass every feasibility level.  COUNTING holds by construction:
+    k <= v-2, and (v-k-1)mu = k(k-lam-1), as 0 = 0 and (a-1)k = k(a-1).
+    INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is t^2 with t = c
+    (m*K_c: r = c-1, s = -1) or t = a (K_{m x a}: r = 0, s = -a), and the
+    nontrivial eigenvalue has integral multiplicity m-1 (f = m-1 for m*K_c,
+    g = m-1 for K_{m x a}); neither is a conference tuple (that needs
+    4mu = v-1 > 0, resp. 2k = v-1, i.e. (m-2)a = -1), so both are type II
+    and the sum of two squares is not asked.  KREIN and ABSOLUTE_BOUND
+    exempt both, as mu = 0, resp. v-2k+lam = 0.  The complement's
+    lam_bar = v-2k+mu-2 is v-2c = (m-2)c >= 0, resp. a-2 >= 0.
+
+    Bounds: cab() starts at y = lam+3 for m*K_c and at y = v/(v-k)+1 = m+1
+    for K_{m x a} (_start_level), and both levels hold a negative value
+    (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is y-1 with the
+    witness cap_min_over_b gives there, the probe cab() itself makes.
+    Delsarte 1 + k/-s is c = lam+2, resp. m, again y-1.  thm21 needs an
+    irrational spectrum and thm22 a fractional k/-s, which is c-1, resp.
+    m-1, so both are False; thm51, k >= -s(lam+1), holds for m*K_c and, as
+    (m-1)a >= a((m-2)a+1) iff (m-2)(a-1) <= 0, for K_{m x a} iff m = 2,
+    i.e. y = 3."""
+    v, k, lam, mu = p
+    y = lam + 3 if mu == 0 else v // (v - k) + 1
+    b, val = cap_min_over_b(v, k, lam, y)
+    return BoundsReport(p, SrgType.TYPE_II_ONLY, y - 1, CabWitness(b, y, val), y - 1,
+                        False, False, mu == 0 or y == 3)
+
+
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
-    """full_report of each enumerated tuple, in tuple order; every enumerated
-    tuple has a spectrum, so every one is reported."""
+    """The report of each enumerated tuple, in tuple order: the families
+    m*K_c and K_{m x a} in closed form, every other tuple from full_report.
+    Every enumerated tuple has a spectrum, so every one is reported."""
     for p in enumerate_feasible(cfg.v_max, cfg.level):
-        yield full_report(p)
+        yield _family_report(p) if p.mu == 0 or p.mu == p.k else full_report(p)
 
 
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from srgbounds.cab import full_report
 from srgbounds.catalog import (
     CSV_HEADER,
     CURATED_NONEXISTENT,
     CURATED_NOTES,
     ScanConfig,
+    _eigenvalue_candidates,
+    _family_report,
     conjecture_scan,
     emit,
     enumerate_feasible,
@@ -102,6 +105,39 @@ class TestEnumeration:
             if prev is not None:
                 assert cur <= prev
             prev = cur
+
+
+def family_tuples(v_max: int) -> list[SrgParams]:
+    """The generator's tuples with mu = 0 or mu = k and 5 <= v <= v_max."""
+    return [SrgParams(*t) for t in _eigenvalue_candidates(v_max)
+            if t[0] >= 5 and (t[3] == 0 or t[3] == t[1])]
+
+
+class TestFamilyReport:
+    def test_families_feasible_and_reported_exactly(self):
+        # the scan builds these rows without is_feasible or full_report,
+        # which stay the oracles
+        v_max = 3000
+        # m*K_c and K_{m x a}, built from m, c, a, with the complement's
+        # lambda: v-2c, resp. a-2
+        lam_bar = {}
+        for x in range(2, v_max // 2 + 1):
+            for m in range(2, v_max // x + 1):
+                if m * x >= 5:
+                    lam_bar[SrgParams(m * x, x - 1, x - 2, 0)] = m * x - 2 * x
+                    lam_bar[SrgParams(m * x, (m - 1) * x, (m - 2) * x, (m - 1) * x)] = x - 2
+        fams = family_tuples(v_max)
+        assert sorted(fams) == sorted(lam_bar)
+        for p in fams:
+            for level in FeasibilityLevel:
+                assert is_feasible(p, level) == (True, None), (p, level)
+            assert p.v - 2 * p.k + p.mu - 2 == lam_bar[p] >= 0, p
+            assert _family_report(p) == full_report(p), p
+
+    def test_closed_form_matches_full_report_to_v_10000(self):
+        fams = family_tuples(10000)
+        assert len(fams) == 147336
+        assert [p for p in fams if _family_report(p) != full_report(p)] == []
 
 
 class TestScanConfig:
