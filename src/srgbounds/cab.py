@@ -112,6 +112,19 @@ def _floor_root(n: int, sign: int, d: int, q: int) -> int:
     return (n - t - (t * t != d)) // q
 
 
+def _sign_change(cs: tuple[int, int, int, int], neg: int, pos: int) -> int:
+    """Bisect between neg, where the cubic cs is negative, and pos, where it
+    is not, for a cubic that changes sign once between them; return the
+    negative level next to the change."""
+    while abs(pos - neg) > 1:
+        mid = (neg + pos) // 2
+        if _cubic(cs, mid) < 0:
+            neg = mid
+        else:
+            pos = mid
+    return neg
+
+
 def _negative_runs(cs: tuple[int, int, int, int], lo: int,
                    hi: int) -> Iterator[tuple[int, int]]:
     """Yield, in increasing order, integer runs [a, b] covering exactly the
@@ -119,7 +132,9 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
 
     The range is cut after floor(r) for each real root r of P', so that P is
     monotone on every piece, and each piece's negative run is found by
-    bisection.  Everything is decided in integers.
+    bisection.  Everything is decided in integers.  cab() takes this path
+    only when the one-run lemma in its docstring does not apply: when the
+    start level is negative, or when the y^3 coefficient c3 is not negative.
     """
     c3, c2, c1, _ = cs
     cuts = []
@@ -138,16 +153,10 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
         neg_first, neg_last = _cubic(cs, first) < 0, _cubic(cs, last) < 0
         if neg_first and neg_last:
             yield first, last
-        elif neg_first or neg_last:
-            # bisect for the sign change, keeping the negative end at neg
-            neg, pos = (first, last) if neg_first else (last, first)
-            while abs(pos - neg) > 1:
-                mid = (neg + pos) // 2
-                if _cubic(cs, mid) < 0:
-                    neg = mid
-                else:
-                    pos = mid
-            yield (first, neg) if neg_first else (neg, last)
+        elif neg_first:
+            yield first, _sign_change(cs, first, last)
+        elif neg_last:
+            yield _sign_change(cs, last, first), last
         first = last + 1
 
 
@@ -168,23 +177,45 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
       real x.  P is a cubic in y, and its negative runs are isolated
       exactly in integers.
 
-    Every other level is still minimized over b by cap_min_over_b, so the
-    first negative level and its witness are those of the plain walk
-    y = 3, 4, ...  The start level is probed before any run is isolated:
-    it is the first level the walk would visit, and it decides the bound of
-    every m*K_c and K_{m x a} tuple and of most others.
+    The negative levels of P in [start, top], top = min(lam+3, v-1), are
+    found in one of two ways.  When P(start) >= 0 and c3 = 4(2k - lam - v)
+    < 0, they are one run [first, top], or none, and one bisection on
+    [start, top] finds first.  Proof: P(0) = -v^2 < 0 and P(y) -> +oo as
+    y -> -oo, so P has a root r0 < 0 and P(y) = (y - r0) Q(y), with Q a
+    quadratic of leading coefficient c3 < 0.  For y > r0, P(y) and Q(y)
+    have the same sign.  Q opens downward, so Q >= 0 exactly on an interval
+    [q1, q2], and start lies in it, as start >= 3 > r0 and P(start) >= 0.
+    So for y >= start, P(y) < 0 exactly when y > q2.  Most primitive
+    tuples (0 < mu < k) take this path: 1,251 of the 1,301 with v <= 500.
+    Otherwise, when P(start) < 0 or c3 >= 0 (2k - lam >= v, as for
+    K_{m x a}), _negative_runs cuts the range at the critical points of P
+    and bisects each piece.
+
+    Every level of those runs is still minimized over b by cap_min_over_b,
+    so the first negative level and its witness are those of the plain walk
+    y = 3, 4, ...  When P(start) < 0, the start level is probed before any
+    run is isolated: it is the first level the walk would visit, and it
+    decides the bound of every m*K_c and K_{m x a} tuple.
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
     start = _start_level(v, k, lam)
     top = min(lam + 3, v - 1)
     cs = _certificate_cubic(v, k, lam)
-    if start <= top and _cubic(cs, start) < 0:
+    if start > top:
+        runs = ()
+    elif _cubic(cs, start) < 0:
         b, val = cap_min_over_b(v, k, lam, start)
         if val < 0:
             return start - 1, CabWitness(b=b, c_plus_1=start, value=val)
-    # the start level is visited (or skipped) at most once: resume after it
-    for lo, hi in _negative_runs(cs, start + 1, top):
+        # the start level is visited once: resume after it
+        runs = _negative_runs(cs, start + 1, top)
+    elif cs[0] < 0:
+        # the one-run lemma: [first, top], or nothing
+        runs = ((_sign_change(cs, top, start), top),) if _cubic(cs, top) < 0 else ()
+    else:
+        runs = _negative_runs(cs, start + 1, top)
+    for lo, hi in runs:
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
@@ -315,7 +346,9 @@ def full_report(p: SrgParams) -> BoundsReport:
     """
     tag, r, s, _, _ = _int_spectrum(p)
     # cab validates p a second time; it is called by its module-level name
-    # so that perfbench can time the CAB walk on its own
+    # so that perfbench can time the CAB walk on its own.  Most primitive
+    # tuples take its one-run bisection (P(start) >= 0 and c3 < 0); the
+    # others probe the start level and cut and bisect the rest of the range
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     if cab_val > p.lam + 2:

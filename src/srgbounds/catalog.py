@@ -227,8 +227,10 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     reports = list(_reports(cfg))
 
     stats = ScanStats(total=len(reports))
-    thm22_by_params = {r.params: r.thm22 for r in reports}
-    for r in reports:
+    # the thm22 tuples seen so far; the walk runs backwards, so a complement
+    # that sorts after its pair's kept member is seen before that member
+    thm22 = set()
+    for r in reversed(reports):
         p = r.params
         if r.type_tag is SrgType.TYPE_I_ONLY:
             stats.type1_total += 1
@@ -236,10 +238,14 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
         elif p.is_connected() and p.is_coconnected():
             stats.type2_total += 1
             stats.type2_thm22 += r.thm22
-            # a pair counts once, and is covered if either member triggers
-            if _keeps_pair_member(p):
+            if r.thm22:
+                thm22.add(p)
+            # a pair counts once, at its kept member (_keeps_pair_member), and
+            # is covered if either member triggers
+            q = complement(p)
+            if p <= q:
                 stats.pairs_type2_total += 1
-                stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
+                stats.pairs_type2_thm += r.thm22 or q in thm22
 
     if cfg.pairs:
         reports = [r for r in reports if _keeps_pair_member(r.params)]
@@ -270,28 +276,27 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
 # -- emitters ----------------------------------------------------------------
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+_CSV_BOOL = ("false", "true")
+_TABLE_BOOL = (".", "Y")
+_TYPE = {t: t.value for t in SrgType}
 
 
 def emit(reports: list[BoundsReport], fmt: str) -> str:
-    """Deterministic rendering; identical inputs give byte-identical output."""
+    """Deterministic rendering; identical inputs give byte-identical output.
+    Each format unpacks a report once; gap is delsarte - cab."""
     if fmt == "csv":
         lines = [CSV_HEADER]
-        for r in reports:
-            p = r.params
-            lines.append(
-                f"{p.v},{p.k},{p.lam},{p.mu},{r.type_tag.value},{r.cab},"
-                f"{r.delsarte},{r.gap},{_bool(r.thm21)},{_bool(r.thm22)},{_bool(r.thm51)}"
-            )
+        for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
+            lines.append(f"{v},{k},{lam},{mu},{_TYPE[tag]},{c},{d},{d - c},"
+                         f"{_CSV_BOOL[t21]},{_CSV_BOOL[t22]},{_CSV_BOOL[t51]}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         rows = []
-        for r in reports:
-            p = r.params
-            row = {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu,
-                   "type": r.type_tag.value, "cab": r.cab, "delsarte": r.delsarte,
-                   "gap": r.gap, "thm21": r.thm21, "thm22": r.thm22, "thm51": r.thm51}
+        for p, tag, c, _, d, t21, t22, t51 in reports:
+            v, k, lam, mu = p
+            row = {"v": v, "k": k, "lambda": lam, "mu": mu, "type": _TYPE[tag],
+                   "cab": c, "delsarte": d, "gap": d - c,
+                   "thm21": t21, "thm22": t22, "thm51": t51}
             if p in CURATED_NONEXISTENT:
                 row["annotations"] = {"exists": "N"}
             elif p in CURATED_NOTES:
@@ -301,12 +306,11 @@ def emit(reports: list[BoundsReport], fmt: str) -> str:
     if fmt == "table":
         header = f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}  {'t21':>3}  {'t22':>3}  {'t51':>3}"
         lines = [header, "-" * len(header)]
-        for r in reports:
-            p = r.params
-            tup = f"({p.v},{p.k},{p.lam},{p.mu})"
+        for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
+            tup = f"({v},{k},{lam},{mu})"
             lines.append(
-                f"{tup:>22}  {r.type_tag.value:>4}  {r.cab:>3}  {r.delsarte:>4}  {r.gap:>3}"
-                f"  {'Y' if r.thm21 else '.':>3}  {'Y' if r.thm22 else '.':>3}  {'Y' if r.thm51 else '.':>3}"
+                f"{tup:>22}  {_TYPE[tag]:>4}  {c:>3}  {d:>4}  {d - c:>3}"
+                f"  {_TABLE_BOOL[t21]:>3}  {_TABLE_BOOL[t22]:>3}  {_TABLE_BOOL[t51]:>3}"
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -257,6 +257,37 @@ class TestCabOracle:
         assert cab(p) != cab_linear(p)
 
 
+class TestOneRunLemma:
+    """Where c3 < 0 and P(start) >= 0, the negative levels of P in
+    [start, top] are one run that ends at top, and cab() finds it with one
+    bisection, without _negative_runs."""
+
+    def test_one_run_on_scan_and_random_triples(self, monkeypatch):
+        def refused(cs, lo, hi):
+            raise AssertionError("the one-run branch must not cut the range")
+
+        scan = [p.edge_regular for p in enumerate_feasible(3000)]
+        randoms = [p for seed in (6, 7) for p in random_triples(seed, 1200, 3000)]
+        fired = {"scan": 0, "random": 0}
+        for source, triples in (("scan", scan), ("random", randoms)):
+            for p in triples:
+                v, k, lam = p
+                start, top = cab_module._start_level(v, k, lam), min(lam + 3, v - 1)
+                cs = cab_module._certificate_cubic(v, k, lam)
+                if start > top or cs[0] >= 0 or cab_module._cubic(cs, start) < 0:
+                    continue
+                neg = [y for y in range(start, top + 1) if cab_module._cubic(cs, y) < 0]
+                assert neg == list(range(neg[0], top + 1)) if neg else True, p
+                with monkeypatch.context() as m:
+                    m.setattr(cab_module, "_negative_runs", refused)
+                    got = cab(p)
+                assert got == cab_linear(p), p
+                fired[source] += 1
+        # 10,102 of the 10,729 primitive scan tuples (0 < mu < k)
+        assert fired["scan"] >= 10000
+        assert fired["random"] > 300
+
+
 class TestCertificate:
     X, Y, V, K, LAM = (MPoly.var(n) for n in ("b", "c", "v", "k", "lam"))
 

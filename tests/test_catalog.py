@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from srgbounds.catalog import (
     CURATED_NONEXISTENT,
     CURATED_NOTES,
     ScanConfig,
+    ScanStats,
     _eigenvalue_candidates,
     _family_report,
     conjecture_scan,
@@ -16,7 +18,15 @@ from srgbounds.catalog import (
     enumerate_feasible,
     scan_compare,
 )
-from srgbounds.srg import FeasibilityLevel, InfeasibleParamsError, SrgParams, is_feasible, spectrum
+from srgbounds.srg import (
+    FeasibilityLevel,
+    InfeasibleParamsError,
+    SrgParams,
+    SrgType,
+    complement,
+    is_feasible,
+    spectrum,
+)
 
 
 def key(p: SrgParams) -> tuple[int, int, int, int]:
@@ -48,6 +58,26 @@ def has_spectrum(p: SrgParams) -> bool:
     except InfeasibleParamsError:
         return False
     return True
+
+
+def scan_stats_reference(reports) -> ScanStats:
+    """The oracle for scan_compare's one-pass stats: a dict of every
+    tuple's thm22, then a second pass that looks each kept pair member's
+    complement up in it."""
+    stats = ScanStats(total=len(reports))
+    thm22_by_params = {r.params: r.thm22 for r in reports}
+    for r in reports:
+        p = r.params
+        if r.type_tag is SrgType.TYPE_I_ONLY:
+            stats.type1_total += 1
+            stats.type1_thm21 += r.thm21
+        elif p.is_connected() and p.is_coconnected():
+            stats.type2_total += 1
+            stats.type2_thm22 += r.thm22
+            if p <= complement(p):
+                stats.pairs_type2_total += 1
+                stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
+    return stats
 
 
 def render_rational(x: Fraction) -> str:
@@ -209,6 +239,19 @@ class TestScanCompare:
     def test_pair_totals(self, v_max, pairs, covered):
         _, stats = scan_compare(ScanConfig(v_max=v_max))
         assert (stats.pairs_type2_total, stats.pairs_type2_thm) == (pairs, covered)
+
+    @pytest.mark.parametrize("level", list(FeasibilityLevel))
+    def test_stats_match_two_pass_oracle(self, level):
+        reports, stats = scan_compare(ScanConfig(v_max=3000, level=level))
+        want = scan_stats_reference(reports)
+        assert len(dataclasses.fields(ScanStats)) == 7
+        assert dataclasses.astuple(stats) == dataclasses.astuple(want)
+        assert want.pairs_type2_thm > 0
+
+    def test_stats_up_to_1300(self):
+        # the --stats lines of the headline scan
+        _, stats = scan_compare(ScanConfig(v_max=1300))
+        assert dataclasses.astuple(stats) == (18011, 177, 46, 3966, 493, 1982, 493)
 
     def test_pairs_row_count(self):
         kept, _ = scan_compare(ScanConfig(v_max=150, pairs=True))
