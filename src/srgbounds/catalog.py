@@ -6,13 +6,16 @@ eigenvalues r >= 0 > s = -a.  For r >= 1, a >= 2 and mu >= 1, k = mu + ra
 and lam = mu + r - a, so mu divides ra(r+1)(a-1) and
 v = k + 1 + k(r+1)(a-1)/mu; the families m*K_c, K_{m x a} and the
 conference tuples with non-square v = 1 (mod 4) cover the rest.  The
-generator only proposes: at every level it drops the r >= 1, a >= 2 tuples
-whose multiplicity f is fractional, so every candidate has a spectrum, but
-it skips conditions such as the sum of two squares and the Krein and
-absolute bounds, so is_feasible confirms every candidate except the two
-proved families and stays the one definition of feasibility.  The family
-rows are built in closed form (_family_report), and full_report bounds the
-rest.
+generator drops the r >= 1, a >= 2 tuples whose multiplicity f is
+fractional, so every candidate has a spectrum, and hands each r >= 1,
+a >= 2 tuple on with its spectrum (r, -a, f, g).  It skips the Krein and
+absolute bounds, and for the irrational conference tuples the sum of two
+squares.  So the scan confirms a tuple that carries its spectrum with the
+srg Krein and absolute-bound rule alone, and is_feasible confirms only
+the irrational conference tuples; is_feasible stays the one definition
+of feasibility and the oracle in the tests.  The family rows pass every
+level and are built in closed form (_family_report), and full_report
+bounds the rest.
 """
 
 from __future__ import annotations
@@ -23,14 +26,22 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .cab import BoundsReport, CabWitness, cap_min_over_b, full_report
-from .srg import FeasibilityLevel, SrgParams, SrgType, complement, is_feasible
+from .srg import (
+    FeasibilityLevel,
+    SrgParams,
+    SrgType,
+    _complement,
+    _krein_absolute_failure,
+    complement,
+    is_feasible,
+)
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration sorts about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# CSV scan at v <= 10000 takes 4.5-5.5 s and 135-138 MB at every level,
-# growing with v
+# fresh CSV scan at v <= 10000 takes 3.5-4.6 s and 141-144 MB at every
+# level on a 2-core machine, growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -89,39 +100,51 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
-def _eigenvalue_candidates(v_max: int) -> Iterator[tuple[int, int, int, int]]:
+def _eigenvalue_candidates(v_max: int) -> Iterator[tuple]:
     """Each tuple once, the tuples with v <= v_max that pass COUNTING and
     have a spectrum: integer restricted eigenvalues r >= 0 > s = -a, or the
     conference conditions with irrational eigenvalues, and integral
     multiplicities.  This is a superset of the tuples that pass
-    INTEGRALITY."""
+    INTEGRALITY.  Each comes as (v, k, lam, mu, spec): spec is the integer
+    spectrum (r, -a, f, g) that _spectrum_or_failure would derive, built
+    here for every r >= 1, a >= 2 tuple, and None for the families m*K_c
+    and K_{m x a} and for the irrational conference tuples.  A tuple comes
+    once, so sorting never compares two specs."""
     for c in range(2, v_max // 2 + 1):  # m*K_c: r = c-1, a = 1
         for v in range(2 * c, v_max + 1, c):
-            yield v, c - 1, c - 2, 0
+            yield v, c - 1, c - 2, 0, None
     for a in range(2, v_max // 2 + 1):  # K_{m x a}: r = 0
         for k in range(a, v_max - a + 1, a):
-            yield k + a, k, k - a, k
+            yield k + a, k, k - a, k, None
     for v in range(5, v_max + 1, 4):
         if isqrt(v) ** 2 != v:
-            yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4
+            yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4, None
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
-    # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 sqrt(n).
-    # With lam - mu = r - a, the multiplicity f = ((v-1)(r+a) - 2k -
-    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a), and when it is an
-    # integer so is g = v-1-f; both are positive, as k <= v-2
+    # n = ra(r+1)(a-1), and then v = base + mu + n/mu.  With room =
+    # v_max - base, v <= v_max iff mu^2 - room*mu + n <= 0, so the smaller
+    # divisor d <= sqrt(n) of a pair is at least (room - sqrt(room^2-4n))/2;
+    # the isqrt start is that bound rounded down or one below it, and the
+    # v check below stays.  With lam - mu = r - a, the multiplicity f =
+    # ((v-1)(r+a) - 2k - (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a),
+    # and when it is an integer so is g = v-1-f; both are positive, as
+    # k <= v-2
     a = 2
     while _least_v(a, 1) <= v_max:
         r = 1
         while _least_v(a, r) <= v_max:
             n = r * a * (r + 1) * (a - 1)
             base = r * a + 1 + (r + 1) * (a - 1)
-            for d in range(1, isqrt(n) + 1):
-                if n % d == 0 and base + d + n // d <= v_max:
-                    for mu in {d, n // d}:
-                        if mu + r >= a:
-                            v, k = base + mu + n // mu, mu + r * a
-                            if ((v - 1) * a - k) % (r + a) == 0:
-                                yield v, k, mu + r - a, mu
+            room = v_max - base
+            gap = room * room - 4 * n
+            if gap >= 0:
+                for d in range(max(1, (room - isqrt(gap)) // 2), isqrt(n) + 1):
+                    if n % d == 0 and base + d + n // d <= v_max:
+                        for mu in {d, n // d}:
+                            if mu + r >= a:
+                                v, k = base + mu + n // mu, mu + r * a
+                                f, rem = divmod((v - 1) * a - k, r + a)
+                                if not rem:
+                                    yield v, k, mu + r - a, mu, (r, -a, f, v - 1 - f)
             r += 1
         a += 1
 
@@ -140,14 +163,31 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     INTEGRALITY up these are all the feasible tuples; at COUNTING they are
     the tuples for which spectrum() does not raise.  Disconnected (mu = 0)
     and complete-multipartite (mu = k) tuples are included; callers filter
-    on the connectivity flags.  The generator's mu = 0 and mu = k tuples are
-    exactly m*K_c and K_{m x a}, which pass every level (_family_report), so
-    is_feasible confirms only the others."""
-    for v, k, lam, mu in sorted(_eigenvalue_candidates(v_max)):
+    on the connectivity flags.
+
+    is_feasible confirms only the irrational conference candidates.  The
+    generator's mu = 0 and mu = k tuples are exactly m*K_c and K_{m x a},
+    which pass every level (_family_report).  A candidate that carries its
+    spectrum (r, -a, f, g), r >= 1, a >= 2, needs only the Krein and
+    absolute-bound rule, as is_feasible would reach that rule with the same
+    r, s, f, g:
+    - it passes COUNTING by construction: mu >= 1, k = mu + ra > mu,
+      0 <= lam = mu + r - a <= k - 1 as (r+1)(1-a) < 0, and
+      v - k - 1 = k(r+1)(a-1)/mu = k(k-lam-1)/mu >= 2, which is the
+      counting identity and gives k <= v - 2;
+    - it passes INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is
+      (r+a)^2, so _spectrum_or_failure finds r and s = -a, and the
+      generator kept only integral f; a type I+II tuple has
+      v = 4mu + 1 = (r+a)^2, a square and so a sum of two squares;
+    - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
+      neither exemption applies."""
+    for v, k, lam, mu, spec in sorted(_eigenvalue_candidates(v_max)):
         if v >= 5:
-            p = SrgParams(v, k, lam, mu)
-            if mu == 0 or mu == k or is_feasible(p, level)[0]:
-                yield p
+            if spec is not None:
+                if _krein_absolute_failure(v, k, *spec, level) is None:
+                    yield SrgParams(v, k, lam, mu)
+            elif mu == 0 or mu == k or is_feasible(SrgParams(v, k, lam, mu), level)[0]:
+                yield SrgParams(v, k, lam, mu)
 
 
 @dataclass
@@ -226,26 +266,30 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     """Full bounds report per feasible tuple, deterministic tuple order."""
     reports = list(_reports(cfg))
 
-    stats = ScanStats(total=len(reports))
-    # the thm22 tuples seen so far; the walk runs backwards, so a complement
-    # that sorts after its pair's kept member is seen before that member
+    # thm22 holds the thm22 tuples seen so far: the walk runs backwards, so a
+    # complement that sorts after its pair's kept member is seen before that
+    # member
+    type1 = type1_thm21 = type2 = type2_thm22 = pairs = pairs_thm = 0
     thm22 = set()
-    for r in reversed(reports):
-        p = r.params
-        if r.type_tag is SrgType.TYPE_I_ONLY:
-            stats.type1_total += 1
-            stats.type1_thm21 += r.thm21
-        elif p.is_connected() and p.is_coconnected():
-            stats.type2_total += 1
-            stats.type2_thm22 += r.thm22
-            if r.thm22:
+    type_i = SrgType.TYPE_I_ONLY  # read once: an enum member lookup is a slow class attribute
+    for p, tag, _, _, _, t21, t22, _ in reversed(reports):
+        v, k, lam, mu = p
+        if tag is type_i:
+            type1 += 1
+            type1_thm21 += t21
+        elif mu > 0 and v - 2 * k + lam > 0:  # connected and co-connected
+            type2 += 1
+            type2_thm22 += t22
+            if t22:
                 thm22.add(p)
             # a pair counts once, at its kept member (_keeps_pair_member), and
-            # is covered if either member triggers
-            q = complement(p)
+            # is covered if either member triggers; p passed COUNTING, so
+            # its complement needs no second validation
+            q = _complement(v, k, lam, mu)
             if p <= q:
-                stats.pairs_type2_total += 1
-                stats.pairs_type2_thm += r.thm22 or q in thm22
+                pairs += 1
+                pairs_thm += t22 or q in thm22
+    stats = ScanStats(len(reports), type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
     if cfg.pairs:
         reports = [r for r in reports if _keeps_pair_member(r.params)]

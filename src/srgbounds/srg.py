@@ -230,7 +230,13 @@ def complement(p: SrgParams) -> SrgParams:
         raise DegenerateParamsError(f"{p} is disconnected (mu=0)")
     if p.v - 2 * p.k + p.lam == 0:
         raise DegenerateParamsError(f"{p} is complete multipartite (v-2k+lambda=0)")
-    return SrgParams(p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2, p.v - 2 * p.k + p.lam)
+    return _complement(*p)
+
+
+def _complement(v: int, k: int, lam: int, mu: int) -> SrgParams:
+    """The one complement formula, without complement's checks: for callers
+    that already hold a valid, connected and co-connected tuple."""
+    return SrgParams(v, v - k - 1, v - 2 * k + mu - 2, v - 2 * k + lam)
 
 
 def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[str]]:
@@ -256,8 +262,6 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     if tag is not SrgType.TYPE_II_ONLY and not is_sum_of_two_squares(v):
         # a conference graph requires v to be a sum of two squares
         return False, "conference sum of two squares"
-    if level < FeasibilityLevel.KREIN:
-        return True, None
     if mu == 0 or v - 2 * k + lam == 0:
         # Krein and absolute-bound conditions apply to primitive parameter
         # tuples only; disjoint unions of cliques and complete multipartite
@@ -271,15 +275,27 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
         # lam = (v-5)/4 >= 0.  f = g = (v-1)/2 meets the absolute bound,
         # since g(g+3) - 2v = (v-5)(v+1)/4 >= 0.
         return True, None
-    # Krein conditions, exact in integers
+    failure = _krein_absolute_failure(v, k, r, s, f, g, level)
+    return failure is None, failure
+
+
+def _krein_absolute_failure(v: int, k: int, r: int, s: int, f: int, g: int,
+                            level: FeasibilityLevel) -> Optional[str]:
+    """The constraint a primitive tuple with integer spectrum (r, s, f, g)
+    fails at level, or None.  This is the one Krein and absolute-bound
+    rule: below KREIN there is nothing to check; KREIN adds the two Krein
+    conditions, exact in integers, and ABSOLUTE_BOUND the absolute bound
+    v <= f(f+3)/2, v <= g(g+3)/2."""
+    if level < FeasibilityLevel.KREIN:
+        return None
     if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) * (s + 1):
-        return False, "Krein 1"
+        return "Krein 1"
     if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) * (r + 1):
-        return False, "Krein 2"
+        return "Krein 2"
     if level < FeasibilityLevel.ABSOLUTE_BOUND:
-        return True, None
+        return None
     if 2 * v > f * (f + 3):
-        return False, "absolute bound (f)"
+        return "absolute bound (f)"
     if 2 * v > g * (g + 3):
-        return False, "absolute bound (g)"
-    return True, None
+        return "absolute bound (g)"
+    return None

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,6 +15,7 @@ from srgbounds.catalog import (
     ScanStats,
     _eigenvalue_candidates,
     _family_report,
+    _least_v,
     conjecture_scan,
     emit,
     enumerate_feasible,
@@ -23,6 +26,8 @@ from srgbounds.srg import (
     InfeasibleParamsError,
     SrgParams,
     SrgType,
+    _krein_absolute_failure,
+    _spectrum_or_failure,
     complement,
     is_feasible,
     spectrum,
@@ -78,6 +83,27 @@ def scan_stats_reference(reports) -> ScanStats:
                 stats.pairs_type2_total += 1
                 stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
     return stats
+
+
+def primitive_candidates_trial_division(v_max: int):
+    """The oracle for the generator's r >= 1, a >= 2 tuples: every d up to
+    sqrt(n) is trial-divided, with no bound on where the mu interval
+    starts."""
+    a = 2
+    while _least_v(a, 1) <= v_max:
+        r = 1
+        while _least_v(a, r) <= v_max:
+            n = r * a * (r + 1) * (a - 1)
+            base = r * a + 1 + (r + 1) * (a - 1)
+            for d in range(1, isqrt(n) + 1):
+                if n % d == 0 and base + d + n // d <= v_max:
+                    for mu in {d, n // d}:
+                        if mu + r >= a:
+                            v, k = base + mu + n // mu, mu + r * a
+                            if ((v - 1) * a - k) % (r + a) == 0:
+                                yield v, k, mu + r - a, mu
+            r += 1
+        a += 1
 
 
 def render_rational(x: Fraction) -> str:
@@ -139,8 +165,66 @@ class TestEnumeration:
 
 def family_tuples(v_max: int) -> list[SrgParams]:
     """The generator's tuples with mu = 0 or mu = k and 5 <= v <= v_max."""
-    return [SrgParams(*t) for t in _eigenvalue_candidates(v_max)
+    return [SrgParams(*t[:4]) for t in _eigenvalue_candidates(v_max)
             if t[0] >= 5 and (t[3] == 0 or t[3] == t[1])]
+
+
+@pytest.fixture(scope="module")
+def candidates_10000():
+    return list(_eigenvalue_candidates(10000))
+
+
+class TestHandedOnSpectrum:
+    """enumerate_feasible confirms a candidate that carries its spectrum
+    with the Krein and absolute-bound rule alone; is_feasible stays the
+    oracle."""
+
+    def test_spectrum_and_verdict_match_is_feasible(self):
+        v_max = 3000
+        accepted = {level: set(enumerate_feasible(v_max, level)) for level in FeasibilityLevel}
+        carried = 0
+        for *t, spec in _eigenvalue_candidates(v_max):
+            p = SrgParams(*t)
+            if p.v < 5:
+                continue
+            full = _spectrum_or_failure(p)
+            # None exactly for m*K_c, K_{m x a} and the irrational conference tuples
+            assert (spec is None) == (p.mu == 0 or p.mu == p.k or full[1] is None), p
+            if spec is not None:
+                assert spec == full[1:], p
+                carried += 1
+            for level in FeasibilityLevel:
+                assert (p in accepted[level]) == is_feasible(p, level)[0], (p, level)
+        assert carried == 11459
+
+    def test_krein_rule_matches_krein_parameters(self):
+        # an independent form of the Krein conditions: the Krein parameters
+        # q^1_11 and q^2_22 are f^2/v resp. g^2/v times 1 + r^3/k^2 -
+        # (r+1)^3/l^2 resp. 1 + s^3/k^2 - (s+1)^3/l^2, with l = v-k-1, and
+        # must be nonnegative
+        fails = Counter()
+        for v, k, lam, mu, spec in _eigenvalue_candidates(3000):
+            if spec is None:
+                continue
+            r, s, f, g = spec
+            l = v - k - 1
+            if 1 + Fraction(r ** 3, k * k) < Fraction((r + 1) ** 3, l * l):
+                want = "Krein 1"
+            elif 1 + Fraction(s ** 3, k * k) < Fraction((s + 1) ** 3, l * l):
+                want = "Krein 2"
+            else:
+                want = None
+            assert _krein_absolute_failure(v, k, r, s, f, g, FeasibilityLevel.KREIN) == want
+            fails[want] += 1
+        assert fails == {None: 10553, "Krein 1": 671, "Krein 2": 235}
+
+    def test_mu_interval_matches_trial_division(self, candidates_10000):
+        got = sorted(t[:4] for t in candidates_10000 if t[4] is not None)
+        assert got == sorted(primitive_candidates_trial_division(10000))
+
+    def test_each_tuple_once(self, candidates_10000):
+        assert len(candidates_10000) == 191218
+        assert len({t[:4] for t in candidates_10000}) == len(candidates_10000)
 
 
 class TestFamilyReport:
