@@ -3,6 +3,8 @@ form (n < 63) and long form ("~" and n in three 6-bit groups, n <= 258047)."""
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .graphs import Graph, GraphSizeError
 
 
@@ -15,6 +17,8 @@ GRAPH6_MAX_N = 258047
 # take at most 4096**2 / 16 bytes (1 MiB), where memoising every vertex of a
 # star on GRAPH6_MAX_N vertices would hold about 4 GB
 _MEMO_VERTICES = 4096
+# the binary digits "0" and "1" as the selectors 0 and 1 of compress
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
@@ -43,29 +47,35 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     # range check; vertices from _MEMO_VERTICES up are parsed on every line
     memo: dict[str, tuple[int, int]] = {}
     for ln in lines:
-        parts = ln.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln.strip()!r}")
-        a, b = parts
+        a, _, b = ln.partition(" ")
         try:
+            # memo keys hold no whitespace, so a line found here is exactly
+            # "a b", which split() would cut into [a, b]
             u, ubit = memo[a]
             v, vbit = memo[b]
         except KeyError:
-            u = int(a)
-            v = int(b)
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                g.add_edge(u, v)  # raises the loop or range error
-            ubit = 1 << u
-            vbit = 1 << v
-            if u < _MEMO_VERTICES:
-                memo[a] = (u, ubit)
-            if v < _MEMO_VERTICES:
-                memo[b] = (v, vbit)
-        else:
-            if u == v:
-                g.add_edge(u, v)  # raises the loop error
+            parts = ln.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                raise GraphFormatError(f"bad edge line {ln.strip()!r}")
+            a, b = parts
+            try:
+                u, ubit = memo[a]
+                v, vbit = memo[b]
+            except KeyError:
+                u = int(a)
+                v = int(b)
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    g.add_edge(u, v)  # raises the loop or range error
+                ubit = 1 << u
+                vbit = 1 << v
+                if u < _MEMO_VERTICES:
+                    memo[a] = (u, ubit)
+                if v < _MEMO_VERTICES:
+                    memo[b] = (v, vbit)
+        if u == v:
+            g.add_edge(u, v)  # raises the loop error
         adj[u] |= vbit
         adj[v] |= ubit
     return g
@@ -76,11 +86,13 @@ def write_edge_list(g: Graph) -> str:
     names = [str(u) for u in range(g.n)]
     lines = [str(g.n)]
     for u, row in enumerate(g.adj):
-        # the neighbours above u are the set bits of the shifted row; its
-        # binary digits reversed put bit i at string index i
-        bits = bin(row >> (u + 1))[:1:-1]
-        head = names[u] + " "
-        lines += [head + names[v] for v, bit in enumerate(bits, u + 1) if bit == "1"]
+        above = row >> (u + 1)
+        if above:
+            # the binary digits of the neighbours above u, reversed, put
+            # vertex u + 1 + i at index i; as 0/1 bytes they select the names
+            head = names[u] + " "
+            sel = bin(above)[:1:-1].encode().translate(_SELECTORS)
+            lines.append(head + ("\n" + head).join(compress(names[u + 1 :], sel)))
     lines.append("")
     return "\n".join(lines)
 
@@ -154,12 +166,13 @@ def write_graph6(g: Graph) -> str:
 
 
 def load_graph(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
-    """Sniff the format from the first non-blank character: a digit, "-" or
-    "#" starts an edge list (its vertex count or a comment line), anything
-    else is read as graph6, whose characters run from "?" (63) to "~" (126)
-    and whose optional ">>graph6<<" header starts with ">".  A graph with
-    more than max_n vertices raises GraphSizeError before any row is built."""
+    """Sniff the format from the first non-blank character: a digit, "+", "-"
+    or "#" starts an edge list (its vertex count, which int() may read with a
+    sign, or a comment line), anything else is read as graph6, whose
+    characters run from "?" (63) to "~" (126) and whose optional
+    ">>graph6<<" header starts with ">".  A graph with more than max_n
+    vertices raises GraphSizeError before any row is built."""
     head = text.lstrip()[:1]
-    if head.isdigit() or head in ("-", "#"):
+    if head.isdigit() or head in ("+", "-", "#"):
         return read_edge_list(text, max_n=max_n)
     return parse_graph6(text, max_n=max_n)

@@ -290,11 +290,13 @@ def max_clique(g: Graph) -> CliqueResult:
     nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
 
     def expand(cand: int) -> None:
-        # greedy colouring of cand, one colour class at a time, so colors[i]
-        # upper-bounds any clique inside order[:i+1].  A vertex of colour
-        # below kmin cannot grow the current clique past the best one, so
-        # the first loop only colours; the second also records vertices for
-        # branching (the MCQ/MCS rule of Tomita et al.)
+        # greedy colouring of cand, one colour class at a time, so the
+        # vertices of colours 1..c hold no clique larger than c.  A vertex of
+        # colour below kmin cannot grow the current clique past the best one,
+        # so the first loop only colours; the second keeps each class from
+        # kmin up as one bitset, and branching runs from the last class down,
+        # inside a class from its highest bit down (the MCQ/MCS rule of
+        # Tomita et al.)
         nonlocal best_size, best
         depth = len(clique)
         kmin = best_size - depth + 1
@@ -307,32 +309,32 @@ def max_clique(g: Graph) -> CliqueResult:
                 b = avail & -avail
                 avail &= nadj[b.bit_length() - 1]
                 uncolored ^= b
-        order: list[int] = []
-        colors: list[int] = []
-        color = max(kmin - 1, 0)
+        classes: list[int] = []
         while uncolored:
-            color += 1
-            avail = uncolored
+            rest = avail = uncolored
             while avail:
                 b = avail & -avail
-                v = b.bit_length() - 1
-                avail &= nadj[v]
+                avail &= nadj[b.bit_length() - 1]
                 uncolored ^= b
-                order.append(v)
-                colors.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if depth + colors[i] <= best_size:
-                return
-            v = order[i]
-            clique.append(v)
-            new_cand = cand & adj[v]
-            if new_cand:
-                expand(new_cand)
-            elif depth + 1 > best_size:
-                best_size = depth + 1
-                best = tuple(clique)
-            clique.pop()
-            cand ^= 1 << v  # v came from cand
+            classes.append(rest ^ uncolored)
+        color = max(kmin - 1, 0) + len(classes)
+        for members in reversed(classes):
+            while members:
+                if depth + color <= best_size:
+                    return
+                v = members.bit_length() - 1
+                b = 1 << v
+                members ^= b
+                clique.append(v)
+                new_cand = cand & adj[v]
+                if new_cand:
+                    expand(new_cand)
+                elif depth + 1 > best_size:
+                    best_size = depth + 1
+                    best = tuple(clique)
+                clique.pop()
+                cand ^= b  # v came from cand
+            color -= 1
 
     cand = (1 << n) - 1
     for v in clique:

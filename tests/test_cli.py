@@ -409,6 +409,14 @@ class TestGraphCommands:
         assert (code, err) == (0, "")
         assert out == "n=4 m=6 omega=4\nwitness 0 1 2 3\n"
 
+    def test_maxclique_signed_count_file(self, capsys, tmp_path):
+        # a "+" first is a signed vertex count, not a graph6 character
+        f = tmp_path / "k2-signed.txt"
+        f.write_text("+3\n0 1\n")
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert (code, err) == (0, "")
+        assert out == "n=3 m=1 omega=2\nwitness 0 1\n"
+
     def test_maxclique_graph6_file(self, capsys, tmp_path):
         f = tmp_path / "k3.g6"
         f.write_text("Bw\n")

@@ -164,10 +164,40 @@ class TestEdgeList:
         rng = random.Random(71)
         graphs = [random_graph(rng.randint(0, 90), rng.choice([0.1, 0.5, 0.9]), rng)
                   for _ in range(60)]
-        for g in [*graphs, Graph(1), Graph(3), paley(241)]:
+        complete = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+                    for n in (2, 3, 7, 64)]
+        # the top vertices isolated: the rows above the last edge select nothing
+        top_isolated = [Graph(9, [(0, 1), (1, 2), (0, 5)]), Graph(70, [(0, 63), (3, 4)])]
+        for g in [*graphs, Graph(0), Graph(1), Graph(2), Graph(3), Graph(40),
+                  *complete, *top_isolated, paley(241)]:
             text = "\n".join([str(g.n), *(f"{u} {v}" for u, v in g.edges())]) + "\n"
             assert write_edge_list(g) == text
             assert read_edge_list(text) == g
+
+    def test_memory_stays_near_the_split_lines(self):
+        # reading or writing the Paley(241) list holds at most 1.25 times
+        # what its splitlines() holds; a whole-text split() or a regex check
+        # of the text peaks at about 1.8 or 3 times that
+        g = paley(241)
+        text = write_edge_list(g)
+
+        def traced(f, arg):
+            tracemalloc.start()
+            try:
+                result = f(arg)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, current, peak
+
+        lines, held, _ = traced(str.splitlines, text)
+        assert len(lines) == 1 + 241 * 60
+        del lines
+        copy, _, read_peak = traced(read_edge_list, text)
+        written, _, write_peak = traced(write_edge_list, g)
+        assert copy == g and written == text
+        assert read_peak <= 1.25 * held, (read_peak, held)
+        assert write_peak <= 1.25 * held, (write_peak, held)
 
 
 _TOKENS = ["0", "1", "2", "3", "4", "007", "+3", "-0", "3_0", "\u0663", "01", "-1",
@@ -206,7 +236,8 @@ def _random_text(rng, valid):
 
 
 class TestEdgeListOracle:
-    """read_edge_list splits each line once and memoises tokens; the reader
+    """read_edge_list memoises tokens and calls split() only on a line whose
+    halves around its first space are not both memoised tokens; the reader
     it replaced, read_edge_list_reference, must return an equal Graph or
     raise the same exception with the same message."""
 
@@ -256,6 +287,15 @@ class TestEdgeListOracle:
         "5\n0 1\n9 9\n",
         "5\n0 1\n0 1 2\n",
         "5\n0 1\n 0 \n",
+        # memoised tokens on a line that is not plain "u v": the line falls
+        # back to split(), or fails as the reference does
+        "5\n0 1\n0 1 \n",
+        "5\n0 1\n0  1\n",
+        "5\n0 1\n0\t1\n",
+        "5\n0 1\n0 1 1\n",
+        "5\n0 1\n 0 1\n",
+        "5\n0 1\n0\u00a01\n",
+        "5\n0 1\n# 1\n",
         "# only\n\n",
         "\n  \r\n 7 7 \n",
     ])
@@ -432,7 +472,7 @@ class TestGraph6Oracle:
 
 
 # edge-list and graph6 characters, blanks and line breaks of str.splitlines
-SNIFF_ALPHABET = st.sampled_from(list("0123456789-# \t\n\r\x0b\x1c\u2028?@ABw~>"))
+SNIFF_ALPHABET = st.sampled_from(list("0123456789+-# \t\n\r\x0b\x1c\u2028?@ABw~>"))
 
 
 class TestSniffing:
@@ -442,6 +482,12 @@ class TestSniffing:
     def test_first_line_ends_at_any_line_break(self):
         assert load_graph("3\r0 1\r").edges() == [(0, 1)]
         assert load_graph("  \n 2 \r\n0 1").edges() == [(0, 1)]
+
+    def test_signed_count_is_an_edge_list(self):
+        # int() reads a sign, and no graph6 text starts with "+" or "-"
+        assert load_graph("+3\n0 1\n").edges() == [(0, 1)]
+        assert load_graph(" \n+3\n0 1\n") == read_edge_list("+3\n0 1\n")
+        assert load_graph("-0\n") == Graph(0)
 
     def test_graph6_detected(self):
         k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -476,5 +522,5 @@ class TestSniffing:
     @given(text=st.one_of(st.text(), st.text(alphabet=SNIFF_ALPHABET, max_size=30)))
     def test_reader_is_chosen_by_first_nonblank_character(self, text):
         first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")[:1]
-        reader = read_edge_list if first.isdigit() or first in ("-", "#") else parse_graph6
+        reader = read_edge_list if first.isdigit() or first in ("+", "-", "#") else parse_graph6
         assert outcome(load_graph, text) == outcome(reader, text), text

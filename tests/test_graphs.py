@@ -204,6 +204,12 @@ def random_connection_set(n, rng):
 
 PALEY_PRIMES_TO_61 = [5, 13, 17, 29, 37, 41, 53, 61]
 PALEY_PRIMES_TO_241 = [p for p in range(5, 242, 4) if all(p % d for d in range(2, p))]
+# the clique number of Paley(p) for every prime p = 1 mod 4 up to 241
+PALEY_OMEGA = {
+    5: 2, 13: 3, 17: 3, 29: 4, 37: 4, 41: 5, 53: 5, 61: 5,
+    73: 5, 89: 5, 97: 6, 101: 5, 109: 6, 113: 7, 137: 7, 149: 7,
+    157: 7, 173: 8, 181: 7, 193: 7, 197: 8, 229: 9, 233: 7, 241: 7,
+}
 
 
 class TestGraph:
@@ -495,6 +501,11 @@ class TestMaxClique:
 
     def test_paley37(self):
         assert max_clique(paley(37)).size == 4
+
+    def test_paley_clique_numbers(self):
+        assert sorted(PALEY_OMEGA) == PALEY_PRIMES_TO_241
+        for p, omega in PALEY_OMEGA.items():
+            assert max_clique(paley(p)).size == omega, p
 
 
 class TestSymmetryShortcut:
