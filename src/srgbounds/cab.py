@@ -207,7 +207,10 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     elif _cubic(cs, start) < 0:
         b, val = cap_min_over_b(v, k, lam, start)
         if val < 0:
-            return start - 1, CabWitness(b=b, c_plus_1=start, value=val)
+            # the records of the scan's rows are built with tuple.__new__:
+            # the __new__ that NamedTuple generates is a Python-level wrapper
+            # that costs about three times as much per record
+            return start - 1, tuple.__new__(CabWitness, (b, start, val))
         # the start level is visited once: resume after it
         runs = _negative_runs(cs, start + 1, top)
     elif cs[0] < 0:
@@ -219,7 +222,7 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
-                return y - 1, CabWitness(b=b, c_plus_1=y, value=val)
+                return y - 1, tuple.__new__(CabWitness, (b, y, val))
     # Reached only when lam + 3 >= v (a level lam + 3 <= v - 1 is negative
     # at b = 0), so every level below v is nonnegative.  The quadratic-in-b
     # minimization needs leading coefficient v - y > 0; at y >= v the
@@ -345,10 +348,19 @@ def full_report(p: SrgParams) -> BoundsReport:
     Either improvement predicate lowers it by one.
     """
     tag, r, s, _, _ = _int_spectrum(p)
-    # cab validates p a second time; it is called by its module-level name
-    # so that perfbench can time the CAB walk on its own.  Most primitive
-    # tuples take its one-run bisection (P(start) >= 0 and c3 < 0); the
-    # others probe the start level and cut and bisect the rest of the range
+    return _report(p, tag, r, s)
+
+
+def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> BoundsReport:
+    """full_report's body, for a tuple p passing INTEGRALITY with type tag
+    and restricted eigenvalues r, s as _int_spectrum gives them (None, None
+    for a conference tuple with irrational eigenvalues).  full_report
+    validates p in _int_spectrum and again in cab; the scan hands on the
+    spectrum its generator built, so there p is validated once, in cab."""
+    # cab is called by its module-level name so that perfbench can time the
+    # CAB walk on its own.  Most primitive tuples take its one-run bisection
+    # (P(start) >= 0 and c3 < 0); the others probe the start level and cut
+    # and bisect the rest of the range
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     if cab_val > p.lam + 2:
@@ -359,4 +371,4 @@ def full_report(p: SrgParams) -> BoundsReport:
     # thm21_applies cannot raise; it too is called by its module-level name
     t21 = s is None and thm21_applies(p.v)
     t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
-    return BoundsReport(p, tag, cab_val, witness, dels, t21, t22, _thm51(p, s))
+    return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22, _thm51(p, s)))

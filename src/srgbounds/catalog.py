@@ -13,9 +13,10 @@ absolute bounds, and for the irrational conference tuples the sum of two
 squares.  So the scan confirms a tuple that carries its spectrum with the
 srg Krein and absolute-bound rule alone, and is_feasible confirms only
 the irrational conference tuples; is_feasible stays the one definition
-of feasibility and the oracle in the tests.  The family rows pass every
-level and are built in closed form (_family_report), and full_report
-bounds the rest.
+of feasibility and the oracle in the tests.  The report of a tuple that
+carries its spectrum reads r and s from it (cab._report), the family
+rows pass every level and are built in closed form (_family_report), and
+full_report bounds only the irrational conference tuples.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Optional
 
-from .cab import BoundsReport, CabWitness, cap_min_over_b, full_report
+from .cab import BoundsReport, CabWitness, _report, cap_min_over_b, full_report
 from .srg import (
     FeasibilityLevel,
     SrgParams,
     SrgType,
     _complement,
+    _conference,
     _krein_absolute_failure,
     complement,
     is_feasible,
@@ -181,13 +183,25 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
       v = 4mu + 1 = (r+a)^2, a square and so a sum of two squares;
     - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
       neither exemption applies."""
+    for p, _ in _confirmed(v_max, level):
+        yield p
+
+
+def _confirmed(v_max: int, level: FeasibilityLevel
+               ) -> Iterator[tuple[SrgParams, Optional[tuple[int, int, int, int]]]]:
+    """enumerate_feasible's tuples, in its order, each with the spectrum
+    (r, -a, f, g) the generator handed on, or None for m*K_c, K_{m x a} and
+    the irrational conference tuples."""
+    new = tuple.__new__  # why: see the record comment in cab.cab
     for v, k, lam, mu, spec in sorted(_eigenvalue_candidates(v_max)):
         if v >= 5:
             if spec is not None:
                 if _krein_absolute_failure(v, k, *spec, level) is None:
-                    yield SrgParams(v, k, lam, mu)
-            elif mu == 0 or mu == k or is_feasible(SrgParams(v, k, lam, mu), level)[0]:
-                yield SrgParams(v, k, lam, mu)
+                    yield new(SrgParams, (v, k, lam, mu)), spec
+            else:
+                p = new(SrgParams, (v, k, lam, mu))
+                if mu == 0 or mu == k or is_feasible(p, level)[0]:
+                    yield p, None
 
 
 @dataclass
@@ -250,16 +264,28 @@ def _family_report(p: SrgParams) -> BoundsReport:
     v, k, lam, mu = p
     y = lam + 3 if mu == 0 else v // (v - k) + 1
     b, val = cap_min_over_b(v, k, lam, y)
-    return BoundsReport(p, SrgType.TYPE_II_ONLY, y - 1, CabWitness(b, y, val), y - 1,
-                        False, False, mu == 0 or y == 3)
+    return tuple.__new__(BoundsReport, (p, SrgType.TYPE_II_ONLY, y - 1,
+                                        tuple.__new__(CabWitness, (b, y, val)), y - 1,
+                                        False, False, mu == 0 or y == 3))
 
 
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
-    """The report of each enumerated tuple, in tuple order: the families
-    m*K_c and K_{m x a} in closed form, every other tuple from full_report.
-    Every enumerated tuple has a spectrum, so every one is reported."""
-    for p in enumerate_feasible(cfg.v_max, cfg.level):
-        yield _family_report(p) if p.mu == 0 or p.mu == p.k else full_report(p)
+    """The report of each enumerated tuple, in tuple order; it equals
+    full_report(p) on every one.  A tuple that carries its spectrum goes to
+    cab._report with the generator's r and s, and with the type the
+    conference test gives (I+II when it holds, II otherwise), as
+    _spectrum_or_failure would derive them (enumerate_feasible's
+    docstring); the families m*K_c and K_{m x a} are built in closed form,
+    and only the irrational conference tuples call full_report.  Every
+    enumerated tuple has a spectrum, so every one is reported."""
+    both, type2 = SrgType.BOTH, SrgType.TYPE_II_ONLY
+    for p, spec in _confirmed(cfg.v_max, cfg.level):
+        if spec is not None:
+            yield _report(p, both if _conference(*p) else type2, spec[0], spec[1])
+        elif p.mu == 0 or p.mu == p.k:
+            yield _family_report(p)
+        else:
+            yield full_report(p)
 
 
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:

@@ -151,6 +151,13 @@ def classify(p: SrgParams) -> SrgType:
     return _int_spectrum(p)[0]
 
 
+def _conference(v: int, k: int, lam: int, mu: int) -> bool:
+    """The conference conditions 2k = v-1, 4lam = v-5 and 4mu = v-1.  This
+    is the one conference test: a tuple with integer eigenvalues that meets
+    it is of type I+II, one without is of type II."""
+    return 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
+
+
 def _spectrum_or_failure(p: SrgParams) -> tuple:
     """For p passing COUNTING, its integer spectrum (type, r, s, f, g), or
     (constraint name, error message) for the INTEGRALITY constraint it fails.
@@ -165,7 +172,7 @@ def _spectrum_or_failure(p: SrgParams) -> tuple:
     f = g = (v-1)/2; otherwise f, g come from the trace identities.
     """
     v, k, lam, mu = p
-    conf = 2 * k == v - 1 and 4 * lam == v - 5 and 4 * mu == v - 1
+    conf = _conference(v, k, lam, mu)
     d = lam - mu
     disc = d * d + 4 * (k - mu)
     t = isqrt(disc)
@@ -190,8 +197,9 @@ def _spectrum_or_failure(p: SrgParams) -> tuple:
 
 def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], int, int]:
     """(type, r, s, f, g) in integers, validating p once, or the
-    InfeasibleParamsError of the spectrum rule.  Every spectral function
-    goes through it."""
+    InfeasibleParamsError of the spectrum rule.  Every public spectral
+    function goes through it; the scan reports a tuple that carries its
+    generator's spectrum without it (catalog._reports)."""
     p.validate()
     spec = _spectrum_or_failure(p)
     if len(spec) == 2:

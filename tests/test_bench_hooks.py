@@ -60,7 +60,8 @@ def primitive(p) -> bool:
 
 def test_scan_reports_through_the_catalog_name(monkeypatch):
     # catalog.report_s times full_report as rebound in srgbounds.catalog,
-    # once per primitive row; the family rows call it not at all
+    # once per irrational conference row (type I); the rows that carry the
+    # generator's spectrum and the family rows call it not at all
     calls = []
     original = catalog.full_report
 
@@ -71,9 +72,10 @@ def test_scan_reports_through_the_catalog_name(monkeypatch):
     monkeypatch.setattr(catalog, "full_report", counted)
     reports, stats = scan_compare(ScanConfig(v_max=20))
     assert len(reports) == stats.total
-    families = [r.params for r in reports if not primitive(r.params)]
-    assert families and set(families).isdisjoint(calls)
-    assert calls == [r.params for r in reports if primitive(r.params)] != []
+    others = [r.params for r in reports if r.type_tag is not SrgType.TYPE_I_ONLY]
+    assert any(map(primitive, others)) and not all(map(primitive, others))
+    assert set(others).isdisjoint(calls)
+    assert calls == [r.params for r in reports if r.type_tag is SrgType.TYPE_I_ONLY] != []
 
 
 def test_full_report_bounds_through_the_cab_name(monkeypatch):

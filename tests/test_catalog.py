@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from srgbounds.cab import full_report
+from srgbounds.cab import BoundsReport, CabWitness, full_report
 from srgbounds.catalog import (
     CSV_HEADER,
     CURATED_NONEXISTENT,
@@ -196,6 +196,28 @@ class TestHandedOnSpectrum:
             for level in FeasibilityLevel:
                 assert (p in accepted[level]) == is_feasible(p, level)[0], (p, level)
         assert carried == 11459
+
+    def test_scan_report_matches_full_report(self):
+        # the scan reports a tuple that carries its spectrum from the
+        # generator's r and s and the shared conference test; full_report,
+        # which derives the spectrum again, stays the oracle
+        v_max = 3000
+        oracle = {}
+        for *t, spec in _eigenvalue_candidates(v_max):
+            if spec is not None:
+                p = SrgParams(*t)
+                oracle[p] = full_report(p)
+        assert len(oracle) == 11459
+        for level in FeasibilityLevel:
+            reports, _ = scan_compare(ScanConfig(v_max=v_max, level=level))
+            rows = [r for r in reports if r.params in oracle]
+            for r in rows:
+                assert r == oracle[r.params], (r.params, level)
+                assert (type(r), type(r.params), type(r.cab_witness)) == (
+                    BoundsReport, SrgParams, CabWitness), r.params
+            if level is FeasibilityLevel.ABSOLUTE_BOUND:
+                assert Counter(r.type_tag for r in rows) == {
+                    SrgType.BOTH: 26, SrgType.TYPE_II_ONLY: 10307}
 
     def test_krein_rule_matches_krein_parameters(self):
         # an independent form of the Krein conditions: the Krein parameters

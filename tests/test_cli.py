@@ -573,3 +573,75 @@ class TestGraphFileFuzz:
     @given(text=GRAPH6)
     def test_graph6(self, tmp_path_factory, text):
         self._maxclique(tmp_path_factory.getbasetemp() / "fuzz.g6", text)
+
+
+# argv tokens for the fuzz below.  A non-integer token is one word that int()
+# rejects, so it never splits into pieces or vanishes from a tuple: it holds
+# no comma and no whitespace, and it does not start with "--", which argparse
+# would read as the end of the options or as a prefix of --json.
+_SMALL = st.integers(-10, 10 ** 6).map(str)
+_HUGE = st.integers(10 ** 29, 10 ** 30 - 1).map(str)
+_NON_INT = st.one_of(
+    st.sampled_from(["1.5", "5.0", "x", "1e3", "0x11", "nan", "-inf", "1/2", "-"]),
+    st.floats().map(repr),
+    st.text(st.characters(whitelist_categories=("L", "P", "S")), min_size=1, max_size=4)
+    .filter(lambda t: "," not in t and not t.startswith("--")),
+)
+_TOKEN = st.one_of(_SMALL, _HUGE, _NON_INT)
+_MAX_V = st.one_of(st.integers(-10, 60).map(str),
+                   st.integers(SCAN_MAX_V + 1, 10 ** 30 - 1).map(str), _NON_INT)
+
+
+def _comma_forms(tokens):
+    """The tokens as given, joined by commas into one word, or split in two."""
+    return st.sampled_from([
+        list(tokens), [",".join(tokens)], [",".join(tokens[:2]), *tokens[2:]]])
+
+
+class TestArgvFuzz:
+    """`main` on fuzzed argv: exit 0, or 2 with a message (argparse's
+    SystemExit(2) included), never a traceback, and fast.  Edge-regular
+    triples keep small entries: a triple with huge entries can still walk
+    the CAB levels for a long time (ROADMAP item 2)."""
+
+    @staticmethod
+    def _main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 2:
+            assert "error: " in err.getvalue(), argv
+        assert elapsed < 2.0, (argv, elapsed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(_TOKEN, min_size=4, max_size=4).flatmap(_comma_forms),
+           json_flag=st.booleans())
+    def test_bounds_tuples(self, words, json_flag):
+        self._main(["bounds", *words, *(["--json"] if json_flag else [])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.integers(-10, 10 ** 4).map(str), min_size=3, max_size=3)
+           .flatmap(_comma_forms))
+    def test_bounds_triples(self, words):
+        self._main(["bounds", *words])
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["scan", "conjecture"]), max_v=_MAX_V,
+           extra=st.sampled_from([[], ["--format", "csv"], ["--stats"], ["--pairs"],
+                                  ["--level", "counting"], ["--filter", "gap"]]))
+    def test_scan_and_conjecture(self, command, max_v, extra):
+        self._main([command, "--max-v", max_v, *(extra if command == "scan" else [])])
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.one_of(st.integers(-10, 300).map(str),
+                       st.integers(PALEY_MAX_P + 1, 10 ** 30 - 1).map(str), _NON_INT),
+           clique=st.booleans())
+    def test_paley(self, p, clique):
+        self._main(["paley", p, *(["--clique"] if clique else [])])

@@ -17,7 +17,7 @@ from srgbounds.graphs import (
     max_clique,
     paley,
 )
-from srgbounds.cab import cap_min_over_b
+from srgbounds.cab import cap_min_over_b, cap_value
 from srgbounds.graphs import _forced_clique, _is_circulant, _is_prime
 from srgbounds.srg import EdgeRegularParams, SrgParams
 
@@ -589,3 +589,45 @@ class TestReferenceSearch:
                 kinds["gnp"] += 1
             assert max_clique(g) == max_clique_reference(g), (j, n, density)
         assert kinds == {"gnp": 180, "regular": 60}
+
+
+def block_intersection_sum(g: Graph, clique, x: int) -> int:
+    """Sum over the vertices w outside the clique of (n_w - x)(n_w - x - 1),
+    n_w the number of neighbours of w in the clique."""
+    members = 0
+    for u in clique:
+        members |= 1 << u
+    total = 0
+    for w in range(g.n):
+        if not members >> w & 1:
+            n_w = (g.adj[w] & members).bit_count()
+            total += (n_w - x) * (n_w - x - 1)
+    return total
+
+
+EDGE_REGULAR_BUILDS = {
+    **{f"paley({p})": (lambda p=p: paley(p)) for p in PALEY_PRIMES_TO_241 if p <= 101},
+    "heawood": heawood_graph,
+    "heawood line graph": lambda: line_graph(heawood_graph()),
+    "delta3": heawood_line_distance3,
+}
+
+
+class TestBlockIntersectionIdentity:
+    """For a clique S of size s in an edge-regular (v, k, lam) graph,
+    C(x, s) = sum over w outside S of (n_w - x)(n_w - x - 1): the w count
+    the s(k-s+1) edges leaving S and the s(s-1)(lam-s+2) ordered pairs of
+    S-vertices with a common neighbour outside S, so the sum is
+    x(x+1)(v-s) - 2xs(k-s+1) + s(s-1)(lam-s+2).  This is why C(b, c+1) < 0
+    rules out a (c+1)-clique; here it is checked on the graphs the package
+    builds, in exact integers."""
+
+    @pytest.mark.parametrize("name", list(EDGE_REGULAR_BUILDS))
+    def test_on_a_maximum_and_a_smaller_clique(self, name):
+        g = EDGE_REGULAR_BUILDS[name]()
+        v, k, lam = is_edge_regular(g)
+        witness = max_clique(g).witness
+        for clique in (witness, witness[:-1]):
+            for x in range(-3, 8):
+                assert cap_value(v, k, lam, x, len(clique)) == \
+                    block_intersection_sum(g, clique, x), (name, clique, x)
