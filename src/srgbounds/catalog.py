@@ -1,22 +1,29 @@
 """Feasible-tuple enumeration, bound-comparison scans, and emitters.
 
-Every bound is read off the spectrum, so candidates come from one
-pure-integer generator at every level: a tuple is built from its restricted
-eigenvalues r >= 0 > s = -a.  For r >= 1, a >= 2 and mu >= 1, k = mu + ra
-and lam = mu + r - a, so mu divides ra(r+1)(a-1) and
-v = k + 1 + k(r+1)(a-1)/mu; the families m*K_c, K_{m x a} and the
-conference tuples with non-square v = 1 (mod 4) cover the rest.  The
-generator drops the r >= 1, a >= 2 tuples whose multiplicity f is
-fractional, so every candidate has a spectrum, and hands each r >= 1,
-a >= 2 tuple on with its spectrum (r, -a, f, g).  It skips the Krein and
-absolute bounds, and for the irrational conference tuples the sum of two
-squares.  So the scan confirms a tuple that carries its spectrum with the
-srg Krein and absolute-bound rule alone, and is_feasible confirms only
-the irrational conference tuples; is_feasible stays the one definition
-of feasibility and the oracle in the tests.  The report of a tuple that
-carries its spectrum reads r and s from it (cab._report), the family
-rows pass every level and are built in closed form (_family_report), and
-full_report bounds only the irrational conference tuples.
+Every bound is read off the spectrum, so candidates come from pure-integer
+generators at every level: a tuple is built from its restricted
+eigenvalues r >= 0 > s = -a.  The families m*K_c (mu = 0) and K_{m x a}
+(mu = k) pass every level and have CAB = Delsarte in closed form
+(_family_report), so _families streams them per v, from the divisors of
+v, already in tuple order, and the scan reports them without a sort, a
+confirmation or a dispatch.  The other candidates, 0 < mu < k, come from
+_primitive_candidates, unordered, and alone are sorted, confirmed and
+reported; the two sorted lists of rows are then merged.  For r >= 1,
+a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu divides
+ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu; the conference tuples with
+non-square v = 1 (mod 4) cover the rest.  The generator drops the r >= 1,
+a >= 2 tuples whose multiplicity f is fractional, so every candidate has a
+spectrum, and hands each r >= 1, a >= 2 tuple on with its spectrum
+(r, -a, f, g).  It skips the Krein and absolute bounds, and for the
+irrational conference tuples the sum of two squares.  So the scan confirms
+a tuple that carries its spectrum with the srg Krein and absolute-bound
+rule alone, and is_feasible confirms only the irrational conference
+tuples; is_feasible stays the one definition of feasibility and the oracle
+in the tests.  The report of a tuple that carries its spectrum reads r and
+s from it (cab._report), and full_report bounds only the irrational
+conference tuples.  The scan statistics walk only the rows with
+0 < mu < k: a family row is type II and never connected and co-connected,
+so it counts in the total alone.
 """
 
 from __future__ import annotations
@@ -40,10 +47,10 @@ from .srg import (
 
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
-# largest v_max a scan accepts, at every level: enumeration sorts about
+# largest v_max a scan accepts, at every level: enumeration builds about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes 3.5-4.6 s and 141-144 MB at every
-# level on a 2-core machine, growing with v
+# fresh CSV scan at v <= 10000 takes 2.8-3.7 s and 125-128 MB at every
+# level on a 2-core Intel Xeon machine with Python 3.11, growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -102,22 +109,44 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
+def _families(v_max: int, v_min: int = 5) -> Iterator[SrgParams]:
+    """The tuples m*K_c = (v, c-1, c-2, 0) and K_{m x a} = (v, v-a, v-2a, v-a),
+    m, c, a >= 2, with v_min <= v <= v_max, in tuple order, built per v from
+    the divisors d of v with 2 <= d <= v/2.  No sort is needed: for the same
+    v, every m*K_c row has k = c-1 <= v/2-1 and every K_{m x a} row has
+    k = v-a >= v/2, so the m*K_c rows come by c ascending, then the
+    K_{m x a} rows by a descending."""
+    new = tuple.__new__  # why: see the record comment in cab.cab
+    divisors = [[] for _ in range(v_max + 1)]
+    for d in range(2, v_max // 2 + 1):
+        for v in range(2 * d, v_max + 1, d):
+            divisors[v].append(d)
+    for v in range(v_min, v_max + 1):
+        ds = divisors[v]
+        for c in ds:
+            yield new(SrgParams, (v, c - 1, c - 2, 0))
+        for a in reversed(ds):
+            yield new(SrgParams, (v, v - a, v - 2 * a, v - a))
+
+
 def _eigenvalue_candidates(v_max: int) -> Iterator[tuple]:
     """Each tuple once, the tuples with v <= v_max that pass COUNTING and
     have a spectrum: integer restricted eigenvalues r >= 0 > s = -a, or the
     conference conditions with irrational eigenvalues, and integral
     multiplicities.  This is a superset of the tuples that pass
-    INTEGRALITY.  Each comes as (v, k, lam, mu, spec): spec is the integer
-    spectrum (r, -a, f, g) that _spectrum_or_failure would derive, built
-    here for every r >= 1, a >= 2 tuple, and None for the families m*K_c
-    and K_{m x a} and for the irrational conference tuples.  A tuple comes
-    once, so sorting never compares two specs."""
-    for c in range(2, v_max // 2 + 1):  # m*K_c: r = c-1, a = 1
-        for v in range(2 * c, v_max + 1, c):
-            yield v, c - 1, c - 2, 0, None
-    for a in range(2, v_max // 2 + 1):  # K_{m x a}: r = 0
-        for k in range(a, v_max - a + 1, a):
-            yield k + a, k, k - a, k, None
+    INTEGRALITY.  Each comes as (v, k, lam, mu, spec): the families m*K_c
+    and K_{m x a} from v = 4 on (_families), then _primitive_candidates."""
+    for p in _families(v_max, 4):
+        yield (*p, None)
+    yield from _primitive_candidates(v_max)
+
+
+def _primitive_candidates(v_max: int) -> Iterator[tuple]:
+    """_eigenvalue_candidates without the two families: the candidates with
+    0 < mu < k, in no particular order.  spec is the integer spectrum
+    (r, -a, f, g) that _spectrum_or_failure would derive, built here for
+    every r >= 1, a >= 2 tuple, and None for the irrational conference
+    tuples.  A tuple comes once, so sorting never compares two specs."""
     for v in range(5, v_max + 1, 4):
         if isqrt(v) ** 2 != v:
             yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4, None
@@ -167,12 +196,13 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     and complete-multipartite (mu = k) tuples are included; callers filter
     on the connectivity flags.
 
-    is_feasible confirms only the irrational conference candidates.  The
-    generator's mu = 0 and mu = k tuples are exactly m*K_c and K_{m x a},
-    which pass every level (_family_report).  A candidate that carries its
-    spectrum (r, -a, f, g), r >= 1, a >= 2, needs only the Krein and
-    absolute-bound rule, as is_feasible would reach that rule with the same
-    r, s, f, g:
+    The families m*K_c and K_{m x a} pass every level (_family_report) and
+    come from _families in tuple order, unconfirmed; only the other
+    candidates, 0 < mu < k, are sorted and confirmed (_confirmed), and the
+    two sorted lists are merged.  is_feasible confirms only the irrational
+    conference candidates.  A candidate that carries its spectrum
+    (r, -a, f, g), r >= 1, a >= 2, needs only the Krein and absolute-bound
+    rule, as is_feasible would reach that rule with the same r, s, f, g:
     - it passes COUNTING by construction: mu >= 1, k = mu + ra > mu,
       0 <= lam = mu + r - a <= k - 1 as (r+1)(1-a) < 0, and
       v - k - 1 = k(r+1)(a-1)/mu = k(k-lam-1)/mu >= 2, which is the
@@ -183,25 +213,31 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
       v = 4mu + 1 = (r+a)^2, a square and so a sum of two squares;
     - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
       neither exemption applies."""
-    for p, _ in _confirmed(v_max, level):
-        yield p
+    yield from _merged(list(_families(v_max)), [p for p, _ in _confirmed(v_max, level)])
+
+
+def _merged(families: list, rows: list) -> list:
+    """Two lists, each sorted with no item in common, as one sorted list:
+    list.sort finds the two runs and merges them in one linear pass."""
+    out = families + rows
+    out.sort()
+    return out
 
 
 def _confirmed(v_max: int, level: FeasibilityLevel
                ) -> Iterator[tuple[SrgParams, Optional[tuple[int, int, int, int]]]]:
-    """enumerate_feasible's tuples, in its order, each with the spectrum
-    (r, -a, f, g) the generator handed on, or None for m*K_c, K_{m x a} and
-    the irrational conference tuples."""
+    """The tuples of enumerate_feasible with 0 < mu < k, in tuple order,
+    each with the spectrum (r, -a, f, g) the generator handed on, or None
+    for the irrational conference tuples."""
     new = tuple.__new__  # why: see the record comment in cab.cab
-    for v, k, lam, mu, spec in sorted(_eigenvalue_candidates(v_max)):
-        if v >= 5:
-            if spec is not None:
-                if _krein_absolute_failure(v, k, *spec, level) is None:
-                    yield new(SrgParams, (v, k, lam, mu)), spec
-            else:
-                p = new(SrgParams, (v, k, lam, mu))
-                if mu == 0 or mu == k or is_feasible(p, level)[0]:
-                    yield p, None
+    for v, k, lam, mu, spec in sorted(_primitive_candidates(v_max)):
+        if spec is not None:
+            if _krein_absolute_failure(v, k, *spec, level) is None:
+                yield new(SrgParams, (v, k, lam, mu)), spec
+        else:
+            p = new(SrgParams, (v, k, lam, mu))
+            if is_feasible(p, level)[0]:
+                yield p, None
 
 
 @dataclass
@@ -270,20 +306,17 @@ def _family_report(p: SrgParams) -> BoundsReport:
 
 
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
-    """The report of each enumerated tuple, in tuple order; it equals
-    full_report(p) on every one.  A tuple that carries its spectrum goes to
-    cab._report with the generator's r and s, and with the type the
-    conference test gives (I+II when it holds, II otherwise), as
+    """The report of each enumerated tuple with 0 < mu < k, in tuple order;
+    it equals full_report(p) on every one.  A tuple that carries its
+    spectrum goes to cab._report with the generator's r and s, and with the
+    type the conference test gives (I+II when it holds, II otherwise), as
     _spectrum_or_failure would derive them (enumerate_feasible's
-    docstring); the families m*K_c and K_{m x a} are built in closed form,
-    and only the irrational conference tuples call full_report.  Every
-    enumerated tuple has a spectrum, so every one is reported."""
+    docstring); only the irrational conference tuples call full_report.
+    The family rows are left to _family_report."""
     both, type2 = SrgType.BOTH, SrgType.TYPE_II_ONLY
     for p, spec in _confirmed(cfg.v_max, cfg.level):
         if spec is not None:
             yield _report(p, both if _conference(*p) else type2, spec[0], spec[1])
-        elif p.mu == 0 or p.mu == p.k:
-            yield _family_report(p)
         else:
             yield full_report(p)
 
@@ -292,6 +325,8 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     """Full bounds report per feasible tuple, deterministic tuple order."""
     reports = list(_reports(cfg))
 
+    # the stats walk only the rows with 0 < mu < k: a family row is type II
+    # and never connected and co-connected, so it counts in total alone.
     # thm22 holds the thm22 tuples seen so far: the walk runs backwards, so a
     # complement that sorts after its pair's kept member is seen before that
     # member
@@ -303,7 +338,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
         if tag is type_i:
             type1 += 1
             type1_thm21 += t21
-        elif mu > 0 and v - 2 * k + lam > 0:  # connected and co-connected
+        elif v - 2 * k + lam > 0:  # connected and co-connected, as mu > 0
             type2 += 1
             type2_thm22 += t22
             if t22:
@@ -315,6 +350,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
             if p <= q:
                 pairs += 1
                 pairs_thm += t22 or q in thm22
+    reports = _merged(list(map(_family_report, _families(cfg.v_max))), reports)
     stats = ScanStats(len(reports), type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
     if cfg.pairs:
@@ -339,7 +375,9 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     cab < -k/s as reals would already flag tuples where the two integers
     coincide).  The list is empty for v <= 2184 only: the first hit is
     (2185, 264, 23, 33) with CAB 11 and Delsarte 13, and there are 13 hits
-    with v <= 3000.  Hits are reported, not asserted."""
+    with v <= 3000.  Hits are reported, not asserted.  Only the rows with
+    0 < mu < k are read: a family row has cab = delsarte (_family_report),
+    so it is never a hit."""
     return [r.params for r in _reports(cfg) if r.cab < r.delsarte - 1 and not r.thm51]
 
 

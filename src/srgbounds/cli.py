@@ -102,6 +102,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from contextlib import nullcontext
+
     from . import catalog
 
     cfg = catalog.ScanConfig(
@@ -110,13 +112,10 @@ def _cmd_scan(args) -> int:
         filter=args.filter,
         pairs=args.pairs,
     )
-    records, stats = catalog.scan_compare(cfg)
-    text = catalog.emit(records, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --out before the scan, so an unwritable path fails at once
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        records, stats = catalog.scan_compare(cfg)
+        fh.write(catalog.emit(records, args.format))
     if args.stats:
         print(
             f"type-I tuples: {stats.type1_total}, improvement predicate: "

@@ -14,6 +14,7 @@ from srgbounds.catalog import (
     ScanConfig,
     ScanStats,
     _eigenvalue_candidates,
+    _families,
     _family_report,
     _least_v,
     conjecture_scan,
@@ -249,19 +250,28 @@ class TestHandedOnSpectrum:
         assert len({t[:4] for t in candidates_10000}) == len(candidates_10000)
 
 
+def family_construction(v_max: int) -> dict[SrgParams, int]:
+    """m*K_c and K_{m x a} with 5 <= v <= v_max, built from m, c, a, each
+    with the complement's lambda: v-2c, resp. a-2."""
+    lam_bar = {}
+    for x in range(2, v_max // 2 + 1):
+        for m in range(2, v_max // x + 1):
+            if m * x >= 5:
+                lam_bar[SrgParams(m * x, x - 1, x - 2, 0)] = m * x - 2 * x
+                lam_bar[SrgParams(m * x, (m - 1) * x, (m - 2) * x, (m - 1) * x)] = x - 2
+    return lam_bar
+
+
+def strictly_increasing(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
 class TestFamilyReport:
     def test_families_feasible_and_reported_exactly(self):
         # the scan builds these rows without is_feasible or full_report,
         # which stay the oracles
         v_max = 3000
-        # m*K_c and K_{m x a}, built from m, c, a, with the complement's
-        # lambda: v-2c, resp. a-2
-        lam_bar = {}
-        for x in range(2, v_max // 2 + 1):
-            for m in range(2, v_max // x + 1):
-                if m * x >= 5:
-                    lam_bar[SrgParams(m * x, x - 1, x - 2, 0)] = m * x - 2 * x
-                    lam_bar[SrgParams(m * x, (m - 1) * x, (m - 2) * x, (m - 1) * x)] = x - 2
+        lam_bar = family_construction(v_max)
         fams = family_tuples(v_max)
         assert sorted(fams) == sorted(lam_bar)
         for p in fams:
@@ -269,6 +279,23 @@ class TestFamilyReport:
                 assert is_feasible(p, level) == (True, None), (p, level)
             assert p.v - 2 * p.k + p.mu - 2 == lam_bar[p] >= 0, p
             assert _family_report(p) == full_report(p), p
+
+    def test_family_stream_in_tuple_order(self):
+        # the scan merges the family rows in as they come, unsorted
+        fams = list(_families(3000))
+        assert strictly_increasing(fams)
+        assert set(fams) == set(family_construction(3000))
+
+    @pytest.mark.parametrize("level", list(FeasibilityLevel))
+    def test_enumeration_merges_families_and_confirmed(self, level):
+        # the families unconfirmed, the other candidates confirmed by the
+        # is_feasible oracle
+        v_max = 3000
+        got = list(enumerate_feasible(v_max, level))
+        others = [p for p in (SrgParams(*t[:4]) for t in _eigenvalue_candidates(v_max))
+                  if 0 < p.mu < p.k and is_feasible(p, level)[0]]
+        assert strictly_increasing(got)
+        assert got == sorted(set(family_construction(v_max)).union(others))
 
     def test_closed_form_matches_full_report_to_v_10000(self):
         fams = family_tuples(10000)

@@ -260,6 +260,19 @@ class TestScan:
         assert out == ""
         assert target.read_text().startswith("v,k,lambda,mu")
 
+    def test_unwritable_out_fails_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        # --out is opened before the scan runs, so a bad path costs no scan
+        from srgbounds import catalog
+
+        calls = []
+        monkeypatch.setattr(catalog, "scan_compare", lambda cfg: calls.append(cfg))
+        target = tmp_path / "missing" / "scan.csv"
+        with pytest.raises(OSError) as exc:
+            open(target, "w")
+        assert run(capsys, "scan", "--max-v", "40", "--out", str(target)) == (
+            2, "", f"error: {exc.value}\n")
+        assert calls == []
+
     def test_level_option(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-v", "30", "--level", "counting",
                            "--format", "csv")
