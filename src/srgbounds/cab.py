@@ -193,9 +193,7 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
 
     Every level of those runs is still minimized over b by cap_min_over_b,
     so the first negative level and its witness are those of the plain walk
-    y = 3, 4, ...  When P(start) < 0, the start level is probed before any
-    run is isolated: it is the first level the walk would visit, and it
-    decides the bound of every m*K_c and K_{m x a} tuple.
+    y = 3, 4, ...
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
@@ -204,24 +202,18 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     cs = _certificate_cubic(v, k, lam)
     if start > top:
         runs = ()
-    elif _cubic(cs, start) < 0:
-        b, val = cap_min_over_b(v, k, lam, start)
-        if val < 0:
-            # the records of the scan's rows are built with tuple.__new__:
-            # the __new__ that NamedTuple generates is a Python-level wrapper
-            # that costs about three times as much per record
-            return start - 1, tuple.__new__(CabWitness, (b, start, val))
-        # the start level is visited once: resume after it
-        runs = _negative_runs(cs, start + 1, top)
-    elif cs[0] < 0:
+    elif cs[0] < 0 and _cubic(cs, start) >= 0:
         # the one-run lemma: [first, top], or nothing
         runs = ((_sign_change(cs, top, start), top),) if _cubic(cs, top) < 0 else ()
     else:
-        runs = _negative_runs(cs, start + 1, top)
+        runs = _negative_runs(cs, start, top)
     for lo, hi in runs:
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
+                # the records of the scan's rows are built with tuple.__new__:
+                # the __new__ that NamedTuple generates is a Python-level
+                # wrapper that costs about three times as much per record
                 return y - 1, tuple.__new__(CabWitness, (b, y, val))
     # Reached only when lam + 3 >= v (a level lam + 3 <= v - 1 is negative
     # at b = 0), so every level below v is nonnegative.  The quadratic-in-b
@@ -359,8 +351,7 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     spectrum its generator built, so there p is validated once, in cab."""
     # cab is called by its module-level name so that perfbench can time the
     # CAB walk on its own.  Most primitive tuples take its one-run bisection
-    # (P(start) >= 0 and c3 < 0); the others probe the start level and cut
-    # and bisect the rest of the range
+    # (P(start) >= 0 and c3 < 0); the others cut and bisect the range
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     if cab_val > p.lam + 2:

@@ -41,7 +41,6 @@ from .srg import (
     _complement,
     _conference,
     _krein_absolute_failure,
-    complement,
     is_feasible,
 )
 
@@ -109,9 +108,9 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
-def _families(v_max: int, v_min: int = 5) -> Iterator[SrgParams]:
+def _families(v_max: int) -> Iterator[SrgParams]:
     """The tuples m*K_c = (v, c-1, c-2, 0) and K_{m x a} = (v, v-a, v-2a, v-a),
-    m, c, a >= 2, with v_min <= v <= v_max, in tuple order, built per v from
+    m, c, a >= 2, with 5 <= v <= v_max, in tuple order, built per v from
     the divisors d of v with 2 <= d <= v/2.  No sort is needed: for the same
     v, every m*K_c row has k = c-1 <= v/2-1 and every K_{m x a} row has
     k = v-a >= v/2, so the m*K_c rows come by c ascending, then the
@@ -121,7 +120,7 @@ def _families(v_max: int, v_min: int = 5) -> Iterator[SrgParams]:
     for d in range(2, v_max // 2 + 1):
         for v in range(2 * d, v_max + 1, d):
             divisors[v].append(d)
-    for v in range(v_min, v_max + 1):
+    for v in range(5, v_max + 1):
         ds = divisors[v]
         for c in ds:
             yield new(SrgParams, (v, c - 1, c - 2, 0))
@@ -129,24 +128,15 @@ def _families(v_max: int, v_min: int = 5) -> Iterator[SrgParams]:
             yield new(SrgParams, (v, v - a, v - 2 * a, v - a))
 
 
-def _eigenvalue_candidates(v_max: int) -> Iterator[tuple]:
-    """Each tuple once, the tuples with v <= v_max that pass COUNTING and
-    have a spectrum: integer restricted eigenvalues r >= 0 > s = -a, or the
-    conference conditions with irrational eigenvalues, and integral
-    multiplicities.  This is a superset of the tuples that pass
-    INTEGRALITY.  Each comes as (v, k, lam, mu, spec): the families m*K_c
-    and K_{m x a} from v = 4 on (_families), then _primitive_candidates."""
-    for p in _families(v_max, 4):
-        yield (*p, None)
-    yield from _primitive_candidates(v_max)
-
-
 def _primitive_candidates(v_max: int) -> Iterator[tuple]:
-    """_eigenvalue_candidates without the two families: the candidates with
-    0 < mu < k, in no particular order.  spec is the integer spectrum
-    (r, -a, f, g) that _spectrum_or_failure would derive, built here for
-    every r >= 1, a >= 2 tuple, and None for the irrational conference
-    tuples.  A tuple comes once, so sorting never compares two specs."""
+    """The tuples with 0 < mu < k and v <= v_max that pass COUNTING and have
+    a spectrum, each once and in no particular order, as (v, k, lam, mu,
+    spec): integer restricted eigenvalues r >= 1 and s = -a <= -2 with
+    integral multiplicities, where spec is the spectrum (r, -a, f, g) that
+    _spectrum_or_failure would derive, or the conference conditions with
+    irrational eigenvalues, where spec is None.  With _families they cover
+    every tuple that passes INTEGRALITY.  A tuple comes once, so sorting
+    never compares two specs."""
     for v in range(5, v_max + 1, 4):
         if isqrt(v) ** 2 != v:
             yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4, None
@@ -263,14 +253,6 @@ class ScanStats:
         return self.pairs_type2_thm / self.pairs_type2_total if self.pairs_type2_total else 0.0
 
 
-def _keeps_pair_member(p: SrgParams) -> bool:
-    """One member per complementary pair: True unless p is connected and
-    co-connected with a complement tuple that sorts before it.  A pair with
-    v = 2k+1 has k = k_bar, so the tuple order, not k < v/2, picks the member.
-    complement cannot raise here: p is connected and co-connected."""
-    return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
-
-
 def _family_report(p: SrgParams) -> BoundsReport:
     """full_report(p), in closed form, for a generator tuple with mu = 0 or
     mu = k: (v, c-1, c-2, 0) with v = mc, the disjoint cliques m*K_c, or
@@ -291,7 +273,7 @@ def _family_report(p: SrgParams) -> BoundsReport:
     Bounds: cab() starts at y = lam+3 for m*K_c and at y = v/(v-k)+1 = m+1
     for K_{m x a} (_start_level), and both levels hold a negative value
     (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is y-1 with the
-    witness cap_min_over_b gives there, the probe cab() itself makes.
+    witness cap_min_over_b gives there, the one level cab() visits.
     Delsarte 1 + k/-s is c = lam+2, resp. m, again y-1.  thm21 needs an
     irrational spectrum and thm22 a fractional k/-s, which is c-1, resp.
     m-1, so both are False; thm51, k >= -s(lam+1), holds for m*K_c and, as
@@ -329,9 +311,10 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     # and never connected and co-connected, so it counts in total alone.
     # thm22 holds the thm22 tuples seen so far: the walk runs backwards, so a
     # complement that sorts after its pair's kept member is seen before that
-    # member
+    # member.  dropped holds the pair members that --pairs leaves out
     type1 = type1_thm21 = type2 = type2_thm22 = pairs = pairs_thm = 0
     thm22 = set()
+    dropped = set()
     type_i = SrgType.TYPE_I_ONLY  # read once: an enum member lookup is a slow class attribute
     for p, tag, _, _, _, t21, t22, _ in reversed(reports):
         v, k, lam, mu = p
@@ -343,18 +326,20 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
             type2_thm22 += t22
             if t22:
                 thm22.add(p)
-            # a pair counts once, at its kept member (_keeps_pair_member), and
-            # is covered if either member triggers; p passed COUNTING, so
-            # its complement needs no second validation
+            # a pair counts once, at the member that sorts first (v = 2k+1
+            # gives k = k_bar, so not at the one with k < v/2), and is covered
+            # if either member triggers; p passed COUNTING, so q is built unvalidated
             q = _complement(v, k, lam, mu)
             if p <= q:
                 pairs += 1
                 pairs_thm += t22 or q in thm22
+            else:
+                dropped.add(p)
     reports = _merged(list(map(_family_report, _families(cfg.v_max))), reports)
     stats = ScanStats(len(reports), type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
     if cfg.pairs:
-        reports = [r for r in reports if _keeps_pair_member(r.params)]
+        reports = [r for r in reports if r.params not in dropped]
 
     if cfg.filter == "gap":
         # mirror curated catalogs: proven-nonexistent tuples are excluded

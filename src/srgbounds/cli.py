@@ -35,6 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("params", nargs="+",
                    help='parameter tuple "v k lambda [mu]" (commas also accepted)')
     b.add_argument("--json", action="store_true")
+    b.set_defaults(run=_cmd_bounds)
 
     s = sub.add_parser("scan", help="scan feasible tuples and compare bounds")
     s.add_argument("--max-v", type=int, required=True)
@@ -47,21 +48,27 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--stats", action="store_true",
                    help="print measured theorem-coverage fractions to stderr")
+    s.set_defaults(run=_cmd_scan)
 
     vi = sub.add_parser("verify-identities", help="re-prove the polynomial identities")
     vi.add_argument("--json", action="store_true")
+    vi.set_defaults(run=_cmd_verify_identities)
 
     pl = sub.add_parser("paley", help="construct a Paley graph")
     pl.add_argument("p", type=int)
     pl.add_argument("--clique", action="store_true")
+    pl.set_defaults(run=_cmd_paley)
 
     mc = sub.add_parser("maxclique", help="maximum clique of a graph file")
     mc.add_argument("file")
+    mc.set_defaults(run=_cmd_maxclique)
 
-    sub.add_parser("delta3", help="report on the distance-3 line-graph fixture")
+    d3 = sub.add_parser("delta3", help="report on the distance-3 line-graph fixture")
+    d3.set_defaults(run=_cmd_delta3)
 
     cj = sub.add_parser("conjecture", help="scan for conjecture counterexamples")
     cj.add_argument("--max-v", type=int, required=True)
+    cj.set_defaults(run=_cmd_conjecture)
 
     return ap
 
@@ -102,6 +109,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import os
+    import stat
     from contextlib import nullcontext
 
     from . import catalog
@@ -112,10 +121,14 @@ def _cmd_scan(args) -> int:
         filter=args.filter,
         pairs=args.pairs,
     )
-    # open --out before the scan, so an unwritable path fails at once
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+    # open --out before the scan, so an unwritable path fails at once; empty a
+    # regular file only once the output is ready, so a failed scan keeps it
+    with open(args.out, "a") if args.out else nullcontext(sys.stdout) as fh:
         records, stats = catalog.scan_compare(cfg)
-        fh.write(catalog.emit(records, args.format))
+        text = catalog.emit(records, args.format)
+        if args.out and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        fh.write(text)
     if args.stats:
         print(
             f"type-I tuples: {stats.type1_total}, improvement predicate: "
@@ -233,19 +246,9 @@ def _cmd_conjecture(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    handlers = {
-        "bounds": _cmd_bounds,
-        "scan": _cmd_scan,
-        "verify-identities": _cmd_verify_identities,
-        "paley": _cmd_paley,
-        "maxclique": _cmd_maxclique,
-        "delta3": _cmd_delta3,
-        "conjecture": _cmd_conjecture,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,20 +60,16 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
             if len(parts) != 2:
                 raise GraphFormatError(f"bad edge line {ln.strip()!r}")
             a, b = parts
-            try:
-                u, ubit = memo[a]
-                v, vbit = memo[b]
-            except KeyError:
-                u = int(a)
-                v = int(b)
-                if u == v or not (0 <= u < n and 0 <= v < n):
-                    g.add_edge(u, v)  # raises the loop or range error
-                ubit = 1 << u
-                vbit = 1 << v
-                if u < _MEMO_VERTICES:
-                    memo[a] = (u, ubit)
-                if v < _MEMO_VERTICES:
-                    memo[b] = (v, vbit)
+            u = int(a)
+            v = int(b)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                g.add_edge(u, v)  # raises the loop or range error
+            ubit = 1 << u
+            vbit = 1 << v
+            if u < _MEMO_VERTICES:
+                memo[a] = (u, ubit)
+            if v < _MEMO_VERTICES:
+                memo[b] = (v, vbit)
         if u == v:
             g.add_edge(u, v)  # raises the loop error
         adj[u] |= vbit

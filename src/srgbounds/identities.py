@@ -60,48 +60,36 @@ def type1_symbols(w, t=None):
     return sym
 
 
-_PARAM_FREE_VARS = {
-    "general-srg": ("r", "s", "mu", "t"),
-    "type-i": ("w", "t"),
-    "raw": ("v", "k", "lam", "b", "c"),
+# name -> (symbol builder, free variables in draw order, each with the values
+# a draw avoids: the poles s = 0 and mu = 0, and w = -1, which makes s = 0;
+# the identities are polynomial in w, so w need not be a genuine sqrt(v))
+_PARAMETERIZATIONS: dict[str, tuple[Callable[..., dict], dict[str, tuple]]] = {
+    "general-srg": (general_srg_symbols, {"r": (), "s": (0,), "mu": (0,), "t": ()}),
+    "type-i": (type1_symbols, {"w": (-1,), "t": ()}),
+    "raw": (dict, {"v": (), "k": (), "lam": (), "b": (), "c": ()}),
 }
 
 
+def _symbols(parameterization: str, value: Callable[[str, tuple], object]) -> dict:
+    try:
+        build, free = _PARAMETERIZATIONS[parameterization]
+    except KeyError:
+        raise ValueError(f"unknown parameterization {parameterization!r}") from None
+    return build(**{name: value(name, avoided) for name, avoided in free.items()})
+
+
 def _symbolic_symbols(parameterization: str) -> dict:
-    if parameterization == "general-srg":
-        return general_srg_symbols(
-            MPoly.var("r"), MPoly.var("s"), MPoly.var("mu"), MPoly.var("t")
-        )
-    if parameterization == "type-i":
-        return type1_symbols(MPoly.var("w"), MPoly.var("t"))
-    if parameterization == "raw":
-        return {name: MPoly.var(name) for name in _PARAM_FREE_VARS["raw"]}
-    raise ValueError(f"unknown parameterization {parameterization!r}")
+    return _symbols(parameterization, lambda name, _: MPoly.var(name))
 
 
 def _numeric_symbols(parameterization: str, rng: random.Random) -> dict:
-    def sample() -> Fraction:
-        return Fraction(rng.randint(-24, 24), rng.randint(1, 8))
-
-    def sample_nonzero() -> Fraction:
+    def draw(_, avoided):
         while True:
-            x = sample()
-            if x != 0:
+            x = Fraction(rng.randint(-24, 24), rng.randint(1, 8))
+            if x not in avoided:
                 return x
 
-    if parameterization == "general-srg":
-        return general_srg_symbols(sample(), sample_nonzero(), sample_nonzero(), sample())
-    if parameterization == "type-i":
-        # the identity is polynomial in w, so w need not be a genuine sqrt(v);
-        # only w = -1 (making s = 0) is avoided for uniformity with the poles
-        while True:
-            w = sample()
-            if w != -1:
-                break
-        return type1_symbols(w, sample())
-    if parameterization == "raw":
-        return {name: sample() for name in _PARAM_FREE_VARS["raw"]}
-    raise ValueError(f"unknown parameterization {parameterization!r}")
+    return _symbols(parameterization, draw)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import floor, isqrt
@@ -16,7 +17,7 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import enumerate_feasible
+from srgbounds.catalog import _families, _family_report, enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -92,8 +93,8 @@ def random_triples(seed: int, count: int, v_max: int):
 
 
 def probe_misses(p: EdgeRegularParams) -> bool:
-    """cab()'s first probe finds P(start) < 0 at the start level, but no
-    negative value there, so the walk resumes one level later."""
+    """P(start) < 0 at the start level, but no negative value there, so
+    cab() finds the bound at a later level of its negative runs."""
     v, k, lam = p.v, p.k, p.lam
     start = cab_module._start_level(v, k, lam)
     return (start <= min(lam + 3, v - 1)
@@ -244,6 +245,35 @@ class TestCabOracle:
         c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
         assert (c, wit.b, wit.c_plus_1) == (9999999, 4999999, 10000000)
         assert calls == [10000000]
+
+    def test_family_tuples_visit_one_level(self, monkeypatch):
+        # m*K_c and K_{m x a}, built from m, c, a: cab() decides each at its
+        # start level, in one call of cap_min_over_b, with the witness of
+        # the closed form the scan uses
+        fams = [SrgParams(m * x, x - 1, x - 2, 0) for x in range(2, 1501)
+                for m in range(2, 3000 // x + 1)]
+        fams += [SrgParams(m * x, (m - 1) * x, (m - 2) * x, (m - 1) * x)
+                 for x in range(2, 1501) for m in range(2, 3000 // x + 1)]
+        assert set(fams) == {*_families(3000), SrgParams(4, 1, 0, 0), SrgParams(4, 2, 0, 2)}
+        n = 10**12
+        fams += [SrgParams(2 * n, n - 1, n - 2, 0), SrgParams(3 * n, 2 * n, n, 2 * n)]
+        calls = []
+
+        def counted(v, k, lam, y):
+            calls.append(y)
+            return cap_min_over_b(v, k, lam, y)
+
+        monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
+        for p in fams:
+            rep = _family_report(p)
+            for q in (p, p.edge_regular):
+                calls.clear()
+                start = time.perf_counter()
+                got = cab(q)
+                elapsed = time.perf_counter() - start
+                assert calls == [cab_module._start_level(p.v, p.k, p.lam)], q
+                assert got == (rep.cab, rep.cab_witness), q
+                assert elapsed < 0.05, (q, elapsed)
 
     @pytest.mark.parametrize("params", [(10, 4, 3), (6, 4, 2), (10, 6, 1)],
                              ids=["disjoint-cliques", "multipartite", "generic"])

@@ -13,10 +13,10 @@ from srgbounds.catalog import (
     CURATED_NOTES,
     ScanConfig,
     ScanStats,
-    _eigenvalue_candidates,
     _families,
     _family_report,
     _least_v,
+    _primitive_candidates,
     conjecture_scan,
     emit,
     enumerate_feasible,
@@ -84,6 +84,13 @@ def scan_stats_reference(reports) -> ScanStats:
                 stats.pairs_type2_total += 1
                 stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
     return stats
+
+
+def keeps_pair_member(p: SrgParams) -> bool:
+    """The oracle for --pairs: one member per complementary pair, so True
+    unless p is connected and co-connected with a complement tuple that
+    sorts before it."""
+    return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
 
 
 def primitive_candidates_trial_division(v_max: int):
@@ -164,15 +171,17 @@ class TestEnumeration:
             prev = cur
 
 
-def family_tuples(v_max: int) -> list[SrgParams]:
-    """The generator's tuples with mu = 0 or mu = k and 5 <= v <= v_max."""
-    return [SrgParams(*t[:4]) for t in _eigenvalue_candidates(v_max)
-            if t[0] >= 5 and (t[3] == 0 or t[3] == t[1])]
+def eigenvalue_candidates(v_max: int):
+    """Every candidate of the generators, as (v, k, lam, mu, spec): the
+    families with spec None, then _primitive_candidates."""
+    for p in _families(v_max):
+        yield (*p, None)
+    yield from _primitive_candidates(v_max)
 
 
 @pytest.fixture(scope="module")
 def candidates_10000():
-    return list(_eigenvalue_candidates(10000))
+    return list(eigenvalue_candidates(10000))
 
 
 class TestHandedOnSpectrum:
@@ -184,10 +193,8 @@ class TestHandedOnSpectrum:
         v_max = 3000
         accepted = {level: set(enumerate_feasible(v_max, level)) for level in FeasibilityLevel}
         carried = 0
-        for *t, spec in _eigenvalue_candidates(v_max):
+        for *t, spec in eigenvalue_candidates(v_max):
             p = SrgParams(*t)
-            if p.v < 5:
-                continue
             full = _spectrum_or_failure(p)
             # None exactly for m*K_c, K_{m x a} and the irrational conference tuples
             assert (spec is None) == (p.mu == 0 or p.mu == p.k or full[1] is None), p
@@ -204,7 +211,7 @@ class TestHandedOnSpectrum:
         # which derives the spectrum again, stays the oracle
         v_max = 3000
         oracle = {}
-        for *t, spec in _eigenvalue_candidates(v_max):
+        for *t, spec in _primitive_candidates(v_max):
             if spec is not None:
                 p = SrgParams(*t)
                 oracle[p] = full_report(p)
@@ -226,7 +233,7 @@ class TestHandedOnSpectrum:
         # (r+1)^3/l^2 resp. 1 + s^3/k^2 - (s+1)^3/l^2, with l = v-k-1, and
         # must be nonnegative
         fails = Counter()
-        for v, k, lam, mu, spec in _eigenvalue_candidates(3000):
+        for v, k, lam, mu, spec in _primitive_candidates(3000):
             if spec is None:
                 continue
             r, s, f, g = spec
@@ -246,7 +253,7 @@ class TestHandedOnSpectrum:
         assert got == sorted(primitive_candidates_trial_division(10000))
 
     def test_each_tuple_once(self, candidates_10000):
-        assert len(candidates_10000) == 191218
+        assert len(candidates_10000) == 191216
         assert len({t[:4] for t in candidates_10000}) == len(candidates_10000)
 
 
@@ -272,9 +279,7 @@ class TestFamilyReport:
         # which stay the oracles
         v_max = 3000
         lam_bar = family_construction(v_max)
-        fams = family_tuples(v_max)
-        assert sorted(fams) == sorted(lam_bar)
-        for p in fams:
+        for p in lam_bar:
             for level in FeasibilityLevel:
                 assert is_feasible(p, level) == (True, None), (p, level)
             assert p.v - 2 * p.k + p.mu - 2 == lam_bar[p] >= 0, p
@@ -292,13 +297,13 @@ class TestFamilyReport:
         # is_feasible oracle
         v_max = 3000
         got = list(enumerate_feasible(v_max, level))
-        others = [p for p in (SrgParams(*t[:4]) for t in _eigenvalue_candidates(v_max))
-                  if 0 < p.mu < p.k and is_feasible(p, level)[0]]
+        others = [p for p in (SrgParams(*t[:4]) for t in _primitive_candidates(v_max))
+                  if is_feasible(p, level)[0]]
         assert strictly_increasing(got)
         assert got == sorted(set(family_construction(v_max)).union(others))
 
     def test_closed_form_matches_full_report_to_v_10000(self):
-        fams = family_tuples(10000)
+        fams = list(_families(10000))
         assert len(fams) == 147336
         assert [p for p in fams if _family_report(p) != full_report(p)] == []
 
@@ -367,6 +372,16 @@ class TestScanCompare:
                                p.v - 2 * p.k + p.lam)) for p in type2}
         assert pairs <= keys
         assert stats.pairs_type2_total == len(pairs)
+
+    @pytest.mark.parametrize("level", list(FeasibilityLevel))
+    def test_pairs_match_oracle(self, level):
+        everything, stats = scan_compare(ScanConfig(v_max=3000, level=level))
+        kept, _ = scan_compare(ScanConfig(v_max=3000, level=level, pairs=True))
+        assert kept == [r for r in everything if keeps_pair_member(r.params)]
+        assert len(kept) < len(everything)
+        assert stats.pairs_type2_total == sum(
+            1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
+            and r.params.is_connected() and r.params.is_coconnected())
 
     @pytest.mark.parametrize("v_max,pairs,covered", [(150, 125, 15), (300, 327, 53)])
     def test_pair_totals(self, v_max, pairs, covered):

@@ -273,6 +273,27 @@ class TestScan:
             2, "", f"error: {exc.value}\n")
         assert calls == []
 
+    def test_failed_scan_keeps_an_existing_out_file(self, capsys, tmp_path, monkeypatch):
+        # --out is emptied only once the output is ready
+        from srgbounds import catalog
+
+        def fails(p):
+            raise AssertionError("report failed")
+
+        monkeypatch.setattr(catalog, "full_report", fails)
+        target = tmp_path / "scan.csv"
+        target.write_bytes(b"x\n")
+        assert run(capsys, "scan", "--max-v", "40", "--out", str(target)) == (
+            1, "", "invariant violation: report failed\n")
+        assert target.read_bytes() == b"x\n"
+        monkeypatch.undo()
+        assert run(capsys, "scan", "--max-v", "40", "--format", "csv",
+                   "--out", str(target))[0] == 0
+        assert target.read_text() == catalog.emit(
+            catalog.scan_compare(ScanConfig(v_max=40))[0], "csv")
+        # a device has nothing to empty
+        assert run(capsys, "scan", "--max-v", "40", "--out", os.devnull) == (0, "", "")
+
     def test_level_option(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-v", "30", "--level", "counting",
                            "--format", "csv")

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from srgbounds.identities import (
     verify_identity_mutated,
 )
 from srgbounds import identities
-from srgbounds.identities import IdentityCase, _symbolic_symbols
+from srgbounds.identities import IdentityCase, _numeric_symbols, _symbolic_symbols
 from srgbounds.mpoly import VARS, MPoly
 from srgbounds.srg import SrgParams, spectrum
 
@@ -121,6 +122,24 @@ def test_random_point_crosscheck(case):
 def test_crosscheck_rejects_bad_trials():
     with pytest.raises(ValueError):
         random_point_crosscheck(CASES[0], trials=0)
+
+
+@pytest.mark.parametrize("parameterization, free", [
+    ("general-srg", {"r": 0, "s": Fraction(-22, 5), "mu": 1, "t": Fraction(1, 5)}),
+    ("type-i", {"w": 0, "t": Fraction(-22, 5)}),
+    ("raw", {"v": 0, "k": Fraction(-22, 5), "lam": 1, "b": Fraction(1, 5), "c": 1}),
+])
+def test_numeric_symbols_first_draw(parameterization, free):
+    # the cross-check's points come from the seeded draws in this order, so
+    # a change of the draw order or of the avoided values shows here
+    sym = _numeric_symbols(parameterization, random.Random(0))
+    assert {name: sym[name] for name in free} == free
+
+
+def test_unknown_parameterization_rejected():
+    for build in (_symbolic_symbols, lambda name: _numeric_symbols(name, random.Random(0))):
+        with pytest.raises(ValueError, match="unknown parameterization 'bogus'"):
+            build("bogus")
 
 
 def test_parameterizations_agree_on_instances():
