@@ -335,8 +335,14 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
                 pairs_thm += t22 or q in thm22
             else:
                 dropped.add(p)
-    reports = _merged(list(map(_family_report, _families(cfg.v_max))), reports)
-    stats = ScanStats(len(reports), type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
+    # a family row has gap 0 and neither thm21 nor thm22 (_family_report), so
+    # --filter gap and --filter thm would drop each one: count them only
+    if cfg.filter in (None, "thm51"):
+        reports = _merged(list(map(_family_report, _families(cfg.v_max))), reports)
+        total = len(reports)
+    else:
+        total = len(reports) + sum(1 for _ in _families(cfg.v_max))
+    stats = ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
     if cfg.pairs:
         reports = [r for r in reports if r.params not in dropped]

@@ -1,10 +1,15 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage error.
+Exit codes: 0 success, 1 invariant violation, 2 usage error, 130 Ctrl-C.
 
 Only the bounds core (srg, cab) loads with this module; each handler
 imports the catalog, graph and arithmetic modules it needs, so that
-`srgbounds bounds` starts without them.
+`srgbounds bounds` starts without them.  Likewise each call builds only
+the subparser it runs (_SUBCOMMANDS), since building all seven takes far
+longer than a `bounds` answer.  An error the top level reports falls back
+to the full parser, so help and usage errors read the same whichever
+parser is built; `srgbounds --help`, an empty argv and an unknown command
+get the full parser.
 """
 
 from __future__ import annotations
@@ -24,19 +29,15 @@ _LEVELS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="srgbounds",
-        description="Exact clique-number bounds for strongly regular graph parameters",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
+def _add_bounds(sub) -> None:
     b = sub.add_parser("bounds", help="bounds for one parameter tuple")
     b.add_argument("params", nargs="+",
                    help='parameter tuple "v k lambda [mu]" (commas also accepted)')
     b.add_argument("--json", action="store_true")
     b.set_defaults(run=_cmd_bounds)
 
+
+def _add_scan(sub) -> None:
     s = sub.add_parser("scan", help="scan feasible tuples and compare bounds")
     s.add_argument("--max-v", type=int, required=True)
     s.add_argument("--level", choices=sorted(_LEVELS), default="absolute")
@@ -50,26 +51,71 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print measured theorem-coverage fractions to stderr")
     s.set_defaults(run=_cmd_scan)
 
+
+def _add_verify_identities(sub) -> None:
     vi = sub.add_parser("verify-identities", help="re-prove the polynomial identities")
     vi.add_argument("--json", action="store_true")
     vi.set_defaults(run=_cmd_verify_identities)
 
+
+def _add_paley(sub) -> None:
     pl = sub.add_parser("paley", help="construct a Paley graph")
     pl.add_argument("p", type=int)
     pl.add_argument("--clique", action="store_true")
     pl.set_defaults(run=_cmd_paley)
 
+
+def _add_maxclique(sub) -> None:
     mc = sub.add_parser("maxclique", help="maximum clique of a graph file")
     mc.add_argument("file")
     mc.set_defaults(run=_cmd_maxclique)
 
+
+def _add_delta3(sub) -> None:
     d3 = sub.add_parser("delta3", help="report on the distance-3 line-graph fixture")
     d3.set_defaults(run=_cmd_delta3)
 
+
+def _add_conjecture(sub) -> None:
     cj = sub.add_parser("conjecture", help="scan for conjecture counterexamples")
     cj.add_argument("--max-v", type=int, required=True)
     cj.set_defaults(run=_cmd_conjecture)
 
+
+# each subcommand's builder, in the order the full parser lists them
+_SUBCOMMANDS = {
+    "bounds": _add_bounds,
+    "scan": _add_scan,
+    "verify-identities": _add_verify_identities,
+    "paley": _add_paley,
+    "maxclique": _add_maxclique,
+    "delta3": _add_delta3,
+    "conjecture": _add_conjecture,
+}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """The top level of a parser that holds one subcommand.  Its own errors
+    (an unrecognized argument) are the full parser's, whose usage line
+    lists every subcommand."""
+
+    def error(self, message):
+        _build_parser().error(message)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  The
+    subparsers are plain ArgumentParsers named "srgbounds <command>", so
+    their help and usage errors do not depend on which parser holds them."""
+    ap = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="srgbounds",
+        description="Exact clique-number bounds for strongly regular graph parameters",
+    )
+    sub = ap.add_subparsers(dest="command", required=True, prog="srgbounds",
+                            parser_class=argparse.ArgumentParser)
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return ap
 
 
@@ -246,9 +292,15 @@ def _cmd_conjecture(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.run(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

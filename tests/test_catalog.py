@@ -409,6 +409,35 @@ class TestScanCompare:
         records, _ = scan_compare(ScanConfig(v_max=60, filter="thm51"))
         assert records and all(r.thm51 for r in records)
 
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_filters_match_full_then_filter_oracle(self, pairs):
+        # the oracle reports every row, the family rows included, then filters
+        everything, want_stats = scan_compare(ScanConfig(v_max=3000, pairs=pairs))
+        keeps = {
+            "gap": lambda r: r.gap > 0 and r.params not in CURATED_NONEXISTENT,
+            "thm": lambda r: r.thm21 or r.thm22,
+            "thm51": lambda r: r.thm51,
+        }
+        for flt, keep in keeps.items():
+            records, stats = scan_compare(ScanConfig(v_max=3000, filter=flt, pairs=pairs))
+            assert records == [r for r in everything if keep(r)], flt
+            assert records, flt
+            assert stats == want_stats, flt
+
+    @pytest.mark.parametrize("flt,builds", [
+        (None, True), ("gap", False), ("thm", False), ("thm51", True)])
+    def test_family_reports_only_where_a_family_row_can_be_kept(
+            self, monkeypatch, flt, builds):
+        # a family row has gap 0 and neither thm21 nor thm22
+        from srgbounds import catalog
+
+        calls = []
+        monkeypatch.setattr(catalog, "_family_report",
+                            lambda p: calls.append(p) or _family_report(p))
+        _, stats = scan_compare(ScanConfig(v_max=300, filter=flt))
+        assert calls == (list(_families(300)) if builds else [])
+        assert stats.total == len(list(enumerate_feasible(300)))
+
     def test_stats_fractions_in_range(self):
         _, stats = scan_compare(ScanConfig(v_max=150))
         assert 0 < stats.thm21_fraction < 1

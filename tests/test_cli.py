@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import srgbounds
 from srgbounds.cab import cab, full_report
 from srgbounds.catalog import SCAN_MAX_V, ScanConfig, enumerate_feasible
+from srgbounds import cli
 from srgbounds.cli import main
 from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
 from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
@@ -544,6 +546,87 @@ class TestConjecture:
             "  (2883,262,21,24)",
             "  (2916,440,34,72)",
         ]
+
+
+def _outcome(parse, argv):
+    """Exit code (or return value), stdout and stderr of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# for every subcommand: -h, a missing required argument, an unknown option
+# and bad values; then the argv that the full parser serves
+PARSER_CASES = [
+    ["bounds", "-h"], ["bounds"], ["bounds", "17", "8", "3", "4", "--bogus"],
+    ["bounds", "--json=1", "17"],
+    ["scan", "-h"], ["scan"], ["scan", "--max-v", "10", "--bogus"],
+    ["scan", "--max-v", "10", "--format", "xml"], ["scan", "--max-v", "10", "--level", "bogus"],
+    ["scan", "--max-v", "ten"],
+    ["verify-identities", "-h"], ["verify-identities", "--bogus"],
+    ["paley", "-h"], ["paley"], ["paley", "13", "--bogus"], ["paley", "x"],
+    ["maxclique", "-h"], ["maxclique"], ["maxclique", "g.txt", "--bogus"],
+    ["delta3", "-h"], ["delta3", "--bogus"],
+    ["conjecture", "-h"], ["conjecture"], ["conjecture", "--max-v", "10", "--bogus"],
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "--max-v", "10"],
+]
+
+
+class TestParser:
+    """main builds a parser that holds only the subcommand it runs; the full
+    _build_parser() stays the oracle for every help text, usage error and
+    exit code."""
+
+    def test_cases_cover_every_subcommand(self):
+        assert [name for name in cli._SUBCOMMANDS
+                if not any(argv[:1] == [name] for argv in PARSER_CASES)] == []
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_matches_full_parser(self, monkeypatch, columns, argv):
+        # argparse wraps usage and help at the terminal width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", columns)
+        want = _outcome(cli._build_parser().parse_args, argv)
+        assert want[0] in (0, 2)
+        assert _outcome(main, argv) == want
+
+    def test_a_subcommand_builds_only_its_subparser(self, capsys, monkeypatch):
+        built = []
+
+        def recorded(name, add, sub):
+            built.append(name)
+            add(sub)
+
+        monkeypatch.setattr(cli, "_SUBCOMMANDS", {
+            name: functools.partial(recorded, name, add)
+            for name, add in cli._SUBCOMMANDS.items()})
+        assert run(capsys, "bounds", "17", "8", "3", "4")[0] == 0
+        assert built == ["bounds"]
+        # an unknown option is reported by the full parser
+        built.clear()
+        assert _outcome(main, ["bounds", "17", "8", "3", "4", "--bogus"])[0] == 2
+        assert built == ["bounds", *cli._SUBCOMMANDS]
+        built.clear()
+        assert _outcome(main, ["--help"])[0] == 0
+        assert built == list(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("target, argv", [
+        ("srgbounds.cli.full_report", ["bounds", "17", "8", "3", "4"]),
+        ("srgbounds.catalog.scan_compare", ["scan", "--max-v", "60"]),
+    ], ids=["bounds", "scan"])
+    def test_ctrl_c_exits_130_without_traceback(self, capsys, monkeypatch, target, argv):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(target, interrupted)
+        code, out, err = run(capsys, *argv)
+        assert code == 130
+        assert "Traceback" not in err
+        assert (out, err) == ("", "interrupted\n")
 
 
 def _lines(line):
