@@ -3,14 +3,16 @@
 Graphs are stored as dense bitset adjacency rows (one Python int per vertex),
 which keeps the branch-and-bound clique search fast at desk scale (n <= 512).
 
-Before branching, `max_clique` reads symmetry from the labeling.  If each
-row adj[u] is row 0 rotated by u (a circulant on Z_n), translations are
-automorphisms and vertex 0 is forced into the clique.  If also S = N(0) is
-nonempty, made of units mod n and closed under products, S is a group,
-x -> s*x (s in S) are automorphisms, and the edge {0, 1} is forced; Paley
-graphs are such.  The search then runs on the common neighbourhood of the
-forced vertices.  The regularity checks read the same labeling: on a
-circulant, lam and mu are read from the pairs at vertex 0.
+`max_clique` searches the i-th vertex of its order as bit n-1-i, so the
+greedy colouring takes each vertex with one `bit_length`, and it stops with
+GraphSizeError after MAX_CLIQUE_NODE_LIMIT nodes.  Before branching it
+reads symmetry from the labeling.  If each row adj[u] is row 0 rotated by u
+(a circulant on Z_n), translations are automorphisms and vertex 0 is forced
+into the clique.  If also S = N(0) is a subgroup of the units mod n, tested
+coset by coset, x -> s*x (s in S) are automorphisms, and the edge {0, 1} is
+forced; Paley graphs are such.  The search then runs on the common
+neighbourhood of the forced vertices.  The regularity checks read the same
+labeling: on a circulant, lam and mu are read from the pairs at vertex 0.
 """
 
 from __future__ import annotations
@@ -22,14 +24,18 @@ from typing import Iterable, NamedTuple, Optional
 from .srg import EdgeRegularParams, SrgParams, factorize
 
 MAX_CLIQUE_VERTEX_LIMIT = 512
+# most nodes (`expand` calls) of one max_clique search: the pinned graphs
+# need at most 4,456, and the cut-off depends only on the graph
+MAX_CLIQUE_NODE_LIMIT = 25_000
 # largest p accepted by paley(): the primality test is O(sqrt(p)) trial
 # division and the rows take p^2 bits, so p is bounded before either runs
 PALEY_MAX_P = 4096
 
 
 class GraphSizeError(ValueError):
-    """Graph exceeds a desk-scale size limit: the vertex limit of the exact
-    clique search, or the largest p of a Paley construction."""
+    """Graph exceeds a desk-scale size limit: the vertex limit or the node
+    budget of the exact clique search, or the largest p of a Paley
+    construction."""
 
 
 def _bits(x: int) -> Iterable[int]:
@@ -247,47 +253,79 @@ class CliqueResult(NamedTuple):
 def _forced_clique(adj: list[int]) -> tuple[int, ...]:
     """Vertices that some maximum clique contains, read from the labeling:
     (0,) for a circulant, (0, 1) for a circulant whose connection set is a
-    multiplicative subgroup of the units mod n, () otherwise."""
+    multiplicative subgroup of the units mod n, () otherwise.
+
+    The subgroup test grows a subgroup H from {1} inside S = N(0), after
+    checking that 1 is in S and S holds only units.  The units commute, so
+    adding s to H gives the cosets H, Hs, Hs^2, ... up to the first power of
+    s already in H; each element is made once and must lie in S.  H then
+    ends inside S and holds every s in S, so H = S, after at most 2|S|
+    products where the pairwise closure takes |S|^2."""
     if not _is_circulant(adj):
         return ()
     n = len(adj)
     row = adj[0]
-    conn = list(_bits(row))
-    # S nonempty, all units and closed under products => S is a group, 1 in S
-    if conn and all(math.gcd(s, n) == 1 for s in conn) and all(
-        row >> (s * t % n) & 1 for s in conn for t in conn
-    ):
-        return (0, 1)
-    return (0,)
+    if not row >> 1 & 1 or any(math.gcd(s, n) != 1 for s in _bits(row)):
+        return (0,)
+    group = [1]
+    members = 2  # H as a bitset over Z_n
+    for s in _bits(row):
+        # coset is H s^j, its first element s^j; the next coset meets the
+        # cosets made so far only if s^(j+1) is in H
+        coset, grown = group, []
+        while not members >> (coset[0] * s % n) & 1:
+            coset = [h * s % n for h in coset]
+            for x in coset:
+                if not row >> x & 1:
+                    return (0,)
+                members |= 1 << x
+            grown += coset
+        group += grown
+    return (0, 1)
 
 
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch-and-bound on bitsets with a greedy
     coloring upper bound.  Deterministic: vertices are explored in
-    degree-descending order with index tie-break, from `_forced_clique`."""
+    degree-descending order with index tie-break, from `_forced_clique`.
+    The i-th vertex of that order is searched as bit n-1-i, so colouring
+    takes each class's next vertex with one `bit_length`.
+
+    The search makes at most MAX_CLIQUE_NODE_LIMIT nodes (`expand` calls);
+    past that it raises GraphSizeError with the best clique found so far,
+    a lower bound on the clique number."""
     if g.n > MAX_CLIQUE_VERTEX_LIMIT:
         raise GraphSizeError(f"n={g.n} exceeds limit {MAX_CLIQUE_VERTEX_LIMIT}")
     if g.n == 0:
         return CliqueResult(0, ())
 
-    # relabel by degree-descending, original index tie-break; a regular
-    # graph (so every circulant) keeps its labeling and its rows
+    # relabel by degree-descending, original index tie-break, the i-th
+    # vertex as bit n-1-i; a regular graph (so every circulant) keeps its
+    # order, and each row is its n binary digits reversed
     n = g.n
     perm = sorted(range(n), key=lambda u: (-g.degree(u), u))
     if perm == list(range(n)):
-        adj = g.adj
+        adj = [int(format(row, f"0{n}b")[::-1], 2) for row in reversed(g.adj)]
     else:
-        # new row i is old row perm[i] with bit perm[j] moved to bit j: pick
-        # those digits of its binary string, most significant first
-        pick = itemgetter(*reversed(perm))
-        adj = [int("".join(pick(bin(g.adj[u])[:1:-1].ljust(n, "0"))), 2) for u in perm]
+        # new row n-1-i is old row perm[i] with bit perm[j] moved to bit
+        # n-1-j: pick those digits of its binary string, most significant
+        # first
+        pick = itemgetter(*perm)
+        adj = [int("".join(pick(bin(g.adj[u])[:1:-1].ljust(n, "0"))), 2)
+               for u in reversed(perm)]
 
-    best = _forced_clique(adj)
+    # a circulant is regular, so its forced vertex u sits at bit n-1-u
+    clique = [n - 1 - u for u in _forced_clique(g.adj)]
+    best = tuple(clique)
     best_size = len(best)
-    clique = list(best)
     # every vertex except v and its neighbours: one AND removes a coloured
     # vertex and its neighbours from the colour class being filled
     nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    bit = [1 << v for v in range(n)]
+    budget = MAX_CLIQUE_NODE_LIMIT
+
+    def witness() -> tuple[int, ...]:
+        return tuple(sorted(perm[n - 1 - v] for v in best))
 
     def expand(cand: int) -> None:
         # greedy colouring of cand, one colour class at a time, so the
@@ -295,9 +333,15 @@ def max_clique(g: Graph) -> CliqueResult:
         # colour below kmin cannot grow the current clique past the best one,
         # so the first loop only colours; the second keeps each class from
         # kmin up as one bitset, and branching runs from the last class down,
-        # inside a class from its highest bit down (the MCQ/MCS rule of
-        # Tomita et al.)
-        nonlocal best_size, best
+        # inside a class from its lowest bit up, the reverse of the order
+        # coloured (the MCQ/MCS rule of Tomita et al.)
+        nonlocal best_size, best, budget
+        budget -= 1
+        if budget < 0:
+            raise GraphSizeError(
+                f"clique search exceeds its budget of {MAX_CLIQUE_NODE_LIMIT}"
+                f" nodes; best clique so far has {best_size} vertices"
+                f" (omega >= {best_size}): {' '.join(map(str, witness()))}")
         depth = len(clique)
         kmin = best_size - depth + 1
         uncolored = cand
@@ -306,24 +350,24 @@ def max_clique(g: Graph) -> CliqueResult:
                 return
             avail = uncolored
             while avail:
-                b = avail & -avail
-                avail &= nadj[b.bit_length() - 1]
-                uncolored ^= b
+                v = avail.bit_length() - 1
+                avail &= nadj[v]
+                uncolored ^= bit[v]
         classes: list[int] = []
         while uncolored:
             rest = avail = uncolored
             while avail:
-                b = avail & -avail
-                avail &= nadj[b.bit_length() - 1]
-                uncolored ^= b
+                v = avail.bit_length() - 1
+                avail &= nadj[v]
+                uncolored ^= bit[v]
             classes.append(rest ^ uncolored)
         color = max(kmin - 1, 0) + len(classes)
         for members in reversed(classes):
             while members:
                 if depth + color <= best_size:
                     return
-                v = members.bit_length() - 1
-                b = 1 << v
+                b = members & -members
+                v = b.bit_length() - 1
                 members ^= b
                 clique.append(v)
                 new_cand = cand & adj[v]
@@ -340,5 +384,4 @@ def max_clique(g: Graph) -> CliqueResult:
     for v in clique:
         cand &= adj[v]
     expand(cand)
-    witness = tuple(sorted(perm[v] for v in best))
-    return CliqueResult(best_size, witness)
+    return CliqueResult(best_size, witness())

@@ -19,8 +19,9 @@ from srgbounds.cab import cab, full_report
 from srgbounds.catalog import SCAN_MAX_V, ScanConfig, enumerate_feasible
 from srgbounds import cli
 from srgbounds.cli import main
-from srgbounds.graphio import GRAPH6_MAX_N, write_graph6
-from srgbounds.graphs import MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley
+from srgbounds.graphio import GRAPH6_MAX_N, write_edge_list, write_graph6
+from srgbounds.graphs import (
+    MAX_CLIQUE_NODE_LIMIT, MAX_CLIQUE_VERTEX_LIMIT, PALEY_MAX_P, Graph, paley)
 from srgbounds.srg import EdgeRegularParams, FeasibilityLevel, SrgParams
 
 SRC = os.path.dirname(os.path.dirname(srgbounds.__file__))
@@ -474,6 +475,25 @@ class TestGraphCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: n=513 exceeds limit 512")
+
+    def test_maxclique_dense_graph_exits_2_on_node_budget(self, tmp_path):
+        # G(200, 0.9) from random.Random(1) takes minutes to search in full
+        rng = random.Random(1)
+        g = Graph(200, [(u, v) for u in range(200) for v in range(u + 1, 200)
+                        if rng.random() < 0.9])
+        f = tmp_path / "gnp200-dense.txt"
+        f.write_text(write_edge_list(g))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "maxclique", str(f)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            f"error: clique search exceeds its budget of {MAX_CLIQUE_NODE_LIMIT} nodes;"
+            " best clique so far has 35 vertices (omega >= 35): ")
+        assert elapsed < 2.0, elapsed
 
     def test_maxclique_missing_file(self, capsys):
         code, _, err = run(capsys, "maxclique", "/nonexistent/file")

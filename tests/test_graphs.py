@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import srgbounds.graphs as graphs
 from srgbounds.graphs import (
     FANO_LINES,
     CliqueResult,
@@ -57,6 +58,21 @@ def _color_sort_reference(cand: int, adj: list[int]) -> tuple[list[int], list[in
             order.append(v)
             colors.append(color)
     return order, colors
+
+
+def forced_clique_pairwise(adj: list[int]) -> tuple[int, ...]:
+    """The oracle for _forced_clique: S = N(0) of a circulant is a group iff
+    it is nonempty, made of units and closed under all |S|^2 products."""
+    if not _is_circulant(adj):
+        return ()
+    n = len(adj)
+    row = adj[0]
+    conn = [s for s in range(n) if row >> s & 1]
+    if conn and all(math.gcd(s, n) == 1 for s in conn) and all(
+        row >> (s * t % n) & 1 for s in conn for t in conn
+    ):
+        return (0, 1)
+    return (0,)
 
 
 def max_clique_reference(g: Graph) -> CliqueResult:
@@ -173,6 +189,12 @@ def circulant(n, conn):
     return Graph(n, [(u, (u + s) % n) for u in range(n) for s in conn if u < (u + s) % n])
 
 
+def circulant_rows(n, conn):
+    """The adjacency rows of circulant(n, conn), each row 0 rotated."""
+    row = sum(1 << s for s in conn)
+    return [(row << u | row >> (n - u)) & ((1 << n) - 1) for u in range(n)]
+
+
 def relabel(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -200,6 +222,26 @@ def random_connection_set(n, rng):
         if rng.random() < 0.5:
             conn |= {d, n - d}
     return conn
+
+
+def unit_subgroups_with_minus_one(n):
+    """Every subgroup of the units mod n that holds -1, so is closed under
+    negation: the closures of {1, -1} with one more unit at a time."""
+    units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+    seen = {frozenset({1, n - 1})}
+    todo = list(seen)
+    while todo:
+        group = todo.pop()
+        for u in units:
+            grown, power = set(group), u
+            while power not in group:
+                grown |= {x * power % n for x in group}
+                power = power * u % n
+            grown = frozenset(grown)
+            if grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
+    return seen
 
 
 PALEY_PRIMES_TO_61 = [5, 13, 17, 29, 37, 41, 53, 61]
@@ -508,6 +550,43 @@ class TestMaxClique:
             assert max_clique(paley(p)).size == omega, p
 
 
+class TestNodeBudget:
+    """max_clique makes at most MAX_CLIQUE_NODE_LIMIT expand calls, then
+    raises GraphSizeError with the best clique so far as a lower bound."""
+
+    @pytest.mark.parametrize("build, nodes, expected", [
+        # the node counts of the search order, pinned; the first is the
+        # G(150, 1/2) of the CI witness pin
+        (lambda: random_graph(150, 0.5, random.Random(1)), 1458, CliqueResult(11, (12, 28, 60, 71, 82, 96, 100, 114, 115, 118, 130))),
+        (lambda: paley(241), 479, CliqueResult(7, (0, 1, 236, 237, 238, 239, 240))),
+        (lambda: paley(509), 4417, CliqueResult(9, (0, 1, 383, 384, 389, 480, 485, 489, 505))),
+    ])
+    def test_node_count_is_pinned(self, build, nodes, expected, monkeypatch):
+        g = build()
+        monkeypatch.setattr(graphs, "MAX_CLIQUE_NODE_LIMIT", nodes)
+        assert max_clique(g) == expected
+        monkeypatch.setattr(graphs, "MAX_CLIQUE_NODE_LIMIT", nodes - 1)
+        with pytest.raises(GraphSizeError, match=f"budget of {nodes - 1} nodes"):
+            max_clique(g)
+
+    def test_paley_to_509_answers(self):
+        for p in range(5, 510, 4):
+            if _is_prime(p):
+                res = max_clique(paley(p))
+                assert res.size == len(res.witness) >= PALEY_OMEGA.get(p, 0), p
+
+    def test_dense_graph_reports_a_lower_bound(self):
+        g = random_graph(200, 0.9, random.Random(1))
+        with pytest.raises(GraphSizeError) as exc:
+            max_clique(g)
+        msg = str(exc.value)
+        assert msg.startswith(f"clique search exceeds its budget of {graphs.MAX_CLIQUE_NODE_LIMIT} nodes")
+        size = int(msg.split("omega >= ")[1].split(")")[0])
+        witness = [int(w) for w in msg.split(": ")[1].split()]
+        assert len(witness) == size > 1
+        assert all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1 :])
+
+
 class TestSymmetryShortcut:
     """`max_clique` seeds the search with the vertices `_forced_clique` reads
     from a circulant labeling; the brute force and the plain search on a
@@ -540,6 +619,20 @@ class TestSymmetryShortcut:
         assert _forced_clique(h.adj) == ()
         assert max_clique(g).size == max_clique(h).size
 
+    def test_coset_subgroup_test_matches_pairwise_closure(self):
+        inputs = [circulant_rows(n, {d for d in range(1, n) if mask >> min(d, n - d) & 1})
+                  for n in range(1, 21) for mask in range(0, 1 << (n // 2 + 1), 2)]
+        assert len(inputs) == sum(2 ** (n // 2) for n in range(1, 21))
+        groups = [circulant_rows(n, group) for n in range(3, 200)
+                  for group in unit_subgroups_with_minus_one(n)]
+        inputs += groups + [paley(p).adj for p in PALEY_PRIMES_TO_241]
+        paths = {(0,): 0, (0, 1): 0}
+        for adj in inputs:
+            forced = _forced_clique(adj)
+            assert forced == forced_clique_pairwise(adj), (len(adj), bin(adj[0]))
+            paths[forced] += 1
+        assert paths[(0, 1)] >= len(groups) and paths[(0,)] > 1000, paths
+
     def test_closed_set_without_units_forces_one_vertex(self):
         # S = {3} on Z_6 is closed under products but does not contain 1
         g = circulant(6, {3})
@@ -566,6 +659,20 @@ class TestReferenceSearch:
     def test_paley(self, p):
         g = paley(p)
         assert max_clique(g) == max_clique_reference(g)
+
+    def test_every_graph_to_5_vertices(self):
+        # n = 1, isolated vertices, K_n, and both the kept (regular) order
+        # and a relabelled one: every labelled graph on 0..5 vertices
+        count = 0
+        for n in range(6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                res = max_clique(g)
+                assert res == max_clique_reference(g), (n, mask)
+                assert res.size == max_clique_bruteforce(g), (n, mask)
+                count += 1
+        assert count == 1 + 1 + 2 + 8 + 64 + 1024
 
     def test_delta3(self):
         g = heawood_line_distance3()
