@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .cab import cab, full_report, hoffman_clique_bound
+from .cab import cab, full_report
 from .srg import FeasibilityLevel, SrgParams, parse_params_string
 
 _LEVELS = {
@@ -252,8 +252,9 @@ def _cmd_maxclique(args) -> int:
 
 
 def _cmd_delta3(args) -> int:
+    from math import isqrt
+
     from .graphs import heawood_line_distance3, is_edge_regular, is_strongly_regular, max_clique
-    from .quadext import QuadExt
 
     g = heawood_line_distance3()
     er = is_edge_regular(g)
@@ -263,10 +264,10 @@ def _cmd_delta3(args) -> int:
     c, wit = cab(er)
     omega = max_clique(g).size
     # fixture eigenvalues: least eigenvalue -sqrt(8); complement -1-sqrt(8)
-    s = QuadExt.make(0, -1, 8)
-    delsarte = (1 - QuadExt.make(er.k) / s).floor()
-    s_bar = QuadExt.make(-1, -1, 8)
-    hoffman = hoffman_clique_bound(er.v, er.v - er.k - 1, s_bar)
+    v, k, kb = er.v, er.k, er.v - er.k - 1
+    delsarte = 1 + isqrt(k * k // 8)
+    # v(1+sqrt8)/(kb+1+sqrt8), times (kb+1-sqrt8) above and below
+    hoffman = (v * (kb - 7) + isqrt(8 * (v * kb) ** 2)) // ((kb + 1) ** 2 - 8)
     srg = is_strongly_regular(g)
     print(f"distance-3 graph of the Heawood line graph: ({er.v},{er.k},{er.lam})")
     print(f"strongly regular: {'yes' if srg else 'no'}")

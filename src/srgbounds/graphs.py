@@ -137,40 +137,37 @@ def heawood_graph() -> Graph:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Vertices are the edges of g; adjacent iff the edges share an endpoint."""
+    """Vertices are the edges of g, numbered in g.edges() order; adjacent iff
+    the edges share an endpoint.  at[x] is the bitset of the edges at x."""
     edges = g.edges()
     if not edges:
         raise ValueError("line graph of an edgeless graph is undefined here")
-    lg = Graph(len(edges))
+    at = [0] * g.n
     for i, (a, b) in enumerate(edges):
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if a in (c, d) or b in (c, d):
-                lg.add_edge(i, j)
+        at[a] |= 1 << i
+        at[b] |= 1 << i
+    lg = Graph(len(edges))
+    lg.adj = [(at[a] | at[b]) & ~(1 << i) for i, (a, b) in enumerate(edges)]
     return lg
 
 
 def distance_graph(g: Graph, i: int) -> Graph:
-    """Same vertex set; edge iff BFS distance in g is exactly i."""
+    """Same vertex set; edge iff BFS distance in g is exactly i: a source's
+    row is its i-th BFS frontier, and the search stops at an empty one."""
     if i < 1:
         raise ValueError("distance must be >= 1")
     out = Graph(g.n)
     for src in range(g.n):
-        dist = {src: 0}
-        frontier = [src]
-        d = 0
-        while frontier and d < i:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in _bits(g.adj[u]):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for w in frontier:
-            if src < w:
-                out.add_edge(src, w)
+        seen = frontier = 1 << src
+        for _ in range(i):
+            reach = 0
+            for u in _bits(frontier):
+                reach |= g.adj[u]
+            frontier = reach & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+        out.adj[src] = frontier
     return out
 
 

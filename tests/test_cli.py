@@ -532,12 +532,14 @@ class TestGraphCommands:
     def test_delta3(self, capsys):
         code, out, _ = run(capsys, "delta3")
         assert code == 0
-        assert "(21,8,3)" in out
-        assert "strongly regular: no" in out
-        assert "cab       4" in out
-        assert "delsarte  3" in out
-        assert "hoffman   5" in out
-        assert "omega     3" in out
+        assert out == (
+            "distance-3 graph of the Heawood line graph: (21,8,3)\n"
+            "strongly regular: no\n"
+            "cab       4  (witness C(1,5) = -8)\n"
+            "delsarte  3  (least eigenvalue -sqrt(8))\n"
+            "hoffman   5  (complement least eigenvalue -1-sqrt(8))\n"
+            "omega     3\n"
+        )
 
 
 class TestConjecture:

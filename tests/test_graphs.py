@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,8 @@ from srgbounds.graphs import (
 from srgbounds.cab import cap_min_over_b, cap_value
 from srgbounds.graphs import _forced_clique, _is_circulant, _is_prime
 from srgbounds.srg import EdgeRegularParams, SrgParams
+
+SRC = os.path.dirname(os.path.dirname(graphs.__file__))
 
 
 def max_clique_bruteforce(g: Graph) -> int:
@@ -159,6 +164,44 @@ def strongly_regular_pairwise(g: Graph):
             elif mu != common:
                 return None
     return SrgParams(er.v, er.k, er.lam, mu if mu is not None else 0)
+
+
+def line_graph_pairwise(g: Graph) -> Graph:
+    """The oracle for line_graph: compares every pair of edges, O(E^2)."""
+    edges = g.edges()
+    if not edges:
+        raise ValueError("line graph of an edgeless graph is undefined here")
+    lg = Graph(len(edges))
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if a in (c, d) or b in (c, d):
+                lg.add_edge(i, j)
+    return lg
+
+
+def distance_graph_bfs(g: Graph, i: int) -> Graph:
+    """The oracle for distance_graph: a BFS per source with a dict and lists."""
+    if i < 1:
+        raise ValueError("distance must be >= 1")
+    out = Graph(g.n)
+    for src in range(g.n):
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier and d < i:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in range(g.n):
+                    if g.has_edge(u, w) and w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for w in frontier:
+            if src < w:
+                out.add_edge(src, w)
+    return out
 
 
 def check_thm42(g: Graph, p: EdgeRegularParams) -> bool:
@@ -417,6 +460,50 @@ class TestDistanceGraph:
     def test_bad_distance(self):
         with pytest.raises(ValueError):
             distance_graph(Graph(3), 0)
+
+    def test_huge_distance_stops_at_empty_frontier(self):
+        # the BFS stops once a frontier is empty; without that stop this
+        # takes 10**9 rounds per vertex and the subprocess times out
+        code = ("from srgbounds.graphs import Graph, distance_graph; "
+                "g = distance_graph(Graph(30, [(u, u + 1) for u in range(29)]), 10**9); "
+                "print(g == Graph(30))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
+
+class TestConstructionOracle:
+    """line_graph and distance_graph work on bitset rows; they must equal the
+    pairwise and dict-BFS references, vertex numbering included."""
+
+    @staticmethod
+    def graphs():
+        yield heawood_graph()
+        yield paley(13)
+        rng = random.Random(29)
+        for _ in range(200):
+            yield random_graph(rng.randint(0, 20), rng.random(), rng)
+
+    def test_line_graph_matches_pairwise(self):
+        edgeless = 0
+        for g in self.graphs():
+            if g.edge_count() == 0:
+                edgeless += 1
+                with pytest.raises(ValueError, match="edgeless"):
+                    line_graph(g)
+            else:
+                assert line_graph(g) == line_graph_pairwise(g)
+        assert edgeless  # n <= 1 draws reach the error branch
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_distance_graph_matches_bfs(self, d):
+        for g in self.graphs():
+            assert distance_graph(g, d) == distance_graph_bfs(g, d)
+
+    def test_fixture_matches_references(self):
+        want = distance_graph_bfs(line_graph_pairwise(heawood_graph()), 3)
+        assert heawood_line_distance3() == want
 
 
 class TestRegularityChecks:

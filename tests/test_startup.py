@@ -84,17 +84,20 @@ print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - seen)}))
         assert {"srgbounds.graphs", "srgbounds.graphio"} <= set(out["loaded"])
         assert (HEAVY - {"srgbounds.graphs", "srgbounds.graphio"}) & set(out["loaded"]) == set()
 
-    def test_paley_loads_no_quadext(self):
-        # the Paley primality test factors with srg.factorize, so building
-        # and checking a Paley graph needs neither QuadExt nor Fraction
+    @pytest.mark.parametrize("argv", [["paley", "13", "--clique"], ["delta3"]],
+                             ids=lambda argv: argv[0])
+    def test_paley_loads_no_quadext(self, argv):
+        # the Paley primality test factors with srg.factorize, and delta3
+        # floors its irrational bounds with isqrt, so neither graph command
+        # needs QuadExt or Fraction
         code = """
 import json, sys
 import srgbounds.cli
 seen = set(sys.modules)
-rc = srgbounds.cli.main(["paley", "13", "--clique"])
+rc = srgbounds.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - seen)}))
 """
-        out = probe(code)
+        out = probe(code, json.dumps(argv))
         assert out["rc"] == 0
         assert "srgbounds.graphs" in out["loaded"]
         assert (HEAVY - {"srgbounds.graphs"}) & set(out["loaded"]) == set()
