@@ -115,10 +115,12 @@ def _floor_root(n: int, sign: int, d: int, q: int) -> int:
 def _sign_change(cs: tuple[int, int, int, int], neg: int, pos: int) -> int:
     """Bisect between neg, where the cubic cs is negative, and pos, where it
     is not, for a cubic that changes sign once between them; return the
-    negative level next to the change."""
+    negative level next to the change.  The cubic is unpacked once and
+    evaluated by Horner's rule in the loop, as _cubic would."""
+    c3, c2, c1, c0 = cs
     while abs(pos - neg) > 1:
         mid = (neg + pos) // 2
-        if _cubic(cs, mid) < 0:
+        if ((c3 * mid + c2) * mid + c1) * mid + c0 < 0:
             neg = mid
         else:
             pos = mid

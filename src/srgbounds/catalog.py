@@ -3,10 +3,11 @@
 Every bound is read off the spectrum, so candidates come from pure-integer
 generators at every level: a tuple is built from its restricted
 eigenvalues r >= 0 > s = -a.  The families m*K_c (mu = 0) and K_{m x a}
-(mu = k) pass every level and have CAB = Delsarte in closed form
-(_family_report), so _families streams them per v, from the divisors of
-v, already in tuple order, and the scan reports them without a sort, a
-confirmation or a dispatch.  The other candidates, 0 < mu < k, come from
+(mu = k) pass every level and have CAB = Delsarte in closed form, so the
+scan builds their reports per v, in one pass over the divisor sieve
+(_divisors) and already in tuple order, without a sort, a confirmation or
+a call per row (_family_reports); _families yields the same tuples for
+enumerate_feasible.  The other candidates, 0 < mu < k, come from
 _primitive_candidates, unordered, and alone are sorted, confirmed and
 reported; the two sorted lists of rows are then merged.  For r >= 1,
 a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu divides
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Optional
 
-from .cab import BoundsReport, CabWitness, _report, cap_min_over_b, full_report
+from .cab import BoundsReport, CabWitness, _report, full_report
 from .srg import (
     FeasibilityLevel,
     SrgParams,
@@ -48,8 +49,9 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration builds about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes 2.8-3.7 s and 125-128 MB at every
-# level on a 2-core Intel Xeon machine with Python 3.11, growing with v
+# fresh CSV scan at v <= 10000 takes a median 2.9 s (2.4-4.1 s) and
+# 120-124 MB at every level on a shared 2-core Intel Xeon machine with
+# Python 3.11, growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -108,6 +110,18 @@ class ScanConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
 
 
+def _divisors(v_max: int) -> list[list[int]]:
+    """The divisor sieve: entry v, 1 <= v <= v_max, lists the divisors d of
+    v with 2 <= d <= v/2, ascending, and entry 0 is empty.  These are the
+    m, c and a >= 2 of the family rows on v vertices, and d -> v/d reverses
+    the list."""
+    divisors = [[] for _ in range(v_max + 1)]
+    for d in range(2, v_max // 2 + 1):
+        for v in range(2 * d, v_max + 1, d):
+            divisors[v].append(d)
+    return divisors
+
+
 def _families(v_max: int) -> Iterator[SrgParams]:
     """The tuples m*K_c = (v, c-1, c-2, 0) and K_{m x a} = (v, v-a, v-2a, v-a),
     m, c, a >= 2, with 5 <= v <= v_max, in tuple order, built per v from
@@ -116,16 +130,82 @@ def _families(v_max: int) -> Iterator[SrgParams]:
     k = v-a >= v/2, so the m*K_c rows come by c ascending, then the
     K_{m x a} rows by a descending."""
     new = tuple.__new__  # why: see the record comment in cab.cab
-    divisors = [[] for _ in range(v_max + 1)]
-    for d in range(2, v_max // 2 + 1):
-        for v in range(2 * d, v_max + 1, d):
-            divisors[v].append(d)
+    divisors = _divisors(v_max)
     for v in range(5, v_max + 1):
         ds = divisors[v]
         for c in ds:
             yield new(SrgParams, (v, c - 1, c - 2, 0))
         for a in reversed(ds):
             yield new(SrgParams, (v, v - a, v - 2 * a, v - a))
+
+
+def _family_reports(v_max: int) -> list[BoundsReport]:
+    """full_report(p) for each tuple p of _families(v_max), in the same
+    order, in closed form and in one pass over the divisor sieve: the disjoint
+    cliques m*K_c = (v, c-1, c-2, 0) with v = mc, and the complete
+    multipartite K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), with m, c, a >= 2
+    and v >= 5.
+
+    Both pass every feasibility level.  COUNTING holds by construction:
+    k <= v-2, and (v-k-1)mu = k(k-lam-1), as 0 = 0 and (a-1)k = k(a-1).
+    INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is t^2 with t = c
+    (m*K_c: r = c-1, s = -1) or t = a (K_{m x a}: r = 0, s = -a), and the
+    nontrivial eigenvalue has integral multiplicity m-1 (f = m-1 for m*K_c,
+    g = m-1 for K_{m x a}); neither is a conference tuple (that needs
+    4mu = v-1 > 0, resp. 2k = v-1, i.e. (m-2)a = -1), so both are type II
+    and the sum of two squares is not asked.  KREIN and ABSOLUTE_BOUND
+    exempt both, as mu = 0, resp. v-2k+lam = 0.  The complement's
+    lam_bar = v-2k+mu-2 is v-2c = (m-2)c >= 0, resp. a-2 >= 0.
+
+    Bounds: cab() starts at y = lam+3 = c+1 for m*K_c and at
+    y = v/(v-k)+1 = m+1 for K_{m x a} (_start_level), and both levels hold a
+    negative value (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is
+    y-1 with the witness cap_min_over_b gives there, the one level cab()
+    visits.  At that level C(x, y) = a2 x^2 + a1 x + a0 with a2 = v-y and
+    (a1, a0) = (v+y, -y(y-1)) for m*K_c, (a2 - 2y(k-m), ym(lam-m+1)) for
+    K_{m x a}; the minimum over integers is at b = floor(-a1/2a2) or at b+1,
+    which wins only when C(b+1) - C(b) = a2(2b+1) + a1 < 0, so ties go to
+    the smaller b, as in cap_min_over_b.  Delsarte 1 + k/-s is c = lam+2,
+    resp. m, again y-1.  thm21 needs an irrational spectrum and thm22 a
+    fractional k/-s, which is c-1, resp. m-1, so both are False; thm51,
+    k >= -s(lam+1), holds for m*K_c and, as (m-1)a >= a((m-2)a+1) iff
+    (m-2)(a-1) <= 0, for K_{m x a} iff m = 2, i.e. y = 3."""
+    # why tuple.__new__: see the record comment in cab.cab
+    new, report, witness, params = tuple.__new__, BoundsReport, CabWitness, SrgParams
+    type2 = SrgType.TYPE_II_ONLY
+    out = []
+    add = out.append
+    divisors = _divisors(v_max)
+    for v in range(5, v_max + 1):
+        ds = divisors[v]
+        for c in ds:
+            y = c + 1
+            a2 = v - y
+            a1 = v + y
+            b = -a1 // (2 * a2)
+            val = (a2 * b + a1) * b - y * (y - 1)
+            step = a2 * (2 * b + 1) + a1
+            if step < 0:
+                b += 1
+                val += step
+            add(new(report, (new(params, (v, c - 1, c - 2, 0)), type2, c,
+                             new(witness, (b, y, val)), c, False, False, True)))
+        # a descending is m = v/a ascending: the list read both ways
+        for m, a in zip(ds, reversed(ds)):
+            y = m + 1
+            k = v - a
+            lam = k - a
+            a2 = v - y
+            a1 = a2 - 2 * y * (k - m)
+            b = -a1 // (2 * a2)
+            val = (a2 * b + a1) * b + y * m * (lam - m + 1)
+            step = a2 * (2 * b + 1) + a1
+            if step < 0:
+                b += 1
+                val += step
+            add(new(report, (new(params, (v, k, lam, k)), type2, m,
+                             new(witness, (b, y, val)), m, False, False, m == 2)))
+    return out
 
 
 def _primitive_candidates(v_max: int) -> Iterator[tuple]:
@@ -186,7 +266,7 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     and complete-multipartite (mu = k) tuples are included; callers filter
     on the connectivity flags.
 
-    The families m*K_c and K_{m x a} pass every level (_family_report) and
+    The families m*K_c and K_{m x a} pass every level (_family_reports) and
     come from _families in tuple order, unconfirmed; only the other
     candidates, 0 < mu < k, are sorted and confirmed (_confirmed), and the
     two sorted lists are merged.  is_feasible confirms only the irrational
@@ -253,40 +333,6 @@ class ScanStats:
         return self.pairs_type2_thm / self.pairs_type2_total if self.pairs_type2_total else 0.0
 
 
-def _family_report(p: SrgParams) -> BoundsReport:
-    """full_report(p), in closed form, for a generator tuple with mu = 0 or
-    mu = k: (v, c-1, c-2, 0) with v = mc, the disjoint cliques m*K_c, or
-    (ma, (m-1)a, (m-2)a, (m-1)a), the complete multipartite K_{m x a}, with
-    m, c, a >= 2 and v >= 5.
-
-    Both pass every feasibility level.  COUNTING holds by construction:
-    k <= v-2, and (v-k-1)mu = k(k-lam-1), as 0 = 0 and (a-1)k = k(a-1).
-    INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is t^2 with t = c
-    (m*K_c: r = c-1, s = -1) or t = a (K_{m x a}: r = 0, s = -a), and the
-    nontrivial eigenvalue has integral multiplicity m-1 (f = m-1 for m*K_c,
-    g = m-1 for K_{m x a}); neither is a conference tuple (that needs
-    4mu = v-1 > 0, resp. 2k = v-1, i.e. (m-2)a = -1), so both are type II
-    and the sum of two squares is not asked.  KREIN and ABSOLUTE_BOUND
-    exempt both, as mu = 0, resp. v-2k+lam = 0.  The complement's
-    lam_bar = v-2k+mu-2 is v-2c = (m-2)c >= 0, resp. a-2 >= 0.
-
-    Bounds: cab() starts at y = lam+3 for m*K_c and at y = v/(v-k)+1 = m+1
-    for K_{m x a} (_start_level), and both levels hold a negative value
-    (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is y-1 with the
-    witness cap_min_over_b gives there, the one level cab() visits.
-    Delsarte 1 + k/-s is c = lam+2, resp. m, again y-1.  thm21 needs an
-    irrational spectrum and thm22 a fractional k/-s, which is c-1, resp.
-    m-1, so both are False; thm51, k >= -s(lam+1), holds for m*K_c and, as
-    (m-1)a >= a((m-2)a+1) iff (m-2)(a-1) <= 0, for K_{m x a} iff m = 2,
-    i.e. y = 3."""
-    v, k, lam, mu = p
-    y = lam + 3 if mu == 0 else v // (v - k) + 1
-    b, val = cap_min_over_b(v, k, lam, y)
-    return tuple.__new__(BoundsReport, (p, SrgType.TYPE_II_ONLY, y - 1,
-                                        tuple.__new__(CabWitness, (b, y, val)), y - 1,
-                                        False, False, mu == 0 or y == 3))
-
-
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
     """The report of each enumerated tuple with 0 < mu < k, in tuple order;
     it equals full_report(p) on every one.  A tuple that carries its
@@ -294,7 +340,7 @@ def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
     type the conference test gives (I+II when it holds, II otherwise), as
     _spectrum_or_failure would derive them (enumerate_feasible's
     docstring); only the irrational conference tuples call full_report.
-    The family rows are left to _family_report."""
+    The family rows are left to _family_reports."""
     both, type2 = SrgType.BOTH, SrgType.TYPE_II_ONLY
     for p, spec in _confirmed(cfg.v_max, cfg.level):
         if spec is not None:
@@ -335,13 +381,14 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
                 pairs_thm += t22 or q in thm22
             else:
                 dropped.add(p)
-    # a family row has gap 0 and neither thm21 nor thm22 (_family_report), so
-    # --filter gap and --filter thm would drop each one: count them only
+    # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
+    # so --filter gap and --filter thm would drop each one: count them only,
+    # two per divisor in the sieve from v = 5 on
     if cfg.filter in (None, "thm51"):
-        reports = _merged(list(map(_family_report, _families(cfg.v_max))), reports)
+        reports = _merged(_family_reports(cfg.v_max), reports)
         total = len(reports)
     else:
-        total = len(reports) + sum(1 for _ in _families(cfg.v_max))
+        total = len(reports) + 2 * sum(map(len, _divisors(cfg.v_max)[5:]))
     stats = ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
     if cfg.pairs:
@@ -367,7 +414,7 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     coincide).  The list is empty for v <= 2184 only: the first hit is
     (2185, 264, 23, 33) with CAB 11 and Delsarte 13, and there are 13 hits
     with v <= 3000.  Hits are reported, not asserted.  Only the rows with
-    0 < mu < k are read: a family row has cab = delsarte (_family_report),
+    0 < mu < k are read: a family row has cab = delsarte (_family_reports),
     so it is never a hit."""
     return [r.params for r in _reports(cfg) if r.cab < r.delsarte - 1 and not r.thm51]
 
@@ -377,23 +424,24 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
 
 _CSV_BOOL = ("false", "true")
 _TABLE_BOOL = (".", "Y")
-_TYPE = {t: t.value for t in SrgType}
 
 
 def emit(reports: list[BoundsReport], fmt: str) -> str:
     """Deterministic rendering; identical inputs give byte-identical output.
-    Each format unpacks a report once; gap is delsarte - cab."""
+    Each format unpacks a report once; gap is delsarte - cab.  The type is
+    read as tag._value_, the attribute behind SrgType.value: hashing an Enum
+    member, or reading .value, runs Python code per row."""
     if fmt == "csv":
         lines = [CSV_HEADER]
         for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
-            lines.append(f"{v},{k},{lam},{mu},{_TYPE[tag]},{c},{d},{d - c},"
+            lines.append(f"{v},{k},{lam},{mu},{tag._value_},{c},{d},{d - c},"
                          f"{_CSV_BOOL[t21]},{_CSV_BOOL[t22]},{_CSV_BOOL[t51]}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         rows = []
         for p, tag, c, _, d, t21, t22, t51 in reports:
             v, k, lam, mu = p
-            row = {"v": v, "k": k, "lambda": lam, "mu": mu, "type": _TYPE[tag],
+            row = {"v": v, "k": k, "lambda": lam, "mu": mu, "type": tag._value_,
                    "cab": c, "delsarte": d, "gap": d - c,
                    "thm21": t21, "thm22": t22, "thm51": t51}
             if p in CURATED_NONEXISTENT:
@@ -408,7 +456,7 @@ def emit(reports: list[BoundsReport], fmt: str) -> str:
         for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
             tup = f"({v},{k},{lam},{mu})"
             lines.append(
-                f"{tup:>22}  {_TYPE[tag]:>4}  {c:>3}  {d:>4}  {d - c:>3}"
+                f"{tup:>22}  {tag._value_:>4}  {c:>3}  {d:>4}  {d - c:>3}"
                 f"  {_TABLE_BOOL[t21]:>3}  {_TABLE_BOOL[t22]:>3}  {_TABLE_BOOL[t51]:>3}"
             )
         return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ labeling: on a circulant, lam and mu are read from the pairs at vertex 0.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .srg import EdgeRegularParams, SrgParams, factorize
@@ -281,6 +280,23 @@ def _forced_clique(adj: list[int]) -> tuple[int, ...]:
     return (0, 1)
 
 
+def _relabelled(adj: list[int], perm: list[int]) -> list[int]:
+    """The rows of the graph with adjacency rows adj under the labeling that
+    makes vertex perm[i] bit n-1-i, listed by new vertex, bit 0 first.  A
+    regular graph (so every circulant) keeps its order, and each row is its
+    n binary digits reversed."""
+    n = len(adj)
+    if perm == list(range(n)):
+        return [int(format(row, f"0{n}b")[::-1], 2) for row in reversed(adj)]
+    # new row n-1-i is old row perm[i] with bit perm[j] moved to bit n-1-j:
+    # its digits, most significant first, are bit perm[j] of row perm[i] for
+    # j = 0..n-1, which by symmetry is bit perm[i] of row perm[j], so one
+    # transpose of the rows' reversed binary strings, taken in the order
+    # perm, gives them all: column u holds row u's digits
+    cols = list(zip(*[bin(adj[u])[:1:-1].ljust(n, "0") for u in perm]))
+    return [int("".join(cols[u]), 2) for u in reversed(perm)]
+
+
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch-and-bound on bitsets with a greedy
     coloring upper bound.  Deterministic: vertices are explored in
@@ -296,20 +312,10 @@ def max_clique(g: Graph) -> CliqueResult:
     if g.n == 0:
         return CliqueResult(0, ())
 
-    # relabel by degree-descending, original index tie-break, the i-th
-    # vertex as bit n-1-i; a regular graph (so every circulant) keeps its
-    # order, and each row is its n binary digits reversed
+    # relabel by degree-descending, original index tie-break
     n = g.n
     perm = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    if perm == list(range(n)):
-        adj = [int(format(row, f"0{n}b")[::-1], 2) for row in reversed(g.adj)]
-    else:
-        # new row n-1-i is old row perm[i] with bit perm[j] moved to bit
-        # n-1-j: pick those digits of its binary string, most significant
-        # first
-        pick = itemgetter(*perm)
-        adj = [int("".join(pick(bin(g.adj[u])[:1:-1].ljust(n, "0"))), 2)
-               for u in reversed(perm)]
+    adj = _relabelled(g.adj, perm)
 
     # a circulant is regular, so its forced vertex u sits at bit n-1-u
     clique = [n - 1 - u for u in _forced_clique(g.adj)]

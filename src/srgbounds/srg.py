@@ -34,6 +34,12 @@ class FeasibilityLevel(enum.IntEnum):
     ABSOLUTE_BOUND = 4
 
 
+# the two levels _krein_absolute_failure compares with, read once: an enum
+# member is a class attribute whose lookup runs Python code
+_KREIN = FeasibilityLevel.KREIN
+_ABSOLUTE_BOUND = FeasibilityLevel.ABSOLUTE_BOUND
+
+
 class EdgeRegularParams(NamedTuple):
     """(v, k, lam): v vertices, valency k, lam common neighbours per edge."""
 
@@ -294,13 +300,13 @@ def _krein_absolute_failure(v: int, k: int, r: int, s: int, f: int, g: int,
     rule: below KREIN there is nothing to check; KREIN adds the two Krein
     conditions, exact in integers, and ABSOLUTE_BOUND the absolute bound
     v <= f(f+3)/2, v <= g(g+3)/2."""
-    if level < FeasibilityLevel.KREIN:
+    if level < _KREIN:
         return None
     if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) * (s + 1):
         return "Krein 1"
     if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) * (r + 1):
         return "Krein 2"
-    if level < FeasibilityLevel.ABSOLUTE_BOUND:
+    if level < _ABSOLUTE_BOUND:
         return None
     if 2 * v > f * (f + 3):
         return "absolute bound (f)"

@@ -17,7 +17,7 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import _families, _family_report, enumerate_feasible
+from srgbounds.catalog import _families, enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -27,6 +27,7 @@ from srgbounds.srg import (
     SrgType,
     spectrum,
 )
+from test_catalog import family_report
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
@@ -265,7 +266,7 @@ class TestCabOracle:
 
         monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
         for p in fams:
-            rep = _family_report(p)
+            rep = family_report(p)
             for q in (p, p.edge_regular):
                 calls.clear()
                 start = time.perf_counter()
@@ -333,6 +334,20 @@ class TestCertificate:
         vv, kk = a * m, a * m - a
         assert (cap_value(vv, kk, 2 * kk - vv, x, y)
                 == a * (m - y) * z * (z + 1) + (a - 1) * y * (z + 1) * (z + 2))
+
+    def test_family_closed_forms(self):
+        # the coefficients catalog._family_reports uses at each family's
+        # CAB level: x in b, the part size c (or a) in c, m in t
+        x, c, m = self.X, self.Y, MPoly.var("t")
+        # m*K_c = (mc, c-1, c-2, 0) at y = c+1
+        v, y = m * c, c + 1
+        assert (v - y) * x * x + (v + y) * x - y * (y - 1) == cap_value(v, c - 1, c - 2, x, y)
+        # K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), a in c, at y = m+1
+        v, y = m * c, m + 1
+        k, lam = v - c, v - 2 * c
+        a2 = v - y
+        assert (a2 * x * x + (a2 - 2 * y * (k - m)) * x + y * m * (lam - m + 1)
+                == cap_value(v, k, lam, x, y))
 
     def test_cubic_form(self):
         x, y, v, k, lam = self.X, self.Y, self.V, self.K, self.LAM

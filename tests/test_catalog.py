@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from srgbounds.cab import BoundsReport, CabWitness, full_report
+from srgbounds.cab import BoundsReport, CabWitness, cap_min_over_b, full_report
 from srgbounds.catalog import (
     CSV_HEADER,
     CURATED_NONEXISTENT,
@@ -14,7 +14,7 @@ from srgbounds.catalog import (
     ScanConfig,
     ScanStats,
     _families,
-    _family_report,
+    _family_reports,
     _least_v,
     _primitive_candidates,
     conjecture_scan,
@@ -269,6 +269,19 @@ def family_construction(v_max: int) -> dict[SrgParams, int]:
     return lam_bar
 
 
+def family_report(p: SrgParams) -> BoundsReport:
+    """The reference for catalog._family_reports, one row at a time:
+    full_report(p) for a family tuple, read off the closed form that
+    _family_reports proves, with the witness from cap_min_over_b at the one
+    level cab() visits, y = lam+3 for m*K_c and y = v/(v-k)+1 for
+    K_{m x a}."""
+    v, k, lam, mu = p
+    y = lam + 3 if mu == 0 else v // (v - k) + 1
+    b, val = cap_min_over_b(v, k, lam, y)
+    return BoundsReport(p, SrgType.TYPE_II_ONLY, y - 1, CabWitness(b, y, val), y - 1,
+                        False, False, mu == 0 or y == 3)
+
+
 def strictly_increasing(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
@@ -283,7 +296,7 @@ class TestFamilyReport:
             for level in FeasibilityLevel:
                 assert is_feasible(p, level) == (True, None), (p, level)
             assert p.v - 2 * p.k + p.mu - 2 == lam_bar[p] >= 0, p
-            assert _family_report(p) == full_report(p), p
+            assert family_report(p) == full_report(p), p
 
     def test_family_stream_in_tuple_order(self):
         # the scan merges the family rows in as they come, unsorted
@@ -303,9 +316,14 @@ class TestFamilyReport:
         assert got == sorted(set(family_construction(v_max)).union(others))
 
     def test_closed_form_matches_full_report_to_v_10000(self):
+        # the builder's rows, in the order of _families, against the
+        # one-row reference and against full_report
         fams = list(_families(10000))
         assert len(fams) == 147336
-        assert [p for p in fams if _family_report(p) != full_report(p)] == []
+        rows = _family_reports(10000)
+        assert [r.params for r in rows] == fams
+        assert [p for p in fams if family_report(p) != full_report(p)] == []
+        assert [r.params for r in rows if r != family_report(r.params)] == []
 
 
 class TestScanConfig:
@@ -432,8 +450,13 @@ class TestScanCompare:
         from srgbounds import catalog
 
         calls = []
-        monkeypatch.setattr(catalog, "_family_report",
-                            lambda p: calls.append(p) or _family_report(p))
+
+        def counted(v_max):
+            rows = _family_reports(v_max)
+            calls.extend(r.params for r in rows)
+            return rows
+
+        monkeypatch.setattr(catalog, "_family_reports", counted)
         _, stats = scan_compare(ScanConfig(v_max=300, filter=flt))
         assert calls == (list(_families(300)) if builds else [])
         assert stats.total == len(list(enumerate_feasible(300)))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -22,7 +23,7 @@ from srgbounds.graphs import (
     paley,
 )
 from srgbounds.cab import cap_min_over_b, cap_value
-from srgbounds.graphs import _forced_clique, _is_circulant, _is_prime
+from srgbounds.graphs import _forced_clique, _is_circulant, _is_prime, _relabelled
 from srgbounds.srg import EdgeRegularParams, SrgParams
 
 SRC = os.path.dirname(os.path.dirname(graphs.__file__))
@@ -240,6 +241,19 @@ def circulant_rows(n, conn):
 
 def relabel(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def relabelled_reference(adj, perm):
+    """The oracle for _relabelled, n >= 1: new row n-1-i is row perm[i]
+    with bit perm[j] moved to bit n-1-j, its digits picked one row at a time
+    from the row's reversed binary string."""
+    n = len(adj)
+    pick = itemgetter(*perm)
+    return [int("".join(pick(bin(adj[u])[:1:-1].ljust(n, "0"))), 2) for u in reversed(perm)]
+
+
+def degree_order(g):
+    return sorted(range(g.n), key=lambda u: (-g.degree(u), u))
 
 
 def pairwise_paley(p):
@@ -760,6 +774,25 @@ class TestReferenceSearch:
                 assert res.size == max_clique_bruteforce(g), (n, mask)
                 count += 1
         assert count == 1 + 1 + 2 + 8 + 64 + 1024
+
+    def test_relabel_by_one_transpose(self):
+        # the transpose reads row perm[i]'s digits off the other rows, which
+        # holds as the rows are symmetric: on every graph to 5 vertices and
+        # on seeded G(n, 1/2), in max_clique's order and in a random one
+        graphs_ = []
+        for n in range(1, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs_ += [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                        for mask in range(1 << len(pairs))]
+        rng = random.Random(9)
+        gnp = [random_graph(rng.randint(2, 150), 0.5, rng) for _ in range(60)]
+        assert sum(degree_order(g) != list(range(g.n)) for g in gnp) >= 55
+        for g in graphs_ + gnp:
+            perm = degree_order(g)
+            shuffled = perm[:]
+            rng.shuffle(shuffled)
+            for order in (perm, shuffled):
+                assert _relabelled(g.adj, order) == relabelled_reference(g.adj, order), (g, order)
 
     def test_delta3(self):
         g = heawood_line_distance3()
