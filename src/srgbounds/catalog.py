@@ -6,8 +6,8 @@ eigenvalues r >= 0 > s = -a.  The families m*K_c (mu = 0) and K_{m x a}
 (mu = k) pass every level and have CAB = Delsarte in closed form, so the
 scan builds their reports per v, in one pass over the divisor sieve
 (_divisors) and already in tuple order, without a sort, a confirmation or
-a call per row (_family_reports); _families yields the same tuples for
-enumerate_feasible.  The other candidates, 0 < mu < k, come from
+a call per row (_family_reports); enumerate_feasible reads its family
+tuples off the same rows.  The other candidates, 0 < mu < k, come from
 _primitive_candidates, unordered, and alone are sorted, confirmed and
 reported; the two sorted lists of rows are then merged.  For r >= 1,
 a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu divides
@@ -122,29 +122,15 @@ def _divisors(v_max: int) -> list[list[int]]:
     return divisors
 
 
-def _families(v_max: int) -> Iterator[SrgParams]:
-    """The tuples m*K_c = (v, c-1, c-2, 0) and K_{m x a} = (v, v-a, v-2a, v-a),
-    m, c, a >= 2, with 5 <= v <= v_max, in tuple order, built per v from
-    the divisors d of v with 2 <= d <= v/2.  No sort is needed: for the same
-    v, every m*K_c row has k = c-1 <= v/2-1 and every K_{m x a} row has
-    k = v-a >= v/2, so the m*K_c rows come by c ascending, then the
-    K_{m x a} rows by a descending."""
-    new = tuple.__new__  # why: see the record comment in cab.cab
-    divisors = _divisors(v_max)
-    for v in range(5, v_max + 1):
-        ds = divisors[v]
-        for c in ds:
-            yield new(SrgParams, (v, c - 1, c - 2, 0))
-        for a in reversed(ds):
-            yield new(SrgParams, (v, v - a, v - 2 * a, v - a))
-
-
 def _family_reports(v_max: int) -> list[BoundsReport]:
-    """full_report(p) for each tuple p of _families(v_max), in the same
-    order, in closed form and in one pass over the divisor sieve: the disjoint
-    cliques m*K_c = (v, c-1, c-2, 0) with v = mc, and the complete
-    multipartite K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), with m, c, a >= 2
-    and v >= 5.
+    """full_report(p) for each family tuple p with 5 <= v <= v_max, in
+    tuple order, in closed form and in one pass over the divisor sieve: the
+    disjoint cliques m*K_c = (v, c-1, c-2, 0) with v = mc, and the complete
+    multipartite K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), with m, c, a >= 2,
+    built per v from the divisors d of v with 2 <= d <= v/2.  No sort is
+    needed: for the same v, every m*K_c row has k = c-1 <= v/2-1 and every
+    K_{m x a} row has k = v-a >= v/2, so the m*K_c rows come by c
+    ascending, then the K_{m x a} rows by a descending.
 
     Both pass every feasibility level.  COUNTING holds by construction:
     k <= v-2, and (v-k-1)mu = k(k-lam-1), as 0 = 0 and (a-1)k = k(a-1).
@@ -214,9 +200,9 @@ def _primitive_candidates(v_max: int) -> Iterator[tuple]:
     spec): integer restricted eigenvalues r >= 1 and s = -a <= -2 with
     integral multiplicities, where spec is the spectrum (r, -a, f, g) that
     _spectrum_or_failure would derive, or the conference conditions with
-    irrational eigenvalues, where spec is None.  With _families they cover
-    every tuple that passes INTEGRALITY.  A tuple comes once, so sorting
-    never compares two specs."""
+    irrational eigenvalues, where spec is None.  With the family tuples of
+    _family_reports they cover every tuple that passes INTEGRALITY.  A tuple
+    comes once, so sorting never compares two specs."""
     for v in range(5, v_max + 1, 4):
         if isqrt(v) ** 2 != v:
             yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4, None
@@ -266,8 +252,8 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     and complete-multipartite (mu = k) tuples are included; callers filter
     on the connectivity flags.
 
-    The families m*K_c and K_{m x a} pass every level (_family_reports) and
-    come from _families in tuple order, unconfirmed; only the other
+    The families m*K_c and K_{m x a} pass every level and are the params
+    of _family_reports, in tuple order and unconfirmed; only the other
     candidates, 0 < mu < k, are sorted and confirmed (_confirmed), and the
     two sorted lists are merged.  is_feasible confirms only the irrational
     conference candidates.  A candidate that carries its spectrum
@@ -283,7 +269,9 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
       v = 4mu + 1 = (r+a)^2, a square and so a sum of two squares;
     - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
       neither exemption applies."""
-    yield from _merged(list(_families(v_max)), [p for p, _ in _confirmed(v_max, level)])
+    ScanConfig(v_max=v_max, level=level)  # a scan's limits: each family tuple comes with its report
+    yield from _merged([r.params for r in _family_reports(v_max)],
+                       [p for p, _ in _confirmed(v_max, level)])
 
 
 def _merged(families: list, rows: list) -> list:

@@ -1,6 +1,7 @@
 import importlib
 import random
 import time
+from collections import Counter
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import floor, isqrt
@@ -17,17 +18,20 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import _families, enumerate_feasible
+from srgbounds.catalog import enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
     EdgeRegularParams,
+    FeasibilityLevel,
     InfeasibleParamsError,
     SrgParams,
     SrgType,
+    factorize,
+    is_feasible,
     spectrum,
 )
-from test_catalog import family_report
+from test_catalog import family_construction, family_report
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
@@ -251,11 +255,7 @@ class TestCabOracle:
         # m*K_c and K_{m x a}, built from m, c, a: cab() decides each at its
         # start level, in one call of cap_min_over_b, with the witness of
         # the closed form the scan uses
-        fams = [SrgParams(m * x, x - 1, x - 2, 0) for x in range(2, 1501)
-                for m in range(2, 3000 // x + 1)]
-        fams += [SrgParams(m * x, (m - 1) * x, (m - 2) * x, (m - 1) * x)
-                 for x in range(2, 1501) for m in range(2, 3000 // x + 1)]
-        assert set(fams) == {*_families(3000), SrgParams(4, 1, 0, 0), SrgParams(4, 2, 0, 2)}
+        fams = [*sorted(family_construction(3000)), SrgParams(4, 1, 0, 0), SrgParams(4, 2, 0, 2)]
         n = 10**12
         fams += [SrgParams(2 * n, n - 1, n - 2, 0), SrgParams(3 * n, 2 * n, n, 2 * n)]
         calls = []
@@ -609,6 +609,42 @@ class TestPredicatesExact:
             rep = type1[v]
             assert rep.params == SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4)
             assert rep.thm21 is False and rep.cab == rep.delsarte, rep
+
+    def test_exact_on_random_tuples(self):
+        # seeded tuples mostly outside the catalogue, v up to about 1.4*10^9:
+        # type II from the generator's parameterization r >= 1, a >= 2, mu |
+        # n = ra(r+1)(a-1), and conference tuples on sums of two squares
+        rng = random.Random(7)
+        type2 = []
+        while len(type2) < 400:
+            r, a = rng.randint(1, 300), rng.randint(2, 300)
+            exps = Counter()
+            for x in (r, r + 1, a, a - 1):
+                exps.update(dict(factorize(x)))
+            mu = 1
+            for q, e in exps.items():
+                mu *= q ** rng.randint(0, e)
+            k = mu + r * a
+            v = k + 1 + (r + 1) * (a - 1) + r * a * (r + 1) * (a - 1) // mu
+            f, rem = divmod((v - 1) * a - k, r + a)
+            p = SrgParams(v, k, mu + r - a, mu)
+            # lam_bar >= 0 is checked here, as is_feasible does not ask it
+            if (mu + r >= a and not rem and v - 2 * k + mu - 2 >= 0
+                    and is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND)[0]):
+                assert spectrum(p).f == f, p
+                type2.append(p)
+        conference = []
+        while len(conference) < 200:
+            v = (2 * rng.randrange(15811) + 1) ** 2 + (2 * rng.randrange(1, 15811)) ** 2
+            if v <= 10**9 and isqrt(v) ** 2 != v:
+                p = SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4)
+                assert is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND) == (True, None), p
+                conference.append(p)
+        for tuples in (type2, conference):
+            reports = [full_report(p) for p in tuples]
+            assert [r.params for r in reports
+                    if (r.improved is not None) != (r.cab < r.delsarte)] == []
+            assert {r.cab < r.delsarte for r in reports} == {False, True}
 
 
 def quadext_bounds(p):

@@ -11,9 +11,9 @@ from srgbounds.catalog import (
     CSV_HEADER,
     CURATED_NONEXISTENT,
     CURATED_NOTES,
+    SCAN_MAX_V,
     ScanConfig,
     ScanStats,
-    _families,
     _family_reports,
     _least_v,
     _primitive_candidates,
@@ -154,6 +154,12 @@ class TestEnumeration:
         slow = [p for p in enumerate_feasible_bruteforce(150, level) if has_spectrum(p)]
         assert fast == slow
 
+    @pytest.mark.parametrize("v_max", [4, SCAN_MAX_V + 1])
+    def test_scan_limits(self, v_max):
+        # each family tuple comes with its report, so the scan's limits hold
+        with pytest.raises(ValueError):
+            next(enumerate_feasible(v_max))
+
     def test_lexicographic_order(self):
         tuples = [(p.v, p.k, p.lam, p.mu) for p in enumerate_feasible(60)]
         assert tuples == sorted(tuples)
@@ -172,9 +178,9 @@ class TestEnumeration:
 
 
 def eigenvalue_candidates(v_max: int):
-    """Every candidate of the generators, as (v, k, lam, mu, spec): the
-    families with spec None, then _primitive_candidates."""
-    for p in _families(v_max):
+    """Every candidate, as (v, k, lam, mu, spec): the families, built from
+    m, c and a, with spec None, then _primitive_candidates."""
+    for p in family_construction(v_max):
         yield (*p, None)
     yield from _primitive_candidates(v_max)
 
@@ -300,9 +306,7 @@ class TestFamilyReport:
 
     def test_family_stream_in_tuple_order(self):
         # the scan merges the family rows in as they come, unsorted
-        fams = list(_families(3000))
-        assert strictly_increasing(fams)
-        assert set(fams) == set(family_construction(3000))
+        assert [r.params for r in _family_reports(3000)] == sorted(family_construction(3000))
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_enumeration_merges_families_and_confirmed(self, level):
@@ -316,9 +320,9 @@ class TestFamilyReport:
         assert got == sorted(set(family_construction(v_max)).union(others))
 
     def test_closed_form_matches_full_report_to_v_10000(self):
-        # the builder's rows, in the order of _families, against the
-        # one-row reference and against full_report
-        fams = list(_families(10000))
+        # the builder's rows, against the tuples built from m, c and a in
+        # tuple order, the one-row reference and full_report
+        fams = sorted(family_construction(10000))
         assert len(fams) == 147336
         rows = _family_reports(10000)
         assert [r.params for r in rows] == fams
@@ -458,7 +462,7 @@ class TestScanCompare:
 
         monkeypatch.setattr(catalog, "_family_reports", counted)
         _, stats = scan_compare(ScanConfig(v_max=300, filter=flt))
-        assert calls == (list(_families(300)) if builds else [])
+        assert calls == (sorted(family_construction(300)) if builds else [])
         assert stats.total == len(list(enumerate_feasible(300)))
 
     def test_stats_fractions_in_range(self):
