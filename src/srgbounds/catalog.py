@@ -29,10 +29,9 @@ so it counts in the total alone.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .cab import BoundsReport, CabWitness, _report, full_report
 from .srg import (
@@ -94,20 +93,22 @@ CURATED_NONEXISTENT: frozenset[tuple[int, int, int, int]] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    v_max: int
-    level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND
-    filter: Optional[str] = None  # None | "gap" | "thm" | "thm51"
-    pairs: bool = False
+class ScanConfig(namedtuple("ScanConfig", "v_max level filter pairs")):
+    """A scan's settings, checked when built.  A tuple, like the records,
+    so that defining it needs no dataclasses."""
 
-    def __post_init__(self):
-        if self.v_max < 5:
+    __slots__ = ()
+
+    def __new__(cls, v_max: int, level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND,
+                filter: Optional[str] = None,  # None | "gap" | "thm" | "thm51"
+                pairs: bool = False):
+        if v_max < 5:
             raise ValueError("v_max must be >= 5")
-        if self.v_max > SCAN_MAX_V:
-            raise ValueError(f"v_max={self.v_max} exceeds limit {SCAN_MAX_V}")
-        if self.filter not in (None, "gap", "thm", "thm51"):
-            raise ValueError(f"unknown filter {self.filter!r}")
+        if v_max > SCAN_MAX_V:
+            raise ValueError(f"v_max={v_max} exceeds limit {SCAN_MAX_V}")
+        if filter not in (None, "gap", "thm", "thm51"):
+            raise ValueError(f"unknown filter {filter!r}")
+        return tuple.__new__(cls, (v_max, level, filter, pairs))
 
 
 def _divisors(v_max: int) -> list[list[int]]:
@@ -298,8 +299,7 @@ def _confirmed(v_max: int, level: FeasibilityLevel
                 yield p, None
 
 
-@dataclass
-class ScanStats:
+class ScanStats(NamedTuple):
     total: int = 0
     type1_total: int = 0
     type1_thm21: int = 0
@@ -437,6 +437,8 @@ def emit(reports: list[BoundsReport], fmt: str) -> str:
             elif p in CURATED_NOTES:
                 row["annotations"] = CURATED_NOTES[p]
             rows.append(row)
+        import json
+
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "table":
         header = f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}  {'t21':>3}  {'t22':>3}  {'t51':>3}"

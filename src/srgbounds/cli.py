@@ -4,18 +4,19 @@ Exit codes: 0 success, 1 invariant violation, 2 usage error, 130 Ctrl-C.
 
 Only the bounds core (srg, cab) loads with this module; each handler
 imports the catalog, graph and arithmetic modules it needs, so that
-`srgbounds bounds` starts without them.  Likewise each call builds only
-the subparser it runs (_SUBCOMMANDS), since building all seven takes far
-longer than a `bounds` answer.  An error the top level reports falls back
-to the full parser, so help and usage errors read the same whichever
-parser is built; `srgbounds --help`, an empty argv and an unknown command
-get the full parser.
+`srgbounds bounds` starts without them, and json loads only where JSON
+is written.  Likewise each call builds one ArgumentParser, the named
+subcommand's own (_SUBCOMMANDS), since building all seven takes far
+longer than a `bounds` answer.  The full parser holds the same
+subparser, so help and usage errors read the same either way; it also
+serves `srgbounds --help`, an empty argv, an unknown command and the
+arguments a subcommand's parser leaves over, which it reports as
+unrecognized.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cab import cab, full_report
@@ -29,16 +30,14 @@ _LEVELS = {
 }
 
 
-def _add_bounds(sub) -> None:
-    b = sub.add_parser("bounds", help="bounds for one parameter tuple")
+def _add_bounds(b) -> None:
     b.add_argument("params", nargs="+",
                    help='parameter tuple "v k lambda [mu]" (commas also accepted)')
     b.add_argument("--json", action="store_true")
     b.set_defaults(run=_cmd_bounds)
 
 
-def _add_scan(sub) -> None:
-    s = sub.add_parser("scan", help="scan feasible tuples and compare bounds")
+def _add_scan(s) -> None:
     s.add_argument("--max-v", type=int, required=True)
     s.add_argument("--level", choices=sorted(_LEVELS), default="absolute")
     s.add_argument("--filter", choices=["gap", "thm", "thm51"], default=None)
@@ -52,70 +51,56 @@ def _add_scan(sub) -> None:
     s.set_defaults(run=_cmd_scan)
 
 
-def _add_verify_identities(sub) -> None:
-    vi = sub.add_parser("verify-identities", help="re-prove the polynomial identities")
+def _add_verify_identities(vi) -> None:
     vi.add_argument("--json", action="store_true")
     vi.set_defaults(run=_cmd_verify_identities)
 
 
-def _add_paley(sub) -> None:
-    pl = sub.add_parser("paley", help="construct a Paley graph")
+def _add_paley(pl) -> None:
     pl.add_argument("p", type=int)
     pl.add_argument("--clique", action="store_true")
     pl.set_defaults(run=_cmd_paley)
 
 
-def _add_maxclique(sub) -> None:
-    mc = sub.add_parser("maxclique", help="maximum clique of a graph file")
+def _add_maxclique(mc) -> None:
     mc.add_argument("file")
     mc.set_defaults(run=_cmd_maxclique)
 
 
-def _add_delta3(sub) -> None:
-    d3 = sub.add_parser("delta3", help="report on the distance-3 line-graph fixture")
+def _add_delta3(d3) -> None:
     d3.set_defaults(run=_cmd_delta3)
 
 
-def _add_conjecture(sub) -> None:
-    cj = sub.add_parser("conjecture", help="scan for conjecture counterexamples")
+def _add_conjecture(cj) -> None:
     cj.add_argument("--max-v", type=int, required=True)
     cj.set_defaults(run=_cmd_conjecture)
 
 
-# each subcommand's builder, in the order the full parser lists them
+# each subcommand's help line and the builder of its arguments, in the
+# order the full parser lists them
 _SUBCOMMANDS = {
-    "bounds": _add_bounds,
-    "scan": _add_scan,
-    "verify-identities": _add_verify_identities,
-    "paley": _add_paley,
-    "maxclique": _add_maxclique,
-    "delta3": _add_delta3,
-    "conjecture": _add_conjecture,
+    "bounds": ("bounds for one parameter tuple", _add_bounds),
+    "scan": ("scan feasible tuples and compare bounds", _add_scan),
+    "verify-identities": ("re-prove the polynomial identities", _add_verify_identities),
+    "paley": ("construct a Paley graph", _add_paley),
+    "maxclique": ("maximum clique of a graph file", _add_maxclique),
+    "delta3": ("report on the distance-3 line-graph fixture", _add_delta3),
+    "conjecture": ("scan for conjecture counterexamples", _add_conjecture),
 }
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """The top level of a parser that holds one subcommand.  Its own errors
-    (an unrecognized argument) are the full parser's, whose usage line
-    lists every subcommand."""
-
-    def error(self, message):
-        _build_parser().error(message)
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.  The
-    subparsers are plain ArgumentParsers named "srgbounds <command>", so
-    their help and usage errors do not depend on which parser holds them."""
-    ap = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  The subparsers are plain
+    ArgumentParsers named "srgbounds <command>", as main builds one alone,
+    so their help and usage errors do not depend on which parser holds them."""
+    ap = argparse.ArgumentParser(
         prog="srgbounds",
         description="Exact clique-number bounds for strongly regular graph parameters",
     )
     sub = ap.add_subparsers(dest="command", required=True, prog="srgbounds",
                             parser_class=argparse.ArgumentParser)
-    for name, add in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            add(sub)
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return ap
 
 
@@ -125,6 +110,8 @@ def _cmd_bounds(args) -> int:
     rep = full_report(p) if isinstance(p, SrgParams) else None
     c, wit = cab(p) if rep is None else (rep.cab, rep.cab_witness)
     if args.json:
+        import json
+
         print(json.dumps({
             "v": p.v, "k": p.k, "lambda": p.lam,
             "mu": None if rep is None else p.mu,
@@ -212,6 +199,8 @@ def _cmd_verify_identities(args) -> int:
             }
         )
     if args.json:
+        import json
+
         print(json.dumps(results, indent=2))
     else:
         for res in results:
@@ -295,8 +284,15 @@ def _cmd_conjecture(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    # the full parser serves what the subcommand's own cannot: no known
+    # command, or arguments left over, which it reports as unrecognized
+    args, rest = None, argv
+    if argv and argv[0] in _SUBCOMMANDS:
+        ap = argparse.ArgumentParser(prog=f"srgbounds {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](ap)
+        args, rest = ap.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except KeyboardInterrupt:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -70,20 +69,21 @@ def scan_stats_reference(reports) -> ScanStats:
     """The oracle for scan_compare's one-pass stats: a dict of every
     tuple's thm22, then a second pass that looks each kept pair member's
     complement up in it."""
-    stats = ScanStats(total=len(reports))
+    counts = dict.fromkeys(ScanStats._fields, 0)
+    counts["total"] = len(reports)
     thm22_by_params = {r.params: r.thm22 for r in reports}
     for r in reports:
         p = r.params
         if r.type_tag is SrgType.TYPE_I_ONLY:
-            stats.type1_total += 1
-            stats.type1_thm21 += r.thm21
+            counts["type1_total"] += 1
+            counts["type1_thm21"] += r.thm21
         elif p.is_connected() and p.is_coconnected():
-            stats.type2_total += 1
-            stats.type2_thm22 += r.thm22
+            counts["type2_total"] += 1
+            counts["type2_thm22"] += r.thm22
             if p <= complement(p):
-                stats.pairs_type2_total += 1
-                stats.pairs_type2_thm += r.thm22 or thm22_by_params.get(complement(p), False)
-    return stats
+                counts["pairs_type2_total"] += 1
+                counts["pairs_type2_thm"] += r.thm22 or thm22_by_params.get(complement(p), False)
+    return ScanStats(**counts)
 
 
 def keeps_pair_member(p: SrgParams) -> bool:
@@ -339,6 +339,33 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             ScanConfig(v_max=50, filter="bogus")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"v_max": 4}, "v_max must be >= 5"),
+        ({"v_max": SCAN_MAX_V + 1}, f"v_max={SCAN_MAX_V + 1} exceeds limit {SCAN_MAX_V}"),
+        ({"v_max": 50, "filter": "bogus"}, "unknown filter 'bogus'"),
+    ])
+    def test_guard_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            ScanConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_defaults_and_repr(self):
+        cfg = ScanConfig(60)
+        assert cfg == ScanConfig(v_max=60, level=FeasibilityLevel.ABSOLUTE_BOUND,
+                                 filter=None, pairs=False)
+        assert repr(cfg) == ("ScanConfig(v_max=60, level=<FeasibilityLevel.ABSOLUTE_BOUND: 4>, "
+                             "filter=None, pairs=False)")
+
+    @pytest.mark.parametrize("field", ["v_max", "level", "filter", "pairs"])
+    def test_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(ScanConfig(60), field, None)
+
+    def test_empty_stats(self):
+        stats = ScanStats()
+        assert tuple(stats) == (0,) * 7
+        assert (stats.thm21_fraction, stats.thm22_fraction, stats.pair_fraction) == (0.0, 0.0, 0.0)
+
 
 class TestScanCompare:
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
@@ -414,14 +441,14 @@ class TestScanCompare:
     def test_stats_match_two_pass_oracle(self, level):
         reports, stats = scan_compare(ScanConfig(v_max=3000, level=level))
         want = scan_stats_reference(reports)
-        assert len(dataclasses.fields(ScanStats)) == 7
-        assert dataclasses.astuple(stats) == dataclasses.astuple(want)
+        assert len(ScanStats._fields) == 7
+        assert tuple(stats) == tuple(want)
         assert want.pairs_type2_thm > 0
 
     def test_stats_up_to_1300(self):
         # the --stats lines of the headline scan
         _, stats = scan_compare(ScanConfig(v_max=1300))
-        assert dataclasses.astuple(stats) == (18011, 177, 46, 3966, 493, 1982, 493)
+        assert tuple(stats) == (18011, 177, 46, 3966, 493, 1982, 493)
 
     def test_pairs_row_count(self):
         kept, _ = scan_compare(ScanConfig(v_max=150, pairs=True))

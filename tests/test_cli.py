@@ -1,5 +1,5 @@
+import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -582,7 +582,10 @@ def _outcome(parse, argv):
 
 
 # for every subcommand: -h, a missing required argument, an unknown option
-# and bad values; then the argv that the full parser serves
+# and bad values; then the argv that the full parser serves; then valid and
+# invalid argv whose parse could tell a subcommand's own parser from the
+# full one: abbreviations, "--", -h after positionals, "=" values, repeats,
+# negative numbers and empty strings
 PARSER_CASES = [
     ["bounds", "-h"], ["bounds"], ["bounds", "17", "8", "3", "4", "--bogus"],
     ["bounds", "--json=1", "17"],
@@ -595,13 +598,36 @@ PARSER_CASES = [
     ["delta3", "-h"], ["delta3", "--bogus"],
     ["conjecture", "-h"], ["conjecture"], ["conjecture", "--max-v", "10", "--bogus"],
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "--max-v", "10"],
+    ["bounds", "17", "8", "3", "4", "--js"], ["bounds", "17", "8", "3", "4", "--he"],
+    ["scan", "--max", "60"], ["scan", "--max-v", "60", "--f", "csv"],
+    ["scan", "--max-v", "60", "--form", "csv", "--lev", "krein", "--pai", "--st"],
+    ["bounds", "--", "17", "8", "3", "4"], ["bounds", "17", "8", "--", "3", "4", "--json"],
+    ["bounds", "17", "8", "3", "4", "--", "--bogus"], ["maxclique", "--", "-g.txt"],
+    ["scan", "--max-v", "60", "--"], ["delta3", "--"], ["delta3", "--", "x"],
+    ["bounds", "17", "8", "3", "4", "-h"], ["paley", "13", "-h"],
+    ["scan", "--max-v", "60", "--help"], ["bounds", "17", "--json", "-h", "--bogus"],
+    ["scan", "--max-v=60"], ["conjecture", "--max-v=60"], ["scan", "--max-v=", "60"],
+    ["scan", "--max-v", "10", "--max-v", "60", "--format", "json", "--format", "csv"],
+    ["bounds", "17", "8", "3", "4", "--json", "--json"], ["paley", "13", "17"],
+    ["bounds", "-17", "8", "3", "4"], ["paley", "-7"], ["scan", "--max-v", "-60"],
+    ["bounds", "17", "8", "3", "4", "-5"], ["conjecture", "--max-v", "-1"],
+    ["bounds", ""], ["bounds", "17", "", "3"], ["maxclique", ""], ["paley", ""],
+    ["scan", "--max-v", "60", "--out", ""], ["delta3", ""], ["", "bounds"],
+    ["bounds", "-x"], ["scan", "-m", "60"], ["verify-identities", "--json", "-j"],
 ]
 
 
 class TestParser:
-    """main builds a parser that holds only the subcommand it runs; the full
-    _build_parser() stays the oracle for every help text, usage error and
-    exit code."""
+    """main builds one ArgumentParser, the subcommand's own; the full
+    _build_parser() stays the oracle for every Namespace, help text, usage
+    error and exit code."""
+
+    @pytest.fixture
+    def handlers(self, monkeypatch):
+        """Each handler replaced by a function of its own that returns its
+        Namespace, so main returns what it parsed."""
+        for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args: args)
 
     def test_cases_cover_every_subcommand(self):
         assert [name for name in cli._SUBCOMMANDS
@@ -609,32 +635,36 @@ class TestParser:
 
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
-    def test_matches_full_parser(self, monkeypatch, columns, argv):
+    def test_matches_full_parser(self, monkeypatch, handlers, columns, argv):
         # argparse wraps usage and help at the terminal width, read from COLUMNS
         monkeypatch.setenv("COLUMNS", columns)
         want = _outcome(cli._build_parser().parse_args, argv)
-        assert want[0] in (0, 2)
+        if isinstance(want[0], argparse.Namespace):
+            # a valid argv: main returns the Namespace its handler was given
+            assert want[0].command == argv[0]
+        else:
+            assert want[0] in (0, 2)
         assert _outcome(main, argv) == want
 
     def test_a_subcommand_builds_only_its_subparser(self, capsys, monkeypatch):
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        def recorded(name, add, sub):
-            built.append(name)
-            add(sub)
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
 
-        monkeypatch.setattr(cli, "_SUBCOMMANDS", {
-            name: functools.partial(recorded, name, add)
-            for name, add in cli._SUBCOMMANDS.items()})
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        full = ["srgbounds", *(f"srgbounds {name}" for name in cli._SUBCOMMANDS)]
         assert run(capsys, "bounds", "17", "8", "3", "4")[0] == 0
-        assert built == ["bounds"]
+        assert built == ["srgbounds bounds"]
         # an unknown option is reported by the full parser
         built.clear()
         assert _outcome(main, ["bounds", "17", "8", "3", "4", "--bogus"])[0] == 2
-        assert built == ["bounds", *cli._SUBCOMMANDS]
+        assert built == ["srgbounds bounds", *full]
         built.clear()
         assert _outcome(main, ["--help"])[0] == 0
-        assert built == list(cli._SUBCOMMANDS)
+        assert built == full
 
     @pytest.mark.parametrize("target, argv", [
         ("srgbounds.cli.full_report", ["bounds", "17", "8", "3", "4"]),

@@ -1,11 +1,12 @@
 """What `import srgbounds.cli` loads, and the records and package names that
 make it small.
 
-The per-tuple records are NamedTuples, so building one needs neither
-dataclasses nor the inspect/ast chain it imports, and the package serves
-QuadExt and the graph names on first access.  The import set is read in a
-fresh interpreter as a diff of sys.modules, so it does not depend on what
-site preloads; no time is measured.
+The per-tuple records and the scan's settings and counters are tuples, so
+building one needs neither dataclasses nor the inspect/ast chain it imports;
+json loads only where JSON is written; and the package serves QuadExt and
+the graph names on first access.  The import set is read in a fresh
+interpreter as a diff of sys.modules, so it does not depend on what site
+preloads; no time is measured.
 """
 
 import importlib
@@ -49,6 +50,18 @@ print(json.dumps({
     "bounds": sorted(set(sys.modules) - seen),
     "dir_missing": sorted(set(srgbounds.__all__) - set(dir(srgbounds))),
 }))
+"""
+
+
+# a cold call, import included, with json imported only after the diff
+COLD_CALL = """
+import sys
+seen = set(sys.modules)
+import srgbounds.cli
+rc = srgbounds.cli.main(sys.argv[1:])
+loaded = sorted(set(sys.modules) - seen)
+import json
+print(json.dumps({"rc": rc, "loaded": loaded}))
 """
 
 
@@ -101,6 +114,17 @@ print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - seen)}))
         assert out["rc"] == 0
         assert "srgbounds.graphs" in out["loaded"]
         assert (HEAVY - {"srgbounds.graphs"}) & set(out["loaded"]) == set()
+
+    @pytest.mark.parametrize("argv, loads, absent", [
+        (["scan", "--max-v", "60", "--format", "csv"], "srgbounds.catalog",
+         {"dataclasses", "inspect", "json"}),
+        (["bounds", "17", "8", "3", "4"], "srgbounds.cab", {"json"}),
+    ], ids=["scan-csv", "bounds-text"])
+    def test_no_json_unless_written(self, argv, loads, absent):
+        out = probe(COLD_CALL, *argv)
+        assert out["rc"] == 0
+        assert loads in out["loaded"]
+        assert absent & set(out["loaded"]) == set()
 
 
 class TestRecords:
