@@ -2,29 +2,23 @@
 
 Every bound is read off the spectrum, so candidates come from pure-integer
 generators at every level: a tuple is built from its restricted
-eigenvalues r >= 0 > s = -a.  The families m*K_c (mu = 0) and K_{m x a}
-(mu = k) pass every level and have CAB = Delsarte in closed form, so the
-scan builds their reports per v, in one pass over the divisor sieve
-(_divisors) and already in tuple order, without a sort, a confirmation or
-a call per row (_family_reports); enumerate_feasible reads its family
-tuples off the same rows.  The other candidates, 0 < mu < k, come from
-_primitive_candidates, unordered, and alone are sorted, confirmed and
-reported; the two sorted lists of rows are then merged.  For r >= 1,
-a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu divides
-ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu; the conference tuples with
-non-square v = 1 (mod 4) cover the rest.  The generator drops the r >= 1,
-a >= 2 tuples whose multiplicity f is fractional, so every candidate has a
-spectrum, and hands each r >= 1, a >= 2 tuple on with its spectrum
-(r, -a, f, g).  It skips the Krein and absolute bounds, and for the
-irrational conference tuples the sum of two squares.  So the scan confirms
-a tuple that carries its spectrum with the srg Krein and absolute-bound
-rule alone, and is_feasible confirms only the irrational conference
-tuples; is_feasible stays the one definition of feasibility and the oracle
-in the tests.  The report of a tuple that carries its spectrum reads r and
-s from it (cab._report), and full_report bounds only the irrational
-conference tuples.  The scan statistics walk only the rows with
-0 < mu < k: a family row is type II and never connected and co-connected,
-so it counts in the total alone.
+eigenvalues r >= 0 > s = -a.  A scan's rows come from two places, each
+with its proof in its docstring:
+- the families m*K_c (mu = 0) and K_{m x a} (mu = k) pass every level and
+  have CAB = Delsarte in closed form, so _family_reports builds their
+  reports per v, in one pass over the divisor sieve (_divisors) and
+  already in tuple order, without a sort, a confirmation or a call per
+  row;
+- _primitive_rows builds the other tuples, 0 < mu < k, confirms each at
+  the level, types it, and returns the kept ones sorted, each as the
+  arguments of cab._report.
+enumerate_feasible reads the tuples of both; scan_compare reports the
+primitive rows and sorts the family reports in.  is_feasible stays the
+one definition of feasibility and the oracle in the tests, and the scan
+calls it, and full_report, only for the conference tuples with irrational
+eigenvalues.  The scan statistics walk only the rows with 0 < mu < k: a
+family row is type II and never connected and co-connected, so it counts
+in the total alone.
 """
 
 from __future__ import annotations
@@ -195,18 +189,42 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     return out
 
 
-def _primitive_candidates(v_max: int) -> Iterator[tuple]:
-    """The tuples with 0 < mu < k and v <= v_max that pass COUNTING and have
-    a spectrum, each once and in no particular order, as (v, k, lam, mu,
-    spec): integer restricted eigenvalues r >= 1 and s = -a <= -2 with
-    integral multiplicities, where spec is the spectrum (r, -a, f, g) that
-    _spectrum_or_failure would derive, or the conference conditions with
-    irrational eigenvalues, where spec is None.  With the family tuples of
-    _family_reports they cover every tuple that passes INTEGRALITY.  A tuple
-    comes once, so sorting never compares two specs."""
+def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
+    """The tuples of enumerate_feasible with 0 < mu < k, sorted, each as
+    the row (p, type, r, s) that cab._report takes: r and s = -a are the
+    integer restricted eigenvalues, or None for a conference tuple with
+    irrational eigenvalues.  With the family tuples of _family_reports
+    they are every tuple that passes level and has a spectrum.  p is
+    unique, so the sort never compares two types.
+
+    For r >= 1, a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu
+    divides ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu; the conference
+    tuples with non-square v = 1 (mod 4) cover the rest, and is_feasible
+    confirms those.  A tuple built from (r, a, mu) with integral
+    multiplicity f needs only the Krein and absolute-bound rule, as
+    is_feasible would reach that rule with the same r, s, f, g:
+    - it passes COUNTING by construction: mu >= 1, k = mu + ra > mu,
+      0 <= lam = mu + r - a <= k - 1 as (r+1)(1-a) < 0, and
+      v - k - 1 = k(r+1)(a-1)/mu = k(k-lam-1)/mu >= 2, which is the
+      counting identity and gives k <= v - 2;
+    - it passes INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is
+      (r+a)^2, so _spectrum_or_failure finds r and s = -a, f is integral
+      and so is g = v-1-f; a type I+II tuple has v = 4mu + 1 = (r+a)^2, a
+      square and so a sum of two squares;
+    - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
+      neither exemption applies.
+    Its type is I+II when the conference test holds and II otherwise, as
+    _spectrum_or_failure gives it."""
+    # why tuple.__new__: see the record comment in cab.cab
+    new, params = tuple.__new__, SrgParams
+    both, type2, type1 = SrgType.BOTH, SrgType.TYPE_II_ONLY, SrgType.TYPE_I_ONLY
+    rows = []
+    add = rows.append
     for v in range(5, v_max + 1, 4):
         if isqrt(v) ** 2 != v:
-            yield v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4, None
+            p = new(params, (v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4))
+            if is_feasible(p, level)[0]:
+                add((p, type1, None, None))
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
     # n = ra(r+1)(a-1), and then v = base + mu + n/mu.  With room =
     # v_max - base, v <= v_max iff mu^2 - room*mu + n <= 0, so the smaller
@@ -231,10 +249,16 @@ def _primitive_candidates(v_max: int) -> Iterator[tuple]:
                             if mu + r >= a:
                                 v, k = base + mu + n // mu, mu + r * a
                                 f, rem = divmod((v - 1) * a - k, r + a)
-                                if not rem:
-                                    yield v, k, mu + r - a, mu, (r, -a, f, v - 1 - f)
+                                # by the docstring's proof, the one rule left to check
+                                if not rem and _krein_absolute_failure(
+                                        v, k, r, -a, f, v - 1 - f, level) is None:
+                                    lam = mu + r - a
+                                    add((new(params, (v, k, lam, mu)),
+                                         both if _conference(v, k, lam, mu) else type2, r, -a))
             r += 1
         a += 1
+    rows.sort()
+    return rows
 
 
 def _least_v(a: int, r: int) -> int:
@@ -251,52 +275,13 @@ def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.AB
     INTEGRALITY up these are all the feasible tuples; at COUNTING they are
     the tuples for which spectrum() does not raise.  Disconnected (mu = 0)
     and complete-multipartite (mu = k) tuples are included; callers filter
-    on the connectivity flags.
-
-    The families m*K_c and K_{m x a} pass every level and are the params
-    of _family_reports, in tuple order and unconfirmed; only the other
-    candidates, 0 < mu < k, are sorted and confirmed (_confirmed), and the
-    two sorted lists are merged.  is_feasible confirms only the irrational
-    conference candidates.  A candidate that carries its spectrum
-    (r, -a, f, g), r >= 1, a >= 2, needs only the Krein and absolute-bound
-    rule, as is_feasible would reach that rule with the same r, s, f, g:
-    - it passes COUNTING by construction: mu >= 1, k = mu + ra > mu,
-      0 <= lam = mu + r - a <= k - 1 as (r+1)(1-a) < 0, and
-      v - k - 1 = k(r+1)(a-1)/mu = k(k-lam-1)/mu >= 2, which is the
-      counting identity and gives k <= v - 2;
-    - it passes INTEGRALITY: the discriminant (lam-mu)^2 + 4(k-mu) is
-      (r+a)^2, so _spectrum_or_failure finds r and s = -a, and the
-      generator kept only integral f; a type I+II tuple has
-      v = 4mu + 1 = (r+a)^2, a square and so a sum of two squares;
-    - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
-      neither exemption applies."""
+    on the connectivity flags.  These are the params of _family_reports
+    and the tuples of _primitive_rows, sorted together."""
     ScanConfig(v_max=v_max, level=level)  # a scan's limits: each family tuple comes with its report
-    yield from _merged([r.params for r in _family_reports(v_max)],
-                       [p for p, _ in _confirmed(v_max, level)])
-
-
-def _merged(families: list, rows: list) -> list:
-    """Two lists, each sorted with no item in common, as one sorted list:
-    list.sort finds the two runs and merges them in one linear pass."""
-    out = families + rows
+    out = [r.params for r in _family_reports(v_max)]
+    out += [row[0] for row in _primitive_rows(v_max, level)]
     out.sort()
-    return out
-
-
-def _confirmed(v_max: int, level: FeasibilityLevel
-               ) -> Iterator[tuple[SrgParams, Optional[tuple[int, int, int, int]]]]:
-    """The tuples of enumerate_feasible with 0 < mu < k, in tuple order,
-    each with the spectrum (r, -a, f, g) the generator handed on, or None
-    for the irrational conference tuples."""
-    new = tuple.__new__  # why: see the record comment in cab.cab
-    for v, k, lam, mu, spec in sorted(_primitive_candidates(v_max)):
-        if spec is not None:
-            if _krein_absolute_failure(v, k, *spec, level) is None:
-                yield new(SrgParams, (v, k, lam, mu)), spec
-        else:
-            p = new(SrgParams, (v, k, lam, mu))
-            if is_feasible(p, level)[0]:
-                yield p, None
+    yield from out
 
 
 class ScanStats(NamedTuple):
@@ -322,19 +307,13 @@ class ScanStats(NamedTuple):
 
 
 def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
-    """The report of each enumerated tuple with 0 < mu < k, in tuple order;
-    it equals full_report(p) on every one.  A tuple that carries its
-    spectrum goes to cab._report with the generator's r and s, and with the
-    type the conference test gives (I+II when it holds, II otherwise), as
-    _spectrum_or_failure would derive them (enumerate_feasible's
-    docstring); only the irrational conference tuples call full_report.
-    The family rows are left to _family_reports."""
-    both, type2 = SrgType.BOTH, SrgType.TYPE_II_ONLY
-    for p, spec in _confirmed(cfg.v_max, cfg.level):
-        if spec is not None:
-            yield _report(p, both if _conference(*p) else type2, spec[0], spec[1])
-        else:
-            yield full_report(p)
+    """The report of each tuple of _primitive_rows, in tuple order; it
+    equals full_report(p) on every one.  A row with a spectrum goes to
+    cab._report as it stands, and only the irrational conference rows call
+    full_report.  The family rows are left to _family_reports.  A
+    generator, so conjecture_scan holds no report it drops."""
+    return (full_report(p) if r is None else _report(p, tag, r, s)
+            for p, tag, r, s in _primitive_rows(cfg.v_max, cfg.level))
 
 
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
@@ -373,7 +352,8 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     # so --filter gap and --filter thm would drop each one: count them only,
     # two per divisor in the sieve from v = 5 on
     if cfg.filter in (None, "thm51"):
-        reports = _merged(_family_reports(cfg.v_max), reports)
+        reports += _family_reports(cfg.v_max)
+        reports.sort()
         total = len(reports)
     else:
         total = len(reports) + 2 * sum(map(len, _divisors(cfg.v_max)[5:]))

@@ -60,8 +60,9 @@ def primitive(p) -> bool:
 
 def test_scan_reports_through_the_catalog_name(monkeypatch):
     # catalog.report_s times full_report as rebound in srgbounds.catalog,
-    # once per irrational conference row (type I); the rows that carry the
-    # generator's spectrum and the family rows call it not at all
+    # once per irrational conference row (type I); the rows of
+    # _primitive_rows with integer eigenvalues go to cab._report, and the
+    # family rows call it not at all
     calls = []
     original = catalog.full_report
 

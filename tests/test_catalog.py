@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from srgbounds.cab import BoundsReport, CabWitness, cap_min_over_b, full_report
+from srgbounds.cab import BoundsReport, CabWitness, _report, cap_min_over_b, full_report
 from srgbounds.catalog import (
     CSV_HEADER,
     CURATED_NONEXISTENT,
@@ -14,8 +14,7 @@ from srgbounds.catalog import (
     ScanConfig,
     ScanStats,
     _family_reports,
-    _least_v,
-    _primitive_candidates,
+    _primitive_rows,
     conjecture_scan,
     emit,
     enumerate_feasible,
@@ -96,13 +95,16 @@ def keeps_pair_member(p: SrgParams) -> bool:
 def primitive_candidates_trial_division(v_max: int):
     """The oracle for the generator's r >= 1, a >= 2 tuples: every d up to
     sqrt(n) is trial-divided, with no bound on where the mu interval
-    starts."""
+    starts.  The loops stop by AM-GM alone: mu + n/mu >= 2 sqrt(n), so
+    v >= base + 2 isqrt(n), which grows with r and with a."""
     a = 2
-    while _least_v(a, 1) <= v_max:
+    while True:
         r = 1
-        while _least_v(a, r) <= v_max:
+        while True:
             n = r * a * (r + 1) * (a - 1)
             base = r * a + 1 + (r + 1) * (a - 1)
+            if base + 2 * isqrt(n) > v_max:
+                break
             for d in range(1, isqrt(n) + 1):
                 if n % d == 0 and base + d + n // d <= v_max:
                     for mu in {d, n // d}:
@@ -111,6 +113,8 @@ def primitive_candidates_trial_division(v_max: int):
                             if ((v - 1) * a - k) % (r + a) == 0:
                                 yield v, k, mu + r - a, mu
             r += 1
+        if r == 1:
+            return
         a += 1
 
 
@@ -177,72 +181,69 @@ class TestEnumeration:
             prev = cur
 
 
-def eigenvalue_candidates(v_max: int):
-    """Every candidate, as (v, k, lam, mu, spec): the families, built from
-    m, c and a, with spec None, then _primitive_candidates."""
-    for p in family_construction(v_max):
-        yield (*p, None)
-    yield from _primitive_candidates(v_max)
-
-
 @pytest.fixture(scope="module")
-def candidates_10000():
-    return list(eigenvalue_candidates(10000))
+def rows_10000():
+    """_primitive_rows at v <= 10^4 and COUNTING, where every candidate
+    is kept."""
+    return _primitive_rows(10000, FeasibilityLevel.COUNTING)
 
 
-class TestHandedOnSpectrum:
-    """enumerate_feasible confirms a candidate that carries its spectrum
-    with the Krein and absolute-bound rule alone; is_feasible stays the
-    oracle."""
+class TestPrimitiveRows:
+    """_primitive_rows confirms a tuple built from integer eigenvalues with
+    the Krein and absolute-bound rule alone, and types it with the
+    conference test; is_feasible, _spectrum_or_failure and full_report stay
+    the oracles."""
 
-    def test_spectrum_and_verdict_match_is_feasible(self):
-        v_max = 3000
-        accepted = {level: set(enumerate_feasible(v_max, level)) for level in FeasibilityLevel}
-        carried = 0
-        for *t, spec in eigenvalue_candidates(v_max):
-            p = SrgParams(*t)
-            full = _spectrum_or_failure(p)
-            # None exactly for m*K_c, K_{m x a} and the irrational conference tuples
-            assert (spec is None) == (p.mu == 0 or p.mu == p.k or full[1] is None), p
-            if spec is not None:
-                assert spec == full[1:], p
-                carried += 1
-            for level in FeasibilityLevel:
-                assert (p in accepted[level]) == is_feasible(p, level)[0], (p, level)
-        assert carried == 11459
+    @pytest.fixture(scope="class")
+    def rows_3000(self):
+        return {level: _primitive_rows(3000, level) for level in FeasibilityLevel}
 
-    def test_scan_report_matches_full_report(self):
-        # the scan reports a tuple that carries its spectrum from the
-        # generator's r and s and the shared conference test; full_report,
-        # which derives the spectrum again, stays the oracle
-        v_max = 3000
+    def test_spectrum_and_verdict_match_is_feasible(self, rows_3000):
+        # each row carries the type and the r and s that _spectrum_or_failure
+        # derives; every candidate passes COUNTING, and a higher level keeps
+        # exactly the rows the is_feasible oracle accepts
+        counting = rows_3000[FeasibilityLevel.COUNTING]
+        for p, *spec in counting:
+            assert type(p) is SrgParams and 0 < p.mu < p.k, p
+            assert tuple(spec) == _spectrum_or_failure(p)[:3], p
+            assert is_feasible(p, FeasibilityLevel.COUNTING) == (True, None), p
+        assert strictly_increasing([row[0] for row in counting])
+        assert len(counting) == 12182
+        assert sum(row[2] is not None for row in counting) == 11459
+        for level, rows in rows_3000.items():
+            assert rows == [row for row in counting if is_feasible(row[0], level)[0]], level
+        kept = rows_3000[FeasibilityLevel.ABSOLUTE_BOUND]
+        assert Counter(row[1] for row in kept if row[2] is not None) == {
+            SrgType.BOTH: 26, SrgType.TYPE_II_ONLY: 10307}
+
+    def test_scan_report_matches_full_report(self, rows_3000):
+        # _report(*row) is full_report(p) on every row, the irrational
+        # conference rows included, and the scan reports the rows in their
+        # order; full_report, which derives the spectrum again, stays the
+        # oracle.  A level's rows are COUNTING rows (the test above), so
+        # the COUNTING rows cover every level
         oracle = {}
-        for *t, spec in _primitive_candidates(v_max):
-            if spec is not None:
-                p = SrgParams(*t)
-                oracle[p] = full_report(p)
-        assert len(oracle) == 11459
-        for level in FeasibilityLevel:
-            reports, _ = scan_compare(ScanConfig(v_max=v_max, level=level))
-            rows = [r for r in reports if r.params in oracle]
-            for r in rows:
-                assert r == oracle[r.params], (r.params, level)
-                assert (type(r), type(r.params), type(r.cab_witness)) == (
-                    BoundsReport, SrgParams, CabWitness), r.params
-            if level is FeasibilityLevel.ABSOLUTE_BOUND:
-                assert Counter(r.type_tag for r in rows) == {
-                    SrgType.BOTH: 26, SrgType.TYPE_II_ONLY: 10307}
+        for row in rows_3000[FeasibilityLevel.COUNTING]:
+            report = oracle[row[0]] = _report(*row)
+            assert report == full_report(row[0]), row
+            assert (type(report), type(report.params), type(report.cab_witness)) == (
+                BoundsReport, SrgParams, CabWitness), row
+        for level, rows in rows_3000.items():
+            reports, _ = scan_compare(ScanConfig(v_max=3000, level=level))
+            assert [r for r in reports if 0 < r.params.mu < r.params.k] == [
+                oracle[row[0]] for row in rows], level
 
-    def test_krein_rule_matches_krein_parameters(self):
+    def test_krein_rule_matches_krein_parameters(self, rows_3000):
         # an independent form of the Krein conditions: the Krein parameters
         # q^1_11 and q^2_22 are f^2/v resp. g^2/v times 1 + r^3/k^2 -
         # (r+1)^3/l^2 resp. 1 + s^3/k^2 - (s+1)^3/l^2, with l = v-k-1, and
         # must be nonnegative
         fails = Counter()
-        for v, k, lam, mu, spec in _primitive_candidates(3000):
-            if spec is None:
+        for p, _, r, s in rows_3000[FeasibilityLevel.COUNTING]:
+            if r is None:
                 continue
-            r, s, f, g = spec
+            v, k, _, _ = p
+            f, g = _spectrum_or_failure(p)[3:]
             l = v - k - 1
             if 1 + Fraction(r ** 3, k * k) < Fraction((r + 1) ** 3, l * l):
                 want = "Krein 1"
@@ -254,13 +255,33 @@ class TestHandedOnSpectrum:
             fails[want] += 1
         assert fails == {None: 10553, "Krein 1": 671, "Krein 2": 235}
 
-    def test_mu_interval_matches_trial_division(self, candidates_10000):
-        got = sorted(t[:4] for t in candidates_10000 if t[4] is not None)
+    def test_mu_interval_matches_trial_division(self, rows_10000):
+        got = [row[0] for row in rows_10000 if row[2] is not None]
         assert got == sorted(primitive_candidates_trial_division(10000))
 
-    def test_each_tuple_once(self, candidates_10000):
-        assert len(candidates_10000) == 191216
-        assert len({t[:4] for t in candidates_10000}) == len(candidates_10000)
+    def test_each_tuple_once(self, rows_10000):
+        fams = family_construction(10000)
+        params = [row[0] for row in rows_10000]
+        assert len(params) + len(fams) == 191216
+        assert strictly_increasing(params)
+        assert fams.keys().isdisjoint(params)
+
+
+class TestPredicatesExactTo10000:
+    """The predicates decide the improvement exactly on every primitive row
+    at v <= 10^4, as tests/test_cab.py::TestPredicatesExact pins at
+    v <= 3000; a family row has CAB = Delsarte and no predicate
+    (_family_reports)."""
+
+    def test_improved_exactly_when_cab_beats_delsarte(self, rows_10000):
+        reports = {row[0]: _report(*row) for row in rows_10000}
+        assert len(reports) == 43880
+        assert [p for p, r in reports.items()
+                if (r.improved is not None) != (r.cab < r.delsarte)] == []
+        # so it holds on the rows a default scan keeps, which is_feasible picks
+        kept = [r for p, r in reports.items() if is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND)[0]]
+        assert len(kept) == 39220
+        assert {r.cab < r.delsarte for r in kept} == {False, True}
 
 
 def family_construction(v_max: int) -> dict[SrgParams, int]:
@@ -314,8 +335,8 @@ class TestFamilyReport:
         # is_feasible oracle
         v_max = 3000
         got = list(enumerate_feasible(v_max, level))
-        others = [p for p in (SrgParams(*t[:4]) for t in _primitive_candidates(v_max))
-                  if is_feasible(p, level)[0]]
+        others = [row[0] for row in _primitive_rows(v_max, FeasibilityLevel.COUNTING)
+                  if is_feasible(row[0], level)[0]]
         assert strictly_increasing(got)
         assert got == sorted(set(family_construction(v_max)).union(others))
 
