@@ -105,10 +105,12 @@ class TestBounds:
 
     @pytest.mark.parametrize("params, message", [
         ("10 3 1 1", "error: counting identity fails: (v-k-1)mu=6 != k(k-lambda-1)=3"),
+        ("7 3 0 2", "error: SrgParams(v=7, k=3, lam=0, mu=2) is neither conference"
+                    " nor has integer eigenvalues"),
         # edge-regular triples are validated by cab itself
         ("21 21 3", "error: k=21 out of range for v=21"),
         ("21 8 8", "error: lambda=8 out of range for k=8"),
-    ], ids=["srg", "edge-regular-k", "edge-regular-lambda"])
+    ], ids=["srg", "srg-spectrum", "edge-regular-k", "edge-regular-lambda"])
     def test_infeasible_tuple_is_usage_error(self, capsys, params, message):
         code, out, err = run(capsys, "bounds", *params.split())
         assert code == 2
@@ -206,37 +208,41 @@ class TestScan:
         data = json.loads(out)
         assert data[0]["v"] == 5
 
-    @pytest.mark.parametrize("max_v,level,tuples,digest", [
+    @pytest.mark.parametrize("max_v,level,tuples,digest,stats", [
         (150, "absolute", 1227,
-         "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62"),
+         "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62", None),
         # the COUNTING scan skips tuples without integral multiplicities
         (150, "counting", 1281,
-         "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082"),
+         "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082", None),
         (700, "counting", 8891,
-         "27c394c3f249c3d2b5b202dad3a859fc2476b2bed6eb5c9cecb8541e840f2111"),
+         "27c394c3f249c3d2b5b202dad3a859fc2476b2bed6eb5c9cecb8541e840f2111", None),
         (1000, "counting", 13660,
-         "56ea2d46a4b2eb69e4a8c585270e7663a3b0de2b2998cbcafc76c68190b03715"),
+         "56ea2d46a4b2eb69e4a8c585270e7663a3b0de2b2998cbcafc76c68190b03715", None),
         (500, "absolute", 5681,
-         "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739"),
+         "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739", None),
         # the generator drops fractional multiplicities from INTEGRALITY up
         (500, "integrality", 5860,
-         "a0bc4607e68e294402be7a5d22431d496ebf685094c750449b0a6b73638bcd9a"),
+         "a0bc4607e68e294402be7a5d22431d496ebf685094c750449b0a6b73638bcd9a", None),
         (500, "krein", 5719,
-         "43e35c849ce3daea5eadf7ae0070fca75f97261a0f15435978a706e702e0d41e"),
+         "43e35c849ce3daea5eadf7ae0070fca75f97261a0f15435978a706e702e0d41e", None),
         # the range of the published parameter tables
         (1300, "absolute", 18011,
-         "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3"),
+         "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3",
+         "type-I tuples: 177, improvement predicate: 46 (0.2599)\n"
+         "type-II tuples (conn+coconn): 3966, improvement predicate: 493 (0.1243)\n"
+         "type-II complementary pairs: 1982, covered: 493 (0.2487)\n"),
         (3000, "absolute", 47721,
-         "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee"),
+         "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee", None),
     ], ids=["absolute", "counting", "counting-700", "counting-1000", "absolute-500",
             "integrality-500", "krein-500", "absolute-1300", "absolute-3000"])
-    def test_csv_digest(self, capsys, max_v, level, tuples, digest):
-        # the catalogue, byte for byte
-        code, out, _ = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
-                           "--format", "csv")
+    def test_csv_digest(self, capsys, max_v, level, tuples, digest, stats):
+        # the catalogue, byte for byte, and where pinned its --stats lines
+        code, out, err = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
+                             "--format", "csv", *(["--stats"] if stats else []))
         assert code == 0
         assert len(out.splitlines()) == 1 + tuples
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == (stats or "")
 
     @pytest.mark.parametrize("fmt,lines,digest", [
         ("json", 39400, "72055d45d7cd9bb7eecad749066df7d619495b594e5be27d214d2ad33cc2a5e7"),
@@ -404,8 +410,9 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "paley", "241", "--clique")
         elapsed = time.perf_counter() - start
         assert code == 0
-        assert "strongly regular (241,120,59,60)" in out
-        assert "clique number 7" in out
+        assert out == ("paley(241): 241 vertices, 14460 edges\n"
+                       "strongly regular (241,120,59,60)\n"
+                       "clique number 7  witness [0, 1, 236, 237, 238, 239, 240]\n")
         assert elapsed < 10, f"paley 241 --clique took {elapsed:.1f} s"
 
     def test_paley_bad_input(self, capsys):
@@ -466,7 +473,7 @@ class TestGraphCommands:
         f.write_text(write_graph6(paley(101)) + "\n")
         code, out, _ = run(capsys, "maxclique", str(f))
         assert code == 0
-        assert "n=101 m=2525 omega=5" in out
+        assert out == "n=101 m=2525 omega=5\nwitness 0 1 80 96 97\n"
 
     def test_maxclique_over_vertex_limit(self, capsys, tmp_path):
         f = tmp_path / "empty513.g6"
@@ -658,9 +665,15 @@ class TestParser:
         full = ["srgbounds", *(f"srgbounds {name}" for name in cli._SUBCOMMANDS)]
         assert run(capsys, "bounds", "17", "8", "3", "4")[0] == 0
         assert built == ["srgbounds bounds"]
-        # an unknown option is reported by the full parser
+        # an unknown option is reported by the full parser, whose usage lists
+        # every command
         built.clear()
-        assert _outcome(main, ["bounds", "17", "8", "3", "4", "--bogus"])[0] == 2
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(main, ["bounds", "17", "8", "3", "4", "--bogus"]) == (2, "", (
+            "usage: srgbounds [-h]\n"
+            "                 {bounds,scan,verify-identities,paley,maxclique,delta3,conjecture}\n"
+            "                 ...\n"
+            "srgbounds: error: unrecognized arguments: --bogus\n"))
         assert built == ["srgbounds bounds", *full]
         built.clear()
         assert _outcome(main, ["--help"])[0] == 0

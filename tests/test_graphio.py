@@ -17,15 +17,7 @@ from srgbounds.graphio import (
     write_graph6,
 )
 from srgbounds.graphs import Graph, GraphSizeError, paley
-
-
-def random_graph(n, p, rng):
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+from test_graphs import random_graph
 
 
 def read_edge_list_reference(text: str) -> Graph:

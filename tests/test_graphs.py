@@ -656,8 +656,7 @@ class TestNodeBudget:
     raises GraphSizeError with the best clique so far as a lower bound."""
 
     @pytest.mark.parametrize("build, nodes, expected", [
-        # the node counts of the search order, pinned; the first is the
-        # G(150, 1/2) of the CI witness pin
+        # the node counts of the search order, pinned, and each witness
         (lambda: random_graph(150, 0.5, random.Random(1)), 1458, CliqueResult(11, (12, 28, 60, 71, 82, 96, 100, 114, 115, 118, 130))),
         (lambda: paley(241), 479, CliqueResult(7, (0, 1, 236, 237, 238, 239, 240))),
         (lambda: paley(509), 4417, CliqueResult(9, (0, 1, 383, 384, 389, 480, 485, 489, 505))),
