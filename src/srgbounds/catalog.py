@@ -226,24 +226,29 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
             if is_feasible(p, level)[0]:
                 add((p, type1, None, None))
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
-    # n = ra(r+1)(a-1), and then v = base + mu + n/mu.  With room =
-    # v_max - base, v <= v_max iff mu^2 - room*mu + n <= 0, so the smaller
-    # divisor d <= sqrt(n) of a pair is at least (room - sqrt(room^2-4n))/2;
-    # the isqrt start is that bound rounded down or one below it, and the
-    # v check below stays.  With lam - mu = r - a, the multiplicity f =
-    # ((v-1)(r+a) - 2k - (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a),
-    # and when it is an integer so is g = v-1-f; both are positive, as
-    # k <= v-2
-    a = 2
-    while _least_v(a, 1) <= v_max:
-        r = 1
-        while _least_v(a, r) <= v_max:
+    # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 isqrt(n)
+    # by AM-GM.  base and n grow with r and with a, and so does that bound:
+    # the r-loop stops at the first r where it passes v_max, and the a-loop
+    # once the r-loop stops at r = 1.  With room = v_max - base, v <= v_max
+    # iff mu^2 - room*mu + n <= 0, so the smaller divisor d <= sqrt(n) of a
+    # pair is at least (room - sqrt(room^2-4n))/2; the isqrt start is that
+    # bound rounded down or one below it, and the v check below stays.  With
+    # lam - mu = r - a, the multiplicity f = ((v-1)(r+a) - 2k -
+    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a), and when it is an
+    # integer so is g = v-1-f; both are positive, as k <= v-2
+    a, r = 1, 2
+    while r > 1:
+        a, r = a + 1, 1
+        while True:
             n = r * a * (r + 1) * (a - 1)
             base = r * a + 1 + (r + 1) * (a - 1)
+            root = isqrt(n)
+            if base + 2 * root > v_max:
+                break
             room = v_max - base
             gap = room * room - 4 * n
             if gap >= 0:
-                for d in range(max(1, (room - isqrt(gap)) // 2), isqrt(n) + 1):
+                for d in range(max(1, (room - isqrt(gap)) // 2), root + 1):
                     if n % d == 0 and base + d + n // d <= v_max:
                         for mu in {d, n // d}:
                             if mu + r >= a:
@@ -256,16 +261,8 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
                                     add((new(params, (v, k, lam, mu)),
                                          both if _conference(v, k, lam, mu) else type2, r, -a))
             r += 1
-        a += 1
     rows.sort()
     return rows
-
-
-def _least_v(a: int, r: int) -> int:
-    """A lower bound on v over mu >= 1 for eigenvalues r >= 1 and -a <= -2;
-    it grows with both a and r."""
-    n = r * a * (r + 1) * (a - 1)
-    return r * a + 1 + (r + 1) * (a - 1) + 2 * isqrt(n)
 
 
 def enumerate_feasible(v_max: int, level: FeasibilityLevel = FeasibilityLevel.ABSOLUTE_BOUND

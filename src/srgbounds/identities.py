@@ -30,23 +30,20 @@ class ResidualDivisionError(ValueError):
     """Clearing the declared monomial left a nontrivial denominator."""
 
 
-def general_srg_symbols(r, s, mu, t=None):
+def general_srg_symbols(r, s, mu, t):
     """Dependent symbols of the general parameterization, over any field."""
     lam = mu + r + s
     k = mu - r * s
     v = (mu * (k + 1) + k * (k - lam - 1)) / mu
-    sym = {"r": r, "s": s, "mu": mu, "lam": lam, "k": k, "v": v}
-    if t is not None:
-        sym["t"] = t
-    return sym
+    return {"r": r, "s": s, "mu": mu, "lam": lam, "k": k, "v": v, "t": t}
 
 
-def type1_symbols(w, t=None):
+def type1_symbols(w, t):
     """Dependent symbols of the conference-graph parameterization."""
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
     w2 = w * w
-    sym = {
+    return {
         "w": w,
         "v": w2,
         "k": (w2 - 1) * half,
@@ -54,10 +51,8 @@ def type1_symbols(w, t=None):
         "mu": (w2 - 1) * quarter,
         "r": (w - 1) * half,
         "s": -(w + 1) * half,
+        "t": t,
     }
-    if t is not None:
-        sym["t"] = t
-    return sym
 
 
 # name -> (symbol builder, free variables in draw order, each with the values
@@ -101,7 +96,7 @@ class IdentityCase:
     parameterization: str
     lhs: Callable[[Mapping], object]
     rhs: Callable[[Mapping], object]
-    clearing: Mapping[str, int]  # monomial multiplier, e.g. {"s": 3, "mu": 1}
+    clearing: tuple[tuple[str, int], ...]  # monomial multiplier, e.g. (("s", 3), ("mu", 1))
 
 
 def _cap(sym, x, y):
@@ -186,56 +181,56 @@ CASES: tuple[IdentityCase, ...] = (
         parameterization="general-srg",
         lhs=_case_lemma_neg_point,
         rhs=lambda sym: (2 * sym["s"] - sym["r"]) * (sym["r"] + 1),
-        clearing={"s": 3, "mu": 1},
+        clearing=(("s", 3), ("mu", 1)),
     ),
     IdentityCase(
         name="conference-level-3-shift",
         parameterization="type-i",
         lhs=_case_conf3_lhs,
         rhs=_case_conf3_rhs,
-        clearing={},
+        clearing=(),
     ),
     IdentityCase(
         name="conference-level-2-shift",
         parameterization="type-i",
         lhs=_case_conf2_lhs,
         rhs=_case_conf2_rhs,
-        clearing={},
+        clearing=(),
     ),
     IdentityCase(
         name="shifted-ratio-point-level-2",
         parameterization="general-srg",
         lhs=_case_shift2_lhs,
         rhs=_case_shift2_rhs,
-        clearing={"s": 3, "mu": 1},
+        clearing=(("s", 3), ("mu", 1)),
     ),
     IdentityCase(
         name="shifted-ratio-point-level-1",
         parameterization="general-srg",
         lhs=_case_shift1_lhs,
         rhs=_case_shift1_rhs,
-        clearing={"s": 3, "mu": 1},
+        clearing=(("s", 3), ("mu", 1)),
     ),
     IdentityCase(
         name="complement-exclusivity-product",
         parameterization="general-srg",
         lhs=_case_exclusivity_lhs,
         rhs=_case_exclusivity_rhs,
-        clearing={"mu": 1},
+        clearing=(("mu", 1),),
     ),
     IdentityCase(
         name="trivial-level-at-one",
         parameterization="general-srg",
         lhs=_case_level_lam2_lhs,
         rhs=_case_level_lam2_rhs,
-        clearing={"mu": 1},
+        clearing=(("mu", 1),),
     ),
     IdentityCase(
         name="level-monotonicity",
         parameterization="raw",
         lhs=_case_monotone_lhs,
         rhs=_case_monotone_rhs,
-        clearing={},
+        clearing=(),
     ),
 )
 
@@ -243,7 +238,7 @@ CASES: tuple[IdentityCase, ...] = (
 def cleared_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
     """Both sides after substitution and denominator clearing, as polynomials."""
     sym = _symbolic_symbols(case.parameterization)
-    mult = MPoly.monomial(1, case.clearing)
+    mult = MPoly.monomial(1, dict(case.clearing))
     sides = mult * case.lhs(sym), mult * case.rhs(sym)
     for side in sides:
         if any(e < 0 for exp in side.terms for e in exp):
@@ -251,31 +246,24 @@ def cleared_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
     return sides
 
 
-# The sides of the last proof of each case, keyed by the case's contents (an
-# IdentityCase is unhashable: its clearing is a dict).  Only verify_identity
-# writes a fresh expansion; the term count, the degree and the mutation
-# checks reuse it.
-_SIDES: dict[tuple, tuple[MPoly, MPoly]] = {}
-
-
-def _case_key(case: IdentityCase) -> tuple:
-    return (case.name, case.parameterization, case.lhs, case.rhs,
-            tuple(sorted(case.clearing.items())))
+# The sides of the last proof of each case, keyed by the case, which a
+# frozen dataclass hashes by all its fields.  Only verify_identity writes a
+# fresh expansion; the term count, the degree and the mutation checks reuse it.
+_SIDES: dict[IdentityCase, tuple[MPoly, MPoly]] = {}
 
 
 def _proved_sides(case: IdentityCase) -> tuple[MPoly, MPoly]:
     """The stored sides of `case`, expanded and stored first if absent."""
-    key = _case_key(case)
-    sides = _SIDES.get(key)
+    sides = _SIDES.get(case)
     if sides is None:
-        sides = _SIDES[key] = cleared_sides(case)
+        sides = _SIDES[case] = cleared_sides(case)
     return sides
 
 
 def verify_identity(case: IdentityCase) -> bool:
     """True iff the substituted, cleared difference is the zero polynomial.
     Always expands afresh, and stores the sides for the functions below."""
-    lhs, rhs = _SIDES[_case_key(case)] = cleared_sides(case)
+    lhs, rhs = _SIDES[case] = cleared_sides(case)
     return (lhs - rhs).is_zero()
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
-from math import gcd, isqrt
+from math import isqrt
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
@@ -193,10 +193,13 @@ def _spectrum_or_failure(p: SrgParams) -> tuple:
     m, n = (v - 1) * t, 2 * k + (v - 1) * d
     f, rem = divmod(m - n, 2 * t)
     if rem or not 0 <= f <= v - 1:
-        # printed as a Fraction prints
+        # imported here: only a refused tuple prints this message, so no
+        # valid tuple and no scan loads fractions
+        from fractions import Fraction
+
         return ("integral multiplicities",
-                f"non-integral or negative multiplicities f={_ratio(m - n, 2 * t)}, "
-                f"g={_ratio(m + n, 2 * t)}")
+                f"non-integral or negative multiplicities f={Fraction(m - n, 2 * t)}, "
+                f"g={Fraction(m + n, 2 * t)}")
     tag = SrgType.BOTH if conf else SrgType.TYPE_II_ONLY
     return tag, (d + t) // 2, (d - t) // 2, f, v - 1 - f
 
@@ -211,13 +214,6 @@ def _int_spectrum(p: SrgParams) -> tuple[SrgType, Optional[int], Optional[int], 
     if len(spec) == 2:
         raise InfeasibleParamsError(spec[1])
     return spec
-
-
-def _ratio(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0: "n/d" in lowest terms, or "n"."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def spectrum(p: SrgParams) -> Spectrum:

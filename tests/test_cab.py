@@ -225,9 +225,9 @@ class TestCabOracle:
         for p in hits + randoms:
             assert cab(p) == cab_linear(p), p
 
-    def test_levels_visited(self, monkeypatch):
-        # every visited level is one call of the module-level cap_min_over_b;
-        # the plain walk visits 179,335 levels on the same tuples
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The level y of each call of the module-level cap_min_over_b."""
         calls = []
 
         def counted(v, k, lam, y):
@@ -235,36 +235,27 @@ class TestCabOracle:
             return cap_min_over_b(v, k, lam, y)
 
         monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
+        return calls
+
+    def test_levels_visited(self, calls):
+        # every visited level is one call of cap_min_over_b; the plain walk
+        # visits 179,335 levels on the same tuples
         for p in enumerate_feasible(500):
             cab(p.edge_regular)
         assert len(calls) == 6874
 
-    def test_conference_tuple_visits_one_level(self, monkeypatch):
-        calls = []
-
-        def counted(v, k, lam, y):
-            calls.append(y)
-            return cap_min_over_b(v, k, lam, y)
-
-        monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
+    def test_conference_tuple_visits_one_level(self, calls):
         c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
         assert (c, wit.b, wit.c_plus_1) == (9999999, 4999999, 10000000)
         assert calls == [10000000]
 
-    def test_family_tuples_visit_one_level(self, monkeypatch):
+    def test_family_tuples_visit_one_level(self, calls):
         # m*K_c and K_{m x a}, built from m, c, a: cab() decides each at its
         # start level, in one call of cap_min_over_b, with the witness of
         # the closed form the scan uses
         fams = [*sorted(family_construction(3000)), SrgParams(4, 1, 0, 0), SrgParams(4, 2, 0, 2)]
         n = 10**12
         fams += [SrgParams(2 * n, n - 1, n - 2, 0), SrgParams(3 * n, 2 * n, n, 2 * n)]
-        calls = []
-
-        def counted(v, k, lam, y):
-            calls.append(y)
-            return cap_min_over_b(v, k, lam, y)
-
-        monkeypatch.setattr(cab_module, "cap_min_over_b", counted)
         for p in fams:
             rep = family_report(p)
             for q in (p, p.edge_regular):

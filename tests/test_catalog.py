@@ -118,11 +118,6 @@ def primitive_candidates_trial_division(v_max: int):
         a += 1
 
 
-def render_rational(x: Fraction) -> str:
-    """Exact p/q string plus a display-only 6-decimal float."""
-    return f"{x.numerator}/{x.denominator} ({float(x):.6f})"
-
-
 class TestEnumeration:
     def test_small_v_catalog(self):
         # every tuple below is realized by a known graph: unions of cliques
@@ -258,6 +253,15 @@ class TestPrimitiveRows:
     def test_mu_interval_matches_trial_division(self, rows_10000):
         got = [row[0] for row in rows_10000 if row[2] is not None]
         assert got == sorted(primitive_candidates_trial_division(10000))
+        # the loops' stop at its boundary: at each of these v_max a row has
+        # v = v_max = base + 2 isqrt(n), the least v of its (r, a = -s)
+        for v_max in (9, 25, 49, 50, 243, 676):
+            rows = [row for row in _primitive_rows(v_max, FeasibilityLevel.COUNTING)
+                    if row[2] is not None]
+            assert [row[0] for row in rows] == sorted(
+                primitive_candidates_trial_division(v_max)), v_max
+            assert v_max in {1 - r * s - (r + 1) * (s + 1) + 2 * isqrt(r * s * (r + 1) * (s + 1))
+                             for p, _, r, s in rows if p.v == v_max}, v_max
 
     def test_each_tuple_once(self, rows_10000):
         fams = family_construction(10000)
@@ -575,7 +579,3 @@ class TestEmitters:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit([], "xml")
-
-    def test_render_rational(self):
-        assert render_rational(Fraction(13, 3)) == "13/3 (4.333333)"
-

@@ -387,7 +387,7 @@ class TestVerifyIdentities:
         good = identities.CASES[-1]
         bad = identities.IdentityCase(
             name="off-by-one", parameterization="raw", lhs=good.lhs,
-            rhs=lambda sym: good.rhs(sym) + 1, clearing={},
+            rhs=lambda sym: good.rhs(sym) + 1, clearing=(),
         )
         monkeypatch.setattr(identities, "CASES", (good, bad))
         code, out, _ = run(capsys, "verify-identities")

@@ -52,7 +52,8 @@ def general_srg_point(p: SrgParams) -> dict:
     """Numeric general-parameterization symbols for a concrete integer tuple
     with integer eigenvalues."""
     spec = spectrum(p)
-    return general_srg_symbols(spec.r.as_fraction(), spec.s.as_fraction(), Fraction(p.mu))
+    return general_srg_symbols(spec.r.as_fraction(), spec.s.as_fraction(), Fraction(p.mu),
+                               Fraction(0))
 
 EXPECTED_DEGREES = {
     "cap-negative-at-ratio-point": 6,
@@ -156,7 +157,8 @@ def test_parameterizations_agree_on_instances():
 def test_type1_symbols_at_sqrt17():
     # w = sqrt(17) symbolically stands for sqrt(v); numeric w = 5 gives the
     # conference tuple shape on v = 25
-    sym = type1_symbols(Fraction(5))
+    sym = type1_symbols(Fraction(5), Fraction(7))
+    assert sym["t"] == 7
     assert sym["v"] == 25
     assert sym["k"] == 12
     assert sym["lam"] == 5
@@ -166,7 +168,8 @@ def test_type1_symbols_at_sqrt17():
 
 
 def test_general_srg_symbols_counting_identity():
-    sym = general_srg_symbols(Fraction(2), Fraction(-3), Fraction(4))
+    sym = general_srg_symbols(Fraction(2), Fraction(-3), Fraction(4), Fraction(7))
+    assert sym["t"] == 7
     v, k, lam, mu = sym["v"], sym["k"], sym["lam"], sym["mu"]
     assert (v - k - 1) * mu == k * (k - lam - 1)
 
@@ -204,7 +207,7 @@ def test_residual_division_error():
         parameterization="general-srg",
         lhs=lambda sym: sym["k"] / sym["s"],
         rhs=lambda sym: sym["k"],
-        clearing={},
+        clearing=(),
     )
     with pytest.raises(ResidualDivisionError):
         cleared_sides(bad)
@@ -231,7 +234,7 @@ class TestStoredSides:
         good = CASE_BY_NAME["level-monotonicity"]
         bad = IdentityCase(name=good.name, parameterization=good.parameterization,
                            lhs=good.lhs, rhs=lambda sym: good.rhs(sym) + 1,
-                           clearing=dict(good.clearing))
+                           clearing=good.clearing)
         assert verify_identity(good)
         assert not verify_identity(bad)
         assert verify_identity(good)
@@ -246,9 +249,9 @@ class TestStoredSides:
         case = CASE_BY_NAME["cap-negative-at-ratio-point"]
         # an equal case built afresh shares the entry; another clearing does not
         twin = IdentityCase(name=case.name, parameterization=case.parameterization,
-                            lhs=case.lhs, rhs=case.rhs, clearing={"mu": 1, "s": 3})
+                            lhs=case.lhs, rhs=case.rhs, clearing=(("s", 3), ("mu", 1)))
         other = IdentityCase(name=case.name, parameterization=case.parameterization,
-                             lhs=case.lhs, rhs=case.rhs, clearing={"s": 4, "mu": 1})
+                             lhs=case.lhs, rhs=case.rhs, clearing=(("s", 4), ("mu", 1)))
         assert verify_identity(case) and verify_identity(twin)
         assert len(identities._SIDES) == 1
         assert verify_identity(other)

@@ -16,7 +16,6 @@ from srgbounds.srg import (
     InfeasibleParamsError,
     SrgParams,
     SrgType,
-    _ratio,
     classify,
     complement,
     is_feasible,
@@ -38,16 +37,6 @@ def multiplicity_message(p: SrgParams) -> str:
     mid = Fraction(p.v - 1, 2)
     shift = Fraction(2 * p.k + (p.v - 1) * d, 2 * t)
     return f"non-integral or negative multiplicities f={mid - shift}, g={mid + shift}"
-
-
-def params_bounds_check(p: SrgParams) -> tuple[int, int]:
-    """Return the slacks (v-2k+lambda, k-lambda-1).
-
-    Zero first slack means complete multipartite; zero second slack means the
-    complement is complete multipartite (a disjoint union of cliques).
-    """
-    p.validate()
-    return p.v - 2 * p.k + p.lam, p.k - p.lam - 1
 
 
 class TestParse:
@@ -201,11 +190,6 @@ class TestSpectrum:
                         count += 1
         assert count == 10437
 
-    def test_ratio_prints_as_fraction(self):
-        for n in range(-60, 61):
-            for d in range(1, 31):
-                assert _ratio(n, d) == str(Fraction(n, d)), (n, d)
-
     def test_raises_exactly_when_integrality_rejects(self):
         # one spectrum rule: every spectral function and the INTEGRALITY
         # step derive the eigenvalues and multiplicities alike, and the
@@ -267,13 +251,6 @@ class TestComplement:
     def test_complete_multipartite_rejected(self):
         with pytest.raises(DegenerateParamsError):
             complement(SrgParams(6, 4, 2, 4))
-
-
-def test_params_bounds_check():
-    assert params_bounds_check(PETERSEN) == (4, 2)
-    assert params_bounds_check(SrgParams(6, 4, 2, 4)) == (0, 1)
-    with pytest.raises(InfeasibleParamsError):
-        params_bounds_check(SrgParams(10, 3, 1, 1))
 
 
 def test_is_sum_of_two_squares():
