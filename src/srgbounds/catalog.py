@@ -27,7 +27,7 @@ from collections import namedtuple
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
-from .cab import BoundsReport, CabWitness, _report, full_report
+from .cab import BoundsReport, _report, full_report
 from .srg import (
     FeasibilityLevel,
     SrgParams,
@@ -118,14 +118,14 @@ def _divisors(v_max: int) -> list[list[int]]:
 
 
 def _family_reports(v_max: int) -> list[BoundsReport]:
-    """full_report(p) for each family tuple p with 5 <= v <= v_max, in
-    tuple order, in closed form and in one pass over the divisor sieve: the
-    disjoint cliques m*K_c = (v, c-1, c-2, 0) with v = mc, and the complete
-    multipartite K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), with m, c, a >= 2,
-    built per v from the divisors d of v with 2 <= d <= v/2.  No sort is
-    needed: for the same v, every m*K_c row has k = c-1 <= v/2-1 and every
-    K_{m x a} row has k = v-a >= v/2, so the m*K_c rows come by c
-    ascending, then the K_{m x a} rows by a descending.
+    """full_report(p) with cab_witness None, for each family tuple p with
+    5 <= v <= v_max, in tuple order, in closed form and in one pass over
+    the divisor sieve: the disjoint cliques m*K_c = (v, c-1, c-2, 0) with
+    v = mc, and the complete multipartite K_{m x a} = (ma, (m-1)a, (m-2)a,
+    (m-1)a), with m, c, a >= 2, built per v from the divisors d of v with
+    2 <= d <= v/2.  No sort is needed: for the same v, every m*K_c row has
+    k = c-1 <= v/2-1 and every K_{m x a} row has k = v-a >= v/2, so the
+    m*K_c rows come by c ascending, then the K_{m x a} rows by a descending.
 
     Both pass every feasibility level.  COUNTING holds by construction:
     k <= v-2, and (v-k-1)mu = k(k-lam-1), as 0 = 0 and (a-1)k = k(a-1).
@@ -141,18 +141,13 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     Bounds: cab() starts at y = lam+3 = c+1 for m*K_c and at
     y = v/(v-k)+1 = m+1 for K_{m x a} (_start_level), and both levels hold a
     negative value (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is
-    y-1 with the witness cap_min_over_b gives there, the one level cab()
-    visits.  At that level C(x, y) = a2 x^2 + a1 x + a0 with a2 = v-y and
-    (a1, a0) = (v+y, -y(y-1)) for m*K_c, (a2 - 2y(k-m), ym(lam-m+1)) for
-    K_{m x a}; the minimum over integers is at b = floor(-a1/2a2) or at b+1,
-    which wins only when C(b+1) - C(b) = a2(2b+1) + a1 < 0, so ties go to
-    the smaller b, as in cap_min_over_b.  Delsarte 1 + k/-s is c = lam+2,
+    y-1; no scan output prints its witness.  Delsarte 1 + k/-s is c = lam+2,
     resp. m, again y-1.  thm21 needs an irrational spectrum and thm22 a
     fractional k/-s, which is c-1, resp. m-1, so both are False; thm51,
     k >= -s(lam+1), holds for m*K_c and, as (m-1)a >= a((m-2)a+1) iff
     (m-2)(a-1) <= 0, for K_{m x a} iff m = 2, i.e. y = 3."""
     # why tuple.__new__: see the record comment in cab.cab
-    new, report, witness, params = tuple.__new__, BoundsReport, CabWitness, SrgParams
+    new, report, params = tuple.__new__, BoundsReport, SrgParams
     type2 = SrgType.TYPE_II_ONLY
     out = []
     add = out.append
@@ -160,32 +155,13 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     for v in range(5, v_max + 1):
         ds = divisors[v]
         for c in ds:
-            y = c + 1
-            a2 = v - y
-            a1 = v + y
-            b = -a1 // (2 * a2)
-            val = (a2 * b + a1) * b - y * (y - 1)
-            step = a2 * (2 * b + 1) + a1
-            if step < 0:
-                b += 1
-                val += step
-            add(new(report, (new(params, (v, c - 1, c - 2, 0)), type2, c,
-                             new(witness, (b, y, val)), c, False, False, True)))
+            add(new(report, (new(params, (v, c - 1, c - 2, 0)), type2, c, None, c,
+                             False, False, True)))
         # a descending is m = v/a ascending: the list read both ways
         for m, a in zip(ds, reversed(ds)):
-            y = m + 1
             k = v - a
-            lam = k - a
-            a2 = v - y
-            a1 = a2 - 2 * y * (k - m)
-            b = -a1 // (2 * a2)
-            val = (a2 * b + a1) * b + y * m * (lam - m + 1)
-            step = a2 * (2 * b + 1) + a1
-            if step < 0:
-                b += 1
-                val += step
-            add(new(report, (new(params, (v, k, lam, k)), type2, m,
-                             new(witness, (b, y, val)), m, False, False, m == 2)))
+            add(new(report, (new(params, (v, k, k - a, k)), type2, m, None, m,
+                             False, False, m == 2)))
     return out
 
 
@@ -314,7 +290,9 @@ def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
 
 
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
-    """Full bounds report per feasible tuple, deterministic tuple order."""
+    """A bounds report per feasible tuple, in tuple order: full_report(p)
+    on each primitive row, and on each family row (_family_reports) the
+    same report with cab_witness None, as no scan output prints it."""
     reports = list(_reports(cfg))
 
     # the stats walk only the rows with 0 < mu < k: a family row is type II

@@ -18,7 +18,7 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import enumerate_feasible
+from srgbounds.catalog import _primitive_rows, enumerate_feasible
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -327,18 +327,14 @@ class TestCertificate:
                 == a * (m - y) * z * (z + 1) + (a - 1) * y * (z + 1) * (z + 2))
 
     def test_family_closed_forms(self):
-        # the coefficients catalog._family_reports uses at each family's
-        # CAB level: x in b, the part size c (or a) in c, m in t
-        x, c, m = self.X, self.Y, MPoly.var("t")
-        # m*K_c = (mc, c-1, c-2, 0) at y = c+1
-        v, y = m * c, c + 1
-        assert (v - y) * x * x + (v + y) * x - y * (y - 1) == cap_value(v, c - 1, c - 2, x, y)
-        # K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), a in c, at y = m+1
-        v, y = m * c, m + 1
-        k, lam = v - c, v - 2 * c
-        a2 = v - y
-        assert (a2 * x * x + (a2 - 2 * y * (k - m)) * x + y * m * (lam - m + 1)
-                == cap_value(v, k, lam, x, y))
+        # the values catalog._family_reports reads at each family's CAB
+        # level: the part size c (or a) in c, m in t
+        c, m = self.Y, MPoly.var("t")
+        # m*K_c = (mc, c-1, c-2, 0): C(0, c+1) = -(c+1)c
+        assert cap_value(m * c, c - 1, c - 2, 0, c + 1) == -(c + 1) * c
+        # K_{m x a} = (ma, (m-1)a, (m-2)a, (m-1)a), a in c: C(m-1, m+1) = -2a
+        v = m * c
+        assert cap_value(v, v - c, v - 2 * c, m - 1, m + 1) == -2 * c
 
     def test_cubic_form(self):
         x, y, v, k, lam = self.X, self.Y, self.V, self.K, self.LAM
@@ -563,6 +559,77 @@ class TestFullReport:
                     p.v, p.v - p.k - 1, -r - 1), p
             else:
                 assert rep.hoffman_complement is None, p
+
+
+def family_d(t: int) -> SrgParams:
+    """Family D, (r, a, mu) = (t^2+t-1, t+1, 1) in the generator's terms
+    (k = mu + ra, lam = mu + r - a): thm51 tuples whose CAB level
+    lam + 3 = t^2 + 2 grows with t, so a walk over the levels grows too."""
+    r, a, mu = t * t + t - 1, t + 1, 1
+    k = mu + r * a
+    return SrgParams(k + 1 + k * (r + 1) * (a - 1) // mu, k, mu + r - a, mu)
+
+
+class TestThm51Shortcut:
+    """_report decides a thm51 tuple at level lam+3 without the walk, with
+    the proof in its docstring; the plain walk stays the oracle."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def refused(p):
+            raise AssertionError(f"a thm51 tuple must not walk: {p}")
+
+        monkeypatch.setattr(cab_module, "cab", refused)
+
+    def test_thm51_rows_match_linear_walk(self, no_walk):
+        rows = [row for row in _primitive_rows(3000, FeasibilityLevel.COUNTING)
+                if cab_module._thm51(row[0], row[3])]
+        assert len(rows) == 386
+        for row in rows:
+            rep = cab_module._report(*row)
+            assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]
+
+    def test_scan_row_validated_once(self, monkeypatch):
+        # the scan's rows are validated in _report alone, with or without thm51
+        calls = []
+        validate = SrgParams.validate
+        monkeypatch.setattr(SrgParams, "validate", lambda p: calls.append(p) or validate(p))
+        rows = _primitive_rows(60, FeasibilityLevel.COUNTING)
+        assert {cab_module._report(*row).thm51 for row in rows} == {False, True}
+        assert calls == [row[0] for row in rows]
+
+    def test_family_d_matches_linear_walk(self, no_walk):
+        for t in range(2, 41):
+            p = family_d(t)
+            rep = full_report(p)
+            assert rep.thm51 and rep.cab == p.lam + 2, p
+            assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
+
+    def test_family_d_at_t_10000_within_budget(self, no_walk):
+        # the walk did not finish here; the answer is checked in integers
+        p = family_d(10**4)
+        v, k, lam, _ = p
+        start = time.perf_counter()
+        rep = full_report(p)
+        elapsed = time.perf_counter() - start
+        b, y, value = rep.cab_witness
+        assert (rep.cab, y) == (lam + 2, lam + 3) == (10**8 + 1, 10**8 + 2)
+        assert value == cap_value(v, k, lam, b, y) < 0
+        assert cap_min_over_b(v, k, lam, lam + 2)[1] >= 0
+        assert elapsed < 0.05, f"full_report took {elapsed * 1e3:.1f} ms"
+
+    def test_proof_identities(self):
+        # the factorizations the _report docstring reads off, with
+        # r + s = lam - mu and rs = mu - k
+        r, s, mu, b, v = (MPoly.var(n) for n in ("r", "s", "mu", "b", "v"))
+        k, lam = mu - r * s, mu + r + s
+        assert k + s * (lam + 1) == (s + 1) * (s + mu)
+        assert k - lam - 1 == -(r + 1) * (s + 1)
+        assert k - mu * (lam + 1) == -(r + mu) * (s + mu)
+        assert (k * (k - (mu + 1) * (lam + 1)) + mu * (lam + 1) ** 2
+                == (k - lam - 1) * (k - mu * (lam + 1)))
+        assert (cap_value(v, k, lam, b, lam + 2)
+                == b * ((v - lam - 2) * (b + 1) - 2 * (lam + 2) * (k - lam - 1)))
 
 
 @pytest.fixture(scope="module")

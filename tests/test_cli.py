@@ -166,6 +166,51 @@ class TestBounds:
         assert rep.cab_witness.c_plus_1 == 4000000000
         assert elapsed < 0.05, f"full_report took {elapsed * 1e3:.1f} ms"
 
+    @pytest.mark.parametrize("params, text, stdout", [
+        ("10 4 3 0",
+         "parameters      (10,4,3,0)  type II\n"
+         "cab             5  (witness C(-2,6) = -46)\n"
+         "delsarte        5  (degenerate: disconnected)\n"
+         "trivial         5\n"
+         "thm21/thm22     False/False\n"
+         "thm51 predicate True\n",
+         '{"v": 10, "k": 4, "lambda": 3, "mu": 0, "cab": 5, "cab_witness_b": -2, '
+         '"cab_witness_y": 6, "delsarte": 5, "trivial": 5, "thm21": false, '
+         '"thm22": false, "improved": null}\n'),
+        ("12 8 4 8",
+         "parameters      (12,8,4,8)  type II\n"
+         "cab             3  (witness C(2,4) = -8)\n"
+         "delsarte        3\n"
+         "trivial         6\n"
+         "thm21/thm22     False/False\n"
+         "thm51 predicate False\n",
+         '{"v": 12, "k": 8, "lambda": 4, "mu": 8, "cab": 3, "cab_witness_b": 2, '
+         '"cab_witness_y": 4, "delsarte": 3, "trivial": 6, "thm21": false, '
+         '"thm22": false, "improved": null}\n'),
+    ], ids=["2xK5", "K3x4"])
+    def test_family_tuple_prints_its_witness(self, capsys, params, text, stdout):
+        # the scan's family rows carry no witness; bounds still prints one
+        assert run(capsys, "bounds", *params.split()) == (0, text, "")
+        assert run(capsys, "bounds", *params.split(), "--json") == (0, stdout, "")
+
+    def test_thm51_family_d_within_budget(self):
+        # family D at t = 10^4, (r, a, mu) = (t^2+t-1, t+1, 1): thm51 holds,
+        # and a walk over its 10^8 levels did not finish
+        argv = ["bounds", "1000300020001000200000001", "1000200000000", "99999999", "1",
+                "--json"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            '{"v": 1000300020001000200000001, "k": 1000200000000, "lambda": 99999999, '
+            '"mu": 1, "cab": 100000001, "cab_witness_b": 0, "cab_witness_y": 100000002, '
+            '"delsarte": 100010000, "trivial": 100000001, "thm21": false, "thm22": true, '
+            '"improved": 100009999}\n')
+        assert elapsed < 2, f"bounds took {elapsed:.2f} s"
+
     def test_degenerate_tuple_text(self, capsys):
         # 2*K_5: Delsarte is flagged degenerate, and a disconnected tuple has
         # no complement Hoffman bound
