@@ -168,9 +168,29 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     It reads only v, k, lam and validate() of p, so a SrgParams is bounded
     as its edge-regular triple, after its own (stricter) validation.
 
-    It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  The levels
-    y = c+1 are walked in increasing order, skipping two kinds of level
-    that are proved to hold no negative value:
+    It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  When
+    lam + 3 < v and C(1, lam+2) = 2((v-lam-2) - (lam+2)(k-lam-1)) >= 0, it
+    is lam+2, decided without the walk, with the witness cap_min_over_b
+    gives at level y = lam+3, the first negative level, as the walk would.
+    Proof that no level y <= lam+2 is negative, for every integer b
+    (k >= lam + 1 and v > lam + 3):
+    * b <= 0: each term of C(b, y) = b(b+1)(v-y) - 2by(k-y+1) +
+      y(y-1)(lam-y+2) is >= 0;
+    * b >= 0: level-monotonicity in identities.CASES reads
+      C(b, y) - C(b, lam+2) = (lam+2-y)[(b-y)(b-y+1) + 2b(k-lam-1)] >= 0,
+      and C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
+      second factor grows with b, so C(b, lam+2) >= 0 as C(1, lam+2) >= 0.
+    Every thm51 tuple (lam + 1 <= -k/s) with lam + 3 < v takes this path.
+    With r + s = lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu),
+    k - lam - 1 = -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu), so thm51
+    means s = -1 or mu <= -s.  At s = -1, k = lam + 1 and C(1, lam+2) =
+    2(v-lam-2) > 0; mu = 0 forces this case.  Otherwise mu > 0, and
+    trivial-level-at-one reads mu C(1, lam+2) / 2 = k(k - (mu+1)(lam+1)) +
+    mu(lam+1)^2 = (k-lam-1)(k - mu(lam+1)), a product of two factors >= 0,
+    as r >= 0.
+
+    Otherwise the levels y = c+1 are walked in increasing order, skipping
+    two kinds of level that are proved to hold no negative value:
 
     * levels below _start_level, by the two sum-of-squares identities for
       the disjoint-clique and complete-multipartite parameters;
@@ -188,7 +208,8 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     have the same sign.  Q opens downward, so Q >= 0 exactly on an interval
     [q1, q2], and start lies in it, as start >= 3 > r0 and P(start) >= 0.
     So for y >= start, P(y) < 0 exactly when y > q2.  Most primitive
-    tuples (0 < mu < k) take this path: 1,251 of the 1,301 with v <= 500.
+    tuples (0 < mu < k) take this path: 1,191 of the 1,301 with v <= 500,
+    and 92 more are decided at lam+3 without the walk.
     Otherwise, when P(start) < 0 or c3 >= 0 (2k - lam >= v, as for
     K_{m x a}), _negative_runs cuts the range at the critical points of P
     and bisects each piece.
@@ -199,6 +220,14 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
+    y = lam + 3
+    if y < v and v - lam - 2 >= (lam + 2) * (k - lam - 1):
+        # C(1, lam+2) >= 0: the CAB is lam+2, by the proof above
+        b, val = cap_min_over_b(v, k, lam, y)
+        # the records of the scan's rows are built with tuple.__new__:
+        # the __new__ that NamedTuple generates is a Python-level wrapper
+        # that costs about three times as much per record
+        return lam + 2, tuple.__new__(CabWitness, (b, y, val))
     start = _start_level(v, k, lam)
     top = min(lam + 3, v - 1)
     cs = _certificate_cubic(v, k, lam)
@@ -213,9 +242,7 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
-                # the records of the scan's rows are built with tuple.__new__:
-                # the __new__ that NamedTuple generates is a Python-level
-                # wrapper that costs about three times as much per record
+                # why tuple.__new__: see the record comment above
                 return y - 1, tuple.__new__(CabWitness, (b, y, val))
     # Reached only when lam + 3 >= v (a level lam + 3 <= v - 1 is negative
     # at b = 0), so every level below v is nonnegative.  The quadratic-in-b
@@ -349,43 +376,13 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     """full_report's body, for a tuple p passing INTEGRALITY with type tag
     and restricted eigenvalues r, s as _int_spectrum gives them (None, None
     for a conference tuple with irrational eigenvalues).  full_report
-    validates p in _int_spectrum and again here; the scan hands on the
-    spectrum its generator built, so there p is validated once, here.
-
-    A thm51 tuple (lam + 1 <= -k/s) with lam + 3 <= v - 1 is decided
-    without the walk: its CAB is lam + 2, with the witness cap_min_over_b
-    gives at level y = lam + 3, the first negative level, as in cab().
-    Proof that no level y <= lam + 2 is negative, for every integer b
-    (k >= lam + 1 and v > lam + 3):
-    * b <= 0: each term of C(b, y) = b(b+1)(v-y) - 2by(k-y+1) +
-      y(y-1)(lam-y+2) is >= 0;
-    * b >= 0: level-monotonicity in identities.CASES reads
-      C(b, y) - C(b, lam+2) = (lam+2-y)[(b-y)(b-y+1) + 2b(k-lam-1)] >= 0,
-      and C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
-      second factor grows with b, so C(b, lam+2) >= 0 once C(1, lam+2) >= 0;
-    * with r + s = lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu),
-      k - lam - 1 = -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu).  So
-      thm51 means s = -1 or mu <= -s.  At s = -1, k = lam + 1 and
-      C(b, lam+2) = (v-lam-2) b(b+1) >= 0; mu = 0 forces this case.
-      Otherwise mu > 0, and trivial-level-at-one reads
-      mu C(1, lam+2) / 2 = k(k - (mu+1)(lam+1)) + mu(lam+1)^2
-      = (k-lam-1)(k - mu(lam+1)), a product of two factors >= 0, as r >= 0.
-    Level lam + 3 is negative, as C(0, lam+3) = -(lam+3)(lam+2) < 0.  Every
-    other tuple takes cab(), as does every edge-regular triple, which has
-    no s."""
-    t51 = _thm51(p, s)
-    y = p.lam + 3
-    if t51 and y < p.v:
-        p.validate()
-        b, val = cap_min_over_b(p.v, p.k, p.lam, y)
-        # why tuple.__new__: see the record comment in cab
-        cab_val, witness = y - 1, tuple.__new__(CabWitness, (b, y, val))
-    else:
-        # cab is called by its module-level name so that perfbench can time
-        # the CAB walk on its own.  Most primitive tuples take its one-run
-        # bisection (P(start) >= 0 and c3 < 0); the others cut and bisect
-        # the range
-        cab_val, witness = cab(p)
+    validates p in _int_spectrum and again in cab(); the scan hands on the
+    spectrum its generator built, so there p is validated once, in cab(),
+    which decides every thm51 tuple with lam + 3 < v without the walk."""
+    # cab is called by its module-level name so that perfbench can time the
+    # CAB bound on its own.  Most primitive tuples take its one-run bisection
+    # (P(start) >= 0 and c3 < 0); the others cut and bisect the range
+    cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     if cab_val > p.lam + 2:
         raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
@@ -395,4 +392,5 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     # thm21_applies cannot raise; it too is called by its module-level name
     t21 = s is None and thm21_applies(p.v)
     t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
-    return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22, t51))
+    return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22,
+                                        _thm51(p, s)))

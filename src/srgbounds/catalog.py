@@ -24,7 +24,7 @@ in the total alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterator, NamedTuple, Optional
 
 from .cab import BoundsReport, _report, full_report
@@ -42,8 +42,8 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration builds about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes a median 2.9 s (2.4-4.1 s) and
-# 120-124 MB at every level on a shared 2-core Intel Xeon machine with
+# fresh CSV scan at v <= 10000 takes a median 4.2-4.7 s (3.9-6.4 s) and
+# 102-107 MB at every level on a shared 2-core Intel Xeon machine with
 # Python 3.11, growing with v
 SCAN_MAX_V = 10000
 
@@ -138,10 +138,11 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     exempt both, as mu = 0, resp. v-2k+lam = 0.  The complement's
     lam_bar = v-2k+mu-2 is v-2c = (m-2)c >= 0, resp. a-2 >= 0.
 
-    Bounds: cab() starts at y = lam+3 = c+1 for m*K_c and at
-    y = v/(v-k)+1 = m+1 for K_{m x a} (_start_level), and both levels hold a
-    negative value (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is
-    y-1; no scan output prints its witness.  Delsarte 1 + k/-s is c = lam+2,
+    Bounds: cab() decides m*K_c at y = lam+3 = c+1, as C(1, lam+2) =
+    2(v-lam-2) >= 0, and starts K_{m x a} at y = v/(v-k)+1 = m+1
+    (_start_level), and both levels hold a negative value (C(0, lam+3) < 0,
+    and C(m-1, m+1) = -2a), so the CAB is y-1; no scan output prints its
+    witness.  Delsarte 1 + k/-s is c = lam+2,
     resp. m, again y-1.  thm21 needs an irrational spectrum and thm22 a
     fractional k/-s, which is c-1, resp. m-1, so both are False; thm51,
     k >= -s(lam+1), holds for m*K_c and, as (m-1)a >= a((m-2)a+1) iff
@@ -365,21 +366,90 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
 # -- emitters ----------------------------------------------------------------
 
 
-_CSV_BOOL = ("false", "true")
-_TABLE_BOOL = (".", "Y")
+# the three flag columns thm21, thm22, thm51 of each format, read as
+# flags[t21][t22][t51]: one lookup per row in place of three
+_CSV_FLAGS = tuple(tuple(tuple(f"{x},{y},{z}" for z in ("false", "true"))
+                         for y in ("false", "true")) for x in ("false", "true"))
+_TABLE_FLAGS = tuple(tuple(tuple(f"{x:>3}  {y:>3}  {z:>3}" for z in ".Y")
+                           for y in ".Y") for x in ".Y")
+_TABLE_HEADER = (f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}"
+                 f"  {'t21':>3}  {'t22':>3}  {'t51':>3}")
+
+
+def _int_strings(top: int, spec: str) -> list[str]:
+    """format(i, spec) at index i, for 0 <= i <= top."""
+    return [format(i, spec) for i in range(top + 1)]
+
+
+class _Formatted:
+    """format(i, spec) for every int i, read as _int_strings is read."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: str):
+        self.spec = spec
+
+    def __getitem__(self, i: int) -> str:
+        return format(i, self.spec)
+
+
+def _csv_lines(reports: list[BoundsReport], strings, lo) -> list[str]:
+    """The csv rows, each printed integer x as strings("")[x], leaving out
+    every row that prints an integer below lo."""
+    s, flags = strings(""), _CSV_FLAGS
+    return [f"{s[v]},{s[k]},{s[lam]},{s[mu]},{tag._value_},{s[c]},{s[d]},{s[d - c]},"
+            f"{flags[t21][t22][t51]}"
+            for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports
+            if v >= lo and k >= lo and lam >= lo and mu >= lo and c >= lo and d - c >= lo]
+
+
+def _table_lines(reports: list[BoundsReport], strings, lo) -> list[str]:
+    """The table rows, as _csv_lines gives the csv rows; the columns are
+    right-aligned to their widths by the specs ">3" and ">4"."""
+    s, s3, s4, flags = strings(""), strings(">3"), strings(">4"), _TABLE_FLAGS
+    return [f"{f'({s[v]},{s[k]},{s[lam]},{s[mu]})':>22}  {tag._value_:>4}  {s3[c]}  {s4[d]}"
+            f"  {s3[d - c]}  {flags[t21][t22][t51]}"
+            for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports
+            if v >= lo and k >= lo and lam >= lo and mu >= lo and c >= lo and d - c >= lo]
 
 
 def emit(reports: list[BoundsReport], fmt: str) -> str:
     """Deterministic rendering; identical inputs give byte-identical output.
     Each format unpacks a report once; gap is delsarte - cab.  The type is
     read as tag._value_, the attribute behind SrgType.value: hashing an Enum
-    member, or reading .value, runs Python code per row."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
-            lines.append(f"{v},{k},{lam},{mu},{tag._value_},{c},{d},{d - c},"
-                         f"{_CSV_BOOL[t21]},{_CSV_BOOL[t22]},{_CSV_BOOL[t51]}")
-        return "\n".join(lines) + "\n"
+    member, or reading .value, runs Python code per row.
+
+    csv and table print each integer x as s[x], from a list s of the
+    strings of [0, top], built once per call; top is the v of the last
+    report.  On a scan's rows, which come in tuple order, that is the
+    largest v, and every integer that a package-built report prints lies
+    in [0, v]:
+    * 0 <= lam, mu <= k < v, by the counting rule every report's tuple passed;
+    * 2 <= cab <= delsarte <= v: the CAB is the least c >= 2 of its walk,
+      _report asserts cab <= delsarte, and delsarte is 1 + floor(k/-s)
+      <= 1 + k, or isqrt(v) on type I rows;
+    * gap = delsarte - cab >= 0, by that assertion; it is 0 on family rows.
+    A scan's top is at most SCAN_MAX_V, which bounds the lists.  Any other
+    int still prints as format() prints it, never as another number: a list
+    reads a negative index from its end, so the rows holding a negative
+    integer are left out of the lists' rendering, and an integer past top
+    raises IndexError; either way the whole call is rendered again with
+    format(), as is a call whose top passes SCAN_MAX_V."""
+    if fmt in ("csv", "table"):
+        if fmt == "csv":
+            head, lines_of = [CSV_HEADER], _csv_lines
+        else:
+            head, lines_of = [_TABLE_HEADER, "-" * len(_TABLE_HEADER)], _table_lines
+        top = reports[-1][0][0] if reports else 0
+        lines = None
+        if top <= SCAN_MAX_V:
+            try:
+                lines = lines_of(reports, lambda spec: _int_strings(top, spec), 0)
+            except IndexError:
+                pass  # an integer past top
+        if lines is None or len(lines) < len(reports):
+            lines = lines_of(reports, _Formatted, -inf)
+        return "\n".join(head + lines) + "\n"
     if fmt == "json":
         rows = []
         for p, tag, c, _, d, t21, t22, t51 in reports:
@@ -395,14 +465,4 @@ def emit(reports: list[BoundsReport], fmt: str) -> str:
         import json
 
         return json.dumps(rows, indent=2) + "\n"
-    if fmt == "table":
-        header = f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}  {'t21':>3}  {'t22':>3}  {'t51':>3}"
-        lines = [header, "-" * len(header)]
-        for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
-            tup = f"({v},{k},{lam},{mu})"
-            lines.append(
-                f"{tup:>22}  {tag._value_:>4}  {c:>3}  {d:>4}  {d - c:>3}"
-                f"  {_TABLE_BOOL[t21]:>3}  {_TABLE_BOOL[t22]:>3}  {_TABLE_BOOL[t51]:>3}"
-            )
-        return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

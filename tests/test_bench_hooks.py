@@ -81,9 +81,9 @@ def test_scan_reports_through_the_catalog_name(monkeypatch):
 
 def test_full_report_bounds_through_the_cab_name(monkeypatch):
     # cab.cab_s times cab as rebound in srgbounds.cab, so full_report must
-    # call it by that module-level name, once per primitive report without
-    # thm51; a thm51 report is decided at level lam+3 without the walk, and
-    # the family rows call it not at all
+    # call it by that module-level name, once per primitive report, thm51
+    # reports included (cab decides those without the walk), and the family
+    # rows call it not at all
     calls = []
     original = cab_module.cab
 
@@ -96,7 +96,7 @@ def test_full_report_bounds_through_the_cab_name(monkeypatch):
     assert any(not primitive(r.params) for r in reports)
     assert any(primitive(r.params) and r.thm51 for r in reports)
     assert calls == [(r.params.v, r.params.k, r.params.lam)
-                     for r in reports if primitive(r.params) and not r.thm51] != []
+                     for r in reports if primitive(r.params)] != []
 
 
 def test_full_report_decides_thm21_through_its_name(monkeypatch):

@@ -239,10 +239,11 @@ class TestCabOracle:
 
     def test_levels_visited(self, calls):
         # every visited level is one call of cap_min_over_b; the plain walk
-        # visits 179,335 levels on the same tuples
+        # visits 179,335 levels on the same tuples.  The tuples with
+        # C(1, lam+2) >= 0 and lam+3 < v visit level lam+3 alone
         for p in enumerate_feasible(500):
             cab(p.edge_regular)
-        assert len(calls) == 6874
+        assert len(calls) == 6778
 
     def test_conference_tuple_visits_one_level(self, calls):
         c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
@@ -271,12 +272,20 @@ class TestCabOracle:
                              ids=["disjoint-cliques", "multipartite", "generic"])
     def test_starting_one_level_too_high_fails(self, monkeypatch, params):
         # each start level is the CAB level itself on these tuples, so a walk
-        # that starts one level later returns a different answer
+        # that starts one level later returns a different answer.  On m*K_c,
+        # C(1, lam+2) >= 0, so cab() decides before it reads _start_level
         p = EdgeRegularParams(*params)
         start = cab_module._start_level(*params)
         assert cab(p)[1].c_plus_1 == start
-        monkeypatch.setattr(cab_module, "_start_level", lambda v, k, lam: start + 1)
-        assert cab(p) != cab_linear(p)
+        if params == (10, 4, 3):
+            def refused(v, k, lam):
+                raise AssertionError("m*K_c must be decided before _start_level")
+
+            monkeypatch.setattr(cab_module, "_start_level", refused)
+            assert cab(p) == cab_linear(p)
+        else:
+            monkeypatch.setattr(cab_module, "_start_level", lambda v, k, lam: start + 1)
+            assert cab(p) != cab_linear(p)
 
 
 class TestOneRunLemma:
@@ -570,16 +579,21 @@ def family_d(t: int) -> SrgParams:
     return SrgParams(k + 1 + k * (r + 1) * (a - 1) // mu, k, mu + r - a, mu)
 
 
+def refuse_walk(monkeypatch):
+    """Make cab()'s walk raise: every walk builds the certificate cubic."""
+    def refused(v, k, lam):
+        raise AssertionError(f"this triple must not walk: {(v, k, lam)}")
+
+    monkeypatch.setattr(cab_module, "_certificate_cubic", refused)
+
+
 class TestThm51Shortcut:
-    """_report decides a thm51 tuple at level lam+3 without the walk, with
+    """cab() decides a thm51 tuple at level lam+3 without the walk, with
     the proof in its docstring; the plain walk stays the oracle."""
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
-        def refused(p):
-            raise AssertionError(f"a thm51 tuple must not walk: {p}")
-
-        monkeypatch.setattr(cab_module, "cab", refused)
+        refuse_walk(monkeypatch)
 
     def test_thm51_rows_match_linear_walk(self, no_walk):
         rows = [row for row in _primitive_rows(3000, FeasibilityLevel.COUNTING)
@@ -619,7 +633,7 @@ class TestThm51Shortcut:
         assert elapsed < 0.05, f"full_report took {elapsed * 1e3:.1f} ms"
 
     def test_proof_identities(self):
-        # the factorizations the _report docstring reads off, with
+        # the factorizations the cab docstring reads off, with
         # r + s = lam - mu and rs = mu - k
         r, s, mu, b, v = (MPoly.var(n) for n in ("r", "s", "mu", "b", "v"))
         k, lam = mu - r * s, mu + r + s
@@ -630,6 +644,42 @@ class TestThm51Shortcut:
                 == (k - lam - 1) * (k - mu * (lam + 1)))
         assert (cap_value(v, k, lam, b, lam + 2)
                 == b * ((v - lam - 2) * (b + 1) - 2 * (lam + 2) * (k - lam - 1)))
+
+
+class TestLevelOneShortcut:
+    """Where C(1, lam+2) >= 0 and lam+3 < v, cab() answers lam+2 without the
+    walk, by the proof in its docstring; the plain walk stays the oracle."""
+
+    def test_matches_linear_walk_on_random_triples(self, monkeypatch):
+        hits = 0
+        for p in random_triples(7, 3000, 400):
+            v, k, lam = p
+            if lam + 3 < v and cap_value(v, k, lam, 1, lam + 2) >= 0:
+                with monkeypatch.context() as m:
+                    refuse_walk(m)
+                    got = cab(p)
+                hits += 1
+            else:
+                got = cab(p)
+            assert got == cab_linear(p), p
+        assert hits >= 1000
+
+    @pytest.mark.parametrize("triple", [
+        (1000300020001000200000001, 1000200000000, 99999999),
+        (10**30, 4 * 10**13, 2 * 10**13),
+        (10**40, 2 * (10**20 - 1), 10**20 - 2)], ids=["family-d", "large-lambda", "L2(10^20)"])
+    def test_large_triples_within_budget(self, monkeypatch, triple):
+        # a walk over these levels did not finish; the answer is checked in
+        # integers
+        v, k, lam = triple
+        refuse_walk(monkeypatch)
+        start = time.perf_counter()
+        c, (b, y, value) = cab(EdgeRegularParams(v, k, lam))
+        elapsed = time.perf_counter() - start
+        assert (c, y) == (lam + 2, lam + 3)
+        assert value == cap_value(v, k, lam, b, y) < 0
+        assert cap_min_over_b(v, k, lam, lam + 2)[1] >= 0
+        assert elapsed < 0.05, f"cab took {elapsed * 1e3:.1f} ms"
 
 
 @pytest.fixture(scope="module")

@@ -582,3 +582,96 @@ class TestEmitters:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit([], "xml")
+
+
+def emit_oracle(reports, fmt: str) -> str:
+    """The f-string renderer of csv and table that emit used before its
+    per-call tables of integer strings: the oracle for both formats."""
+    csv_bool, table_bool = ("false", "true"), (".", "Y")
+    if fmt == "csv":
+        lines = [CSV_HEADER]
+        for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
+            lines.append(f"{v},{k},{lam},{mu},{tag._value_},{c},{d},{d - c},"
+                         f"{csv_bool[t21]},{csv_bool[t22]},{csv_bool[t51]}")
+        return "\n".join(lines) + "\n"
+    header = (f"{'params':>22}  {'type':>4}  {'cab':>3}  {'dels':>4}  {'gap':>3}"
+              f"  {'t21':>3}  {'t22':>3}  {'t51':>3}")
+    lines = [header, "-" * len(header)]
+    for (v, k, lam, mu), tag, c, _, d, t21, t22, t51 in reports:
+        tup = f"({v},{k},{lam},{mu})"
+        lines.append(f"{tup:>22}  {tag._value_:>4}  {c:>3}  {d:>4}  {d - c:>3}"
+                     f"  {table_bool[t21]:>3}  {table_bool[t22]:>3}  {table_bool[t51]:>3}")
+    return "\n".join(lines) + "\n"
+
+
+class TestIntegerTables:
+    """emit's csv and table look their integers up in per-call lists of
+    strings; the f-string renderer they replaced is the oracle, on every
+    scan and on reports whose integers fall outside the lists."""
+
+    CONFIGS = [
+        *(ScanConfig(v_max=1300, level=level) for level in FeasibilityLevel),
+        ScanConfig(v_max=1300, pairs=True),
+        *(ScanConfig(v_max=1300, filter=flt) for flt in ("gap", "thm", "thm51")),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.level.name}-{c.filter}-{c.pairs}")
+    def test_scan_matches_oracle(self, cfg, fmt):
+        reports, _ = scan_compare(cfg)
+        assert reports
+        assert emit(reports, fmt) == emit_oracle(reports, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_empty(self, fmt):
+        assert emit([], fmt) == emit_oracle([], fmt)
+
+    @staticmethod
+    def synthetic(v, k, lam, mu, c, d):
+        return BoundsReport(SrgParams(v, k, lam, mu), SrgType.TYPE_II_ONLY, c, None, d,
+                            False, True, False)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_integers_outside_the_table_render_like_the_oracle(self, fmt):
+        # behind a scan to v <= 40 the lists hold the strings of [0, 40]: a
+        # list reads -1 as its last string and -41 as its first, and 41, 81
+        # and 10^30 lie past its end.  Ahead of it, or alone, a row is read
+        # with lists that end at its own v or at 40
+        scan, _ = scan_compare(ScanConfig(v_max=40))
+        odd = [
+            self.synthetic(10, -1, 0, 1, 2, 3),
+            self.synthetic(10, 4, -41, 1, 2, 3),
+            self.synthetic(10, 4, 1, -82, 2, 3),
+            self.synthetic(10, 4, 1, 10**30, 2, 3),
+            self.synthetic(10, 4, 1, 2, 41, 81),
+            self.synthetic(10, 4, 1, 2, 5, 3),     # gap -2
+            self.synthetic(-5, 4, 1, 2, 3, 3),
+            self.synthetic(10, 4, 1, 2, 30, 40),   # past this row's v, within [0, 40]
+        ]
+        for row in odd:
+            for reports in ([row], scan + [row], [row] + scan):
+                assert emit(reports, fmt) == emit_oracle(reports, fmt), row
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_rows_out_of_order_match_oracle(self, fmt):
+        # the lists end at the last row's v, here 5, so the other rows read
+        # past their end
+        scan, _ = scan_compare(ScanConfig(v_max=300))
+        reports = scan[::-1]
+        assert emit(reports, fmt) == emit_oracle(reports, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_no_table_past_the_scan_limit(self, monkeypatch, fmt):
+        # family D at t = 5, (r, a, mu) = (29, 6, 1), has v = 26426 >
+        # SCAN_MAX_V: its report renders without a list of 26,427 strings,
+        # as a report with v near 10^24 must
+        from srgbounds import catalog
+
+        def refused(top, spec):
+            raise AssertionError(f"a list up to {top} was built")
+
+        p = SrgParams(26426, 175, 24, 1)
+        assert p.v > SCAN_MAX_V
+        reports = [full_report(p)]
+        monkeypatch.setattr(catalog, "_int_strings", refused)
+        assert emit(reports, fmt) == emit_oracle(reports, fmt)

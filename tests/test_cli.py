@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srgbounds
-from srgbounds.cab import cab, full_report
+from srgbounds.cab import cab, cap_min_over_b, cap_value, full_report
 from srgbounds.catalog import SCAN_MAX_V, ScanConfig, enumerate_feasible
 from srgbounds import cli
 from srgbounds.cli import main
@@ -210,6 +210,32 @@ class TestBounds:
             '"delsarte": 100010000, "trivial": 100000001, "thm21": false, "thm22": true, '
             '"improved": 100009999}\n')
         assert elapsed < 2, f"bounds took {elapsed:.2f} s"
+
+    def test_edge_regular_family_d_within_budget(self):
+        # the same tuple without mu: cab() decides it from C(1, lam+2) >= 0
+        # alone, where its walk over the 10^8 levels did not finish
+        v, k, lam = 1000300020001000200000001, 1000200000000, 99999999
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "bounds",
+                               str(v), str(k), str(lam), "--json"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = proc.stdout
+        assert out == (
+            '{"v": 1000300020001000200000001, "k": 1000200000000, "lambda": 99999999, '
+            '"mu": null, "cab": 100000001, "cab_witness_b": 0, "cab_witness_y": 100000002, '
+            '"delsarte": null, "trivial": 100000001, "thm21": false, "thm22": false, '
+            '"improved": null}\n')
+        assert elapsed < 2, f"bounds took {elapsed:.2f} s"
+        # the witness, in integers: level lam+3 is negative at b, and no b
+        # makes level lam+2 negative
+        rep = json.loads(out)
+        b, y = rep["cab_witness_b"], rep["cab_witness_y"]
+        assert (rep["cab"], y) == (lam + 2, lam + 3)
+        assert cap_value(v, k, lam, b, y) < 0
+        assert cap_min_over_b(v, k, lam, lam + 2)[1] >= 0
 
     def test_degenerate_tuple_text(self, capsys):
         # 2*K_5: Delsarte is flagged degenerate, and a disconnected tuple has
