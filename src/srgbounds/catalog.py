@@ -11,7 +11,9 @@ with its proof in its docstring:
   row;
 - _primitive_rows builds the other tuples, 0 < mu < k, confirms each at
   the level, types it, and returns the kept ones sorted, each as the
-  arguments of cab._report.
+  arguments of cab._report; one divisor list of n = ra(r+1)(a-1) yields a
+  tuple and its complement, so each complementary pair of restricted
+  eigenvalues, (r, -a) and (a-1, -(r+1)), is walked once.
 enumerate_feasible reads the tuples of both; scan_compare reports the
 primitive rows and sorts the family reports in.  is_feasible stays the
 one definition of feasibility and the oracle in the tests, and the scan
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import inf, isqrt
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .cab import BoundsReport, _report, full_report
@@ -42,9 +45,9 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration builds about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes a median 4.2-4.7 s (3.9-6.4 s) and
-# 102-107 MB at every level on a shared 2-core Intel Xeon machine with
-# Python 3.11, growing with v
+# fresh CSV scan at v <= 10000 takes a median 3.3 s (3.0-3.5 s over 7
+# processes) and a peak RSS of 103 MB at the default level on a shared
+# 2-core Intel Xeon machine with Python 3.11.7, growing with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -172,7 +175,7 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     integer restricted eigenvalues, or None for a conference tuple with
     irrational eigenvalues.  With the family tuples of _family_reports
     they are every tuple that passes level and has a spectrum.  p is
-    unique, so the sort never compares two types.
+    unique, so the rows are sorted by p alone.
 
     For r >= 1, a >= 2 and mu >= 1, k = mu + ra and lam = mu + r - a, so mu
     divides ra(r+1)(a-1) and v = k + 1 + k(r+1)(a-1)/mu; the conference
@@ -191,7 +194,24 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     - it is primitive: mu > 0 and v - 2k + lam = (r+1)(a-1)ra/mu > 0, so
       neither exemption applies.
     Its type is I+II when the conference test holds and II otherwise, as
-    _spectrum_or_failure gives it."""
+    _spectrum_or_failure gives it.
+
+    One divisor list serves a complementary pair.  The complement of the
+    tuple built from (r, a, mu) has eigenvalues a-1 and -(r+1), so it is
+    the tuple built from the partner (a-1, r+1, n/mu), and the map is its
+    own inverse.  n = ra(r+1)(a-1) and base = ra + 1 + (r+1)(a-1) are
+    symmetric under it, so both members have the same v = base + mu + n/mu,
+    the same mu window and the same loop stops, k' = v-1-k, and the
+    multiplicities swap: f' = g, so f + g = v-1 decides both.  The (r, a)
+    loop walks r <= a-1 only and emits the partner when r < a-1; r = a-1 is
+    its own partner.  The partner's lam' = n/mu + a - r - 2 is the tuple's
+    lam_bar = v - 2k + mu - 2, which is at least n/mu > 0 when r < a-1, so
+    only the walked member needs its lam >= 0 test, mu + r >= a.  Each
+    member keeps its own Krein, absolute-bound and conference checks, so
+    the rows are those of a walk over every (r, a), including the rows with
+    lam_bar < 0 that ROADMAP item 1a removes: they are the partners whose
+    walked member has lam < 0, so here that fix is one condition, emit a
+    pair only when mu + r >= a."""
     # why tuple.__new__: see the record comment in cab.cab
     new, params = tuple.__new__, SrgParams
     both, type2, type1 = SrgType.BOTH, SrgType.TYPE_II_ONLY, SrgType.TYPE_I_ONLY
@@ -205,18 +225,22 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     # r >= 1, a >= 2: the counting identity holds exactly when mu divides
     # n = ra(r+1)(a-1), and then v = base + mu + n/mu >= base + 2 isqrt(n)
     # by AM-GM.  base and n grow with r and with a, and so does that bound:
-    # the r-loop stops at the first r where it passes v_max, and the a-loop
-    # once the r-loop stops at r = 1.  With room = v_max - base, v <= v_max
-    # iff mu^2 - room*mu + n <= 0, so the smaller divisor d <= sqrt(n) of a
-    # pair is at least (room - sqrt(room^2-4n))/2; the isqrt start is that
-    # bound rounded down or one below it, and the v check below stays.  With
-    # lam - mu = r - a, the multiplicity f = ((v-1)(r+a) - 2k -
-    # (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a), and when it is an
-    # integer so is g = v-1-f; both are positive, as k <= v-2
+    # the r-loop walks r <= a-1 and stops at the first r where it passes
+    # v_max, and the a-loop once the r-loop stops at r = 1.  With room =
+    # v_max - base, v <= v_max iff mu^2 - room*mu + n <= 0, so the smaller
+    # divisor d <= sqrt(n) of a pair is at least (room - sqrt(room^2-4n))/2;
+    # the isqrt start is that bound rounded down or one below it, and the v
+    # check below stays.  With lam - mu = r - a, the multiplicity f =
+    # ((v-1)(r+a) - 2k - (v-1)(lam-mu)) / 2(r+a) is ((v-1)a - k) / (r+a),
+    # and when it is an integer so is g = v-1-f; both are positive, as
+    # k <= v-2.  The partner (a-1, r+1, nu = n/mu) of (r, a, mu), emitted
+    # here when r < a-1, has f' = ((v-1)(r+1) - k')/(r+a) = g, so the same
+    # divmod decides it; its mu' is nu, and its lam' = nu + a - r - 2 >= nu
+    # needs no test there
     a, r = 1, 2
     while r > 1:
         a, r = a + 1, 1
-        while True:
+        while r < a:
             n = r * a * (r + 1) * (a - 1)
             base = r * a + 1 + (r + 1) * (a - 1)
             root = isqrt(n)
@@ -225,20 +249,28 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
             room = v_max - base
             gap = room * room - 4 * n
             if gap >= 0:
+                paired = r < a - 1
                 for d in range(max(1, (room - isqrt(gap)) // 2), root + 1):
                     if n % d == 0 and base + d + n // d <= v_max:
                         for mu in {d, n // d}:
-                            if mu + r >= a:
-                                v, k = base + mu + n // mu, mu + r * a
-                                f, rem = divmod((v - 1) * a - k, r + a)
-                                # by the docstring's proof, the one rule left to check
-                                if not rem and _krein_absolute_failure(
-                                        v, k, r, -a, f, v - 1 - f, level) is None:
-                                    lam = mu + r - a
-                                    add((new(params, (v, k, lam, mu)),
-                                         both if _conference(v, k, lam, mu) else type2, r, -a))
+                            nu = n // mu
+                            v, k = base + mu + nu, mu + r * a
+                            f, rem = divmod((v - 1) * a - k, r + a)
+                            if rem:
+                                continue
+                            # by the docstring's proof, the one rule left to check
+                            if mu + r >= a and _krein_absolute_failure(
+                                    v, k, r, -a, f, v - 1 - f, level) is None:
+                                lam = mu + r - a
+                                add((new(params, (v, k, lam, mu)),
+                                     both if _conference(v, k, lam, mu) else type2, r, -a))
+                            if paired and _krein_absolute_failure(
+                                    v, v - 1 - k, a - 1, -r - 1, v - 1 - f, f, level) is None:
+                                k, lam = v - 1 - k, nu + a - r - 2
+                                add((new(params, (v, k, lam, nu)),
+                                     both if _conference(v, k, lam, nu) else type2, a - 1, -r - 1))
             r += 1
-    rows.sort()
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -329,7 +361,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
     # two per divisor in the sieve from v = 5 on
     if cfg.filter in (None, "thm51"):
         reports += _family_reports(cfg.v_max)
-        reports.sort()
+        reports.sort(key=itemgetter(0))  # p is unique: compare the params alone
         total = len(reports)
     else:
         total = len(reports) + 2 * sum(map(len, _divisors(cfg.v_max)[5:]))

@@ -25,6 +25,7 @@ from srgbounds.srg import (
     InfeasibleParamsError,
     SrgParams,
     SrgType,
+    _complement,
     _krein_absolute_failure,
     _spectrum_or_failure,
     complement,
@@ -250,18 +251,53 @@ class TestPrimitiveRows:
             fails[want] += 1
         assert fails == {None: 10553, "Krein 1": 671, "Krein 2": 235}
 
+    def test_complement_listed_exactly_when_lambda_bar_nonnegative(self, rows_3000):
+        # the pair loop's invariant: (r, a, mu) and (a-1, r+1, n/mu) are a
+        # tuple and its complement, so a row's complement is listed exactly
+        # when lam_bar >= 0, with the same type and the eigenvalues -s-1 and
+        # -r-1.  A walked row (r < a-1) has lam_bar >= n/mu > 0, so each row
+        # with lam_bar < 0 is a partner, r >= a.  Those rows are not
+        # feasible (ROADMAP item 1a), and fixing that makes these counts 0
+        wrong = {}
+        for level, rows in rows_3000.items():
+            listed = {row[0]: row for row in rows}
+            wrong[level] = 0
+            for p, tag, r, s in rows:
+                if r is None:
+                    continue
+                v, k, lam, mu = p
+                q = _complement(v, k, lam, mu)
+                if v - 2 * k + mu - 2 >= 0:
+                    assert listed.get(q) == (q, tag, -s - 1, -r - 1), (level, p)
+                else:
+                    assert q not in listed and r >= -s, (level, p)
+                    wrong[level] += 1
+        assert wrong == {FeasibilityLevel.COUNTING: 495, FeasibilityLevel.INTEGRALITY: 495,
+                         FeasibilityLevel.KREIN: 59, FeasibilityLevel.ABSOLUTE_BOUND: 59}
+
+    # each v_max below is the v = base + 2 isqrt(n) of a row, the least v of
+    # its (r, a = -s), named by how the pair loop emits it: "walked" has
+    # r < a-1, "partner" has r >= a and comes from the walked (a-1, r+1),
+    # and "diagonal" has r = a-1 and is its own partner
+    BOUNDARY_ROWS = {9: {"diagonal"}, 25: {"diagonal"}, 49: {"diagonal"},
+                     50: {"walked", "partner"}, 81: {"diagonal"},
+                     243: {"walked", "partner"}, 289: {"diagonal", "walked", "partner"},
+                     676: {"walked", "partner"}, 1445: {"walked", "partner"},
+                     1682: {"walked", "partner"}, 2401: {"diagonal", "walked", "partner"}}
+
     def test_mu_interval_matches_trial_division(self, rows_10000):
         got = [row[0] for row in rows_10000 if row[2] is not None]
         assert got == sorted(primitive_candidates_trial_division(10000))
-        # the loops' stop at its boundary: at each of these v_max a row has
-        # v = v_max = base + 2 isqrt(n), the least v of its (r, a = -s)
-        for v_max in (9, 25, 49, 50, 243, 676):
+        # the loops' stop at its boundary, for each kind of boundary row
+        for v_max, kinds in self.BOUNDARY_ROWS.items():
             rows = [row for row in _primitive_rows(v_max, FeasibilityLevel.COUNTING)
                     if row[2] is not None]
             assert [row[0] for row in rows] == sorted(
                 primitive_candidates_trial_division(v_max)), v_max
-            assert v_max in {1 - r * s - (r + 1) * (s + 1) + 2 * isqrt(r * s * (r + 1) * (s + 1))
-                             for p, _, r, s in rows if p.v == v_max}, v_max
+            assert {"diagonal" if r == -s - 1 else "partner" if r >= -s else "walked"
+                    for p, _, r, s in rows
+                    if p.v == v_max == 1 - r * s - (r + 1) * (s + 1)
+                    + 2 * isqrt(r * s * (r + 1) * (s + 1))} == kinds, v_max
 
     def test_each_tuple_once(self, rows_10000):
         fams = family_construction(10000)
