@@ -58,32 +58,6 @@ class CabWitness(NamedTuple):
     value: int
 
 
-def _start_level(v: int, k: int, lam: int) -> int:
-    """Least level y = c+1 that can hold a negative value of C, z = x - y.
-
-    For k = lam+1 and c = k+1 (the parameters of disjoint copies of K_c):
-
-        C(x, y) = (c-y) z(z+1) + (v-c) x(x+1)
-
-    For lam = 2k-v with a = v-k dividing v and m = v/a (the parameters of
-    the complete multipartite K_{m x a}):
-
-        C(x, y) = a(m-y) z(z+1) + (a-1) y (z+1)(z+2)
-
-    n(n+1) >= 0 for every integer n, so at integer x the first sum is >= 0
-    for every y <= c and the second for every 0 <= y <= m.  The walk may
-    start at c+1 = lam+3, resp. m+1, and both are the CAB levels themselves:
-    lam+3 is the last possible level, and K_{m x a} has cliques of size m,
-    which the CAB bounds from above (Soicher, J. Algebra 421, 2015).
-    """
-    if k == lam + 1:
-        return lam + 3
-    a = v - k
-    if lam == 2 * k - v and v % a == 0:
-        return v // a + 1
-    return 3
-
-
 def _certificate_cubic(v: int, k: int, lam: int) -> tuple[int, int, int, int]:
     """Coefficients (c3, c2, c1, c0) of P(y) = 4 a2 a0 - a1^2, where
     C(x, y) = a2 x^2 + a1 x + a0.  The y^4 terms cancel, so P is a cubic."""
@@ -135,8 +109,8 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
     The range is cut after floor(r) for each real root r of P', so that P is
     monotone on every piece, and each piece's negative run is found by
     bisection.  Everything is decided in integers.  cab() takes this path
-    only when the one-run lemma in its docstring does not apply: when the
-    start level is negative, or when the y^3 coefficient c3 is not negative.
+    only when the one-run lemma in its docstring does not apply: when P(3)
+    is negative, or when the y^3 coefficient c3 is not negative.
     """
     c3, c2, c1, _ = cs
     cuts = []
@@ -168,87 +142,102 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     It reads only v, k, lam and validate() of p, so a SrgParams is bounded
     as its edge-regular triple, after its own (stricter) validation.
 
-    It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  When
-    lam + 3 < v and C(1, lam+2) = 2((v-lam-2) - (lam+2)(k-lam-1)) >= 0, it
-    is lam+2, decided without the walk, with the witness cap_min_over_b
-    gives at level y = lam+3, the first negative level, as the walk would.
-    Proof that no level y <= lam+2 is negative, for every integer b
-    (k >= lam + 1 and v > lam + 3):
-    * b <= 0: each term of C(b, y) = b(b+1)(v-y) - 2by(k-y+1) +
-      y(y-1)(lam-y+2) is >= 0;
-    * b >= 0: level-monotonicity in identities.CASES reads
-      C(b, y) - C(b, lam+2) = (lam+2-y)[(b-y)(b-y+1) + 2b(k-lam-1)] >= 0,
-      and C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
-      second factor grows with b, so C(b, lam+2) >= 0 as C(1, lam+2) >= 0.
-    Every thm51 tuple (lam + 1 <= -k/s) with lam + 3 < v takes this path.
-    With r + s = lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu),
-    k - lam - 1 = -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu), so thm51
-    means s = -1 or mu <= -s.  At s = -1, k = lam + 1 and C(1, lam+2) =
-    2(v-lam-2) > 0; mu = 0 forces this case.  Otherwise mu > 0, and
-    trivial-level-at-one reads mu C(1, lam+2) / 2 = k(k - (mu+1)(lam+1)) +
-    mu(lam+1)^2 = (k-lam-1)(k - mu(lam+1)), a product of two factors >= 0,
-    as r >= 0.
+    It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  Three
+    steps decide it, each with the first negative level y = c+1 and the
+    witness cap_min_over_b gives there, as the plain walk y = 3, 4, ...
+    would; at a level y >= v, where the quadratic in b has leading
+    coefficient v - y <= 0, the walk's witness is b = 0.
 
-    Otherwise the levels y = c+1 are walked in increasing order, skipping
-    two kinds of level that are proved to hold no negative value:
+    1. The trivial level.  When C(1, lam+2) = 2((v-lam-2) -
+       (lam+2)(k-lam-1)) >= 0, the CAB is lam+2.  Proof that no level
+       3 <= y <= lam+2 is negative, for every integer b (lam+2 <= k+1 <= v):
+       * b <= 0: each term of C(b, y) = b(b+1)(v-y) - 2by(k-y+1) +
+         y(y-1)(lam-y+2) is >= 0;
+       * b >= 0: level-monotonicity in identities.CASES reads
+         C(b, y) - C(b, lam+2) = (lam+2-y)[(b-y)(b-y+1) + 2b(k-lam-1)] >= 0,
+         and C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
+         second factor grows with b, so C(b, lam+2) >= 0 as C(1, lam+2) >= 0.
+       Only the witness at level lam+3 needs lam+3 < v; otherwise it is
+       b = 0.  Disjoint cliques (k = lam+1) take this step, as C(1, lam+2)
+       = 2(v-lam-2) >= 0, and so do K_v and (v, v-2, v-3), which have
+       lam+3 >= v.  So does every thm51 tuple (lam + 1 <= -k/s).  With
+       r + s = lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu),
+       k - lam - 1 = -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu), so
+       thm51 means s = -1 or mu <= -s.  At s = -1, k = lam + 1; mu = 0
+       forces this case.  Otherwise mu > 0, and trivial-level-at-one reads
+       mu C(1, lam+2) / 2 = k(k - (mu+1)(lam+1)) + mu(lam+1)^2 =
+       (k-lam-1)(k - mu(lam+1)), a product of two factors >= 0, as r >= 0.
 
-    * levels below _start_level, by the two sum-of-squares identities for
-      the disjoint-clique and complete-multipartite parameters;
-    * levels where the quadratic in x, C = a2 x^2 + a1 x + a0 with
-      a2 = v - y > 0, has P(y) = 4 a2 a0 - a1^2 >= 0: then C >= 0 at every
-      real x.  P is a cubic in y, and its negative runs are isolated
-      exactly in integers.
+    2. Complete multipartite.  When lam = 2k-v and a = v-k divides v, the
+       parameters are those of K_{m x a}, m = v/a, and with z = x - y
 
-    The negative levels of P in [start, top], top = min(lam+3, v-1), are
-    found in one of two ways.  When P(start) >= 0 and c3 = 4(2k - lam - v)
-    < 0, they are one run [first, top], or none, and one bisection on
-    [start, top] finds first.  Proof: P(0) = -v^2 < 0 and P(y) -> +oo as
-    y -> -oo, so P has a root r0 < 0 and P(y) = (y - r0) Q(y), with Q a
-    quadratic of leading coefficient c3 < 0.  For y > r0, P(y) and Q(y)
-    have the same sign.  Q opens downward, so Q >= 0 exactly on an interval
-    [q1, q2], and start lies in it, as start >= 3 > r0 and P(start) >= 0.
-    So for y >= start, P(y) < 0 exactly when y > q2.  Most primitive
-    tuples (0 < mu < k) take this path: 1,191 of the 1,301 with v <= 500,
-    and 92 more are decided at lam+3 without the walk.
-    Otherwise, when P(start) < 0 or c3 >= 0 (2k - lam >= v, as for
-    K_{m x a}), _negative_runs cuts the range at the critical points of P
-    and bisects each piece.
+           C(x, y) = a(m-y) z(z+1) + (a-1) y (z+1)(z+2).
 
-    Every level of those runs is still minimized over b by cap_min_over_b,
-    so the first negative level and its witness are those of the plain walk
-    y = 3, 4, ...
+       n(n+1) >= 0 for every integer n, so at integer x the sum is >= 0
+       for every 0 <= y <= m, and level m+1 is negative, as C(m-1, m+1) =
+       -2a: the CAB is m, the clique size of K_{m x a}, which the CAB
+       bounds from above (Soicher, J. Algebra 421, 2015).  Step 1 took
+       a = 1 (K_v), and k >= 1 gives m >= 2, so m+1 < 2m <= v.
+
+    3. The walk.  Otherwise the levels y = 3, ..., top = min(lam+3, v-1)
+       are walked in increasing order, skipping every level where the
+       quadratic in x, C = a2 x^2 + a1 x + a0 with a2 = v - y > 0, has
+       P(y) = 4 a2 a0 - a1^2 >= 0: then C >= 0 at every real x.  P is a
+       cubic in y, and its negative levels in [3, top] are found exactly
+       in integers, in one of two ways.  When P(3) >= 0 and c3 =
+       4(2k - lam - v) < 0, they are one run [first, top], or none, and
+       one bisection on [3, top] finds first.  Proof: P(0) = -v^2 < 0 and
+       P(y) -> +oo as y -> -oo, so P has a root r0 < 0 and P(y) =
+       (y - r0) Q(y), with Q a quadratic of leading coefficient c3 < 0.
+       For y > r0, P(y) and Q(y) have the same sign.  Q opens downward, so
+       Q >= 0 exactly on an interval [q1, q2], and 3 lies in it, as
+       3 > r0 and P(3) >= 0.  So for y >= 3, P(y) < 0 exactly when
+       y > q2.  Most primitive tuples (0 < mu < k) take this path: 1,191
+       of the 1,301 with v <= 500, and 92 more take step 1.  Otherwise,
+       when P(3) < 0 or c3 >= 0, _negative_runs cuts the range at the
+       critical points of P and bisects each piece.  Every level of those
+       runs is still minimized over b by cap_min_over_b, so the first
+       negative level and its witness are those of the plain walk.
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
     y = lam + 3
-    if y < v and v - lam - 2 >= (lam + 2) * (k - lam - 1):
-        # C(1, lam+2) >= 0: the CAB is lam+2, by the proof above
-        b, val = cap_min_over_b(v, k, lam, y)
-        # the records of the scan's rows are built with tuple.__new__:
-        # the __new__ that NamedTuple generates is a Python-level wrapper
-        # that costs about three times as much per record
-        return lam + 2, tuple.__new__(CabWitness, (b, y, val))
-    start = _start_level(v, k, lam)
+    if v - lam - 2 >= (lam + 2) * (k - lam - 1):
+        # step 1, C(1, lam+2) >= 0: the CAB is lam+2
+        if y < v:
+            b, val = cap_min_over_b(v, k, lam, y)
+            # the records of the scan's rows are built with tuple.__new__:
+            # the __new__ that NamedTuple generates is a Python-level wrapper
+            # that costs about three times as much per record
+            return lam + 2, tuple.__new__(CabWitness, (b, y, val))
+        return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
+    a = v - k
+    if lam == 2 * k - v and v % a == 0:
+        # step 2, K_{m x a}: the CAB is m
+        m = v // a
+        b, val = cap_min_over_b(v, k, lam, m + 1)
+        return m, CabWitness(b=b, c_plus_1=m + 1, value=val)
+    # step 3, the walk
     top = min(lam + 3, v - 1)
     cs = _certificate_cubic(v, k, lam)
-    if start > top:
-        runs = ()
-    elif cs[0] < 0 and _cubic(cs, start) >= 0:
+    if cs[0] < 0 and _cubic(cs, 3) >= 0:
         # the one-run lemma: [first, top], or nothing
-        runs = ((_sign_change(cs, top, start), top),) if _cubic(cs, top) < 0 else ()
+        runs = ((_sign_change(cs, top, 3), top),) if _cubic(cs, top) < 0 else ()
     else:
-        runs = _negative_runs(cs, start, top)
+        runs = _negative_runs(cs, 3, top)
     for lo, hi in runs:
         for y in range(lo, hi + 1):
             b, val = cap_min_over_b(v, k, lam, y)
             if val < 0:
                 # why tuple.__new__: see the record comment above
                 return y - 1, tuple.__new__(CabWitness, (b, y, val))
-    # Reached only when lam + 3 >= v (a level lam + 3 <= v - 1 is negative
-    # at b = 0), so every level below v is nonnegative.  The quadratic-in-b
-    # minimization needs leading coefficient v - y > 0; at y >= v the
-    # witness b = 0 suffices, as C(0, y) = y(y-1)(lam - y + 2) < 0 first at
-    # y = lam + 3 <= v + 1.
+    # Reached only by (3, 2, 0).  Step 1 leaves lam+3 >= v only to
+    # (v, v-1, v-3), and there level v-1 = lam+2 is negative at b = 1, as
+    # C(1, v-1) = 4 - 2v; every other triple that walks has lam+3 < v,
+    # where level lam+3 is negative at b = 0.  Both levels lie in the
+    # walk's range [3, top] unless v = 3.  (3, 2, 0) walks the empty range
+    # [3, 2] (its c3 = 4 > 0, so _negative_runs yields nothing), and its
+    # CAB is lam+2 = 2, with the witness b = 0 at y = 3 = v.
     y = lam + 3
     return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
 
@@ -378,10 +367,10 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     for a conference tuple with irrational eigenvalues).  full_report
     validates p in _int_spectrum and again in cab(); the scan hands on the
     spectrum its generator built, so there p is validated once, in cab(),
-    which decides every thm51 tuple with lam + 3 < v without the walk."""
+    which decides every thm51 tuple at its step 1, without the walk."""
     # cab is called by its module-level name so that perfbench can time the
     # CAB bound on its own.  Most primitive tuples take its one-run bisection
-    # (P(start) >= 0 and c3 < 0); the others cut and bisect the range
+    # from level 3 (P(3) >= 0 and c3 < 0); the others cut and bisect the range
     cab_val, witness = cab(p)
     dels = _delsarte(p, s)
     if cab_val > p.lam + 2:

@@ -141,11 +141,11 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     exempt both, as mu = 0, resp. v-2k+lam = 0.  The complement's
     lam_bar = v-2k+mu-2 is v-2c = (m-2)c >= 0, resp. a-2 >= 0.
 
-    Bounds: cab() decides m*K_c at y = lam+3 = c+1, as C(1, lam+2) =
-    2(v-lam-2) >= 0, and starts K_{m x a} at y = v/(v-k)+1 = m+1
-    (_start_level), and both levels hold a negative value (C(0, lam+3) < 0,
-    and C(m-1, m+1) = -2a), so the CAB is y-1; no scan output prints its
-    witness.  Delsarte 1 + k/-s is c = lam+2,
+    Bounds: cab() decides m*K_c at its step 1, y = lam+3 = c+1, as
+    C(1, lam+2) = 2(v-lam-2) >= 0, and K_{m x a} at its step 2, y =
+    v/(v-k)+1 = m+1 (at step 1 when m = 2), and both levels hold a negative
+    value (C(0, lam+3) < 0, and C(m-1, m+1) = -2a), so the CAB is y-1; no
+    scan output prints its witness.  Delsarte 1 + k/-s is c = lam+2,
     resp. m, again y-1.  thm21 needs an irrational spectrum and thm22 a
     fractional k/-s, which is c-1, resp. m-1, so both are False; thm51,
     k >= -s(lam+1), holds for m*K_c and, as (m-1)a >= a((m-2)a+1) iff
@@ -342,7 +342,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
         if tag is type_i:
             type1 += 1
             type1_thm21 += t21
-        elif v - 2 * k + lam > 0:  # connected and co-connected, as mu > 0
+        else:  # connected and co-connected: v-2k+lam > 0 (_primitive_rows)
             type2 += 1
             type2_thm22 += t22
             if t22:

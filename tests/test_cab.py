@@ -53,11 +53,12 @@ def cap_min_over_b_bruteforce(v: int, k: int, lam: int, y: int,
     return best
 
 
-def cab_linear(p: EdgeRegularParams) -> tuple[int, CabWitness]:
-    """The plain walk y = c+1 = 3, 4, ...: the oracle for cab()."""
+def cab_linear(p: EdgeRegularParams, first: int = 3) -> tuple[int, CabWitness]:
+    """The plain walk y = c+1 = first, first+1, ...: from y = 3, the oracle
+    for cab()."""
     p.validate()
     v, k, lam = p.v, p.k, p.lam
-    c = 2
+    c = first - 1
     while True:
         y = c + 1
         if y >= v:
@@ -97,14 +98,20 @@ def random_triples(seed: int, count: int, v_max: int):
             yield EdgeRegularParams(v, (v - 1) // 2, (v - 5) // 4)
 
 
+def walks(v: int, k: int, lam: int) -> bool:
+    """cab() reaches its step 3, the walk: C(1, lam+2) < 0 (step 1), and
+    the triple is not K_{m x a} (step 2)."""
+    return (cap_value(v, k, lam, 1, lam + 2) < 0
+            and not (lam == 2 * k - v and v % (v - k) == 0))
+
+
 def probe_misses(p: EdgeRegularParams) -> bool:
-    """P(start) < 0 at the start level, but no negative value there, so
+    """The walk's first level 3 has P(3) < 0, but no negative value, so
     cab() finds the bound at a later level of its negative runs."""
     v, k, lam = p.v, p.k, p.lam
-    start = cab_module._start_level(v, k, lam)
-    return (start <= min(lam + 3, v - 1)
-            and cab_module._cubic(cab_module._certificate_cubic(v, k, lam), start) < 0
-            and cap_min_over_b(v, k, lam, start)[1] >= 0)
+    return (walks(v, k, lam) and 3 <= min(lam + 3, v - 1)
+            and cab_module._cubic(cab_module._certificate_cubic(v, k, lam), 3) < 0
+            and cap_min_over_b(v, k, lam, 3)[1] >= 0)
 
 
 class TestCapPolynomial:
@@ -218,10 +225,10 @@ class TestCabOracle:
     def test_matches_linear_walk_after_a_probe_miss(self):
         catalogue = [p.edge_regular for p in enumerate_feasible(500)]
         hits = [p for p in catalogue if probe_misses(p)]
-        assert len(hits) == 35
+        assert len(hits) == 18
         randoms = [p for seed in (4, 5) for p in random_triples(seed, 1200, 3000)
                    if probe_misses(p)]
-        assert len(randoms) > 300
+        assert len(randoms) == 116
         for p in hits + randoms:
             assert cab(p) == cab_linear(p), p
 
@@ -250,47 +257,65 @@ class TestCabOracle:
         assert (c, wit.b, wit.c_plus_1) == (9999999, 4999999, 10000000)
         assert calls == [10000000]
 
-    def test_family_tuples_visit_one_level(self, calls):
+    def test_family_tuples_visit_one_level(self, monkeypatch):
         # m*K_c and K_{m x a}, built from m, c, a: cab() decides each at its
-        # start level, in one call of cap_min_over_b, with the witness of
-        # the closed form the scan uses
+        # step 1 or 2, in one call of cap_min_over_b at the CAB level, with
+        # the witness of the closed form the scan uses.  A second call fails
+        # at once: a walk over K_{m x 2} at m = 10^12 would not finish
+        calls = []
+
+        def once(v, k, lam, y):
+            calls.append(y)
+            assert len(calls) == 1, f"a second level visited: {calls}"
+            return cap_min_over_b(v, k, lam, y)
+
+        monkeypatch.setattr(cab_module, "cap_min_over_b", once)
         fams = [*sorted(family_construction(3000)), SrgParams(4, 1, 0, 0), SrgParams(4, 2, 0, 2)]
         n = 10**12
-        fams += [SrgParams(2 * n, n - 1, n - 2, 0), SrgParams(3 * n, 2 * n, n, 2 * n)]
-        for p in fams:
-            rep = family_report(p)
-            for q in (p, p.edge_regular):
-                calls.clear()
-                start = time.perf_counter()
-                got = cab(q)
-                elapsed = time.perf_counter() - start
-                assert calls == [cab_module._start_level(p.v, p.k, p.lam)], q
-                assert got == (rep.cab, rep.cab_witness), q
-                assert elapsed < 0.05, (q, elapsed)
+        fams += [SrgParams(2 * n, n - 1, n - 2, 0), SrgParams(3 * n, 2 * n, n, 2 * n),
+                 SrgParams(2 * n, 2 * n - 2, 2 * n - 4, 2 * n - 2)]
+        cases = [(q, (rep.cab, rep.cab_witness)) for p in fams
+                 for rep in (family_report(p),) for q in (p, p.edge_regular)]
+        # K_v and (v, v-2, v-3) have lam+3 >= v: step 1 answers with b = 0
+        # and calls cap_min_over_b on no level
+        cases += [(EdgeRegularParams(n, n - 1, n - 2), (n, CabWitness(0, n + 1, -(n + 1) * n))),
+                  (EdgeRegularParams(n, n - 2, n - 3), (n - 1, CabWitness(0, n, -n * (n - 1))))]
+        for q, want in cases:
+            calls.clear()
+            start = time.perf_counter()
+            got = cab(q)
+            elapsed = time.perf_counter() - start
+            y = want[1].c_plus_1
+            assert calls == ([y] if y < q.v else []), q
+            assert got == want, q
+            assert elapsed < 0.05, (q, elapsed)
 
-    @pytest.mark.parametrize("params", [(10, 4, 3), (6, 4, 2), (10, 6, 1)],
+    @pytest.mark.parametrize("params,level", [((10, 4, 3), 6), ((6, 4, 2), 4), ((10, 6, 1), 3)],
                              ids=["disjoint-cliques", "multipartite", "generic"])
-    def test_starting_one_level_too_high_fails(self, monkeypatch, params):
-        # each start level is the CAB level itself on these tuples, so a walk
-        # that starts one level later returns a different answer.  On m*K_c,
-        # C(1, lam+2) >= 0, so cab() decides before it reads _start_level
+    def test_starting_one_level_too_high_fails(self, monkeypatch, params, level):
+        # the level each step reads is the CAB level itself on these
+        # tuples: lam+3 (step 1, m*K_c), m+1 (step 2, K_{m x a}) and 3 (step
+        # 3, the walk's first level), so a walk that starts one level later
+        # returns a different answer
         p = EdgeRegularParams(*params)
-        start = cab_module._start_level(*params)
-        assert cab(p)[1].c_plus_1 == start
-        if params == (10, 4, 3):
-            def refused(v, k, lam):
-                raise AssertionError("m*K_c must be decided before _start_level")
-
-            monkeypatch.setattr(cab_module, "_start_level", refused)
-            assert cab(p) == cab_linear(p)
-        else:
-            monkeypatch.setattr(cab_module, "_start_level", lambda v, k, lam: start + 1)
+        assert cab(p) == cab_linear(p) == cab_linear(p, first=level)
+        assert cab(p)[1].c_plus_1 == level
+        assert cab_linear(p, first=level + 1) != cab(p)
+        if params == (10, 6, 1):
+            # the walk itself, started at level 4: c3 = 4 > 0, so it cuts
+            # and bisects the range
+            runs = cab_module._negative_runs
+            monkeypatch.setattr(cab_module, "_negative_runs",
+                                lambda cs, lo, hi: runs(cs, lo + 1, hi))
             assert cab(p) != cab_linear(p)
+        else:
+            refuse_walk(monkeypatch)
+            assert cab(p) == cab_linear(p)
 
 
 class TestOneRunLemma:
-    """Where c3 < 0 and P(start) >= 0, the negative levels of P in
-    [start, top] are one run that ends at top, and cab() finds it with one
+    """Where the walk has c3 < 0 and P(3) >= 0, the negative levels of P in
+    [3, top] are one run that ends at top, and cab() finds it with one
     bisection, without _negative_runs."""
 
     def test_one_run_on_scan_and_random_triples(self, monkeypatch):
@@ -303,26 +328,29 @@ class TestOneRunLemma:
         for source, triples in (("scan", scan), ("random", randoms)):
             for p in triples:
                 v, k, lam = p
-                start, top = cab_module._start_level(v, k, lam), min(lam + 3, v - 1)
+                top = min(lam + 3, v - 1)
                 cs = cab_module._certificate_cubic(v, k, lam)
-                if start > top or cs[0] >= 0 or cab_module._cubic(cs, start) < 0:
+                if not walks(v, k, lam) or cs[0] >= 0 or cab_module._cubic(cs, 3) < 0:
                     continue
-                neg = [y for y in range(start, top + 1) if cab_module._cubic(cs, y) < 0]
-                assert neg == list(range(neg[0], top + 1)) if neg else True, p
+                neg = [y for y in range(3, top + 1) if cab_module._cubic(cs, y) < 0]
+                assert neg and neg == list(range(neg[0], top + 1)), p
                 with monkeypatch.context() as m:
                     m.setattr(cab_module, "_negative_runs", refused)
                     got = cab(p)
                 assert got == cab_linear(p), p
                 fired[source] += 1
-        # 10,102 of the 10,729 primitive scan tuples (0 < mu < k)
-        assert fired["scan"] >= 10000
-        assert fired["random"] > 300
+        # 9,980 of the 10,729 primitive scan tuples (0 < mu < k); the family
+        # tuples never walk
+        assert fired == {"scan": 9980, "random": 906}
 
 
 class TestCertificate:
     X, Y, V, K, LAM = (MPoly.var(n) for n in ("b", "c", "v", "k", "lam"))
 
     def test_start_level_identities(self):
+        # the sums of squares that start a walk at the CAB level of m*K_c
+        # and of K_{m x a}; cab() reads the second in its step 2, and
+        # decides m*K_c at its step 1 without the first
         x, y, v, k, lam = self.X, self.Y, self.V, self.K, self.LAM
         z = x - y
         # k = lam+1, c = k+1
@@ -647,14 +675,15 @@ class TestThm51Shortcut:
 
 
 class TestLevelOneShortcut:
-    """Where C(1, lam+2) >= 0 and lam+3 < v, cab() answers lam+2 without the
-    walk, by the proof in its docstring; the plain walk stays the oracle."""
+    """Where C(1, lam+2) >= 0, cab() answers lam+2 without the walk, for
+    every v, by the proof in its docstring; the plain walk stays the
+    oracle."""
 
     def test_matches_linear_walk_on_random_triples(self, monkeypatch):
         hits = 0
         for p in random_triples(7, 3000, 400):
             v, k, lam = p
-            if lam + 3 < v and cap_value(v, k, lam, 1, lam + 2) >= 0:
+            if cap_value(v, k, lam, 1, lam + 2) >= 0:
                 with monkeypatch.context() as m:
                     refuse_walk(m)
                     got = cab(p)

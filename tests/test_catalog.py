@@ -197,10 +197,12 @@ class TestPrimitiveRows:
     def test_spectrum_and_verdict_match_is_feasible(self, rows_3000):
         # each row carries the type and the r and s that _spectrum_or_failure
         # derives; every candidate passes COUNTING, and a higher level keeps
-        # exactly the rows the is_feasible oracle accepts
+        # exactly the rows the is_feasible oracle accepts.  Every row is
+        # connected and co-connected, as scan_compare's stats take for granted
         counting = rows_3000[FeasibilityLevel.COUNTING]
         for p, *spec in counting:
             assert type(p) is SrgParams and 0 < p.mu < p.k, p
+            assert p.v - 2 * p.k + p.lam > 0, p
             assert tuple(spec) == _spectrum_or_failure(p)[:3], p
             assert is_feasible(p, FeasibilityLevel.COUNTING) == (True, None), p
         assert strictly_increasing([row[0] for row in counting])

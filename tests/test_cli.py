@@ -237,6 +237,23 @@ class TestBounds:
         assert cap_value(v, k, lam, b, y) < 0
         assert cap_min_over_b(v, k, lam, lam + 2)[1] >= 0
 
+    def test_multipartite_at_m_10_12_within_budget(self):
+        # K_{m x 2} at m = 10^12: cab() decides it at its complete-multipartite
+        # step, in one level, where a walk would visit about m levels
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "srgbounds.cli", "bounds", "2000000000000",
+                               "1999999999998", "1999999999996", "--json"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            '{"v": 2000000000000, "k": 1999999999998, "lambda": 1999999999996, '
+            '"mu": null, "cab": 1000000000000, "cab_witness_b": 999999999999, '
+            '"cab_witness_y": 1000000000001, "delsarte": null, "trivial": 1999999999998, '
+            '"thm21": false, "thm22": false, "improved": null}\n')
+        assert elapsed < 2, f"bounds took {elapsed:.2f} s"
+
     def test_degenerate_tuple_text(self, capsys):
         # 2*K_5: Delsarte is flagged degenerate, and a disconnected tuple has
         # no complement Hoffman bound
