@@ -136,11 +136,14 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
         first = last + 1
 
 
-def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
+def cab(p: EdgeRegularParams | SrgParams, *,
+        start: Optional[int] = None) -> tuple[int, CabWitness]:
     """Clique adjacency bound: least c >= 2 with C(b, c+1) < 0 for some b.
 
     It reads only v, k, lam and validate() of p, so a SrgParams is bounded
-    as its edge-regular triple, after its own (stricter) validation.
+    as its edge-regular triple, after its own (stricter) validation.  start
+    is a guess at the answer level c+1, which step 3 walks from; the
+    answer and witness do not depend on it.
 
     It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  Three
     steps decide it, each with the first negative level y = c+1 and the
@@ -192,8 +195,13 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
        For y > r0, P(y) and Q(y) have the same sign.  Q opens downward, so
        Q >= 0 exactly on an interval [q1, q2], and 3 lies in it, as
        3 > r0 and P(3) >= 0.  So for y >= 3, P(y) < 0 exactly when
-       y > q2.  Most primitive tuples (0 < mu < k) take this path: 1,191
-       of the 1,301 with v <= 500, and 92 more take step 1.  Otherwise,
+       y > q2.  A start level 3 <= start <= top replaces that bisection:
+       the levels from start down are minimized while P < 0, which reaches
+       first, and the lowest negative one is the answer; if none is, the
+       walk goes on up from start + 1; and if P(start) >= 0, first > start
+       and the bisection runs on [start, top] only.  Any other start means
+       3.  Most primitive tuples (0 < mu < k) take this path: 1,191 of the
+       1,301 with v <= 500, and 92 more take step 1.  Otherwise,
        when P(3) < 0 or c3 >= 0, _negative_runs cuts the range at the
        critical points of P and bisects each piece.  Every level of those
        runs is still minimized over b by cap_min_over_b, so the first
@@ -219,10 +227,23 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
         return m, CabWitness(b=b, c_plus_1=m + 1, value=val)
     # step 3, the walk
     top = min(lam + 3, v - 1)
-    cs = _certificate_cubic(v, k, lam)
-    if cs[0] < 0 and _cubic(cs, 3) >= 0:
+    c3, c2, c1, c0 = cs = _certificate_cubic(v, k, lam)
+    if c3 < 0 and _cubic(cs, 3) >= 0:
         # the one-run lemma: [first, top], or nothing
-        runs = ((_sign_change(cs, top, 3), top),) if _cubic(cs, top) < 0 else ()
+        y = lo = start if start is not None and 3 <= start <= top else 3
+        found = None
+        while ((c3 * y + c2) * y + c1) * y + c0 < 0:  # ends by y = 3: P(3) >= 0
+            b, val = cap_min_over_b(v, k, lam, y)
+            if val < 0:
+                found = (b, y, val)
+            y -= 1
+        if found is not None:
+            # why tuple.__new__: see the record comment above
+            return found[1] - 1, tuple.__new__(CabWitness, found)
+        if y < lo:
+            runs = ((lo + 1, top),)
+        else:
+            runs = ((_sign_change(cs, top, lo), top),) if _cubic(cs, top) < 0 else ()
     else:
         runs = _negative_runs(cs, 3, top)
     for lo, hi in runs:
@@ -368,18 +389,21 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     validates p in _int_spectrum and again in cab(); the scan hands on the
     spectrum its generator built, so there p is validated once, in cab(),
     which decides every thm51 tuple at its step 1, without the walk."""
-    # cab is called by its module-level name so that perfbench can time the
-    # CAB bound on its own.  Most primitive tuples take its one-run bisection
-    # from level 3 (P(3) >= 0 and c3 < 0); the others cut and bisect the range
-    cab_val, witness = cab(p)
     dels = _delsarte(p, s)
+    # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
+    # thm21_applies cannot raise; it is called by its module-level name
+    t21 = s is None and thm21_applies(p.v)
+    t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
+    # cab is called by its module-level name so that perfbench can time the
+    # CAB bound on its own.  The CAB is at most Delsarte, below it when a
+    # predicate holds, and on almost every row (ROADMAP item 15) exactly
+    # Delsarte - [t21 or t22]: most primitive tuples (P(3) >= 0 and c3 < 0)
+    # walk down from that level instead of bisecting from 3.  A wrong guess
+    # costs levels, never the answer
+    cab_val, witness = cab(p, start=dels - (t21 or t22) + 1)
     if cab_val > p.lam + 2:
         raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
     if cab_val > dels:
         raise AssertionError(f"cab {cab_val} exceeds Delsarte bound for {p}")
-    # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
-    # thm21_applies cannot raise; it too is called by its module-level name
-    t21 = s is None and thm21_applies(p.v)
-    t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
     return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22,
                                         _thm51(p, s)))

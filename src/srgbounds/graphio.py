@@ -123,7 +123,13 @@ def parse_graph6(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
         raise GraphFormatError("empty graph6 input")
     data = [ord(ch) - 63 for ch in s]
     if any(not 0 <= x <= 63 for x in data):
-        raise GraphFormatError(f"invalid graph6 characters in {text!r}")
+        # name the first bad character, at its offset in text (s is a suffix
+        # of text.rstrip()), and quote a bounded prefix of a large input
+        i = next(i for i, x in enumerate(data) if not 0 <= x <= 63)
+        raise GraphFormatError(
+            f"invalid graph6 character {s[i]!r} at offset {len(text.rstrip()) - len(s) + i}:"
+            f" a graph6 input is one graph on one line of characters '?' to '~'"
+            f" (input starts {text[:20]!r}{'...' if len(text) > 20 else ''})")
     n, start = _decode_size(data)
     if n > max_n:
         raise GraphSizeError(f"n={n} exceeds limit {max_n}")

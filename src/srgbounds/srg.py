@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import re
 from math import isqrt
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
@@ -119,8 +118,13 @@ class Spectrum(NamedTuple):
 
 
 def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
-    """Parse "v,k,l,m" or "v k l" (comma or whitespace separated)."""
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
+    """Parse "v,k,l,m" or "v k l": the fields are separated by commas, by
+    whitespace, or by both.  A comma field that is empty or blank, as in
+    "17,8,,4" or ",17,8,3,4", is an error, not a missing separator."""
+    fields = text.split(",")
+    if len(fields) > 1 and not all(map(str.strip, fields)):
+        raise ValueError(f"empty comma-separated field in {text!r}")
+    parts = " ".join(fields).split()
     if len(parts) not in (3, 4):
         raise ValueError(f"expected 3 or 4 integers, got {text!r}")
     nums = [int(p) for p in parts]

@@ -87,9 +87,9 @@ def test_full_report_bounds_through_the_cab_name(monkeypatch):
     calls = []
     original = cab_module.cab
 
-    def counted(p):
+    def counted(p, **start):
         calls.append((p.v, p.k, p.lam))
-        return original(p)
+        return original(p, **start)
 
     monkeypatch.setattr(cab_module, "cab", counted)
     reports, _ = scan_compare(ScanConfig(v_max=20))

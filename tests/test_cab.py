@@ -18,7 +18,7 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import _primitive_rows, enumerate_feasible
+from srgbounds.catalog import ScanConfig, _primitive_rows, enumerate_feasible, scan_compare
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -252,6 +252,13 @@ class TestCabOracle:
             cab(p.edge_regular)
         assert len(calls) == 6778
 
+    def test_scan_levels_visited(self, calls):
+        # the v <= 500 scan's reports start each walk at the level their
+        # Delsarte bound and predicates predict, and visit the levels the
+        # one-run bisection from 3 visited
+        scan_compare(ScanConfig(v_max=500))
+        assert len(calls) == 2398
+
     def test_conference_tuple_visits_one_level(self, calls):
         c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
         assert (c, wit.b, wit.c_plus_1) == (9999999, 4999999, 10000000)
@@ -342,6 +349,50 @@ class TestOneRunLemma:
         # 9,980 of the 10,729 primitive scan tuples (0 < mu < k); the family
         # tuples never walk
         assert fired == {"scan": 9980, "random": 906}
+
+
+class TestStartLevel:
+    """cab(p, start=h) replaces the one-run bisection by a walk from h:
+    down while P < 0, then up from h + 1, or a bisection of [h, top] when
+    P(h) >= 0.  The answer and witness never depend on h."""
+
+    def test_any_start_gives_the_same_answer(self):
+        rng = random.Random(11)
+        ways = Counter()
+        for p in random_triples(11, 1200, 3000):
+            v, k, lam = p
+            want = cab(p)
+            top = min(lam + 3, v - 1)
+            mid = rng.randint(3, max(3, top))
+            for h in (3, top, mid, top + 1, top + rng.randint(2, 10**6),
+                      -rng.randint(0, 10), None):
+                assert cab(p, start=h) == want, (p, h)
+            cs = cab_module._certificate_cubic(v, k, lam)
+            if walks(v, k, lam) and cs[0] < 0 and cab_module._cubic(cs, 3) >= 0 and top >= 3:
+                ways["bisect" if cab_module._cubic(cs, mid) >= 0
+                     else "down" if want[1].c_plus_1 <= mid else "up"] += 1
+        # the middle start takes each of the three ways
+        assert ways == {"bisect": 216, "down": 229, "up": 8}
+
+    def test_reports_match_linear_walk_to_500(self):
+        rows = list(_primitive_rows(500, FeasibilityLevel.COUNTING))
+        assert len(rows) == 1524
+        for row in rows:
+            rep = cab_module._report(*row)
+            assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]
+
+    def test_reports_match_cab_without_start_to_3000(self):
+        # the start Delsarte - [thm21 or thm22] + 1 is the answer level on
+        # every row but those with gap >= 2, where it lies higher
+        seen = Counter()
+        for row in _primitive_rows(3000, FeasibilityLevel.COUNTING):
+            rep = cab_module._report(*row)
+            assert (rep.cab, rep.cab_witness) == cab(row[0]), row[0]
+            seen.update(conference=row[3] is None, thm21=rep.thm21, thm22=rep.thm22,
+                        above=rep.delsarte - (rep.thm21 or rep.thm22) > rep.cab)
+            if row[0] == SrgParams(2185, 264, 23, 33):
+                assert (rep.delsarte, rep.thm22, rep.cab) == (13, True, 11)
+        assert seen == {"conference": 723, "thm21": 182, "thm22": 1691, "above": 124}
 
 
 class TestCertificate:

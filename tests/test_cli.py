@@ -121,6 +121,17 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "not-a-number")
         assert code == 2
 
+    @pytest.mark.parametrize("params", [["17,8,,4"], [",17,8,3,4,"], ["17", "8,,3", "4"]])
+    def test_empty_comma_field_is_usage_error(self, capsys, params):
+        # not read as the edge-regular triple (17, 8, 4) or as (17, 8, 3, 4)
+        code, out, err = run(capsys, "bounds", *params)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: empty comma-separated field in ")
+
+    def test_empty_argv_entries_are_blanks(self, capsys):
+        assert run(capsys, "bounds", "17", "", "8", "3", "4", "--json") == \
+            run(capsys, "bounds", "17", "8", "3", "4", "--json")
+
     def test_usage_error_then_valid_call_matches_fresh_process(self, capsys):
         # an argparse exit leaves nothing behind for the next in-process call
         with pytest.raises(SystemExit) as exc:
@@ -589,6 +600,16 @@ class TestGraphCommands:
             f"error: clique search exceeds its budget of {MAX_CLIQUE_NODE_LIMIT} nodes;"
             " best clique so far has 35 vertices (omega >= 35): ")
         assert elapsed < 2.0, elapsed
+
+    def test_maxclique_junk_file_message_is_bounded(self, capsys, tmp_path):
+        # the message names the bad character and quotes only a prefix
+        f = tmp_path / "junk.txt"
+        f.write_text("not a graph " * 87382)
+        assert f.stat().st_size >= 10**6
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid graph6 character ' ' at offset 3:")
+        assert len(err) < 200, len(err)
 
     def test_maxclique_missing_file(self, capsys):
         code, _, err = run(capsys, "maxclique", "/nonexistent/file")

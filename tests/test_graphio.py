@@ -70,7 +70,13 @@ def parse_graph6_reference(text: str) -> Graph:
         raise GraphFormatError("empty graph6 input")
     data = [ord(ch) - 63 for ch in s]
     if any(not 0 <= x <= 63 for x in data):
-        raise GraphFormatError(f"invalid graph6 characters in {text!r}")
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        # leading blanks, then the header, then s up to the bad character
+        offset = len(text) - len(text.lstrip()) + len(text.strip()) - len(s) + s.index(bad)
+        more = "..." if len(text) > 20 else ""
+        raise GraphFormatError(
+            f"invalid graph6 character {bad!r} at offset {offset}: a graph6 input is one"
+            f" graph on one line of characters '?' to '~' (input starts {text[:20]!r}{more})")
     n, start = _decode_size(data)
     need = (n * (n - 1) // 2 + 5) // 6
     bits_data = data[start:]
@@ -408,6 +414,19 @@ class TestGraph6:
             write_graph6(Graph(GRAPH6_MAX_N + 1))
         with pytest.raises(GraphFormatError):
             parse_graph6("~~" + "?" * 6)
+
+    @pytest.mark.parametrize("text, char, offset, start", [
+        ("A_\nBw\n", "'\\n'", 2, "'A_\\nBw\\n'"),
+        ("  >>graph6<<Bw x", "' '", 14, "'  >>graph6<<Bw x'"),
+        ("Bw\x00" + "?" * 40, "'\\x00'", 2, "'Bw\\x00" + "?" * 17 + "'..."),
+    ], ids=["two-graphs", "header", "long"])
+    def test_invalid_character_message(self, text, char, offset, start):
+        # the first bad character at its offset in the input, and a bounded
+        # prefix of that input
+        want = (f"invalid graph6 character {char} at offset {offset}: a graph6 input is one"
+                f" graph on one line of characters '?' to '~' (input starts {start})")
+        assert outcome(parse_graph6, text) == outcome(parse_graph6_reference, text) \
+            == (GraphFormatError, want)
 
     def test_truncated_long_header(self):
         with pytest.raises(GraphFormatError):

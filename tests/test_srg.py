@@ -53,6 +53,18 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_params_string("1 2")
 
+    def test_whitespace_runs_and_blanks_around_commas(self):
+        assert parse_params_string("17  8\t3\n 4") == PALEY17
+        assert parse_params_string(" 17 , 8,3 ,4 ") == PALEY17
+        # _cmd_bounds joins argv with spaces, so an empty entry is a blank run
+        assert parse_params_string(" ".join(["17", "", "8", "3", "", "4"])) == PALEY17
+
+    @pytest.mark.parametrize("text", ["17,8,,4", ",17,8,3,4", "17,8,3,4,", ",17,8,3,4,",
+                                      "17, ,8,3", "17,\t,8,3,4", ",", "17 8,,3 4"])
+    def test_empty_comma_field(self, text):
+        with pytest.raises(ValueError, match="empty comma-separated field"):
+            parse_params_string(text)
+
 
 class TestValidate:
     def test_counting_identity_enforced(self):
