@@ -9,7 +9,8 @@ Run:  python3 demos/demo_catalog_scan.py
 
 from srgbounds.catalog import CURATED_NOTES, ScanConfig, emit, scan_compare
 
-records, stats = scan_compare(ScanConfig(v_max=150, filter="gap"))
+records, scan_stats = scan_compare(ScanConfig(v_max=150, filter="gap"))
+stats = scan_stats()  # the counters cover every feasible tuple, not only the rows kept
 print(emit(records, "table"))
 
 print(f"feasible tuples scanned:   {stats.total}")

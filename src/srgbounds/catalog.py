@@ -18,9 +18,11 @@ enumerate_feasible reads the tuples of both; scan_compare reports the
 primitive rows and sorts the family reports in.  is_feasible stays the
 one definition of feasibility and the oracle in the tests, and the scan
 calls it, and full_report, only for the conference tuples with irrational
-eigenvalues.  The scan statistics walk only the rows with 0 < mu < k: a
-family row is type II and never connected and co-connected, so it counts
-in the total alone.
+eigenvalues.  scan_compare leaves the scan statistics to a function it
+returns, which only `scan --stats` calls: _scan_stats walks only the rows
+with 0 < mu < k, as a family row is type II and never connected and
+co-connected, so it counts in the total alone.  --pairs reads one rule per
+row, _earlier_complement, which the statistics' pair count reads too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf, isqrt
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .cab import BoundsReport, _report, full_report
 from .srg import (
@@ -322,53 +324,71 @@ def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
             for p, tag, r, s in _primitive_rows(cfg.v_max, cfg.level))
 
 
-def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
-    """A bounds report per feasible tuple, in tuple order: full_report(p)
-    on each primitive row, and on each family row (_family_reports) the
-    same report with cab_witness None, as no scan output prints it."""
-    reports = list(_reports(cfg))
+def _earlier_complement(p: SrgParams) -> Optional[SrgParams]:
+    """The complement of p, a connected and co-connected tuple, when it
+    sorts before p, else None.  The one rule of a complementary pair:
+    --pairs keeps the member that sorts first and leaves p out when this is
+    not None, and ScanStats counts the pair at that member (v = 2k+1 gives
+    k = k_bar, so that member need not be the one with k < v/2).  p passed
+    COUNTING, so its complement is built unvalidated."""
+    q = _complement(*p)
+    return q if q < p else None
 
-    # the stats walk only the rows with 0 < mu < k: a family row is type II
-    # and never connected and co-connected, so it counts in total alone.
-    # thm22 holds the thm22 tuples seen so far: the walk runs backwards, so a
-    # complement that sorts after its pair's kept member is seen before that
-    # member.  dropped holds the pair members that --pairs leaves out
+
+def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
+    """The ScanStats of a scan whose primitive reports, unfiltered and in
+    tuple order, are primitive.  Only those rows are walked: a family row
+    is type II and never connected and co-connected, so it counts in total
+    alone, two per divisor in the sieve from v = 5 on (_family_reports).
+    A primitive row is connected and co-connected: mu > 0 and v-2k+lam > 0
+    (_primitive_rows).  uncovered holds each kept pair member seen so far
+    whose pair no thm22 row covers yet: the walk runs forwards, and a
+    dropped member sorts after its complement, the kept one."""
     type1 = type1_thm21 = type2 = type2_thm22 = pairs = pairs_thm = 0
-    thm22 = set()
-    dropped = set()
+    uncovered = set()
     type_i = SrgType.TYPE_I_ONLY  # read once: an enum member lookup is a slow class attribute
-    for p, tag, _, _, _, t21, t22, _ in reversed(reports):
-        v, k, lam, mu = p
+    for p, tag, _, _, _, t21, t22, _ in primitive:
         if tag is type_i:
             type1 += 1
             type1_thm21 += t21
-        else:  # connected and co-connected: v-2k+lam > 0 (_primitive_rows)
+        else:
             type2 += 1
             type2_thm22 += t22
-            if t22:
-                thm22.add(p)
-            # a pair counts once, at the member that sorts first (v = 2k+1
-            # gives k = k_bar, so not at the one with k < v/2), and is covered
-            # if either member triggers; p passed COUNTING, so q is built unvalidated
-            q = _complement(v, k, lam, mu)
-            if p <= q:
+            q = _earlier_complement(p)
+            if q is None:
                 pairs += 1
-                pairs_thm += t22 or q in thm22
-            else:
-                dropped.add(p)
-    # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
-    # so --filter gap and --filter thm would drop each one: count them only,
-    # two per divisor in the sieve from v = 5 on
-    if cfg.filter in (None, "thm51"):
-        reports += _family_reports(cfg.v_max)
-        reports.sort(key=itemgetter(0))  # p is unique: compare the params alone
-        total = len(reports)
-    else:
-        total = len(reports) + 2 * sum(map(len, _divisors(cfg.v_max)[5:]))
-    stats = ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
+                if t22:
+                    pairs_thm += 1
+                else:
+                    uncovered.add(p)
+            elif t22 and q in uncovered:
+                uncovered.remove(q)
+                pairs_thm += 1
+    total = len(primitive) + 2 * sum(map(len, _divisors(v_max)[5:]))
+    return ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
-    if cfg.pairs:
-        reports = [r for r in reports if r.params not in dropped]
+
+def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], Callable[[], ScanStats]]:
+    """A bounds report per feasible tuple, in tuple order: full_report(p)
+    on each primitive row, and on each family row (_family_reports) the
+    same report with cab_witness None, as no scan output prints it; and a
+    function of no arguments that returns the scan's ScanStats.  The stats
+    count every feasible tuple, whatever the filter and --pairs keep, and
+    are computed only when that function is called: `scan --stats` prints
+    them, and no other output reads them."""
+    primitive = list(_reports(cfg))
+
+    # a family row is never connected and co-connected, so --pairs keeps
+    # it, and every primitive row is, so the pair rule alone decides it
+    reports = ([r for r in primitive if _earlier_complement(r[0]) is None]
+               if cfg.pairs else primitive)
+    # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
+    # so --filter gap and --filter thm would drop each one: build them only
+    # for the other two
+    if cfg.filter in (None, "thm51"):
+        # a new list, not +=: the stats function reads primitive as it stands
+        reports = reports + _family_reports(cfg.v_max)
+        reports.sort(key=itemgetter(0))  # p is unique: compare the params alone
 
     if cfg.filter == "gap":
         # mirror curated catalogs: proven-nonexistent tuples are excluded
@@ -378,7 +398,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], ScanStats]:
         reports = [r for r in reports if r.thm21 or r.thm22]
     elif cfg.filter == "thm51":
         reports = [r for r in reports if r.thm51]
-    return reports, stats
+    return reports, lambda: _scan_stats(primitive, cfg.v_max)
 
 
 def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:

@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .cab import cab, full_report
-from .srg import FeasibilityLevel, SrgParams, parse_params_string
+from .srg import FeasibilityLevel, SrgParams, parse_int, parse_params_string
 
 _LEVELS = {
     "counting": FeasibilityLevel.COUNTING,
@@ -28,6 +28,14 @@ _LEVELS = {
     "krein": FeasibilityLevel.KREIN,
     "absolute": FeasibilityLevel.ABSOLUTE_BOUND,
 }
+
+
+def _integer(token: str) -> int:
+    """An argparse type: parse_int, whose message is the usage error."""
+    try:
+        return parse_int(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_bounds(b) -> None:
@@ -38,7 +46,7 @@ def _add_bounds(b) -> None:
 
 
 def _add_scan(s) -> None:
-    s.add_argument("--max-v", type=int, required=True)
+    s.add_argument("--max-v", type=_integer, required=True)
     s.add_argument("--level", choices=sorted(_LEVELS), default="absolute")
     s.add_argument("--filter", choices=["gap", "thm", "thm51"], default=None)
     s.add_argument("--pairs", action="store_true",
@@ -57,7 +65,7 @@ def _add_verify_identities(vi) -> None:
 
 
 def _add_paley(pl) -> None:
-    pl.add_argument("p", type=int)
+    pl.add_argument("p", type=_integer)
     pl.add_argument("--clique", action="store_true")
     pl.set_defaults(run=_cmd_paley)
 
@@ -72,7 +80,7 @@ def _add_delta3(d3) -> None:
 
 
 def _add_conjecture(cj) -> None:
-    cj.add_argument("--max-v", type=int, required=True)
+    cj.add_argument("--max-v", type=_integer, required=True)
     cj.set_defaults(run=_cmd_conjecture)
 
 
@@ -157,12 +165,14 @@ def _cmd_scan(args) -> int:
     # open --out before the scan, so an unwritable path fails at once; empty a
     # regular file only once the output is ready, so a failed scan keeps it
     with open(args.out, "a") if args.out else nullcontext(sys.stdout) as fh:
-        records, stats = catalog.scan_compare(cfg)
+        records, scan_stats = catalog.scan_compare(cfg)
+        # the stats walk runs only for the --stats lines
+        stats = scan_stats() if args.stats else None
         text = catalog.emit(records, args.format)
         if args.out and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate(0)
         fh.write(text)
-    if args.stats:
+    if stats is not None:
         print(
             f"type-I tuples: {stats.type1_total}, improvement predicate: "
             f"{stats.type1_thm21} ({stats.thm21_fraction:.4f})",

@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .graphs import Graph, GraphSizeError
+from .srg import parse_int, quote
 
 
 class GraphFormatError(ValueError):
@@ -23,8 +24,9 @@ _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     """First line is n (at most GRAPH6_MAX_N); each subsequent non-empty line
-    is "u v" (0-indexed).  Lines starting with "#" are comments.  A count
-    above max_n raises GraphSizeError before any row is built."""
+    is "u v" (0-indexed).  Lines starting with "#" are comments.  Every
+    number is read by parse_int.  A count above max_n raises GraphSizeError
+    before any row is built."""
     lines = iter(text.splitlines())
     for ln in lines:
         head = ln.strip()
@@ -33,7 +35,7 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     else:
         raise GraphFormatError("empty edge-list input")
     try:
-        n = int(head)
+        n = parse_int(head)
     except ValueError as exc:
         raise GraphFormatError(f"bad vertex count line {head!r}") from exc
     # bounded before Graph(n) allocates its n rows
@@ -43,8 +45,8 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
         raise GraphSizeError(f"n={n} exceeds limit {max_n}")
     g = Graph(n)
     adj = g.adj
-    # token -> (vertex, 1 << vertex), once the token has passed int() and the
-    # range check; vertices from _MEMO_VERTICES up are parsed on every line
+    # token -> (vertex, 1 << vertex), once the token has passed parse_int and
+    # the range check; vertices from _MEMO_VERTICES up are parsed on every line
     memo: dict[str, tuple[int, int]] = {}
     for ln in lines:
         a, _, b = ln.partition(" ")
@@ -60,8 +62,8 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
             if len(parts) != 2:
                 raise GraphFormatError(f"bad edge line {ln.strip()!r}")
             a, b = parts
-            u = int(a)
-            v = int(b)
+            u = parse_int(a)
+            v = parse_int(b)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 g.add_edge(u, v)  # raises the loop or range error
             ubit = 1 << u
@@ -124,12 +126,12 @@ def parse_graph6(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     data = [ord(ch) - 63 for ch in s]
     if any(not 0 <= x <= 63 for x in data):
         # name the first bad character, at its offset in text (s is a suffix
-        # of text.rstrip()), and quote a bounded prefix of a large input
+        # of text.rstrip()), and quote a bounded prefix of the input
         i = next(i for i, x in enumerate(data) if not 0 <= x <= 63)
         raise GraphFormatError(
             f"invalid graph6 character {s[i]!r} at offset {len(text.rstrip()) - len(s) + i}:"
             f" a graph6 input is one graph on one line of characters '?' to '~'"
-            f" (input starts {text[:20]!r}{'...' if len(text) > 20 else ''})")
+            f" (input starts {quote(text)})")
     n, start = _decode_size(data)
     if n > max_n:
         raise GraphSizeError(f"n={n} exceeds limit {max_n}")
@@ -169,11 +171,11 @@ def write_graph6(g: Graph) -> str:
 
 def load_graph(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     """Sniff the format from the first non-blank character: a digit, "+", "-"
-    or "#" starts an edge list (its vertex count, which int() may read with a
-    sign, or a comment line), anything else is read as graph6, whose
-    characters run from "?" (63) to "~" (126) and whose optional
-    ">>graph6<<" header starts with ">".  A graph with more than max_n
-    vertices raises GraphSizeError before any row is built."""
+    or "#" starts an edge list (its vertex count, which parse_int reads with
+    a sign and refuses in non-ASCII digits, or a comment line), anything
+    else is read as graph6, whose characters run from "?" (63) to "~" (126)
+    and whose optional ">>graph6<<" header starts with ">".  A graph with
+    more than max_n vertices raises GraphSizeError before any row is built."""
     head = text.lstrip()[:1]
     if head.isdigit() or head in ("+", "-", "#"):
         return read_edge_list(text, max_n=max_n)

@@ -117,17 +117,45 @@ class Spectrum(NamedTuple):
     type_tag: SrgType
 
 
+def quote(text: str) -> str:
+    """text quoted for a message as repr quotes it, cut to its first 20
+    characters and to 40 characters of their escaped form, with "..." when
+    a cut drops any: repr alone writes a non-printable character as up to
+    10, so 20 characters could take 200."""
+    q = repr(text[:20])
+    body = q[1:-1]
+    return q[0] + body[:40] + q[-1] + ("..." if len(text) > 20 or len(body) > 40 else "")
+
+
+def parse_int(token: str) -> int:
+    """The integer written in token, which must be ASCII digits with an
+    optional sign.  int() alone also reads digit-group underscores ("1_7"),
+    any Unicode digit and surrounding whitespace, so a typo could be read
+    as another number; those raise ValueError naming the token."""
+    if (token.isdigit() or token[:1] in "+-" and token[1:].isdigit()) and token.isascii():
+        return int(token)
+    raise ValueError(f"invalid integer {quote(token)}: expected ASCII digits with an optional sign")
+
+
 def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
     """Parse "v,k,l,m" or "v k l": the fields are separated by commas, by
     whitespace, or by both.  A comma field that is empty or blank, as in
-    "17,8,,4" or ",17,8,3,4", is an error, not a missing separator."""
+    "17,8,,4" or ",17,8,3,4", is an error, not a missing separator.  Each
+    field is read as parse_int reads it."""
     fields = text.split(",")
     if len(fields) > 1 and not all(map(str.strip, fields)):
         raise ValueError(f"empty comma-separated field in {text!r}")
     parts = " ".join(fields).split()
     if len(parts) not in (3, 4):
         raise ValueError(f"expected 3 or 4 integers, got {text!r}")
-    nums = [int(p) for p in parts]
+    # an ASCII field without "_" is one that int() reads exactly when
+    # parse_int does, and refuses with its own message naming the field
+    # otherwise, so one test of the whole text keeps parse_int off the
+    # common path
+    if text.isascii() and "_" not in text:
+        nums = [int(p) for p in parts]
+    else:
+        nums = [parse_int(p) for p in parts]
     if len(nums) == 3:
         return EdgeRegularParams(*nums)
     return SrgParams(*nums)

@@ -72,7 +72,7 @@ def test_scan_reports_through_the_catalog_name(monkeypatch):
 
     monkeypatch.setattr(catalog, "full_report", counted)
     reports, stats = scan_compare(ScanConfig(v_max=20))
-    assert len(reports) == stats.total
+    assert len(reports) == stats().total
     others = [r.params for r in reports if r.type_tag is not SrgType.TYPE_I_ONLY]
     assert any(map(primitive, others)) and not all(map(primitive, others))
     assert set(others).isdisjoint(calls)

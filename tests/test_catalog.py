@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -438,7 +439,7 @@ class TestScanCompare:
     def test_reports_every_enumerated_tuple(self, level):
         reports, stats = scan_compare(ScanConfig(v_max=300, level=level))
         assert [r.params for r in reports] == list(enumerate_feasible(300, level))
-        assert stats.total == len(reports)
+        assert stats().total == len(reports)
 
     def test_gap_never_negative(self):
         records, _ = scan_compare(ScanConfig(v_max=80))
@@ -486,7 +487,7 @@ class TestScanCompare:
         pairs = {min(key(p), (p.v, p.v - p.k - 1, p.v - 2 * p.k + p.mu - 2,
                                p.v - 2 * p.k + p.lam)) for p in type2}
         assert pairs <= keys
-        assert stats.pairs_type2_total == len(pairs)
+        assert stats().pairs_type2_total == len(pairs)
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_pairs_match_oracle(self, level):
@@ -494,18 +495,19 @@ class TestScanCompare:
         kept, _ = scan_compare(ScanConfig(v_max=3000, level=level, pairs=True))
         assert kept == [r for r in everything if keeps_pair_member(r.params)]
         assert len(kept) < len(everything)
-        assert stats.pairs_type2_total == sum(
+        assert stats().pairs_type2_total == sum(
             1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
             and r.params.is_connected() and r.params.is_coconnected())
 
     @pytest.mark.parametrize("v_max,pairs,covered", [(150, 125, 15), (300, 327, 53)])
     def test_pair_totals(self, v_max, pairs, covered):
-        _, stats = scan_compare(ScanConfig(v_max=v_max))
+        stats = scan_compare(ScanConfig(v_max=v_max))[1]()
         assert (stats.pairs_type2_total, stats.pairs_type2_thm) == (pairs, covered)
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_stats_match_two_pass_oracle(self, level):
         reports, stats = scan_compare(ScanConfig(v_max=3000, level=level))
+        stats = stats()
         want = scan_stats_reference(reports)
         assert len(ScanStats._fields) == 7
         assert tuple(stats) == tuple(want)
@@ -513,7 +515,7 @@ class TestScanCompare:
 
     def test_stats_up_to_1300(self):
         # the --stats lines of the headline scan
-        _, stats = scan_compare(ScanConfig(v_max=1300))
+        stats = scan_compare(ScanConfig(v_max=1300))[1]()
         assert tuple(stats) == (18011, 177, 46, 3966, 493, 1982, 493)
 
     def test_pairs_row_count(self):
@@ -537,7 +539,7 @@ class TestScanCompare:
             records, stats = scan_compare(ScanConfig(v_max=3000, filter=flt, pairs=pairs))
             assert records == [r for r in everything if keep(r)], flt
             assert records, flt
-            assert stats == want_stats, flt
+            assert stats() == want_stats(), flt
 
     @pytest.mark.parametrize("flt,builds", [
         (None, True), ("gap", False), ("thm", False), ("thm51", True)])
@@ -556,10 +558,30 @@ class TestScanCompare:
         monkeypatch.setattr(catalog, "_family_reports", counted)
         _, stats = scan_compare(ScanConfig(v_max=300, filter=flt))
         assert calls == (sorted(family_construction(300)) if builds else [])
-        assert stats.total == len(list(enumerate_feasible(300)))
+        assert stats().total == len(list(enumerate_feasible(300)))
+
+    @pytest.mark.parametrize("flt,digest", [
+        (None, "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739"),
+        ("gap", "70b7d0d1f9ce722813b8f746267fd29d5f4224e5ca131166a4c7e8ecf746a0d7"),
+    ], ids=["all", "gap"])
+    def test_only_stats_and_pairs_build_complements(self, monkeypatch, flt, digest):
+        # the CSV scan, filtered or not, never builds a complement; the
+        # stats walk and --pairs do, and only when asked for
+        from srgbounds import catalog
+
+        def refuse(*p):
+            raise AssertionError("complement built")
+
+        monkeypatch.setattr(catalog, "_complement", refuse)
+        records, stats = scan_compare(ScanConfig(v_max=500, filter=flt))
+        assert hashlib.sha256(emit(records, "csv").encode()).hexdigest() == digest
+        with pytest.raises(AssertionError, match="complement built"):
+            stats()
+        with pytest.raises(AssertionError, match="complement built"):
+            scan_compare(ScanConfig(v_max=500, filter=flt, pairs=True))
 
     def test_stats_fractions_in_range(self):
-        _, stats = scan_compare(ScanConfig(v_max=150))
+        stats = scan_compare(ScanConfig(v_max=150))[1]()
         assert 0 < stats.thm21_fraction < 1
         assert 0 < stats.thm22_fraction < 1
         assert stats.pairs_type2_thm <= stats.pairs_type2_total

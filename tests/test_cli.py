@@ -686,6 +686,56 @@ class TestConjecture:
         ]
 
 
+class TestNumbersAsTyped:
+    """Every number on the command line and in an edge list is ASCII digits
+    with an optional sign: int() alone would read "1_7" and "١٧" as 17."""
+
+    _WANT = "invalid integer {}: expected ASCII digits with an optional sign"
+
+    @pytest.mark.parametrize("token", ["1_7", "\u0661\u0667", "\uff11\uff17"])
+    def test_bounds(self, token):
+        assert _outcome(main, ["bounds", token, "8", "3", "4", "--json"]) == (
+            2, "", f"error: {self._WANT.format(repr(token))}\n")
+        assert _outcome(main, ["bounds", f"{token},8,3,4"]) == (
+            2, "", f"error: {self._WANT.format(repr(token))}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--max-v", "1_0"],
+        ["scan", "--max-v", "\u0661\u0660"],
+        ["scan", "--max-v", " 10"],
+        ["conjecture", "--max-v", "1_00"],
+        ["paley", "1_3"],
+        ["paley", "\u0661\u0663", "--clique"],
+    ], ids=["scan", "scan-arabic", "scan-blank", "conjecture", "paley", "paley-arabic"])
+    def test_argparse_types(self, argv):
+        code, out, err = _outcome(main, argv)
+        token = argv[2] if argv[0] != "paley" else argv[1]
+        argument = "p" if argv[0] == "paley" else "--max-v"
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"srgbounds {argv[0]}: error: argument {argument}: "
+                                        + self._WANT.format(repr(token)))
+
+    @pytest.mark.parametrize("text, token", [
+        ("3\n0 \u0662\n", "\u0662"),
+        ("3\n0 1\n1_0 2\n", "1_0"),
+        ("3\n0 1\n0 +2\n", None),
+    ], ids=["arabic", "underscore", "sign"])
+    def test_edge_list_tokens(self, capsys, tmp_path, text, token):
+        f = tmp_path / "g.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "maxclique", str(f))
+        if token is None:
+            assert (code, err) == (0, "") and out.startswith("n=3 m=2 omega=2")
+        else:
+            assert (code, out, err) == (2, "", f"error: {self._WANT.format(repr(token))}\n")
+
+    def test_edge_list_count_line(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("\u0663\n0 1\n", encoding="utf-8")
+        assert run(capsys, "maxclique", str(f)) == (
+            2, "", "error: bad vertex count line '\u0663'\n")
+
+
 def _outcome(parse, argv):
     """Exit code (or return value), stdout and stderr of parse(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -866,13 +916,21 @@ class TestGraphFileFuzz:
         self._maxclique(tmp_path_factory.getbasetemp() / "fuzz.g6", text)
 
 
-# argv tokens for the fuzz below.  A non-integer token is one word that int()
-# rejects, so it never splits into pieces or vanishes from a tuple: it holds
+# argv tokens for the fuzz below.  A non-integer token is one word that the
+# CLI rejects, so it never splits into pieces or vanishes from a tuple: it holds
 # no comma and no whitespace, and it does not start with "--", which argparse
 # would read as the end of the options or as a prefix of --json.
 _SMALL = st.integers(-10, 10 ** 6).map(str)
 _HUGE = st.integers(10 ** 29, 10 ** 30 - 1).map(str)
+# int() reads these as numbers, the CLI does not: digit-group underscores and
+# the decimal digits of other scripts (Arabic-Indic, Devanagari, fullwidth)
+_LOOKALIKE = st.one_of(
+    st.integers(10, 10 ** 6).map(lambda n: f"{n // 10}_{n % 10}"),
+    st.tuples(st.integers(0, 10 ** 6), st.sampled_from([0x660, 0x966, 0xFF10])).map(
+        lambda t: "".join(chr(t[1] + int(d)) for d in str(t[0]))),
+)
 _NON_INT = st.one_of(
+    _LOOKALIKE,
     st.sampled_from(["1.5", "5.0", "x", "1e3", "0x11", "nan", "-inf", "1/2", "-"]),
     st.floats().map(repr),
     st.text(st.characters(whitelist_categories=("L", "P", "S")), min_size=1, max_size=4)
@@ -929,6 +987,19 @@ class TestArgvFuzz:
                                   ["--level", "counting"], ["--filter", "gap"]]))
     def test_scan_and_conjecture(self, command, max_v, extra):
         self._main([command, "--max-v", max_v, *(extra if command == "scan" else [])])
+
+    @settings(max_examples=100, deadline=None)
+    @given(token=_LOOKALIKE, place=st.sampled_from(["bounds", "scan", "conjecture", "paley"]))
+    def test_digit_lookalikes_are_usage_errors(self, token, place):
+        argv = {"bounds": ["bounds", "17", token, "3", "4"],
+                "scan": ["scan", "--max-v", token],
+                "conjecture": ["conjecture", "--max-v", token],
+                "paley": ["paley", token]}[place]
+        want = ("error: invalid integer" if place == "bounds" else
+                f"error: argument {'p' if place == 'paley' else '--max-v'}: invalid integer")
+        code, out, err = _outcome(main, argv)
+        assert (code, out) == (2, ""), argv
+        assert want in err, err
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.one_of(st.integers(-10, 300).map(str),

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -17,17 +18,26 @@ from srgbounds.graphio import (
     write_graph6,
 )
 from srgbounds.graphs import Graph, GraphSizeError, paley
+from srgbounds.srg import quote
 from test_graphs import random_graph
+
+
+def int_reference(token: str) -> int:
+    """The oracle for srg.parse_int: int() of a full match of [+-]?[0-9]+."""
+    if re.fullmatch("[+-]?[0-9]+", token) is None:
+        raise ValueError(
+            f"invalid integer {quote(token)}: expected ASCII digits with an optional sign")
+    return int(token)
 
 
 def read_edge_list_reference(text: str) -> Graph:
     """The oracle for read_edge_list: strip every line, drop blanks and
-    comments, then parse both tokens of each edge line with int()."""
+    comments, then parse both tokens of each edge line with int_reference."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphFormatError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = int_reference(lines[0])
     except ValueError as exc:
         raise GraphFormatError(f"bad vertex count line {lines[0]!r}") from exc
     if n > GRAPH6_MAX_N:
@@ -37,7 +47,7 @@ def read_edge_list_reference(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line {ln!r}")
-        g.add_edge(int(parts[0]), int(parts[1]))
+        g.add_edge(int_reference(parts[0]), int_reference(parts[1]))
     return g
 
 
@@ -73,10 +83,9 @@ def parse_graph6_reference(text: str) -> Graph:
         bad = next(ch for ch in s if not "?" <= ch <= "~")
         # leading blanks, then the header, then s up to the bad character
         offset = len(text) - len(text.lstrip()) + len(text.strip()) - len(s) + s.index(bad)
-        more = "..." if len(text) > 20 else ""
         raise GraphFormatError(
             f"invalid graph6 character {bad!r} at offset {offset}: a graph6 input is one"
-            f" graph on one line of characters '?' to '~' (input starts {text[:20]!r}{more})")
+            f" graph on one line of characters '?' to '~' (input starts {quote(text)})")
     n, start = _decode_size(data)
     need = (n * (n - 1) // 2 + 5) // 6
     bits_data = data[start:]
@@ -140,6 +149,13 @@ class TestEdgeList:
         ("3\n0\n", GraphFormatError, "bad edge line '0'"),
         ("x\n0 1\n", GraphFormatError, "bad vertex count line 'x'"),
         ("-2\n", ValueError, "vertex count must be nonnegative"),
+        # int() would read each of these as a number
+        ("1_0\n0 1\n", GraphFormatError, "bad vertex count line '1_0'"),
+        ("\u0663\n0 1\n", GraphFormatError, "bad vertex count line '\u0663'"),
+        ("3\n0 \u0662\n", ValueError,
+         "invalid integer '\u0662': expected ASCII digits with an optional sign"),
+        ("3\n0 1\n0_0 2\n", ValueError,
+         "invalid integer '0_0': expected ASCII digits with an optional sign"),
     ])
     def test_error_messages(self, text, error, message):
         with pytest.raises(error) as exc:
@@ -419,7 +435,9 @@ class TestGraph6:
         ("A_\nBw\n", "'\\n'", 2, "'A_\\nBw\\n'"),
         ("  >>graph6<<Bw x", "' '", 14, "'  >>graph6<<Bw x'"),
         ("Bw\x00" + "?" * 40, "'\\x00'", 2, "'Bw\\x00" + "?" * 17 + "'..."),
-    ], ids=["two-graphs", "header", "long"])
+        # repr writes each as 10 characters: the quote is cut after 40 of them
+        ("\U000e0001" * 30, "'\\U000e0001'", 0, "'" + "\\U000e0001" * 4 + "'..."),
+    ], ids=["two-graphs", "header", "long", "escapes"])
     def test_invalid_character_message(self, text, char, offset, start):
         # the first bad character at its offset in the input, and a bounded
         # prefix of that input
@@ -427,6 +445,7 @@ class TestGraph6:
                 f" graph on one line of characters '?' to '~' (input starts {start})")
         assert outcome(parse_graph6, text) == outcome(parse_graph6_reference, text) \
             == (GraphFormatError, want)
+        assert len(want) < 200
 
     def test_truncated_long_header(self):
         with pytest.raises(GraphFormatError):

@@ -20,7 +20,9 @@ from srgbounds.srg import (
     complement,
     is_feasible,
     is_sum_of_two_squares,
+    parse_int,
     parse_params_string,
+    quote,
     spectrum,
 )
 from test_catalog import enumerate_feasible_bruteforce
@@ -64,6 +66,56 @@ class TestParse:
     def test_empty_comma_field(self, text):
         with pytest.raises(ValueError, match="empty comma-separated field"):
             parse_params_string(text)
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("token,want", [
+        ("0", 0), ("17", 17), ("+3", 3), ("-12", -12), ("-0", 0), ("007", 7),
+        ("1" * 40, int("1" * 40))])
+    def test_ascii_digits_with_a_sign(self, token, want):
+        assert parse_int(token) == want
+
+    @pytest.mark.parametrize("token", [
+        "1_7", "_17", "17_", "\u0661\u0667", "\uff11\uff17", "\u0967", "1\u00b2",
+        " 17", "17 ", "17\n", "", "+", "-", "+-1", "--1", "1e3", "0x11", "1.0", "x"])
+    def test_refuses_what_int_reads_beyond_that(self, token):
+        with pytest.raises(ValueError) as exc:
+            parse_int(token)
+        assert str(exc.value) == (f"invalid integer {token!r}: expected ASCII digits"
+                                  " with an optional sign")
+
+    @pytest.mark.parametrize("text,want", [
+        ("abc", "'abc'"),
+        ("x" * 20, "'" + "x" * 20 + "'"),
+        ("x" * 21, "'" + "x" * 20 + "'..."),
+        ("it's", '"it\'s"'),
+        ("a\nb", "'a\\nb'"),
+        # each escape takes 10 characters: 20 of them are cut to 40
+        ("\U000e0001" * 4, "'" + "\\U000e0001" * 4 + "'"),
+        ("\U000e0001" * 5, "'" + "\\U000e0001" * 4 + "'..."),
+        ("\U000e0001" * 30, "'" + "\\U000e0001" * 4 + "'..."),
+    ])
+    def test_quote(self, text, want):
+        assert quote(text) == want
+        assert len(quote(text)) <= 45
+
+    @pytest.mark.parametrize("text,token", [
+        ("1_7 8 3 4", "1_7"), ("17,8,3,4_0", "4_0"), ("\u0661\u0667 8 3", "\u0661\u0667"),
+        ("17 \uff18 3 4", "\uff18"), ("17 8 x \u0664", "x")])
+    def test_params_fields_read_as_parse_int_reads_them(self, text, token):
+        with pytest.raises(ValueError) as exc:
+            parse_params_string(text)
+        assert str(exc.value).startswith(f"invalid integer {token!r}:")
+
+    def test_ascii_field_int_refuses_is_named(self):
+        # the common path leaves an ASCII field to int(), whose message names it
+        with pytest.raises(ValueError, match="'x'"):
+            parse_params_string("17 8 x 4")
+
+    def test_unicode_blank_between_fields_still_separates(self):
+        # only the fields are read as numbers; str.split() separates them
+        assert parse_params_string("17\u00a08\u20033 4") == PALEY17
+        assert parse_params_string("+17 +8 3 4") == PALEY17
 
 
 class TestValidate:
