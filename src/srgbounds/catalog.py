@@ -171,6 +171,14 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     return out
 
 
+def _family_count(v_max: int) -> int:
+    """len(_family_reports(v_max)), without the rows or the sieve: two rows
+    per divisor d of v with 2 <= d <= v/2 and 5 <= v <= v_max.  Such a d
+    divides the v_max//d - 1 values v in [2d, v_max], and (d, v) = (2, 4)
+    is the one such pair with v < 5."""
+    return 2 * (sum(v_max // d - 1 for d in range(2, v_max // 2 + 1)) - (v_max >= 4))
+
+
 def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     """The tuples of enumerate_feasible with 0 < mu < k, sorted, each as
     the row (p, type, r, s) that cab._report takes: r and s = -a are the
@@ -339,7 +347,7 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
     """The ScanStats of a scan whose primitive reports, unfiltered and in
     tuple order, are primitive.  Only those rows are walked: a family row
     is type II and never connected and co-connected, so it counts in total
-    alone, two per divisor in the sieve from v = 5 on (_family_reports).
+    alone, and _family_count counts those rows without building them.
     A primitive row is connected and co-connected: mu > 0 and v-2k+lam > 0
     (_primitive_rows).  uncovered holds each kept pair member seen so far
     whose pair no thm22 row covers yet: the walk runs forwards, and a
@@ -364,7 +372,7 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
             elif t22 and q in uncovered:
                 uncovered.remove(q)
                 pairs_thm += 1
-    total = len(primitive) + 2 * sum(map(len, _divisors(v_max)[5:]))
+    total = len(primitive) + _family_count(v_max)
     return ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
 

@@ -119,12 +119,24 @@ class Spectrum(NamedTuple):
 
 def quote(text: str) -> str:
     """text quoted for a message as repr quotes it, cut to its first 20
-    characters and to 40 characters of their escaped form, with "..." when
-    a cut drops any: repr alone writes a non-printable character as up to
-    10, so 20 characters could take 200."""
-    q = repr(text[:20])
+    characters and to the longest run of their escapes that fits in 40
+    characters, with "..." when a cut drops any: repr alone writes a
+    non-printable character as up to 10, so 20 characters could take 200.
+    The cut falls between two characters' escapes, never inside one."""
+    head = text[:20]
+    q = repr(head)
     body = q[1:-1]
-    return q[0] + body[:40] + q[-1] + ("..." if len(text) > 20 or len(body) > 40 else "")
+    cut = len(body)
+    if cut > 40:
+        cut = 0
+        for ch in head:
+            # repr(ch) picks its own quotes; within q, only q's quote
+            # character gains a backslash
+            width = len(repr(ch)) - 2 + (ch == q[0])
+            if cut + width > 40:
+                break
+            cut += width
+    return q[0] + body[:cut] + q[-1] + ("..." if len(text) > 20 or cut < len(body) else "")
 
 
 def parse_int(token: str) -> int:
@@ -148,14 +160,7 @@ def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
     parts = " ".join(fields).split()
     if len(parts) not in (3, 4):
         raise ValueError(f"expected 3 or 4 integers, got {text!r}")
-    # an ASCII field without "_" is one that int() reads exactly when
-    # parse_int does, and refuses with its own message naming the field
-    # otherwise, so one test of the whole text keeps parse_int off the
-    # common path
-    if text.isascii() and "_" not in text:
-        nums = [int(p) for p in parts]
-    else:
-        nums = [parse_int(p) for p in parts]
+    nums = [parse_int(p) for p in parts]
     if len(nums) == 3:
         return EdgeRegularParams(*nums)
     return SrgParams(*nums)

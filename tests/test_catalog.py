@@ -14,6 +14,7 @@ from srgbounds.catalog import (
     SCAN_MAX_V,
     ScanConfig,
     ScanStats,
+    _family_count,
     _family_reports,
     _primitive_rows,
     conjecture_scan,
@@ -372,6 +373,12 @@ class TestFamilyReport:
     def test_family_stream_in_tuple_order(self):
         # the scan merges the family rows in as they come, unsorted
         assert [r.params for r in _family_reports(3000)] == sorted(family_construction(3000))
+
+    def test_family_count_matches_the_construction(self):
+        # the stats count the family rows in closed form, without the sieve
+        for v_max in list(range(60)) + [1300, 3000]:
+            assert _family_count(v_max) == len(family_construction(v_max)), v_max
+        assert _family_count(10000) == 147336
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_enumeration_merges_families_and_confirmed(self, level):

@@ -1,4 +1,6 @@
+import ast
 import fractions
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -94,23 +96,41 @@ class TestNumbers:
         ("\U000e0001" * 4, "'" + "\\U000e0001" * 4 + "'"),
         ("\U000e0001" * 5, "'" + "\\U000e0001" * 4 + "'..."),
         ("\U000e0001" * 30, "'" + "\\U000e0001" * 4 + "'..."),
+        # a cut at 40 escaped characters would fall inside "\\n" or "\\x00":
+        # the quote stops after the last escape that fits whole
+        ("a" + "\t" * 17 + "\x00\n", "'a" + "\\t" * 17 + "\\x00'..."),
+        ("\t" * 19 + "\x00", "'" + "\\t" * 19 + "'..."),
+        ("\t" * 18 + "\x00b", "'" + "\\t" * 18 + "\\x00'..."),
+        # both quote characters: repr quotes with ' and escapes each ' in two
+        ("\x00\"" + "'" * 18, "'\\x00\"" + "\\'" * 17 + "'..."),
     ])
     def test_quote(self, text, want):
         assert quote(text) == want
         assert len(quote(text)) <= 45
 
+    def test_quote_reads_back_as_a_prefix(self):
+        # with "..." dropped, the quote is a literal of a prefix of text: no
+        # cut leaves half an escape, and "..." marks exactly a shorter prefix
+        rng = random.Random(7)
+        alphabet = ["a", "'", '"', "\\", "\n", "\t", "\x00", "\x7f", "\u00e9", "\u200b",
+                    "\U000e0001", " "]
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(30)))
+            q = quote(text)
+            cut = q.endswith("...")
+            prefix = ast.literal_eval(q[:-3] if cut else q)
+            assert text.startswith(prefix)
+            assert cut == (prefix != text)
+            assert len(q) <= 45
+
     @pytest.mark.parametrize("text,token", [
         ("1_7 8 3 4", "1_7"), ("17,8,3,4_0", "4_0"), ("\u0661\u0667 8 3", "\u0661\u0667"),
-        ("17 \uff18 3 4", "\uff18"), ("17 8 x \u0664", "x")])
+        ("17 \uff18 3 4", "\uff18"), ("17 8 x \u0664", "x"), ("17 8 x 4", "x"),
+        ("17 8 3 4e0", "4e0")])
     def test_params_fields_read_as_parse_int_reads_them(self, text, token):
         with pytest.raises(ValueError) as exc:
             parse_params_string(text)
         assert str(exc.value).startswith(f"invalid integer {token!r}:")
-
-    def test_ascii_field_int_refuses_is_named(self):
-        # the common path leaves an ASCII field to int(), whose message names it
-        with pytest.raises(ValueError, match="'x'"):
-            parse_params_string("17 8 x 4")
 
     def test_unicode_blank_between_fields_still_separates(self):
         # only the fields are read as numbers; str.split() separates them
