@@ -143,7 +143,9 @@ def cab(p: EdgeRegularParams | SrgParams, *,
     It reads only v, k, lam and validate() of p, so a SrgParams is bounded
     as its edge-regular triple, after its own (stricter) validation.  start
     is a guess at the answer level c+1, which step 3 walks from; the
-    answer and witness do not depend on it.
+    answer and witness do not depend on it.  _report calls cab() only on
+    the rows its Delsarte-level path, which rests on the one-run lemma of
+    step 3, leaves undecided.
 
     It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  Three
     steps decide it, each with the first negative level y = c+1 and the
@@ -201,7 +203,8 @@ def cab(p: EdgeRegularParams | SrgParams, *,
        walk goes on up from start + 1; and if P(start) >= 0, first > start
        and the bisection runs on [start, top] only.  Any other start means
        3.  Most primitive tuples (0 < mu < k) take this path: 1,191 of the
-       1,301 with v <= 500, and 92 more take step 1.  Otherwise,
+       1,301 with v <= 500, and 92 more take step 1; the scan's reports
+       decide 948 of them without cab().  Otherwise,
        when P(3) < 0 or c3 >= 0, _negative_runs cuts the range at the
        critical points of P and bisects each piece.  Every level of those
        runs is still minimized over b by cap_min_over_b, so the first
@@ -386,24 +389,54 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     """full_report's body, for a tuple p passing INTEGRALITY with type tag
     and restricted eigenvalues r, s as _int_spectrum gives them (None, None
     for a conference tuple with irrational eigenvalues).  full_report
-    validates p in _int_spectrum and again in cab(); the scan hands on the
-    spectrum its generator built, so there p is validated once, in cab(),
-    which decides every thm51 tuple at its step 1, without the walk."""
+    validates p in _int_spectrum and again on either path below, in cab()
+    or before the witness; the scan hands on the spectrum its generator
+    built, so there p is validated once.
+
+    The CAB is at most Delsarte = delta, and equal to it when no level in
+    [3, delta] is negative.  For integer r >= 1 and mu > 0 the
+    Delsarte-level lemma (identities._DELSARTE_LEVEL_CASES) proves that
+    level delta is negative if and only if thm22 holds.  So where thm22
+    fails, and cab()'s one-run lemma (c3 < 0 and P(3) >= 0) with P(delta-1)
+    >= 0 leaves no negative level in [3, delta-1], the CAB is delta, and
+    its witness is the one cab() gives at level delta+1 < v.  Every other
+    row, and every thm51 row, calls cab()."""
     dels = _delsarte(p, s)
     # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
     # thm21_applies cannot raise; it is called by its module-level name
     t21 = s is None and thm21_applies(p.v)
     t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
-    # cab is called by its module-level name so that perfbench can time the
-    # CAB bound on its own.  The CAB is at most Delsarte, below it when a
-    # predicate holds, and on almost every row (ROADMAP item 15) exactly
-    # Delsarte - [t21 or t22]: most primitive tuples (P(3) >= 0 and c3 < 0)
-    # walk down from that level instead of bisecting from 3.  A wrong guess
-    # costs levels, never the answer
-    cab_val, witness = cab(p, start=dels - (t21 or t22) + 1)
-    if cab_val > p.lam + 2:
+    t51 = _thm51(p, s)
+    v, k, lam, mu = p
+    level = dels + 1
+    # r >= 1 and mu > 0 give mu < k, as k - mu = -rs, and s <= -2, as
+    # k - lam - 1 = -(r+1)(s+1) > 0 by the counting identity.  cab()
+    # decides a thm51 row at its step 1, in one level and without the cubic
+    proved = False
+    if not (t22 or t51) and s is not None and r > 0 and mu > 0 and level < v:
+        c3, c2, c1, c0 = _certificate_cubic(v, k, lam)
+        y = dels - 1
+        proved = (c3 < 0 and ((3 * c3 + c2) * 3 + c1) * 3 + c0 >= 0
+                  and (y < 3 or ((c3 * y + c2) * y + c1) * y + c0 >= 0))
+    if proved:
+        p.validate()
+        # called by its module-level name, as cab() calls it
+        b, val = cap_min_over_b(v, k, lam, level)
+        if val >= 0:
+            raise AssertionError(f"level {level} above Delsarte is not negative for {p}")
+        # why tuple.__new__: see the record comment in cab()
+        cab_val, witness = dels, tuple.__new__(CabWitness, (b, level, val))
+    else:
+        # cab is called by its module-level name so that perfbench can time
+        # the CAB bound on its own.  The walk starts at Delsarte - [t21 or
+        # t22] + 1.  With integer r >= 1 and mu > 0 no answer level lies
+        # above it, by the Delsarte bound and, where thm22 holds, by the
+        # Delsarte-level lemma; that the start is the answer, as on almost
+        # every row (ROADMAP item 15), rests on data.  A wrong start costs
+        # levels, never the answer
+        cab_val, witness = cab(p, start=level - (t21 or t22))
+    if cab_val > lam + 2:
         raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
     if cab_val > dels:
         raise AssertionError(f"cab {cab_val} exceeds Delsarte bound for {p}")
-    return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22,
-                                        _thm51(p, s)))
+    return tuple.__new__(BoundsReport, (p, tag, cab_val, witness, dels, t21, t22, t51))

@@ -27,7 +27,9 @@ row, _earlier_complement, which the statistics' pair count reads too.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
+from contextlib import contextmanager
 from math import inf, isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -376,6 +378,22 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
     return ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
 
 
+@contextmanager
+def _gc_paused():
+    """Pause Python's cyclic garbage collector for the with block, and
+    enable it after only if it was enabled before.  A scan builds acyclic
+    tuples, about 15,000 at v <= 500, and every 700 of them would start a
+    collection.  Only the bodies of scan_compare and conjecture_scan run
+    paused: enumerate_feasible never yields inside this block."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], Callable[[], ScanStats]]:
     """A bounds report per feasible tuple, in tuple order: full_report(p)
     on each primitive row, and on each family row (_family_reports) the
@@ -384,29 +402,30 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], Callable[[], Scan
     count every feasible tuple, whatever the filter and --pairs keep, and
     are computed only when that function is called: `scan --stats` prints
     them, and no other output reads them."""
-    primitive = list(_reports(cfg))
+    with _gc_paused():
+        primitive = list(_reports(cfg))
 
-    # a family row is never connected and co-connected, so --pairs keeps
-    # it, and every primitive row is, so the pair rule alone decides it
-    reports = ([r for r in primitive if _earlier_complement(r[0]) is None]
-               if cfg.pairs else primitive)
-    # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
-    # so --filter gap and --filter thm would drop each one: build them only
-    # for the other two
-    if cfg.filter in (None, "thm51"):
-        # a new list, not +=: the stats function reads primitive as it stands
-        reports = reports + _family_reports(cfg.v_max)
-        reports.sort(key=itemgetter(0))  # p is unique: compare the params alone
+        # a family row is never connected and co-connected, so --pairs keeps
+        # it, and every primitive row is, so the pair rule alone decides it
+        reports = ([r for r in primitive if _earlier_complement(r[0]) is None]
+                   if cfg.pairs else primitive)
+        # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
+        # so --filter gap and --filter thm would drop each one: build them only
+        # for the other two
+        if cfg.filter in (None, "thm51"):
+            # a new list, not +=: the stats function reads primitive as it stands
+            reports = reports + _family_reports(cfg.v_max)
+            reports.sort(key=itemgetter(0))  # p is unique: compare the params alone
 
-    if cfg.filter == "gap":
-        # mirror curated catalogs: proven-nonexistent tuples are excluded
-        reports = [r for r in reports
-                   if r.gap > 0 and r.params not in CURATED_NONEXISTENT]
-    elif cfg.filter == "thm":
-        reports = [r for r in reports if r.thm21 or r.thm22]
-    elif cfg.filter == "thm51":
-        reports = [r for r in reports if r.thm51]
-    return reports, lambda: _scan_stats(primitive, cfg.v_max)
+        if cfg.filter == "gap":
+            # mirror curated catalogs: proven-nonexistent tuples are excluded
+            reports = [r for r in reports
+                       if r.gap > 0 and r.params not in CURATED_NONEXISTENT]
+        elif cfg.filter == "thm":
+            reports = [r for r in reports if r.thm21 or r.thm22]
+        elif cfg.filter == "thm51":
+            reports = [r for r in reports if r.thm51]
+        return reports, lambda: _scan_stats(primitive, cfg.v_max)
 
 
 def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
@@ -420,7 +439,8 @@ def conjecture_scan(cfg: ScanConfig) -> list[SrgParams]:
     with v <= 3000.  Hits are reported, not asserted.  Only the rows with
     0 < mu < k are read: a family row has cab = delsarte (_family_reports),
     so it is never a hit."""
-    return [r.params for r in _reports(cfg) if r.cab < r.delsarte - 1 and not r.thm51]
+    with _gc_paused():
+        return [r.params for r in _reports(cfg) if r.cab < r.delsarte - 1 and not r.thm51]
 
 
 # -- emitters ----------------------------------------------------------------

@@ -37,7 +37,7 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
     try:
         n = parse_int(head)
     except ValueError as exc:
-        raise GraphFormatError(f"bad vertex count line {head!r}") from exc
+        raise GraphFormatError(f"bad vertex count line {quote(head)}") from exc
     # bounded before Graph(n) allocates its n rows
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported")
@@ -60,7 +60,7 @@ def read_edge_list(text: str, *, max_n: int = GRAPH6_MAX_N) -> Graph:
             if not parts or parts[0][0] == "#":
                 continue
             if len(parts) != 2:
-                raise GraphFormatError(f"bad edge line {ln.strip()!r}")
+                raise GraphFormatError(f"bad edge line {quote(ln.strip())}")
             a, b = parts
             u = parse_int(a)
             v = parse_int(b)

@@ -13,6 +13,9 @@ Parameterizations:
     k = (w^2-1)/2, lam = (w^2-5)/4, mu = (w^2-1)/4, r = (w-1)/2,
     s = -(w+1)/2.
   * raw: all symbols free (identities valid in the free polynomial ring).
+  * delsarte-level: free variables (r, s, mu, m, b, c); general-srg without
+    t, with a = -s, k = qa + m, so q = (k-m)/a, the Delsarte level
+    delta = q + 1, D = v - 2k + lam, and a point (b, c) of C(x, y).
 """
 
 from __future__ import annotations
@@ -55,6 +58,17 @@ def type1_symbols(w, t):
     }
 
 
+def delsarte_level_symbols(r, s, mu, m, b, c):
+    """Dependent symbols of the Delsarte-level parameterization, over any
+    field: dividing by -s, not by a polynomial, keeps q's denominator a
+    monomial."""
+    sym = general_srg_symbols(r, s, mu, None)
+    del sym["t"]
+    q = (sym["k"] - m) / -s
+    sym.update(m=m, b=b, c=c, q=q, delta=q + 1, D=sym["v"] - 2 * sym["k"] + sym["lam"])
+    return sym
+
+
 # name -> (symbol builder, free variables in draw order, each with the values
 # a draw avoids: the poles s = 0 and mu = 0, and w = -1, which makes s = 0;
 # the identities are polynomial in w, so w need not be a genuine sqrt(v))
@@ -62,6 +76,8 @@ _PARAMETERIZATIONS: dict[str, tuple[Callable[..., dict], dict[str, tuple]]] = {
     "general-srg": (general_srg_symbols, {"r": (), "s": (0,), "mu": (0,), "t": ()}),
     "type-i": (type1_symbols, {"w": (-1,), "t": ()}),
     "raw": (dict, {"v": (), "k": (), "lam": (), "b": (), "c": ()}),
+    "delsarte-level": (delsarte_level_symbols,
+                       {"r": (), "s": (0,), "mu": (0,), "m": (), "b": (), "c": ()}),
 }
 
 
@@ -230,6 +246,109 @@ CASES: tuple[IdentityCase, ...] = (
         parameterization="raw",
         lhs=_case_monotone_lhs,
         rhs=_case_monotone_rhs,
+        clearing=(),
+    ),
+)
+
+
+# The Delsarte-level lemma.  Take integer eigenvalues r >= 1 and s = -a <=
+# -2, and 0 < mu < k.  Write k = qa + m with 0 <= m < a, and delta = q + 1,
+# the Delsarte bound.  Then C(x, delta) < 0 for some integer x if and only
+# if thm22 holds, which is m > 0 and mu < (a-1)(a-m).  Proof, with A = v - y
+# and B = y(k-y+1) at a level y, read off the cases below:
+# 1. A C(x, y) = (Ax - B)(Ax + A - B) + g(y), and mu g(y) = -(r+1)(s+1) y
+#    (k + r(y-1))(k + s(y-1)).  At y = delta, k + s(delta-1) = k - qa = m
+#    >= 0 and -(s+1) = a-1 > 0, so g(delta) >= 0.  q >= r, as k = mu + ra,
+#    and v > k+1 > delta, so A > 0, and the product is negative only for
+#    B/A - 1 < x < B/A: at y = delta, C(x, delta) < 0 needs x = floor(B/A).
+# 2. At y = delta, mu(B - (q-r)A) = m(r+1)(k-r) >= 0, and mu((q-r+1)A - B)
+#    = mu(k-q) + (r+1)(k(a-1-m) + mr) > 0, as k - q = q(a-1) + m >= 1.
+#    With q = r + j and a = m + 1 + beta, j, beta >= 0, that is mu = ja + m
+#    and k - q = (r+j)(m+beta) + m, so every term is a product of
+#    polynomials with non-negative coefficients.  So floor(B/A) = q - r.
+# 3. mu C(q-r, delta) = mr(r+1)(m + q - r + 1 - a): negative exactly when
+#    m > 0 and m + q - r + 1 < a.
+# 4. With D = v - 2k + lam > 0, _thm22 reads m > 0 and a(D - r^2 - r) - mD
+#    > 0, and mu(a(D - r^2 - r) - mD) = -a^2 r(r+1)(m + q - r + 1 - a): the
+#    same condition.  As mu - m = (q-r)a, m + q - r + 1 < a is mu < (a-1)(a-m).
+# These cases stay out of CASES, which holds the paper's identities.
+
+
+def _level_sides(sym, y):
+    """(A, B) = (v - y, y(k - y + 1)) at level y."""
+    return sym["v"] - y, y * (sym["k"] - y + 1)
+
+
+def _case_completed_square_lhs(sym):
+    b, c = sym["b"], sym["c"]
+    a, bb = _level_sides(sym, c)
+    return sym["mu"] * (a * _cap(sym, b, c) - (a * b - bb) * (a * b + a - bb))
+
+
+def _case_completed_square_rhs(sym):
+    r, s, k, c = sym["r"], sym["s"], sym["k"], sym["c"]
+    return -(r + 1) * (s + 1) * c * (k + r * (c - 1)) * (k + s * (c - 1))
+
+
+def _case_vertex_floor_lhs(sym):
+    a, b = _level_sides(sym, sym["delta"])
+    return sym["mu"] * (b - (sym["q"] - sym["r"]) * a)
+
+
+def _case_vertex_ceiling_lhs(sym):
+    a, b = _level_sides(sym, sym["delta"])
+    return sym["mu"] * ((sym["q"] - sym["r"] + 1) * a - b)
+
+
+def _case_vertex_ceiling_rhs(sym):
+    r, s, mu, k, q, m = (sym[n] for n in ("r", "s", "mu", "k", "q", "m"))
+    return mu * (k - q) + (r + 1) * (k * (-s - 1 - m) + m * r)
+
+
+def _level_excess(sym):
+    """m + q - r + 1 - a, negative exactly when thm22 holds."""
+    return sym["m"] + sym["q"] - sym["r"] + 1 + sym["s"]
+
+
+def _case_thm22_lhs(sym):
+    r, s, mu, m, dd = (sym[n] for n in ("r", "s", "mu", "m", "D"))
+    return mu * (-s * (dd - r * r - r) - m * dd)
+
+
+_DELSARTE_LEVEL_CASES: tuple[IdentityCase, ...] = (
+    IdentityCase(
+        name="delsarte-level-completed-square",
+        parameterization="delsarte-level",
+        lhs=_case_completed_square_lhs,
+        rhs=_case_completed_square_rhs,
+        clearing=(),
+    ),
+    IdentityCase(
+        name="delsarte-level-vertex-floor",
+        parameterization="delsarte-level",
+        lhs=_case_vertex_floor_lhs,
+        rhs=lambda sym: sym["m"] * (sym["r"] + 1) * (sym["k"] - sym["r"]),
+        clearing=(),
+    ),
+    IdentityCase(
+        name="delsarte-level-vertex-ceiling",
+        parameterization="delsarte-level",
+        lhs=_case_vertex_ceiling_lhs,
+        rhs=_case_vertex_ceiling_rhs,
+        clearing=(("s", 1),),
+    ),
+    IdentityCase(
+        name="delsarte-level-value",
+        parameterization="delsarte-level",
+        lhs=lambda sym: sym["mu"] * _cap(sym, sym["q"] - sym["r"], sym["delta"]),
+        rhs=lambda sym: sym["m"] * sym["r"] * (sym["r"] + 1) * _level_excess(sym),
+        clearing=(("s", 1),),
+    ),
+    IdentityCase(
+        name="delsarte-level-thm22",
+        parameterization="delsarte-level",
+        lhs=_case_thm22_lhs,
+        rhs=lambda sym: -sym["s"] ** 2 * sym["r"] * (sym["r"] + 1) * _level_excess(sym),
         clearing=(),
     ),
 )

@@ -1,8 +1,8 @@
 """Sparse multivariate Laurent polynomials over Q; division by monomials only.
 
-The variable list is fixed as (t, w, b, c, v, k, lam, mu, r, s); exponent
-vectors are dense tuples over this list so serialized polynomials are
-deterministic.  Exponents may be negative, so a quotient by a monomial is
+The variable list is fixed as (t, w, b, c, v, k, lam, mu, r, s, m, j, beta);
+exponent vectors are dense tuples over this list so serialized polynomials
+are deterministic.  Exponents may be negative, so a quotient by a monomial is
 again an MPoly, which is all the identity checker needs (denominators only
 ever involve s and mu).  The Laurent form is canonical: two quotients are
 equal exactly when their term dicts are.
@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping
 
-VARS = ("t", "w", "b", "c", "v", "k", "lam", "mu", "r", "s")
+VARS = ("t", "w", "b", "c", "v", "k", "lam", "mu", "r", "s", "m", "j", "beta")
 NVARS = len(VARS)
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 _ZERO_EXP = (0,) * NVARS

@@ -156,10 +156,10 @@ def parse_params_string(text: str) -> SrgParams | EdgeRegularParams:
     field is read as parse_int reads it."""
     fields = text.split(",")
     if len(fields) > 1 and not all(map(str.strip, fields)):
-        raise ValueError(f"empty comma-separated field in {text!r}")
+        raise ValueError(f"empty comma-separated field in {quote(text)}")
     parts = " ".join(fields).split()
     if len(parts) not in (3, 4):
-        raise ValueError(f"expected 3 or 4 integers, got {text!r}")
+        raise ValueError(f"expected 3 or 4 integers, got {quote(text)}")
     nums = [parse_int(p) for p in parts]
     if len(nums) == 3:
         return EdgeRegularParams(*nums)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import srgbounds.catalog as catalog
 from srgbounds.catalog import ScanConfig, scan_compare
-from srgbounds.srg import SrgType
+from srgbounds.srg import SrgType, _int_spectrum
+from test_cab import delsarte_level_branch
 
 # the package re-exports the function cab, which shadows the module name
 cab_module = importlib.import_module("srgbounds.cab")
@@ -58,6 +59,13 @@ def primitive(p) -> bool:
     return 0 < p.mu < p.k
 
 
+def delsarte_level(p) -> bool:
+    """Whether cab._report decides p, a primitive tuple, at its Delsarte
+    level without cab() (tests/test_cab.py: TestDelsarteLevelPath)."""
+    _, r, s, _, _ = _int_spectrum(p)
+    return s is not None and delsarte_level_branch(p, r, -s) == "delsarte-level"
+
+
 def test_scan_reports_through_the_catalog_name(monkeypatch):
     # catalog.report_s times full_report as rebound in srgbounds.catalog,
     # once per irrational conference row (type I); the rows of
@@ -81,9 +89,9 @@ def test_scan_reports_through_the_catalog_name(monkeypatch):
 
 def test_full_report_bounds_through_the_cab_name(monkeypatch):
     # cab.cab_s times cab as rebound in srgbounds.cab, so full_report must
-    # call it by that module-level name, once per primitive report, thm51
-    # reports included (cab decides those without the walk), and the family
-    # rows call it not at all
+    # call it by that module-level name, once per primitive report that the
+    # Delsarte-level path leaves to it, thm51 reports included (cab decides
+    # those without the walk), and the family rows call it not at all
     calls = []
     original = cab_module.cab
 
@@ -95,8 +103,10 @@ def test_full_report_bounds_through_the_cab_name(monkeypatch):
     reports, _ = scan_compare(ScanConfig(v_max=20))
     assert any(not primitive(r.params) for r in reports)
     assert any(primitive(r.params) and r.thm51 for r in reports)
-    assert calls == [(r.params.v, r.params.k, r.params.lam)
-                     for r in reports if primitive(r.params)] != []
+    left = [(r.params.v, r.params.k, r.params.lam) for r in reports
+            if primitive(r.params) and not delsarte_level(r.params)]
+    assert calls == left != []
+    assert len(left) < sum(primitive(r.params) for r in reports)
 
 
 def test_full_report_decides_thm21_through_its_name(monkeypatch):

@@ -253,11 +253,11 @@ class TestCabOracle:
         assert len(calls) == 6778
 
     def test_scan_levels_visited(self, calls):
-        # the v <= 500 scan's reports start each walk at the level their
-        # Delsarte bound and predicates predict, and visit the levels the
-        # one-run bisection from 3 visited
+        # the v <= 500 scan's reports decide 948 rows at the Delsarte level,
+        # in one level each (TestDelsarteLevelPath), and start every other
+        # walk at the level their Delsarte bound and predicates predict
         scan_compare(ScanConfig(v_max=500))
-        assert len(calls) == 2398
+        assert len(calls) == 1555
 
     def test_conference_tuple_visits_one_level(self, calls):
         c, wit = cab(EdgeRegularParams(100000000000037, 50000000000018, 25000000000008))
@@ -393,6 +393,98 @@ class TestStartLevel:
             if row[0] == SrgParams(2185, 264, 23, 33):
                 assert (rep.delsarte, rep.thm22, rep.cab) == (13, True, 11)
         assert seen == {"conference": 723, "thm21": 182, "thm22": 1691, "above": 124}
+
+
+def delsarte_level_branch(p: SrgParams, r: int, a: int) -> str:
+    """How cab._report decides the CAB of p, a tuple with integer
+    eigenvalues r >= 1 and -a <= -2 and mu > 0, recomputed from the terms of
+    the Delsarte-level lemma: "delsarte-level" at level q + 1 without cab(),
+    else the first check that leaves it to cab()."""
+    v, k, lam, mu = p
+    q, m = divmod(k, a)
+    if m > 0 and mu < (a - 1) * (a - m):
+        return "thm22"
+    if k >= a * (lam + 1):
+        return "thm51"
+    if q + 2 >= v:
+        return "top"
+    cs = cab_module._certificate_cubic(v, k, lam)
+    if cs[0] >= 0:
+        return "c3"
+    if cab_module._cubic(cs, 3) < 0:
+        return "p3"
+    if q >= 3 and cab_module._cubic(cs, q) < 0:
+        return "below"
+    return "delsarte-level"
+
+
+def generated_tuples(seed: int, count: int, top: int, v_max: int):
+    """Seeded (p, r, a) with lam >= 0 and integral multiplicities, p built
+    from 1 <= r <= top, 2 <= a <= top and a divisor mu of n = ra(r+1)(a-1)
+    as the scan's generator builds it: k = mu + ra, lam = mu + r - a and
+    v = k + 1 + (r+1)(a-1) + n/mu."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r, a = rng.randint(1, top), rng.randint(2, top)
+        exps = Counter()
+        for x in (r, r + 1, a, a - 1):
+            exps.update(dict(factorize(x)))
+        mu = 1
+        for q, e in exps.items():
+            mu *= q ** rng.randint(0, e)
+        k = mu + r * a
+        v = k + 1 + (r + 1) * (a - 1) + r * a * (r + 1) * (a - 1) // mu
+        if mu + r >= a and v <= v_max and ((v - 1) * a - k) % (r + a) == 0:
+            out.append((SrgParams(v, k, mu + r - a, mu), r, a))
+    return out
+
+
+class TestDelsarteLevelPath:
+    """_report decides a row at its Delsarte level delta without cab() when
+    thm22 and thm51 fail, c3 < 0, P(3) >= 0, P(delta-1) >= 0 and delta + 1 <
+    v (identities._DELSARTE_LEVEL_CASES); the plain walk stays the oracle."""
+
+    def test_matches_linear_walk_on_random_tuples(self):
+        seen = Counter()
+        for p, r, a in generated_tuples(5, 2000, 60, 5000):
+            rep = full_report(p)
+            assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
+            seen[delsarte_level_branch(p, r, a)] += 1
+        # every way _report can take, but the two no tuple here reaches
+        assert seen == {"delsarte-level": 1309, "thm22": 234, "p3": 226, "below": 158,
+                        "thm51": 73}
+
+    def test_schlafli_complement_skips_cab(self, monkeypatch):
+        # cab()'s steps 1 and 2 do not decide (27, 16, 10, 8); the report
+        # does, at its Delsarte level 9, as the walk would
+        p = SrgParams(27, 16, 10, 8)
+        want = cab_linear(p.edge_regular)
+        monkeypatch.setattr(cab_module, "cab", None)
+        rep = full_report(p)
+        assert (rep.cab, rep.cab_witness, rep.delsarte) == (*want, 9)
+        assert want == (9, CabWitness(b=4, c_plus_1=10, value=-40))
+
+    @pytest.mark.parametrize("v_max, rows, decided", [(500, 1231, 948), (3000, 10333, 7444)])
+    def test_rows_left_to_cab_on_the_scan(self, monkeypatch, v_max, rows, decided):
+        left = set()
+        original = cab_module.cab
+
+        def counted(p, **start):
+            left.add(p)
+            return original(p, **start)
+
+        monkeypatch.setattr(cab_module, "cab", counted)
+        reports, _ = scan_compare(ScanConfig(v_max=v_max))
+        ways = Counter()
+        for rep in reports:
+            v, k, lam, mu = p = rep.params
+            if 0 < mu < k and rep.type_tag is not SrgType.TYPE_I_ONLY:
+                a = (mu - lam + isqrt((lam - mu) ** 2 + 4 * (k - mu))) // 2
+                way = delsarte_level_branch(p, (k - mu) // a, a)
+                assert (p in left) == (way != "delsarte-level"), (p, way)
+                ways[way] += 1
+        assert (sum(ways.values()), ways["delsarte-level"]) == (rows, decided)
 
 
 class TestCertificate:

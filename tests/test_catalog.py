@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -6,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+import srgbounds.catalog as catalog_module
 from srgbounds.cab import BoundsReport, CabWitness, _report, cap_min_over_b, full_report
 from srgbounds.catalog import (
     CSV_HEADER,
@@ -604,6 +606,50 @@ class TestScanCompare:
 class TestConjecture:
     def test_empty_at_small_scale(self):
         assert conjecture_scan(ScanConfig(v_max=150)) == []
+
+
+class TestGarbageCollectorPause:
+    """scan_compare and conjecture_scan build their records with the cyclic
+    garbage collector paused, and leave it as they found it."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """gc.isenabled() at each report the scan builds."""
+        seen = []
+
+        def watched(*row):
+            seen.append(gc.isenabled())
+            return _report(*row)
+
+        monkeypatch.setattr(catalog_module, "_report", watched)
+        return seen
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def state(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("scan", [scan_compare, conjecture_scan])
+    def test_paused_while_building_and_restored(self, seen, state, scan):
+        scan(ScanConfig(v_max=150))
+        assert seen and not any(seen)
+        assert gc.isenabled() is state
+
+    @pytest.mark.parametrize("scan", [scan_compare, conjecture_scan])
+    def test_restored_after_an_error(self, monkeypatch, state, scan):
+        def fails(*row):
+            raise AssertionError("a report check failed")
+
+        monkeypatch.setattr(catalog_module, "_report", fails)
+        with pytest.raises(AssertionError, match="a report check failed"):
+            scan(ScanConfig(v_max=150))
+        assert gc.isenabled() is state
+
+    def test_enumeration_never_yields_paused(self):
+        assert gc.isenabled()
+        assert all(gc.isenabled() for _ in enumerate_feasible(500))
 
 
 class TestEmitters:

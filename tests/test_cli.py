@@ -99,7 +99,12 @@ class TestBounds:
         ("21 8 3", '{"v": 21, "k": 8, "lambda": 3, "mu": null, "cab": 4, '
                    '"cab_witness_b": 1, "cab_witness_y": 5, "delsarte": null, '
                    '"trivial": 5, "thm21": false, "thm22": false, "improved": null}\n'),
-    ], ids=["srg", "edge-regular"])
+        # the complement of the Schlafli graph: cab() decides it at none of
+        # its steps 1 and 2, and the report at the Delsarte level, without cab()
+        ("27 16 10 8", '{"v": 27, "k": 16, "lambda": 10, "mu": 8, "cab": 9, '
+                       '"cab_witness_b": 4, "cab_witness_y": 10, "delsarte": 9, '
+                       '"trivial": 12, "thm21": false, "thm22": false, "improved": null}\n'),
+    ], ids=["srg", "edge-regular", "delsarte-level"])
     def test_json_stdout(self, capsys, params, stdout):
         assert run(capsys, "bounds", *params.split(), "--json") == (0, stdout, "")
 
@@ -127,6 +132,20 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", *params)
         assert (code, out) == (2, "")
         assert err.startswith("error: empty comma-separated field in ")
+
+    @pytest.mark.parametrize("params, message", [
+        (["17", "8", "3"] + ["4"] * 50000,
+         "error: expected 3 or 4 integers, got '17 8 3 4 4 4 4 4 4 4'..."),
+        (["17,8,,4"] * 50000, "error: empty comma-separated field in '17,8,,4 17,8,,4 17,8'..."),
+        (["1", "2"], "error: expected 3 or 4 integers, got '1 2'"),
+        (["17,8,,4"], "error: empty comma-separated field in '17,8,,4'"),
+    ], ids=["many-fields", "many-empty-fields", "two-fields", "empty-field"])
+    def test_params_message_is_bounded(self, capsys, params, message):
+        # the arguments are quoted up to their first 20 characters
+        code, out, err = run(capsys, "bounds", *params)
+        assert (code, out) == (2, "")
+        assert err == message + "\n"
+        assert len(err) < 200, len(err)
 
     def test_empty_argv_entries_are_blanks(self, capsys):
         assert run(capsys, "bounds", "17", "", "8", "3", "4", "--json") == \
@@ -609,6 +628,20 @@ class TestGraphCommands:
         code, out, err = run(capsys, "maxclique", str(f))
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid graph6 character ' ' at offset 3:")
+        assert len(err) < 200, len(err)
+
+    @pytest.mark.parametrize("text, message", [
+        ("4\n0 1\n" + "0 1 " * 150000 + "\n", "error: bad edge line '0 1 0 1 0 1 0 1 0 1 '..."),
+        ("1 " * 300000 + "\n0 1\n", "error: bad vertex count line '1 1 1 1 1 1 1 1 1 1 '..."),
+    ], ids=["edge", "count"])
+    def test_maxclique_long_line_message_is_bounded(self, capsys, tmp_path, text, message):
+        # the line is quoted up to its first 20 characters
+        f = tmp_path / "long.txt"
+        f.write_text(text)
+        assert f.stat().st_size >= 600000
+        code, out, err = run(capsys, "maxclique", str(f))
+        assert (code, out) == (2, "")
+        assert err == message + "\n"
         assert len(err) < 200, len(err)
 
     def test_maxclique_missing_file(self, capsys):

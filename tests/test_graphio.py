@@ -39,14 +39,14 @@ def read_edge_list_reference(text: str) -> Graph:
     try:
         n = int_reference(lines[0])
     except ValueError as exc:
-        raise GraphFormatError(f"bad vertex count line {lines[0]!r}") from exc
+        raise GraphFormatError(f"bad vertex count line {quote(lines[0])}") from exc
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"edge list with n={n} > {GRAPH6_MAX_N} is unsupported")
     g = Graph(n)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
+            raise GraphFormatError(f"bad edge line {quote(ln)}")
         g.add_edge(int_reference(parts[0]), int_reference(parts[1]))
     return g
 

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,9 +20,11 @@ from srgbounds.identities import (
     verify_identity_mutated,
 )
 from srgbounds import identities
+from srgbounds.cab import _thm22, cap_min_over_b
+from srgbounds.catalog import _primitive_rows
 from srgbounds.identities import IdentityCase, _numeric_symbols, _symbolic_symbols
 from srgbounds.mpoly import VARS, MPoly
-from srgbounds.srg import SrgParams, spectrum
+from srgbounds.srg import FeasibilityLevel, SrgParams, spectrum
 
 CASE_BY_NAME = {case.name: case for case in CASES}
 
@@ -302,3 +307,103 @@ def test_term_count_before_any_proof_expands_once(expansions, monkeypatch):
     assert not any(verify_identity_mutated(case, t) for t in range(count))
     assert cleared_degree(case) == EXPECTED_DEGREES[case.name]
     assert expansions == [case.name]
+
+
+# -- the Delsarte-level lemma --------------------------------------------------
+
+LEVEL_CASES = identities._DELSARTE_LEVEL_CASES
+CASE_BY_LEVEL_NAME = {case.name: case for case in LEVEL_CASES}
+
+LEVEL_DEGREES = {
+    "delsarte-level-completed-square": 7,
+    "delsarte-level-vertex-floor": 4,
+    "delsarte-level-vertex-ceiling": 5,
+    "delsarte-level-value": 5,
+    "delsarte-level-thm22": 5,
+}
+
+
+class TestDelsarteLevelLemma:
+    """The cases behind cab._report's Delsarte-level path, kept out of CASES,
+    and a data check of the lemma they prove: level delta = q + 1 of a
+    tuple with integer r >= 1, s = -a <= -2 and mu > 0 is negative exactly
+    when thm22 holds, which is m > 0 and mu < (a-1)(a-m) for k = qa + m."""
+
+    def test_inventory(self):
+        assert [case.name for case in LEVEL_CASES] == list(LEVEL_DEGREES)
+        assert {case.parameterization for case in LEVEL_CASES} == {"delsarte-level"}
+        assert set(LEVEL_DEGREES).isdisjoint(CASE_BY_NAME)
+
+    @pytest.mark.parametrize("case", LEVEL_CASES, ids=lambda c: c.name)
+    def test_identity_verifies(self, case):
+        assert verify_identity(case)
+        assert cleared_degree(case) == LEVEL_DEGREES[case.name]
+
+    @pytest.mark.parametrize("case", LEVEL_CASES, ids=lambda c: c.name)
+    def test_every_mutation_fails(self, case):
+        count = rhs_term_count(case)
+        assert count >= 1
+        assert not any(verify_identity_mutated(case, i) for i in range(count))
+
+    @pytest.mark.parametrize("case", LEVEL_CASES, ids=lambda c: c.name)
+    def test_random_point_crosscheck(self, case):
+        assert random_point_crosscheck(case, trials=100, seed=20261020)
+
+    @pytest.mark.parametrize("case", LEVEL_CASES, ids=lambda c: c.name)
+    def test_clearing_is_the_least(self, case):
+        # one power of s fewer leaves a denominator
+        power = dict(case.clearing).get("s", 0)
+        if power:
+            fewer = dataclasses.replace(case, clearing=(("s", power - 1),) if power > 1 else ())
+            with pytest.raises(ResidualDivisionError):
+                cleared_sides(fewer)
+
+    def test_ceiling_has_nonnegative_coefficients(self):
+        # q = r + j and a = m + 1 + beta, so mu = ja + m and k = qa + m: the
+        # right side of the ceiling case is a polynomial in (r, j, m, beta)
+        # with non-negative coefficients, and its terms r^2 m and r^2 beta
+        # make it positive for r >= 1 and a = m + 1 + beta >= 2
+        r, j, m, beta = (MPoly.var(n) for n in ("r", "j", "m", "beta"))
+        a = m + 1 + beta
+        sym = {"r": r, "s": -a, "mu": j * a + m, "k": (r + j) * a + m, "q": r + j, "m": m}
+        rhs = CASE_BY_LEVEL_NAME["delsarte-level-vertex-ceiling"].rhs(sym)
+        assert rhs.terms and min(rhs.terms.values()) > 0
+        for name in ("m", "beta"):
+            term = MPoly.monomial(1, {"r": 2, name: 1})
+            assert (rhs - term).terms.keys() < rhs.terms.keys()
+
+    @staticmethod
+    def check_lemma(p: SrgParams, r: int, a: int):
+        v, k, lam, mu = p
+        q, m = divmod(k, a)
+        t22 = _thm22(p, r, -a)
+        assert t22 == (m > 0 and mu < (a - 1) * (a - m)), p
+        assert (cap_min_over_b(v, k, lam, q + 1)[1] < 0) == t22, p
+        return t22
+
+    def test_on_every_scan_row(self):
+        # every integer-spectrum row with 0 < mu < k at COUNTING, the rows
+        # with lam_bar < 0 among them
+        rows = [row for row in _primitive_rows(10000, FeasibilityLevel.COUNTING)
+                if row[2] is not None]
+        assert len(rows) == 41430
+        assert sum(row[0].v - 2 * row[0].k + row[0].mu - 2 < 0 for row in rows) == 1397
+        held = Counter(self.check_lemma(p, r, -s) for p, _, r, s in rows)
+        assert held[True] > 0 and held[False] > 0
+
+    def test_on_random_tuples(self):
+        # r and a up to 10^7, mu a divisor of n = ra(r+1)(a-1) and v from
+        # the counting identity; multiplicities are not asked for
+        rng = random.Random(42)
+        held = Counter()
+        for _ in range(600):
+            r, a = rng.randint(1, 10**rng.randint(1, 7)), rng.randint(2, 10**rng.randint(1, 7))
+            mu = 1
+            for x in (r, r + 1, a, a - 1):
+                mu *= x if rng.random() < 0.2 else gcd(x, rng.randrange(1, 10**8))
+            n = r * a * (r + 1) * (a - 1)
+            k = mu + r * a
+            p = SrgParams(k + 1 + (r + 1) * (a - 1) + n // mu, k, mu + r - a, mu)
+            held[self.check_lemma(p, r, a)] += 1
+        assert held[True] > 50 and held[False] > 50
+
