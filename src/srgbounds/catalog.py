@@ -49,8 +49,8 @@ CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration builds about
 # v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes a median 3.3 s (3.0-3.5 s over 7
-# processes) and a peak RSS of 103 MB at the default level on a shared
+# fresh CSV scan at v <= 10000 takes a median 1.13 s (1.11-1.76 s over 7
+# processes) and a peak RSS of 104 MB at the default level on a shared
 # 2-core Intel Xeon machine with Python 3.11.7, growing with v
 SCAN_MAX_V = 10000
 

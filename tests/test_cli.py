@@ -33,6 +33,40 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the rows of tests/pins.txt, each split on whitespace: sha256 of stdout
+# followed by stderr, stdout line count, exit code, tier and argv; a line
+# whose first word starts with # is a comment, as in CI's loop over the file
+PINS_FILE = os.path.join(os.path.dirname(__file__), "pins.txt")
+with open(PINS_FILE) as _f:
+    PINS = [row for row in map(str.split, _f) if row and not row[0].startswith("#")]
+
+
+@pytest.mark.parametrize("pin", [row for row in PINS if row[3:4] == ["1"]],
+                         ids=lambda row: "-".join(w.strip("-/").replace("/", "-") for w in row[4:]))
+def test_pinned_output(capsys, pin):
+    # a tier-1 row, in process; CI runs every row through the installed srgbounds
+    digest, lines, exit_code, _, *argv = pin
+    code, out, err = run(capsys, *argv)
+    assert (code, out.count("\n")) == (int(exit_code), int(lines))
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
+def test_pin_table_is_well_formed():
+    with open(PINS_FILE) as f:
+        assert f.read().endswith("\n")  # CI's read skips a last line without one
+    argvs = [" ".join(row[4:]) for row in PINS]
+    assert len(set(argvs)) == len(argvs)
+    for row in PINS:
+        assert len(row) >= 5, row
+        assert len(row[0]) == 64 and set(row[0]) <= set("0123456789abcdef"), row
+        assert row[1].isdigit() and row[2].isdigit(), row
+        assert row[3] in ("1", "ci"), row
+    # CI's loop runs every row; a workflow that stops reading the table fails here
+    with open(os.path.join(os.path.dirname(PINS_FILE), os.pardir, ".github", "workflows",
+                           "tests.yml")) as f:
+        assert "tests/pins.txt" in f.read()
+
+
 def bounds_json(p):
     """The answer of `bounds --json`, keys in order: a tuple's report, or for
     an edge-regular triple its CAB with no mu, Delsarte or predicate."""
@@ -325,53 +359,6 @@ class TestScan:
         assert code == 0
         data = json.loads(out)
         assert data[0]["v"] == 5
-
-    @pytest.mark.parametrize("max_v,level,tuples,digest,stats", [
-        (150, "absolute", 1227,
-         "c4b2784a61c88797950c37a26e1d21afc07de84b8faf175b609e319e86428c62", None),
-        # the COUNTING scan skips tuples without integral multiplicities
-        (150, "counting", 1281,
-         "433dfa9bf4ed2561cfea42dc02e9b66f4e5861804ba5e3039297d7aa6daf7082", None),
-        (700, "counting", 8891,
-         "27c394c3f249c3d2b5b202dad3a859fc2476b2bed6eb5c9cecb8541e840f2111", None),
-        (1000, "counting", 13660,
-         "56ea2d46a4b2eb69e4a8c585270e7663a3b0de2b2998cbcafc76c68190b03715", None),
-        (500, "absolute", 5681,
-         "2d1d3a57bc92e148f175e626d4866c9992e0de7ebc2c8c0b6f1e4d7b4a30a739", None),
-        # the generator drops fractional multiplicities from INTEGRALITY up
-        (500, "integrality", 5860,
-         "a0bc4607e68e294402be7a5d22431d496ebf685094c750449b0a6b73638bcd9a", None),
-        (500, "krein", 5719,
-         "43e35c849ce3daea5eadf7ae0070fca75f97261a0f15435978a706e702e0d41e", None),
-        # the range of the published parameter tables
-        (1300, "absolute", 18011,
-         "958c3d2e935c3bed414109b8604e974d4776f2dcd0f4b168754d8bb8cb2b32b3",
-         "type-I tuples: 177, improvement predicate: 46 (0.2599)\n"
-         "type-II tuples (conn+coconn): 3966, improvement predicate: 493 (0.1243)\n"
-         "type-II complementary pairs: 1982, covered: 493 (0.2487)\n"),
-        (3000, "absolute", 47721,
-         "d2063e5a61e7325c037af906a0dd1d0d23bf30740ec1aae70302e8c6693ed0ee", None),
-    ], ids=["absolute", "counting", "counting-700", "counting-1000", "absolute-500",
-            "integrality-500", "krein-500", "absolute-1300", "absolute-3000"])
-    def test_csv_digest(self, capsys, max_v, level, tuples, digest, stats):
-        # the catalogue, byte for byte, and where pinned its --stats lines
-        code, out, err = run(capsys, "scan", "--max-v", str(max_v), "--level", level,
-                             "--format", "csv", *(["--stats"] if stats else []))
-        assert code == 0
-        assert len(out.splitlines()) == 1 + tuples
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert err == (stats or "")
-
-    @pytest.mark.parametrize("fmt,lines,digest", [
-        ("json", 39400, "72055d45d7cd9bb7eecad749066df7d619495b594e5be27d214d2ad33cc2a5e7"),
-        ("table", 3026, "d33cc40f161b3cf0980ad6a2c3efcc2ad93c23a0a01e662d66a35807c0db07cf"),
-    ], ids=["json", "table"])
-    def test_digest_up_to_300(self, capsys, fmt, lines, digest):
-        # the JSON rows with their annotations, and the table, byte for byte
-        code, out, _ = run(capsys, "scan", "--max-v", "300", "--format", fmt)
-        assert code == 0
-        assert len(out.splitlines()) == lines
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stats_to_stderr(self, capsys):
         code, out, err = run(capsys, "scan", "--max-v", "60", "--stats")
