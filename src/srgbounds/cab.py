@@ -136,16 +136,13 @@ def _negative_runs(cs: tuple[int, int, int, int], lo: int,
         first = last + 1
 
 
-def cab(p: EdgeRegularParams | SrgParams, *,
-        start: Optional[int] = None) -> tuple[int, CabWitness]:
+def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     """Clique adjacency bound: least c >= 2 with C(b, c+1) < 0 for some b.
 
     It reads only v, k, lam and validate() of p, so a SrgParams is bounded
-    as its edge-regular triple, after its own (stricter) validation.  start
-    is a guess at the answer level c+1, which step 3 walks from; the
-    answer and witness do not depend on it.  _report calls cab() only on
-    the rows its Delsarte-level path, which rests on the one-run lemma of
-    step 3, leaves undecided.
+    as its edge-regular triple, after its own (stricter) validation.
+    _report calls cab() only on the rows its Delsarte-level path, which
+    rests on the one-run lemma of step 3, leaves undecided.
 
     It is at most lam+2, since C(0, lam+3) = -(lam+3)(lam+2) < 0.  Three
     steps decide it, each with the first negative level y = c+1 and the
@@ -197,18 +194,11 @@ def cab(p: EdgeRegularParams | SrgParams, *,
        For y > r0, P(y) and Q(y) have the same sign.  Q opens downward, so
        Q >= 0 exactly on an interval [q1, q2], and 3 lies in it, as
        3 > r0 and P(3) >= 0.  So for y >= 3, P(y) < 0 exactly when
-       y > q2.  A start level 3 <= start <= top replaces that bisection:
-       the levels from start down are minimized while P < 0, which reaches
-       first, and the lowest negative one is the answer; if none is, the
-       walk goes on up from start + 1; and if P(start) >= 0, first > start
-       and the bisection runs on [start, top] only.  Any other start means
-       3.  Most primitive tuples (0 < mu < k) take this path: 1,191 of the
-       1,301 with v <= 500, and 92 more take step 1; the scan's reports
-       decide 948 of them without cab().  Otherwise,
-       when P(3) < 0 or c3 >= 0, _negative_runs cuts the range at the
-       critical points of P and bisects each piece.  Every level of those
-       runs is still minimized over b by cap_min_over_b, so the first
-       negative level and its witness are those of the plain walk.
+       y > q2.  Most primitive tuples (0 < mu < k) take this path.
+       Otherwise, when P(3) < 0 or c3 >= 0, _negative_runs cuts the range
+       at the critical points of P and bisects each piece.  Every level of
+       those runs is still minimized over b by cap_min_over_b, so the
+       first negative level and its witness are those of the plain walk.
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
@@ -230,23 +220,10 @@ def cab(p: EdgeRegularParams | SrgParams, *,
         return m, CabWitness(b=b, c_plus_1=m + 1, value=val)
     # step 3, the walk
     top = min(lam + 3, v - 1)
-    c3, c2, c1, c0 = cs = _certificate_cubic(v, k, lam)
-    if c3 < 0 and _cubic(cs, 3) >= 0:
+    cs = _certificate_cubic(v, k, lam)
+    if cs[0] < 0 and _cubic(cs, 3) >= 0:
         # the one-run lemma: [first, top], or nothing
-        y = lo = start if start is not None and 3 <= start <= top else 3
-        found = None
-        while ((c3 * y + c2) * y + c1) * y + c0 < 0:  # ends by y = 3: P(3) >= 0
-            b, val = cap_min_over_b(v, k, lam, y)
-            if val < 0:
-                found = (b, y, val)
-            y -= 1
-        if found is not None:
-            # why tuple.__new__: see the record comment above
-            return found[1] - 1, tuple.__new__(CabWitness, found)
-        if y < lo:
-            runs = ((lo + 1, top),)
-        else:
-            runs = ((_sign_change(cs, top, lo), top),) if _cubic(cs, top) < 0 else ()
+        runs = ((_sign_change(cs, top, 3), top),) if _cubic(cs, top) < 0 else ()
     else:
         runs = _negative_runs(cs, 3, top)
     for lo, hi in runs:
@@ -388,19 +365,18 @@ def full_report(p: SrgParams) -> BoundsReport:
 def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> BoundsReport:
     """full_report's body, for a tuple p passing INTEGRALITY with type tag
     and restricted eigenvalues r, s as _int_spectrum gives them (None, None
-    for a conference tuple with irrational eigenvalues).  full_report
-    validates p in _int_spectrum and again on either path below, in cab()
-    or before the witness; the scan hands on the spectrum its generator
-    built, so there p is validated once.
+    for a conference tuple with irrational eigenvalues).  p is validated
+    already: full_report does it in _int_spectrum, and the scan's rows pass
+    COUNTING by _primitive_rows' proof.  So only cab() validates it again.
 
-    The CAB is at most Delsarte = delta, and equal to it when no level in
-    [3, delta] is negative.  For integer r >= 1 and mu > 0 the
+    The CAB is at most Delsarte = delta.  For integer r >= 1 and mu > 0 the
     Delsarte-level lemma (identities._DELSARTE_LEVEL_CASES) proves that
-    level delta is negative if and only if thm22 holds.  So where thm22
-    fails, and cab()'s one-run lemma (c3 < 0 and P(3) >= 0) with P(delta-1)
-    >= 0 leaves no negative level in [3, delta-1], the CAB is delta, and
-    its witness is the one cab() gives at level delta+1 < v.  Every other
-    row, and every thm51 row, calls cab()."""
+    level delta is negative if and only if thm22 holds.  Where cab()'s
+    one-run lemma (c3 < 0 and P(3) >= 0) holds with P(delta-1) >= 0, no
+    level in [3, delta-1] is negative, so the answer level is delta + 1 -
+    [thm22]: the CAB is delta - [thm22], with the witness cab() gives at
+    that level, which is below v.  Every other row, and every thm51 row,
+    calls cab()."""
     dels = _delsarte(p, s)
     # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
     # thm21_applies cannot raise; it is called by its module-level name
@@ -408,33 +384,29 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
     t51 = _thm51(p, s)
     v, k, lam, mu = p
-    level = dels + 1
+    level = dels + 1 - t22
     # r >= 1 and mu > 0 give mu < k, as k - mu = -rs, and s <= -2, as
     # k - lam - 1 = -(r+1)(s+1) > 0 by the counting identity.  cab()
     # decides a thm51 row at its step 1, in one level and without the cubic
     proved = False
-    if not (t22 or t51) and s is not None and r > 0 and mu > 0 and level < v:
+    if not t51 and s is not None and r > 0 and mu > 0 and level < v:
         c3, c2, c1, c0 = _certificate_cubic(v, k, lam)
+        # P(delta-1) on a thm22 row too: the lemma says nothing of level
+        # delta-1, which is negative where the gap is 2
         y = dels - 1
         proved = (c3 < 0 and ((3 * c3 + c2) * 3 + c1) * 3 + c0 >= 0
                   and (y < 3 or ((c3 * y + c2) * y + c1) * y + c0 >= 0))
     if proved:
-        p.validate()
         # called by its module-level name, as cab() calls it
         b, val = cap_min_over_b(v, k, lam, level)
         if val >= 0:
-            raise AssertionError(f"level {level} above Delsarte is not negative for {p}")
+            raise AssertionError(f"level {level} is not negative for {p}")
         # why tuple.__new__: see the record comment in cab()
-        cab_val, witness = dels, tuple.__new__(CabWitness, (b, level, val))
+        cab_val, witness = level - 1, tuple.__new__(CabWitness, (b, level, val))
     else:
         # cab is called by its module-level name so that perfbench can time
-        # the CAB bound on its own.  The walk starts at Delsarte - [t21 or
-        # t22] + 1.  With integer r >= 1 and mu > 0 no answer level lies
-        # above it, by the Delsarte bound and, where thm22 holds, by the
-        # Delsarte-level lemma; that the start is the answer, as on almost
-        # every row (ROADMAP item 15), rests on data.  A wrong start costs
-        # levels, never the answer
-        cab_val, witness = cab(p, start=level - (t21 or t22))
+        # the CAB bound on its own
+        cab_val, witness = cab(p)
     if cab_val > lam + 2:
         raise AssertionError(f"cab {cab_val} exceeds trivial bound for {p}")
     if cab_val > dels:

@@ -18,7 +18,13 @@ from srgbounds.cab import (
     hoffman_clique_bound,
     thm21_applies,
 )
-from srgbounds.catalog import ScanConfig, _primitive_rows, enumerate_feasible, scan_compare
+from srgbounds.catalog import (
+    ScanConfig,
+    _primitive_rows,
+    conjecture_scan,
+    enumerate_feasible,
+    scan_compare,
+)
 from srgbounds.mpoly import MPoly
 from srgbounds.quadext import QuadExt
 from srgbounds.srg import (
@@ -253,9 +259,9 @@ class TestCabOracle:
         assert len(calls) == 6778
 
     def test_scan_levels_visited(self, calls):
-        # the v <= 500 scan's reports decide 948 rows at the Delsarte level,
-        # in one level each (TestDelsarteLevelPath), and start every other
-        # walk at the level their Delsarte bound and predicates predict
+        # the v <= 500 scan's reports decide most rows at their answer level
+        # Delsarte + 1 - [thm22], in one level each (TestDelsarteLevelPath),
+        # and leave the others to cab()
         scan_compare(ScanConfig(v_max=500))
         assert len(calls) == 1555
 
@@ -351,62 +357,18 @@ class TestOneRunLemma:
         assert fired == {"scan": 9980, "random": 906}
 
 
-class TestStartLevel:
-    """cab(p, start=h) replaces the one-run bisection by a walk from h:
-    down while P < 0, then up from h + 1, or a bisection of [h, top] when
-    P(h) >= 0.  The answer and witness never depend on h."""
-
-    def test_any_start_gives_the_same_answer(self):
-        rng = random.Random(11)
-        ways = Counter()
-        for p in random_triples(11, 1200, 3000):
-            v, k, lam = p
-            want = cab(p)
-            top = min(lam + 3, v - 1)
-            mid = rng.randint(3, max(3, top))
-            for h in (3, top, mid, top + 1, top + rng.randint(2, 10**6),
-                      -rng.randint(0, 10), None):
-                assert cab(p, start=h) == want, (p, h)
-            cs = cab_module._certificate_cubic(v, k, lam)
-            if walks(v, k, lam) and cs[0] < 0 and cab_module._cubic(cs, 3) >= 0 and top >= 3:
-                ways["bisect" if cab_module._cubic(cs, mid) >= 0
-                     else "down" if want[1].c_plus_1 <= mid else "up"] += 1
-        # the middle start takes each of the three ways
-        assert ways == {"bisect": 216, "down": 229, "up": 8}
-
-    def test_reports_match_linear_walk_to_500(self):
-        rows = list(_primitive_rows(500, FeasibilityLevel.COUNTING))
-        assert len(rows) == 1524
-        for row in rows:
-            rep = cab_module._report(*row)
-            assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]
-
-    def test_reports_match_cab_without_start_to_3000(self):
-        # the start Delsarte - [thm21 or thm22] + 1 is the answer level on
-        # every row but those with gap >= 2, where it lies higher
-        seen = Counter()
-        for row in _primitive_rows(3000, FeasibilityLevel.COUNTING):
-            rep = cab_module._report(*row)
-            assert (rep.cab, rep.cab_witness) == cab(row[0]), row[0]
-            seen.update(conference=row[3] is None, thm21=rep.thm21, thm22=rep.thm22,
-                        above=rep.delsarte - (rep.thm21 or rep.thm22) > rep.cab)
-            if row[0] == SrgParams(2185, 264, 23, 33):
-                assert (rep.delsarte, rep.thm22, rep.cab) == (13, True, 11)
-        assert seen == {"conference": 723, "thm21": 182, "thm22": 1691, "above": 124}
-
-
 def delsarte_level_branch(p: SrgParams, r: int, a: int) -> str:
     """How cab._report decides the CAB of p, a tuple with integer
     eigenvalues r >= 1 and -a <= -2 and mu > 0, recomputed from the terms of
-    the Delsarte-level lemma: "delsarte-level" at level q + 1 without cab(),
-    else the first check that leaves it to cab()."""
+    the Delsarte-level lemma: without cab(), "delsarte-level" at level
+    q + 2 when thm22 fails and "thm22" at level q + 1 when it holds, else
+    the first check that leaves it to cab()."""
     v, k, lam, mu = p
     q, m = divmod(k, a)
-    if m > 0 and mu < (a - 1) * (a - m):
-        return "thm22"
+    thm22 = m > 0 and mu < (a - 1) * (a - m)
     if k >= a * (lam + 1):
         return "thm51"
-    if q + 2 >= v:
+    if q + 2 - thm22 >= v:
         return "top"
     cs = cab_module._certificate_cubic(v, k, lam)
     if cs[0] >= 0:
@@ -415,7 +377,10 @@ def delsarte_level_branch(p: SrgParams, r: int, a: int) -> str:
         return "p3"
     if q >= 3 and cab_module._cubic(cs, q) < 0:
         return "below"
-    return "delsarte-level"
+    return "thm22" if thm22 else "delsarte-level"
+
+
+PROVED = ("delsarte-level", "thm22")
 
 
 def generated_tuples(seed: int, count: int, top: int, v_max: int):
@@ -441,9 +406,10 @@ def generated_tuples(seed: int, count: int, top: int, v_max: int):
 
 
 class TestDelsarteLevelPath:
-    """_report decides a row at its Delsarte level delta without cab() when
-    thm22 and thm51 fail, c3 < 0, P(3) >= 0, P(delta-1) >= 0 and delta + 1 <
-    v (identities._DELSARTE_LEVEL_CASES); the plain walk stays the oracle."""
+    """_report decides a row at its answer level delta + 1 - [thm22]
+    without cab() when thm51 fails, c3 < 0, P(3) >= 0, P(delta-1) >= 0 and
+    that level is below v (identities._DELSARTE_LEVEL_CASES); the plain
+    walk stays the oracle."""
 
     def test_matches_linear_walk_on_random_tuples(self):
         seen = Counter()
@@ -452,8 +418,8 @@ class TestDelsarteLevelPath:
             assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
             seen[delsarte_level_branch(p, r, a)] += 1
         # every way _report can take, but the two no tuple here reaches
-        assert seen == {"delsarte-level": 1309, "thm22": 234, "p3": 226, "below": 158,
-                        "thm51": 73}
+        assert seen == {"delsarte-level": 1309, "thm22": 157, "p3": 239, "below": 183,
+                        "thm51": 112}
 
     def test_schlafli_complement_skips_cab(self, monkeypatch):
         # cab()'s steps 1 and 2 do not decide (27, 16, 10, 8); the report
@@ -465,16 +431,20 @@ class TestDelsarteLevelPath:
         assert (rep.cab, rep.cab_witness, rep.delsarte) == (*want, 9)
         assert want == (9, CabWitness(b=4, c_plus_1=10, value=-40))
 
-    @pytest.mark.parametrize("v_max, rows, decided", [(500, 1231, 948), (3000, 10333, 7444)])
-    def test_rows_left_to_cab_on_the_scan(self, monkeypatch, v_max, rows, decided):
+    # rows decided with CAB = Delsarte - 1, on top of the decided ones
+    # with CAB = Delsarte: 1,039 of 1,231 and 8,583 of 10,333 in all
+    THM22_DECIDED = {500: 91, 3000: 1139}
+
+    @pytest.fixture
+    def left(self, monkeypatch):
+        """The tuples handed to the module-level cab()."""
         left = set()
         original = cab_module.cab
+        monkeypatch.setattr(cab_module, "cab", lambda p: left.add(p) or original(p))
+        return left
 
-        def counted(p, **start):
-            left.add(p)
-            return original(p, **start)
-
-        monkeypatch.setattr(cab_module, "cab", counted)
+    @pytest.mark.parametrize("v_max, rows, decided", [(500, 1231, 948), (3000, 10333, 7444)])
+    def test_rows_left_to_cab_on_the_scan(self, left, v_max, rows, decided):
         reports, _ = scan_compare(ScanConfig(v_max=v_max))
         ways = Counter()
         for rep in reports:
@@ -482,9 +452,41 @@ class TestDelsarteLevelPath:
             if 0 < mu < k and rep.type_tag is not SrgType.TYPE_I_ONLY:
                 a = (mu - lam + isqrt((lam - mu) ** 2 + 4 * (k - mu))) // 2
                 way = delsarte_level_branch(p, (k - mu) // a, a)
-                assert (p in left) == (way != "delsarte-level"), (p, way)
+                assert (p in left) == (way not in PROVED), (p, way)
                 ways[way] += 1
-        assert (sum(ways.values()), ways["delsarte-level"]) == (rows, decided)
+        assert ((sum(ways.values()), ways["delsarte-level"], ways["thm22"])
+                == (rows, decided, self.THM22_DECIDED[v_max]))
+
+    def test_reports_match_linear_walk_to_500(self):
+        rows = list(_primitive_rows(500, FeasibilityLevel.COUNTING))
+        assert len(rows) == 1524
+        for row in rows:
+            rep = cab_module._report(*row)
+            assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]
+
+    def test_reports_match_cab_to_3000(self):
+        # the proved path and cab() agree on every row; on the rows with
+        # gap >= 2 the CAB lies below Delsarte - [thm21 or thm22]
+        seen = Counter()
+        for row in _primitive_rows(3000, FeasibilityLevel.COUNTING):
+            rep = cab_module._report(*row)
+            assert (rep.cab, rep.cab_witness) == cab(row[0]), row[0]
+            seen.update(conference=row[3] is None, thm21=rep.thm21, thm22=rep.thm22,
+                        above=rep.delsarte - (rep.thm21 or rep.thm22) > rep.cab)
+            if row[0] == SrgParams(2185, 264, 23, 33):
+                assert (rep.delsarte, rep.thm22, rep.cab) == (13, True, 11)
+        assert seen == {"conference": 723, "thm21": 182, "thm22": 1691, "above": 124}
+
+    def test_gap_two_rows_go_to_cab(self, left):
+        # the conjecture hits have CAB <= Delsarte - 2 and thm22, so level
+        # Delsarte - 1 is negative too; the P(Delsarte - 1) check must send
+        # each one to cab() rather than answer Delsarte - 1
+        hits = conjecture_scan(ScanConfig(v_max=3000))
+        assert len(hits) == 13 and SrgParams(2185, 264, 23, 33) in hits
+        for p in hits:
+            rep = full_report(p)
+            assert p in left and rep.thm22 and rep.cab <= rep.delsarte - 2, p
+            assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
 
 
 class TestCertificate:
@@ -774,14 +776,20 @@ class TestThm51Shortcut:
             rep = cab_module._report(*row)
             assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]
 
-    def test_scan_row_validated_once(self, monkeypatch):
-        # the scan's rows are validated in _report alone, with or without thm51
-        calls = []
-        validate = SrgParams.validate
+    def test_no_scan_row_validated_twice(self, monkeypatch):
+        # a scan row passes COUNTING by _primitive_rows' proof, so _report
+        # validates none; cab() validates each row it is handed, thm51 rows
+        # among them, once
+        calls, left = [], []
+        validate, original = SrgParams.validate, cab_module.cab
         monkeypatch.setattr(SrgParams, "validate", lambda p: calls.append(p) or validate(p))
+        monkeypatch.setattr(cab_module, "cab", lambda p: left.append(p) or original(p))
         rows = _primitive_rows(60, FeasibilityLevel.COUNTING)
-        assert {cab_module._report(*row).thm51 for row in rows} == {False, True}
-        assert calls == [row[0] for row in rows]
+        reports = [cab_module._report(*row) for row in rows]
+        assert {rep.thm51 for rep in reports} == {False, True}
+        assert {rep.params for rep in reports if rep.thm51} <= set(left)
+        assert calls == left
+        assert len(set(calls)) == len(calls) < len(rows)
 
     def test_family_d_matches_linear_walk(self, no_walk):
         for t in range(2, 41):
