@@ -89,12 +89,10 @@ def _floor_root(n: int, sign: int, d: int, q: int) -> int:
 def _sign_change(cs: tuple[int, int, int, int], neg: int, pos: int) -> int:
     """Bisect between neg, where the cubic cs is negative, and pos, where it
     is not, for a cubic that changes sign once between them; return the
-    negative level next to the change.  The cubic is unpacked once and
-    evaluated by Horner's rule in the loop, as _cubic would."""
-    c3, c2, c1, c0 = cs
+    negative level next to the change."""
     while abs(pos - neg) > 1:
         mid = (neg + pos) // 2
-        if ((c3 * mid + c2) * mid + c1) * mid + c0 < 0:
+        if _cubic(cs, mid) < 0:
             neg = mid
         else:
             pos = mid
@@ -155,20 +153,18 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
        3 <= y <= lam+2 is negative, for every integer b (lam+2 <= k+1 <= v):
        * b <= 0: each term of C(b, y) = b(b+1)(v-y) - 2by(k-y+1) +
          y(y-1)(lam-y+2) is >= 0;
-       * b >= 0: level-monotonicity in identities.CASES reads
-         C(b, y) - C(b, lam+2) = (lam+2-y)[(b-y)(b-y+1) + 2b(k-lam-1)] >= 0,
-         and C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
+       * b >= 0: C(b, y) >= C(b, lam+2) by level-monotonicity, and
+         C(b, lam+2) = b((v-lam-2)(b+1) - 2(lam+2)(k-lam-1)), whose
          second factor grows with b, so C(b, lam+2) >= 0 as C(1, lam+2) >= 0.
-       Only the witness at level lam+3 needs lam+3 < v; otherwise it is
-       b = 0.  Disjoint cliques (k = lam+1) take this step, as C(1, lam+2)
-       = 2(v-lam-2) >= 0, and so do K_v and (v, v-2, v-3), which have
-       lam+3 >= v.  So does every thm51 tuple (lam + 1 <= -k/s).  With
-       r + s = lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu),
-       k - lam - 1 = -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu), so
-       thm51 means s = -1 or mu <= -s.  At s = -1, k = lam + 1; mu = 0
-       forces this case.  Otherwise mu > 0, and trivial-level-at-one reads
-       mu C(1, lam+2) / 2 = k(k - (mu+1)(lam+1)) + mu(lam+1)^2 =
+       Disjoint cliques (k = lam+1) take this step, as C(1, lam+2) =
+       2(v-lam-2) >= 0, and so do K_v and (v, v-2, v-3), which have lam+3
+       >= v.  So does every thm51 tuple (lam + 1 <= -k/s).  With r + s =
+       lam - mu and rs = mu - k, k + s(lam+1) = (s+1)(s+mu), k - lam - 1 =
+       -(r+1)(s+1) and k - mu(lam+1) = -(r+mu)(s+mu), so thm51 means s = -1
+       or mu <= -s.  At s = -1, k = lam + 1; mu = 0 forces this case.
+       Otherwise mu > 0, and by trivial-level-at-one mu C(1, lam+2) / 2 =
        (k-lam-1)(k - mu(lam+1)), a product of two factors >= 0, as r >= 0.
+       level-monotonicity and trivial-level-at-one are in identities.CASES.
 
     2. Complete multipartite.  When lam = 2k-v and a = v-k divides v, the
        parameters are those of K_{m x a}, m = v/a, and with z = x - y
@@ -202,45 +198,35 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     """
     p.validate()
     v, k, lam = p.v, p.k, p.lam
+    if v - lam - 2 < (lam + 2) * (k - lam - 1):
+        # C(1, lam+2) < 0, so step 1 does not apply
+        a = v - k
+        if lam == 2 * k - v and v % a == 0:
+            # step 2, K_{m x a}: the CAB is m
+            m = v // a
+            b, val = cap_min_over_b(v, k, lam, m + 1)
+            return m, CabWitness(b, m + 1, val)
+        # step 3, the walk
+        top = min(lam + 3, v - 1)
+        cs = _certificate_cubic(v, k, lam)
+        if cs[0] < 0 and _cubic(cs, 3) >= 0:
+            # the one-run lemma: [first, top], or nothing
+            runs = ((_sign_change(cs, top, 3), top),) if _cubic(cs, top) < 0 else ()
+        else:
+            runs = _negative_runs(cs, 3, top)
+        for lo, hi in runs:
+            for y in range(lo, hi + 1):
+                b, val = cap_min_over_b(v, k, lam, y)
+                if val < 0:
+                    return y - 1, CabWitness(b, y, val)
+        # Only (3, 2, 0) falls through: its range [3, 2] is empty.  Step 1
+        # leaves lam+3 >= v only to (v, v-1, v-3), whose level v-1 = top is
+        # negative at b = 1, as C(1, v-1) = 4 - 2v; every other walking
+        # triple has level lam+3 = top negative at b = 0.
+    # step 1, C(1, lam+2) >= 0, and (3, 2, 0): the CAB is lam+2
     y = lam + 3
-    if v - lam - 2 >= (lam + 2) * (k - lam - 1):
-        # step 1, C(1, lam+2) >= 0: the CAB is lam+2
-        if y < v:
-            b, val = cap_min_over_b(v, k, lam, y)
-            # the records of the scan's rows are built with tuple.__new__:
-            # the __new__ that NamedTuple generates is a Python-level wrapper
-            # that costs about three times as much per record
-            return lam + 2, tuple.__new__(CabWitness, (b, y, val))
-        return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
-    a = v - k
-    if lam == 2 * k - v and v % a == 0:
-        # step 2, K_{m x a}: the CAB is m
-        m = v // a
-        b, val = cap_min_over_b(v, k, lam, m + 1)
-        return m, CabWitness(b=b, c_plus_1=m + 1, value=val)
-    # step 3, the walk
-    top = min(lam + 3, v - 1)
-    cs = _certificate_cubic(v, k, lam)
-    if cs[0] < 0 and _cubic(cs, 3) >= 0:
-        # the one-run lemma: [first, top], or nothing
-        runs = ((_sign_change(cs, top, 3), top),) if _cubic(cs, top) < 0 else ()
-    else:
-        runs = _negative_runs(cs, 3, top)
-    for lo, hi in runs:
-        for y in range(lo, hi + 1):
-            b, val = cap_min_over_b(v, k, lam, y)
-            if val < 0:
-                # why tuple.__new__: see the record comment above
-                return y - 1, tuple.__new__(CabWitness, (b, y, val))
-    # Reached only by (3, 2, 0).  Step 1 leaves lam+3 >= v only to
-    # (v, v-1, v-3), and there level v-1 = lam+2 is negative at b = 1, as
-    # C(1, v-1) = 4 - 2v; every other triple that walks has lam+3 < v,
-    # where level lam+3 is negative at b = 0.  Both levels lie in the
-    # walk's range [3, top] unless v = 3.  (3, 2, 0) walks the empty range
-    # [3, 2] (its c3 = 4 > 0, so _negative_runs yields nothing), and its
-    # CAB is lam+2 = 2, with the witness b = 0 at y = 3 = v.
-    y = lam + 3
-    return lam + 2, CabWitness(b=0, c_plus_1=y, value=cap_value(v, k, lam, 0, y))
+    b, val = cap_min_over_b(v, k, lam, y) if y < v else (0, cap_value(v, k, lam, 0, y))
+    return lam + 2, CabWitness(b, y, val)
 
 
 def _delsarte(p: SrgParams, s: Optional[int]) -> int:
@@ -298,10 +284,11 @@ def thm21_applies(v: int) -> bool:
 
 
 def _thm22(p: SrgParams, r: int, s: int) -> bool:
-    """Improvement predicate for co-connected integer eigenvalues r > s:
-    0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam > 0.  frc(-k/s)
+    """Improvement predicate for integer eigenvalues r > s:
+    0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam.  frc(-k/s)
     is m/a for -s = a and k = qa + m, so clearing a and D gives
-    0 < m and m*D < a*(D - r^2 - r)."""
+    0 < m and m*D < a*(D - r^2 - r).  It is False when D = 0, which holds
+    only for K_{m x a}: there r = 0, and m*0 < a*(-r^2 - r) fails."""
     dd = p.v - 2 * p.k + p.lam
     m = p.k % -s
     return 0 < m and m * dd < -s * (dd - r * r - r)
@@ -375,21 +362,22 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     one-run lemma (c3 < 0 and P(3) >= 0) holds with P(delta-1) >= 0, no
     level in [3, delta-1] is negative, so the answer level is delta + 1 -
     [thm22]: the CAB is delta - [thm22], with the witness cab() gives at
-    that level, which is below v.  Every other row, and every thm51 row,
-    calls cab()."""
+    that level.  Every other row, and every thm51 row, calls cab()."""
     dels = _delsarte(p, s)
     # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
     # thm21_applies cannot raise; it is called by its module-level name
     t21 = s is None and thm21_applies(p.v)
-    t22 = s is not None and p.is_coconnected() and _thm22(p, r, s)
+    t22 = s is not None and _thm22(p, r, s)
     t51 = _thm51(p, s)
-    v, k, lam, mu = p
+    v, k, lam, _ = p
     level = dels + 1 - t22
-    # r >= 1 and mu > 0 give mu < k, as k - mu = -rs, and s <= -2, as
-    # k - lam - 1 = -(r+1)(s+1) > 0 by the counting identity.  cab()
-    # decides a thm51 row at its step 1, in one level and without the cubic
+    # cab() decides a thm51 row at its step 1, in one level and without the
+    # cubic.  Nothing else needs a check, as the guard implies it:
+    # - co-connected: D = 0 only for K_{m x a}, where r = 0 and t22 fails;
+    # - 0 < mu < k: mu = 0 gives s = -1, where thm51 holds; k - mu = -rs;
+    # - level < v: thm51 fails, so s <= -2 and level <= k//2 + 2 < k + 2 <= v.
     proved = False
-    if not t51 and s is not None and r > 0 and mu > 0 and level < v:
+    if not t51 and s is not None and r > 0:
         c3, c2, c1, c0 = _certificate_cubic(v, k, lam)
         # P(delta-1) on a thm22 row too: the lemma says nothing of level
         # delta-1, which is negative where the gap is 2
@@ -401,7 +389,9 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
         b, val = cap_min_over_b(v, k, lam, level)
         if val >= 0:
             raise AssertionError(f"level {level} is not negative for {p}")
-        # why tuple.__new__: see the record comment in cab()
+        # the records of the scan's rows are built with tuple.__new__: the
+        # __new__ that NamedTuple generates is a Python-level wrapper that
+        # costs about three times as much per record
         cab_val, witness = level - 1, tuple.__new__(CabWitness, (b, level, val))
     else:
         # cab is called by its module-level name so that perfbench can time

@@ -48,10 +48,8 @@ from .srg import (
 CSV_HEADER = "v,k,lambda,mu,type,cab,delsarte,gap,thm21,thm22,thm51"
 
 # largest v_max a scan accepts, at every level: enumeration builds about
-# v log v candidates and the scan holds one report per feasible tuple, so a
-# fresh CSV scan at v <= 10000 takes a median 1.13 s (1.11-1.76 s over 7
-# processes) and a peak RSS of 104 MB at the default level on a shared
-# 2-core Intel Xeon machine with Python 3.11.7, growing with v
+# v log v candidates and the scan holds one report per feasible tuple, so
+# its time and memory grow with v
 SCAN_MAX_V = 10000
 
 # Existence/sharpness notes for the parameter tuples where the clique
@@ -154,7 +152,7 @@ def _family_reports(v_max: int) -> list[BoundsReport]:
     fractional k/-s, which is c-1, resp. m-1, so both are False; thm51,
     k >= -s(lam+1), holds for m*K_c and, as (m-1)a >= a((m-2)a+1) iff
     (m-2)(a-1) <= 0, for K_{m x a} iff m = 2, i.e. y = 3."""
-    # why tuple.__new__: see the record comment in cab.cab
+    # why tuple.__new__: see the record comment in cab._report
     new, report, params = tuple.__new__, BoundsReport, SrgParams
     type2 = SrgType.TYPE_II_ONLY
     out = []
@@ -224,7 +222,7 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     lam_bar < 0 that ROADMAP item 1a removes: they are the partners whose
     walked member has lam < 0, so here that fix is one condition, emit a
     pair only when mu + r >= a."""
-    # why tuple.__new__: see the record comment in cab.cab
+    # why tuple.__new__: see the record comment in cab._report
     new, params = tuple.__new__, SrgParams
     both, type2, type1 = SrgType.BOTH, SrgType.TYPE_II_ONLY, SrgType.TYPE_I_ONLY
     rows = []
@@ -356,9 +354,8 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
     dropped member sorts after its complement, the kept one."""
     type1 = type1_thm21 = type2 = type2_thm22 = pairs = pairs_thm = 0
     uncovered = set()
-    type_i = SrgType.TYPE_I_ONLY  # read once: an enum member lookup is a slow class attribute
     for p, tag, _, _, _, t21, t22, _ in primitive:
-        if tag is type_i:
+        if tag is SrgType.TYPE_I_ONLY:
             type1 += 1
             type1_thm21 += t21
         else:

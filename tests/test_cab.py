@@ -368,8 +368,6 @@ def delsarte_level_branch(p: SrgParams, r: int, a: int) -> str:
     thm22 = m > 0 and mu < (a - 1) * (a - m)
     if k >= a * (lam + 1):
         return "thm51"
-    if q + 2 - thm22 >= v:
-        return "top"
     cs = cab_module._certificate_cubic(v, k, lam)
     if cs[0] >= 0:
         return "c3"
@@ -407,9 +405,8 @@ def generated_tuples(seed: int, count: int, top: int, v_max: int):
 
 class TestDelsarteLevelPath:
     """_report decides a row at its answer level delta + 1 - [thm22]
-    without cab() when thm51 fails, c3 < 0, P(3) >= 0, P(delta-1) >= 0 and
-    that level is below v (identities._DELSARTE_LEVEL_CASES); the plain
-    walk stays the oracle."""
+    without cab() when thm51 fails, c3 < 0, P(3) >= 0 and P(delta-1) >= 0
+    (identities._DELSARTE_LEVEL_CASES); the plain walk stays the oracle."""
 
     def test_matches_linear_walk_on_random_tuples(self):
         seen = Counter()
@@ -417,7 +414,7 @@ class TestDelsarteLevelPath:
             rep = full_report(p)
             assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
             seen[delsarte_level_branch(p, r, a)] += 1
-        # every way _report can take, but the two no tuple here reaches
+        # every way _report can take, but "c3", which no tuple here reaches
         assert seen == {"delsarte-level": 1309, "thm22": 157, "p3": 239, "below": 183,
                         "thm51": 112}
 

@@ -35,25 +35,51 @@ def run(capsys, *argv):
 
 # the rows of tests/pins.txt, each split on whitespace: sha256 of stdout
 # followed by stderr, stdout line count, exit code, tier and argv; a line
-# whose first word starts with # is a comment, as in CI's loop over the file
+# whose first word starts with # is a comment
 PINS_FILE = os.path.join(os.path.dirname(__file__), "pins.txt")
 with open(PINS_FILE) as _f:
     PINS = [row for row in map(str.split, _f) if row and not row[0].startswith("#")]
 
 
+def check_pin(pin, runner) -> bool:
+    """Run one row of PINS through runner(argv) -> (exit code, stdout,
+    stderr), print its argv, the outcome got and the one wanted, and return
+    whether they match: the sha256 of stdout followed by stderr, the stdout
+    line count and the exit code."""
+    tier, argv = pin[3], pin[4:]
+    code, out, err = runner(argv)
+    lines = out.count("\n")
+    got = f"{hashlib.sha256((out + err).encode()).hexdigest()} {lines} {code}"
+    want = " ".join(pin[:3])
+    print(tier, *argv)
+    print("  got ", got)
+    print("  want", want)
+    if got != want:
+        print("  MISMATCH")
+    return got == want
+
+
+def run_installed(argv):
+    """Run the installed srgbounds entry point as a cold process, so that
+    the modules a subcommand imports on demand resolve in the installed
+    package.  stdin is /dev/null, and a call still running at 120 s reads
+    as exit code "timeout"."""
+    try:
+        proc = subprocess.run(["srgbounds", *argv], stdin=subprocess.DEVNULL,
+                              capture_output=True, timeout=120)
+    except subprocess.TimeoutExpired as e:
+        return "timeout", (e.stdout or b"").decode(), (e.stderr or b"").decode()
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
 @pytest.mark.parametrize("pin", [row for row in PINS if row[3:4] == ["1"]],
                          ids=lambda row: "-".join(w.strip("-/").replace("/", "-") for w in row[4:]))
 def test_pinned_output(capsys, pin):
-    # a tier-1 row, in process; CI runs every row through the installed srgbounds
-    digest, lines, exit_code, _, *argv = pin
-    code, out, err = run(capsys, *argv)
-    assert (code, out.count("\n")) == (int(exit_code), int(lines))
-    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+    # a tier-1 row, in process; CI runs every row through run_installed
+    assert check_pin(pin, lambda argv: run(capsys, *argv))
 
 
 def test_pin_table_is_well_formed():
-    with open(PINS_FILE) as f:
-        assert f.read().endswith("\n")  # CI's read skips a last line without one
     argvs = [" ".join(row[4:]) for row in PINS]
     assert len(set(argvs)) == len(argvs)
     for row in PINS:
@@ -61,10 +87,11 @@ def test_pin_table_is_well_formed():
         assert len(row[0]) == 64 and set(row[0]) <= set("0123456789abcdef"), row
         assert row[1].isdigit() and row[2].isdigit(), row
         assert row[3] in ("1", "ci"), row
-    # CI's loop runs every row; a workflow that stops reading the table fails here
+    # CI runs every row through check_pin; a workflow that stops calling it
+    # fails here
     with open(os.path.join(os.path.dirname(PINS_FILE), os.pardir, ".github", "workflows",
                            "tests.yml")) as f:
-        assert "tests/pins.txt" in f.read()
+        assert "from test_cli import PINS, check_pin, run_installed" in f.read()
 
 
 def bounds_json(p):

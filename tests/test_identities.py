@@ -376,6 +376,8 @@ class TestDelsarteLevelLemma:
     def check_lemma(p: SrgParams, r: int, a: int):
         v, k, lam, mu = p
         q, m = divmod(k, a)
+        # _report's answer level, at most q + 2, is below v without a check
+        assert q + 2 < v, p
         t22 = _thm22(p, r, -a)
         assert t22 == (m > 0 and mu < (a - 1) * (a - m)), p
         assert (cap_min_over_b(v, k, lam, q + 1)[1] < 0) == t22, p
