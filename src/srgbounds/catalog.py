@@ -13,7 +13,8 @@ with its proof in its docstring:
   the level, types it, and returns the kept ones sorted, each as the
   arguments of cab._report; one divisor list of n = ra(r+1)(a-1) yields a
   tuple and its complement, so each complementary pair of restricted
-  eigenvalues, (r, -a) and (a-1, -(r+1)), is walked once.
+  eigenvalues, (r, -a) and (a-1, -(r+1)), is walked once, and one Krein,
+  absolute-bound and conference check decides both members.
 enumerate_feasible reads the tuples of both; scan_compare reports the
 primitive rows and sorts the family reports in.  is_feasible stays the
 one definition of feasibility and the oracle in the tests, and the scan
@@ -21,8 +22,9 @@ calls it, and full_report, only for the conference tuples with irrational
 eigenvalues.  scan_compare leaves the scan statistics to a function it
 returns, which only `scan --stats` calls: _scan_stats walks only the rows
 with 0 < mu < k, as a family row is type II and never connected and
-co-connected, so it counts in the total alone.  --pairs reads one rule per
-row, _earlier_complement, which the statistics' pair count reads too.
+co-connected, so it counts in the total alone.  --pairs reads one closed
+form per row, _first_of_pair, which the statistics' pair count reads too;
+no scan path builds a complement.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .srg import (
     FeasibilityLevel,
     SrgParams,
     SrgType,
-    _complement,
     _conference,
     _krein_absolute_failure,
     is_feasible,
@@ -216,9 +217,19 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
     loop walks r <= a-1 only and emits the partner when r < a-1; r = a-1 is
     its own partner.  The partner's lam' = n/mu + a - r - 2 is the tuple's
     lam_bar = v - 2k + mu - 2, which is at least n/mu > 0 when r < a-1, so
-    only the walked member needs its lam >= 0 test, mu + r >= a.  Each
-    member keeps its own Krein, absolute-bound and conference checks, so
-    the rows are those of a walk over every (r, a), including the rows with
+    only the walked member needs its lam >= 0 test, mu + r >= a, which
+    holds when r = a-1.
+
+    The walked member's checks decide its partner.  Write K1 and K2 for the
+    slacks of the two Krein conditions, p for the walked tuple and q for its
+    complement: mu K2(q) = -(r+1)s K1(p) and mu K1(q) = -r(s+1) K2(p), the
+    cases krein-1-of-complement and krein-2-of-complement of
+    tests/test_identities.py, and with r >= 1, s = -a <= -2 and mu >= 1
+    both factors are positive.  The absolute bound asks the same of f and
+    of g, which swap, and the conference conditions hold for q exactly when
+    they hold for p.  So one _krein_absolute_failure call and one
+    _conference call per (r, a, mu) give the rows of a walk over every
+    (r, a) that checks each member on its own, including the rows with
     lam_bar < 0 that ROADMAP item 1a removes: they are the partners whose
     walked member has lam < 0, so here that fix is one condition, emit a
     pair only when mu + r >= a."""
@@ -266,19 +277,18 @@ def _primitive_rows(v_max: int, level: FeasibilityLevel) -> list:
                             nu = n // mu
                             v, k = base + mu + nu, mu + r * a
                             f, rem = divmod((v - 1) * a - k, r + a)
-                            if rem:
+                            # by the docstring's proof, the one rule left to
+                            # check, and its verdict and type are the partner's
+                            if rem or _krein_absolute_failure(
+                                    v, k, r, -a, f, v - 1 - f, level) is not None:
                                 continue
-                            # by the docstring's proof, the one rule left to check
-                            if mu + r >= a and _krein_absolute_failure(
-                                    v, k, r, -a, f, v - 1 - f, level) is None:
-                                lam = mu + r - a
-                                add((new(params, (v, k, lam, mu)),
-                                     both if _conference(v, k, lam, mu) else type2, r, -a))
-                            if paired and _krein_absolute_failure(
-                                    v, v - 1 - k, a - 1, -r - 1, v - 1 - f, f, level) is None:
-                                k, lam = v - 1 - k, nu + a - r - 2
-                                add((new(params, (v, k, lam, nu)),
-                                     both if _conference(v, k, lam, nu) else type2, a - 1, -r - 1))
+                            lam = mu + r - a
+                            tag = both if _conference(v, k, lam, mu) else type2
+                            if lam >= 0:
+                                add((new(params, (v, k, lam, mu)), tag, r, -a))
+                            if paired:
+                                add((new(params, (v, v - 1 - k, nu + a - r - 2, nu)),
+                                     tag, a - 1, -r - 1))
             r += 1
     rows.sort(key=itemgetter(0))
     return rows
@@ -332,15 +342,15 @@ def _reports(cfg: ScanConfig) -> Iterator[BoundsReport]:
             for p, tag, r, s in _primitive_rows(cfg.v_max, cfg.level))
 
 
-def _earlier_complement(p: SrgParams) -> Optional[SrgParams]:
-    """The complement of p, a connected and co-connected tuple, when it
-    sorts before p, else None.  The one rule of a complementary pair:
-    --pairs keeps the member that sorts first and leaves p out when this is
-    not None, and ScanStats counts the pair at that member (v = 2k+1 gives
-    k = k_bar, so that member need not be the one with k < v/2).  p passed
-    COUNTING, so its complement is built unvalidated."""
-    q = _complement(*p)
-    return q if q < p else None
+def _first_of_pair(p: SrgParams) -> bool:
+    """True unless the complement (v, v-k-1, v-2k+mu-2, v-2k+lam) of p, a
+    connected and co-connected tuple, sorts before p.  The one rule of a
+    complementary pair: --pairs keeps the member that sorts first, and
+    ScanStats counts the pair at that member.  The complement sorts first
+    exactly when v-k-1 < k, or when v-k-1 = k and mu-1 < lam; at v = 2k+1
+    and mu = lam+1 it is p itself."""
+    v, k, lam, mu = p
+    return 2 * k + 1 < v or 2 * k + 1 == v and mu > lam
 
 
 def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
@@ -349,11 +359,10 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
     is type II and never connected and co-connected, so it counts in total
     alone, and _family_count counts those rows without building them.
     A primitive row is connected and co-connected: mu > 0 and v-2k+lam > 0
-    (_primitive_rows).  uncovered holds each kept pair member seen so far
-    whose pair no thm22 row covers yet: the walk runs forwards, and a
-    dropped member sorts after its complement, the kept one."""
-    type1 = type1_thm21 = type2 = type2_thm22 = pairs = pairs_thm = 0
-    uncovered = set()
+    (_primitive_rows).  The pairs a thm22 row covers are as many as the
+    thm22 rows: a pair has at most one (complement-exclusivity-product),
+    and a thm22 row's complement has lam_bar > 0, so it is listed."""
+    type1 = type1_thm21 = type2 = type2_thm22 = pairs = 0
     for p, tag, _, _, _, t21, t22, _ in primitive:
         if tag is SrgType.TYPE_I_ONLY:
             type1 += 1
@@ -361,18 +370,9 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
         else:
             type2 += 1
             type2_thm22 += t22
-            q = _earlier_complement(p)
-            if q is None:
-                pairs += 1
-                if t22:
-                    pairs_thm += 1
-                else:
-                    uncovered.add(p)
-            elif t22 and q in uncovered:
-                uncovered.remove(q)
-                pairs_thm += 1
+            pairs += _first_of_pair(p)
     total = len(primitive) + _family_count(v_max)
-    return ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, pairs_thm)
+    return ScanStats(total, type1, type1_thm21, type2, type2_thm22, pairs, type2_thm22)
 
 
 @contextmanager
@@ -404,8 +404,7 @@ def scan_compare(cfg: ScanConfig) -> tuple[list[BoundsReport], Callable[[], Scan
 
         # a family row is never connected and co-connected, so --pairs keeps
         # it, and every primitive row is, so the pair rule alone decides it
-        reports = ([r for r in primitive if _earlier_complement(r[0]) is None]
-                   if cfg.pairs else primitive)
+        reports = [r for r in primitive if _first_of_pair(r[0])] if cfg.pairs else primitive
         # a family row has gap 0 and neither thm21 nor thm22 (_family_reports),
         # so --filter gap and --filter thm would drop each one: build them only
         # for the other two

@@ -277,12 +277,7 @@ def complement(p: SrgParams) -> SrgParams:
         raise DegenerateParamsError(f"{p} is disconnected (mu=0)")
     if p.v - 2 * p.k + p.lam == 0:
         raise DegenerateParamsError(f"{p} is complete multipartite (v-2k+lambda=0)")
-    return _complement(*p)
-
-
-def _complement(v: int, k: int, lam: int, mu: int) -> SrgParams:
-    """The one complement formula, without complement's checks: for callers
-    that already hold a valid, connected and co-connected tuple."""
+    v, k, lam, mu = p
     return SrgParams(v, v - k - 1, v - 2 * k + mu - 2, v - 2 * k + lam)
 
 
@@ -306,8 +301,9 @@ def is_feasible(p: SrgParams, level: FeasibilityLevel) -> tuple[bool, Optional[s
     if len(spec) == 2:
         return False, spec[0]
     tag, r, s, f, g = spec
-    if tag is not SrgType.TYPE_II_ONLY and not is_sum_of_two_squares(v):
-        # a conference graph requires v to be a sum of two squares
+    if tag is SrgType.TYPE_I_ONLY and not is_sum_of_two_squares(v):
+        # a conference graph requires v to be a sum of two squares; a type
+        # I+II tuple has v = (r-s)^2, a square, so only type I is asked
         return False, "conference sum of two squares"
     if mu == 0 or v - 2 * k + lam == 0:
         # Krein and absolute-bound conditions apply to primitive parameter

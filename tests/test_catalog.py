@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -29,15 +28,12 @@ from srgbounds.srg import (
     InfeasibleParamsError,
     SrgParams,
     SrgType,
-    _complement,
     _krein_absolute_failure,
     _spectrum_or_failure,
     complement,
     is_feasible,
     spectrum,
 )
-
-from test_cli import PINS
 
 
 def key(p: SrgParams) -> tuple[int, int, int, int]:
@@ -97,6 +93,24 @@ def keeps_pair_member(p: SrgParams) -> bool:
     unless p is connected and co-connected with a complement tuple that
     sorts before it."""
     return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
+
+
+def check_pair_rules(v_max: int, levels=tuple(FeasibilityLevel)) -> None:
+    """--pairs and the --stats counters of the scan at v <= v_max, at each
+    level, against the complement-based oracles keeps_pair_member and
+    scan_stats_reference.  Tier-1 runs it at v <= 3000, and CI at v <= 10^4."""
+    for level in levels:
+        everything, stats = scan_compare(ScanConfig(v_max=v_max, level=level))
+        kept, _ = scan_compare(ScanConfig(v_max=v_max, level=level, pairs=True))
+        assert kept == [r for r in everything if keeps_pair_member(r.params)], level
+        assert len(kept) < len(everything), level
+        stats, want = stats(), scan_stats_reference(everything)
+        assert len(ScanStats._fields) == 7
+        assert tuple(stats) == tuple(want), level
+        assert want.pairs_type2_thm > 0, level
+        assert stats.pairs_type2_total == sum(
+            1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
+            and r.params.is_connected() and r.params.is_coconnected()), level
 
 
 def primitive_candidates_trial_division(v_max: int):
@@ -237,6 +251,30 @@ class TestPrimitiveRows:
             assert [r for r in reports if 0 < r.params.mu < r.params.k] == [
                 oracle[row[0]] for row in rows], level
 
+    def test_one_check_per_pair(self, monkeypatch):
+        # the walked member's Krein, absolute-bound and conference verdicts
+        # decide its partner (the docstring's proof), so each (r, a, mu)
+        # with r <= a-1 is checked at most once, and the rows stay those
+        # the level test above compares with is_feasible
+        krein, conference = Counter(), Counter()
+        rule, test = catalog_module._krein_absolute_failure, catalog_module._conference
+
+        def counted_rule(v, k, r, s, f, g, level):
+            assert r <= -s - 1
+            krein[r, -s, k + r * s] += 1
+            return rule(v, k, r, s, f, g, level)
+
+        def counted_test(v, k, lam, mu):
+            conference[v, k, lam, mu] += 1
+            return test(v, k, lam, mu)
+
+        monkeypatch.setattr(catalog_module, "_krein_absolute_failure", counted_rule)
+        monkeypatch.setattr(catalog_module, "_conference", counted_test)
+        rows = _primitive_rows(500, FeasibilityLevel.ABSOLUTE_BOUND)
+        assert len(rows) == 1301
+        assert sum(krein.values()) == len(krein) == 772
+        assert max(conference.values()) == 1
+
     def test_krein_rule_matches_krein_parameters(self, rows_3000):
         # an independent form of the Krein conditions: the Krein parameters
         # q^1_11 and q^2_22 are f^2/v resp. g^2/v times 1 + r^3/k^2 -
@@ -273,9 +311,8 @@ class TestPrimitiveRows:
             for p, tag, r, s in rows:
                 if r is None:
                     continue
-                v, k, lam, mu = p
-                q = _complement(v, k, lam, mu)
-                if v - 2 * k + mu - 2 >= 0:
+                q = complement(p)
+                if q.lam >= 0:
                     assert listed.get(q) == (q, tag, -s - 1, -r - 1), (level, p)
                 else:
                     assert q not in listed and r >= -s, (level, p)
@@ -321,8 +358,11 @@ class TestPredicatesExactTo10000:
     v <= 3000; a family row has CAB = Delsarte and no predicate
     (_family_reports)."""
 
-    def test_improved_exactly_when_cab_beats_delsarte(self, rows_10000):
-        reports = {row[0]: _report(*row) for row in rows_10000}
+    @pytest.fixture(scope="class")
+    def reports(self, rows_10000):
+        return {row[0]: _report(*row) for row in rows_10000}
+
+    def test_improved_exactly_when_cab_beats_delsarte(self, reports):
         assert len(reports) == 43880
         assert [p for p, r in reports.items()
                 if (r.improved is not None) != (r.cab < r.delsarte)] == []
@@ -330,6 +370,18 @@ class TestPredicatesExactTo10000:
         kept = [r for p, r in reports.items() if is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND)[0]]
         assert len(kept) == 39220
         assert {r.cab < r.delsarte for r in kept} == {False, True}
+
+    def test_thm22_complement_is_listed(self, reports):
+        # _scan_stats counts the pairs a thm22 row covers as the thm22 rows:
+        # a thm22 row has D = v-2k+lam > r^2+r, so lam_bar = D-r-s-2 > 0, and
+        # its complement is a listed row with the same type; a pair has at
+        # most one thm22 member (complement-exclusivity-product)
+        thm22 = [p for p, r in reports.items() if r.thm22]
+        assert len(thm22) == 7008
+        for p in thm22:
+            q = complement(p)
+            assert q.lam > 0 and reports[q].type_tag is reports[p].type_tag, p
+            assert not reports[q].thm22, p
 
 
 def family_construction(v_max: int) -> dict[SrgParams, int]:
@@ -502,27 +554,12 @@ class TestScanCompare:
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_pairs_match_oracle(self, level):
-        everything, stats = scan_compare(ScanConfig(v_max=3000, level=level))
-        kept, _ = scan_compare(ScanConfig(v_max=3000, level=level, pairs=True))
-        assert kept == [r for r in everything if keeps_pair_member(r.params)]
-        assert len(kept) < len(everything)
-        assert stats().pairs_type2_total == sum(
-            1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
-            and r.params.is_connected() and r.params.is_coconnected())
+        check_pair_rules(3000, [level])
 
     @pytest.mark.parametrize("v_max,pairs,covered", [(150, 125, 15), (300, 327, 53)])
     def test_pair_totals(self, v_max, pairs, covered):
         stats = scan_compare(ScanConfig(v_max=v_max))[1]()
         assert (stats.pairs_type2_total, stats.pairs_type2_thm) == (pairs, covered)
-
-    @pytest.mark.parametrize("level", list(FeasibilityLevel))
-    def test_stats_match_two_pass_oracle(self, level):
-        reports, stats = scan_compare(ScanConfig(v_max=3000, level=level))
-        stats = stats()
-        want = scan_stats_reference(reports)
-        assert len(ScanStats._fields) == 7
-        assert tuple(stats) == tuple(want)
-        assert want.pairs_type2_thm > 0
 
     def test_stats_up_to_1300(self):
         # the --stats lines of the headline scan
@@ -570,28 +607,6 @@ class TestScanCompare:
         _, stats = scan_compare(ScanConfig(v_max=300, filter=flt))
         assert calls == (sorted(family_construction(300)) if builds else [])
         assert stats().total == len(list(enumerate_feasible(300)))
-
-    @pytest.mark.parametrize("flt,argv", [
-        (None, "scan --max-v 500 --format csv"),
-        ("gap", "scan --max-v 500 --filter gap --format csv"),
-    ], ids=["all", "gap"])
-    def test_only_stats_and_pairs_build_complements(self, monkeypatch, flt, argv):
-        # the CSV scan, filtered or not, never builds a complement; the
-        # stats walk and --pairs do, and only when asked for.  Its output
-        # is the pinned row of tests/pins.txt for the same call.
-        [digest] = [row[0] for row in PINS if row[4:] == argv.split()]
-        from srgbounds import catalog
-
-        def refuse(*p):
-            raise AssertionError("complement built")
-
-        monkeypatch.setattr(catalog, "_complement", refuse)
-        records, stats = scan_compare(ScanConfig(v_max=500, filter=flt))
-        assert hashlib.sha256(emit(records, "csv").encode()).hexdigest() == digest
-        with pytest.raises(AssertionError, match="complement built"):
-            stats()
-        with pytest.raises(AssertionError, match="complement built"):
-            scan_compare(ScanConfig(v_max=500, filter=flt, pairs=True))
 
     def test_stats_fractions_in_range(self):
         stats = scan_compare(ScanConfig(v_max=150))[1]()

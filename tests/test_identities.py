@@ -3,7 +3,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -409,3 +409,85 @@ class TestDelsarteLevelLemma:
             held[self.check_lemma(p, r, a)] += 1
         assert held[True] > 50 and held[False] > 50
 
+
+# -- the Krein conditions of a complementary pair -----------------------------
+
+def krein_slacks(k, r, s):
+    """(K1, K2): the slacks (k+r)(s+1)^2 - (r+1)(k+r+2rs) and
+    (k+s)(r+1)^2 - (s+1)(k+s+2rs) of the two Krein conditions, which
+    srg._krein_absolute_failure checks."""
+    return ((k + r) * (s + 1) ** 2 - (r + 1) * (k + r + 2 * r * s),
+            (k + s) * (r + 1) ** 2 - (s + 1) * (k + s + 2 * r * s))
+
+
+def complement_krein_slacks(sym):
+    """krein_slacks of the complement: k_bar = v-k-1, r_bar = -s-1 and
+    s_bar = -r-1."""
+    return krein_slacks(sym["v"] - sym["k"] - 1, -sym["s"] - 1, -sym["r"] - 1)
+
+
+def own_krein_slacks(sym):
+    return krein_slacks(sym["k"], sym["r"], sym["s"])
+
+
+KREIN_COMPLEMENT_CASES = (
+    IdentityCase(
+        name="krein-1-of-complement",
+        parameterization="general-srg",
+        lhs=lambda sym: sym["mu"] * complement_krein_slacks(sym)[0],
+        rhs=lambda sym: -sym["r"] * (sym["s"] + 1) * own_krein_slacks(sym)[1],
+        clearing=(),
+    ),
+    IdentityCase(
+        name="krein-2-of-complement",
+        parameterization="general-srg",
+        lhs=lambda sym: sym["mu"] * complement_krein_slacks(sym)[1],
+        rhs=lambda sym: -(sym["r"] + 1) * sym["s"] * own_krein_slacks(sym)[0],
+        clearing=(),
+    ),
+)
+
+
+class TestKreinComplement:
+    """The identities behind catalog._primitive_rows' one Krein check per
+    complementary pair, kept out of CASES, which holds the paper's
+    identities.  For r >= 1, s <= -2 and mu >= 1 the factors -r(s+1) and
+    -(r+1)s are positive, so each Krein condition of the complement holds
+    exactly when the other one of the tuple does."""
+
+    def test_inventory(self):
+        assert {case.name for case in KREIN_COMPLEMENT_CASES}.isdisjoint(CASE_BY_NAME)
+
+    @pytest.mark.parametrize("case", KREIN_COMPLEMENT_CASES, ids=lambda c: c.name)
+    def test_identity_verifies(self, case):
+        # a polynomial with no clearing: mu times the complement's slack
+        # has no 1/mu term left
+        assert verify_identity(case)
+        assert cleared_degree(case) == 6
+
+    @pytest.mark.parametrize("case", KREIN_COMPLEMENT_CASES, ids=lambda c: c.name)
+    def test_every_mutation_fails(self, case):
+        count = rhs_term_count(case)
+        assert count >= 1
+        assert not any(verify_identity_mutated(case, i) for i in range(count))
+
+    @pytest.mark.parametrize("case", KREIN_COMPLEMENT_CASES, ids=lambda c: c.name)
+    def test_random_point_crosscheck(self, case):
+        assert random_point_crosscheck(case, trials=100, seed=20261022)
+
+    def test_on_integer_tuples(self):
+        # the slack signs on every (r, a, mu) with 1 <= r < a <= 30 and mu
+        # a divisor of n = ra(r+1)(a-1), lam < 0 included, against the
+        # tuple and its complement built as integers
+        held = Counter()
+        for a in range(2, 31):
+            for r in range(1, a):
+                n = r * a * (r + 1) * (a - 1)
+                for mu in {x for d in range(1, isqrt(n) + 1) if n % d == 0 for x in (d, n // d)}:
+                    k = mu + r * a
+                    v = k + 1 + k * (r + 1) * (a - 1) // mu
+                    k1, k2 = krein_slacks(k, r, -a)
+                    q1, q2 = krein_slacks(v - k - 1, a - 1, -r - 1)
+                    assert (q1 >= 0, q2 >= 0) == (k2 >= 0, k1 >= 0), (r, a, mu)
+                    held[k1 >= 0 and k2 >= 0] += 1
+        assert held[True] > 0 and held[False] > 0

@@ -1,6 +1,7 @@
 import ast
 import fractions
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -369,6 +370,16 @@ class TestFeasibility:
         assert is_feasible(p, FeasibilityLevel.COUNTING)[0]
         ok, reason = is_feasible(p, FeasibilityLevel.INTEGRALITY)
         assert not ok and reason == "conference sum of two squares"
+
+    def test_type_one_and_two_skips_the_sum_of_two_squares(self):
+        # a type I+II tuple has v = (r-s)^2, a square, so its v is never
+        # factorized; trial division of v = (10^9+7)^2 took over 20 s
+        v = (10**9 + 7) ** 2
+        p = SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4)
+        assert classify(p) is SrgType.BOTH
+        t0 = time.monotonic()
+        assert is_feasible(p, FeasibilityLevel.ABSOLUTE_BOUND) == (True, None)
+        assert time.monotonic() - t0 < 1
 
     def test_krein_failure(self):
         # complement of a Moore graph candidate violating Krein: (28,9,0,4)
