@@ -95,22 +95,35 @@ def keeps_pair_member(p: SrgParams) -> bool:
     return not (p.is_connected() and p.is_coconnected()) or p <= complement(p)
 
 
+def check_pairs_oracle(v_max: int, level: FeasibilityLevel) -> None:
+    """--pairs of the scan at v <= v_max, and the pairs_type2_total it
+    reports, against the complement-based oracle keeps_pair_member."""
+    everything, stats = scan_compare(ScanConfig(v_max=v_max, level=level))
+    kept, _ = scan_compare(ScanConfig(v_max=v_max, level=level, pairs=True))
+    assert kept == [r for r in everything if keeps_pair_member(r.params)], level
+    assert len(kept) < len(everything), level
+    assert stats().pairs_type2_total == sum(
+        1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
+        and r.params.is_connected() and r.params.is_coconnected()), level
+
+
+def check_stats_oracle(v_max: int, level: FeasibilityLevel) -> None:
+    """The --stats counters of the scan at v <= v_max against the
+    complement-based two-pass oracle scan_stats_reference."""
+    reports, stats = scan_compare(ScanConfig(v_max=v_max, level=level))
+    stats, want = stats(), scan_stats_reference(reports)
+    assert len(ScanStats._fields) == 7
+    assert tuple(stats) == tuple(want), level
+    assert want.pairs_type2_thm > 0, level
+
+
 def check_pair_rules(v_max: int, levels=tuple(FeasibilityLevel)) -> None:
     """--pairs and the --stats counters of the scan at v <= v_max, at each
-    level, against the complement-based oracles keeps_pair_member and
-    scan_stats_reference.  Tier-1 runs it at v <= 3000, and CI at v <= 10^4."""
+    level, against both oracles.  Tier-1 runs its two checks per level at
+    v <= 3000, and CI runs it at v <= 10^4."""
     for level in levels:
-        everything, stats = scan_compare(ScanConfig(v_max=v_max, level=level))
-        kept, _ = scan_compare(ScanConfig(v_max=v_max, level=level, pairs=True))
-        assert kept == [r for r in everything if keeps_pair_member(r.params)], level
-        assert len(kept) < len(everything), level
-        stats, want = stats(), scan_stats_reference(everything)
-        assert len(ScanStats._fields) == 7
-        assert tuple(stats) == tuple(want), level
-        assert want.pairs_type2_thm > 0, level
-        assert stats.pairs_type2_total == sum(
-            1 for r in kept if r.type_tag is not SrgType.TYPE_I_ONLY
-            and r.params.is_connected() and r.params.is_coconnected()), level
+        check_pairs_oracle(v_max, level)
+        check_stats_oracle(v_max, level)
 
 
 def primitive_candidates_trial_division(v_max: int):
@@ -554,12 +567,16 @@ class TestScanCompare:
 
     @pytest.mark.parametrize("level", list(FeasibilityLevel))
     def test_pairs_match_oracle(self, level):
-        check_pair_rules(3000, [level])
+        check_pairs_oracle(3000, level)
 
     @pytest.mark.parametrize("v_max,pairs,covered", [(150, 125, 15), (300, 327, 53)])
     def test_pair_totals(self, v_max, pairs, covered):
         stats = scan_compare(ScanConfig(v_max=v_max))[1]()
         assert (stats.pairs_type2_total, stats.pairs_type2_thm) == (pairs, covered)
+
+    @pytest.mark.parametrize("level", list(FeasibilityLevel))
+    def test_stats_match_two_pass_oracle(self, level):
+        check_stats_oracle(3000, level)
 
     def test_stats_up_to_1300(self):
         # the --stats lines of the headline scan
