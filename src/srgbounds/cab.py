@@ -1,7 +1,9 @@
 """Clique adjacency bound, Delsarte bound, Hoffman bound, and the predicates
 guaranteeing that the clique adjacency bound beats the Delsarte bound.
-full_report decides all of them from one integer spectrum; the private
-helpers _delsarte, _thm22 and _thm51 carry the derivations."""
+full_report decides all of them from one integer spectrum: its body,
+_report, reads Delsarte and the predicates off the tuple's integers and
+carries their derivations, and _delsarte is the one home of Delsarte, which
+delsarte_bound shares."""
 
 from __future__ import annotations
 
@@ -229,19 +231,10 @@ def cab(p: EdgeRegularParams | SrgParams) -> tuple[int, CabWitness]:
     return lam + 2, CabWitness(b, y, val)
 
 
-def _delsarte(p: SrgParams, s: Optional[int]) -> int:
+def _delsarte(v: int, k: int, s: Optional[int]) -> int:
     """1 + floor(-k/s) for the integer least eigenvalue s < 0; s is None for
     conference tuples, where -k/s = sqrt(v) - 1 with v not a square."""
-    return isqrt(p.v) if s is None else 1 + p.k // -s
-
-
-def _thm51(p: SrgParams, s: Optional[int]) -> bool:
-    """lam + 1 <= -k/s, exactly; for s is None, sqrt(v) >= lam + 2.  When
-    true the clique adjacency bound is pinned at the trivial value lam + 2.
-    Disconnected parameters (s = -1, k = lam + 1) always pass."""
-    if s is None:
-        return p.v >= (p.lam + 2) ** 2
-    return p.k >= -s * (p.lam + 1)
+    return isqrt(v) if s is None else 1 + k // -s
 
 
 def delsarte_bound(p: SrgParams) -> int:
@@ -250,7 +243,7 @@ def delsarte_bound(p: SrgParams) -> int:
     Disconnected parameters (mu = 0) have s = -1 and k = lam + 1, so the
     bound is lam + 2, the clique size of the disjoint union of cliques.
     """
-    return _delsarte(p, _int_spectrum(p)[2])
+    return _delsarte(p.v, p.k, _int_spectrum(p)[2])
 
 
 def hoffman_clique_bound(v: int, k_bar: int, s_bar: QuadExt) -> int:
@@ -281,17 +274,6 @@ def thm21_applies(v: int) -> bool:
         raise ValueError(f"v={v} must be >= 5 and congruent to 1 mod 4")
     m = isqrt(v) // 2  # floor(sqrt(v)/2) = floor(isqrt(v)/2)
     return v != (2 * m) ** 2 and 16 * v + 20 < (8 * m + 2) ** 2
-
-
-def _thm22(p: SrgParams, r: int, s: int) -> bool:
-    """Improvement predicate for integer eigenvalues r > s:
-    0 < frc(-k/s) < 1 - (r^2 + r)/D with D = v - 2k + lam.  frc(-k/s)
-    is m/a for -s = a and k = qa + m, so clearing a and D gives
-    0 < m and m*D < a*(D - r^2 - r).  It is False when D = 0, which holds
-    only for K_{m x a}: there r = 0, and m*0 < a*(-r^2 - r) fails."""
-    dd = p.v - 2 * p.k + p.lam
-    m = p.k % -s
-    return 0 < m and m * dd < -s * (dd - r * r - r)
 
 
 class BoundsReport(NamedTuple):
@@ -355,36 +337,56 @@ def _report(p: SrgParams, tag: SrgType, r: Optional[int], s: Optional[int]) -> B
     for a conference tuple with irrational eigenvalues).  p is validated
     already: full_report does it in _int_spectrum, and the scan's rows pass
     COUNTING by _primitive_rows' proof.  So only cab() validates it again.
+    p is unpacked once, and every bound and predicate but the CAB is read
+    off its integers here; _delsarte, which delsarte_bound shares, gives
+    Delsarte = delta = 1 + floor(-k/s), or isqrt(v) when s is None.
 
-    The CAB is at most Delsarte = delta.  For integer r >= 1 and mu > 0 the
+    The predicates, exactly, with a = -s:
+    - thm21, the conference predicate, only when s is None: thm21_applies.
+    - thm22, for integer eigenvalues r > s: 0 < frc(-k/s) < 1 - (r^2 +
+      r)/D with D = v - 2k + lam.  frc(-k/s) is m/a for k = qa + m, so
+      clearing a and D gives 0 < m and m*D < a*(D - r^2 - r).  It is False
+      when D = 0, which holds only for K_{m x a}: there r = 0, and m*0 <
+      a*(-r^2 - r) fails.  It is False when s is None.
+    - thm51: lam + 1 <= -k/s, that is k >= a(lam + 1); when s is None,
+      -k/s = sqrt(v) - 1, so it is sqrt(v) >= lam + 2, that is v >= (lam +
+      2)^2.  When it holds the CAB is the trivial lam + 2 (cab()'s step 1).
+      Disconnected parameters (s = -1, k = lam + 1) always pass.
+
+    The CAB is at most delta.  For integer r >= 1 and mu > 0 the
     Delsarte-level lemma (identities._DELSARTE_LEVEL_CASES) proves that
     level delta is negative if and only if thm22 holds.  Where cab()'s
     one-run lemma (c3 < 0 and P(3) >= 0) holds with P(delta-1) >= 0, no
     level in [3, delta-1] is negative, so the answer level is delta + 1 -
     [thm22]: the CAB is delta - [thm22], with the witness cab() gives at
     that level.  Every other row, and every thm51 row, calls cab()."""
-    dels = _delsarte(p, s)
-    # s is None only for conference tuples, where 4 lam = v - 5 >= 0, so
-    # thm21_applies cannot raise; it is called by its module-level name
-    t21 = s is None and thm21_applies(p.v)
-    t22 = s is not None and _thm22(p, r, s)
-    t51 = _thm51(p, s)
     v, k, lam, _ = p
-    level = dels + 1 - t22
-    # cab() decides a thm51 row at its step 1, in one level and without the
-    # cubic.  Nothing else needs a check, as the guard implies it:
-    # - co-connected: D = 0 only for K_{m x a}, where r = 0 and t22 fails;
-    # - 0 < mu < k: mu = 0 gives s = -1, where thm51 holds; k - mu = -rs;
-    # - level < v: thm51 fails, so s <= -2 and level <= k//2 + 2 < k + 2 <= v.
-    proved = False
-    if not t51 and s is not None and r > 0:
-        c3, c2, c1, c0 = _certificate_cubic(v, k, lam)
-        # P(delta-1) on a thm22 row too: the lemma says nothing of level
-        # delta-1, which is negative where the gap is 2
-        y = dels - 1
-        proved = (c3 < 0 and ((3 * c3 + c2) * 3 + c1) * 3 + c0 >= 0
-                  and (y < 3 or ((c3 * y + c2) * y + c1) * y + c0 >= 0))
+    dels = _delsarte(v, k, s)
+    proved = t21 = t22 = False
+    if s is None:
+        # 4 lam = v - 5 >= 0 on a conference tuple, so thm21_applies cannot
+        # raise; it is called by its module-level name
+        t21 = thm21_applies(v)
+        t51 = v >= (lam + 2) ** 2
+    else:
+        a, dd = -s, v - 2 * k + lam
+        m = k % a
+        t22 = 0 < m and m * dd < a * (dd - r * r - r)
+        t51 = k >= a * (lam + 1)
+        # cab() decides a thm51 row at its step 1, in one level and without
+        # the cubic.  Nothing else needs a check, as the guard implies it:
+        # - co-connected: D = 0 only for K_{m x a}, where r = 0 and t22 fails;
+        # - 0 < mu < k: mu = 0 gives s = -1, where thm51 holds; k - mu = -rs;
+        # - level < v: thm51 fails, so s <= -2 and level <= k//2 + 2 < k + 2 <= v.
+        if not t51 and r > 0:
+            c3, c2, c1, c0 = _certificate_cubic(v, k, lam)
+            # P(delta-1) on a thm22 row too: the lemma says nothing of level
+            # delta-1, which is negative where the gap is 2
+            y = dels - 1
+            proved = (c3 < 0 and ((3 * c3 + c2) * 3 + c1) * 3 + c0 >= 0
+                      and (y < 3 or ((c3 * y + c2) * y + c1) * y + c0 >= 0))
     if proved:
+        level = dels + 1 - t22
         # called by its module-level name, as cab() calls it
         b, val = cap_min_over_b(v, k, lam, level)
         if val >= 0:

@@ -378,14 +378,35 @@ def _scan_stats(primitive: list[BoundsReport], v_max: int) -> ScanStats:
 @contextmanager
 def _gc_paused():
     """Pause Python's cyclic garbage collector for the with block, and
-    enable it after only if it was enabled before.  A scan builds acyclic
-    tuples, about 15,000 at v <= 500, and every 700 of them would start a
-    collection.  Only the bodies of scan_compare and conjecture_scan run
-    paused: enumerate_feasible never yields inside this block."""
+    enable it after only if it was enabled before, also when the block
+    raises.  A scan builds acyclic tuples, about 15,000 at v <= 500, and
+    every 700 of them would start a collection.  Only the bodies of
+    scan_compare and conjecture_scan run paused: enumerate_feasible never
+    yields inside this block.
+
+    The records are tuple subclasses, so they stay tracked by the
+    collector, and the first young collection after the block would walk
+    every one that the scan keeps.  So, when the collector was enabled and
+    nothing is frozen, the block runs between two steps:
+    - on entry, gc.collect(1) collects the caller's young objects, the two
+      youngest generations, as their next collection would;
+    - on a normal exit, gc.freeze() then gc.unfreeze() move every tracked
+      object into the oldest generation: the scan's survivors, and the few
+      objects made between the entry collection and the block.
+    A collector the caller disabled is left alone, and so are objects the
+    caller froze: gc.unfreeze() would thaw them too, so with
+    gc.get_freeze_count() > 0 neither step runs.  A block that raises
+    promotes nothing."""
     enabled = gc.isenabled()
+    promote = enabled and not gc.get_freeze_count()
+    if promote:
+        gc.collect(1)
     gc.disable()
     try:
         yield
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()

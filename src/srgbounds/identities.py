@@ -268,9 +268,10 @@ CASES: tuple[IdentityCase, ...] = (
 #    polynomials with non-negative coefficients.  So floor(B/A) = q - r.
 # 3. mu C(q-r, delta) = mr(r+1)(m + q - r + 1 - a): negative exactly when
 #    m > 0 and m + q - r + 1 < a.
-# 4. With D = v - 2k + lam > 0, _thm22 reads m > 0 and a(D - r^2 - r) - mD
-#    > 0, and mu(a(D - r^2 - r) - mD) = -a^2 r(r+1)(m + q - r + 1 - a): the
-#    same condition.  As mu - m = (q-r)a, m + q - r + 1 < a is mu < (a-1)(a-m).
+# 4. With D = v - 2k + lam > 0, thm22 in cab._report reads m > 0 and
+#    a(D - r^2 - r) - mD > 0, and mu(a(D - r^2 - r) - mD) = -a^2 r(r+1)(m +
+#    q - r + 1 - a): the same condition.  As mu - m = (q-r)a, m + q - r + 1
+#    < a is mu < (a-1)(a-m).
 # These cases stay out of CASES, which holds the paper's identities.
 
 

@@ -486,6 +486,27 @@ class TestDelsarteLevelPath:
             assert (rep.cab, rep.cab_witness) == cab_linear(p.edge_regular), p
 
 
+def check_cab_column(v_max: int) -> int:
+    """The CAB column of the scan against the plain walk: (cab, cab_witness)
+    of every primitive report (0 < mu < k) of scan_compare(ScanConfig(v_max))
+    equals cab_linear's.  Returns the number of rows checked.  The family
+    rows carry no witness; TestFamilyReport checks them in closed form.
+    Tier-1 runs it over the headline range, v <= 1300, and CI at v <= 10^4:
+
+        PYTHONPATH=src:tests python -c \\
+            'from test_cab import check_cab_column; check_cab_column(10000)'
+    """
+    reports, _ = scan_compare(ScanConfig(v_max=v_max))
+    rows = [rep for rep in reports if 0 < rep.params.mu < rep.params.k]
+    for rep in rows:
+        assert (rep.cab, rep.cab_witness) == cab_linear(rep.params.edge_regular), rep.params
+    return len(rows)
+
+
+def test_cab_column_matches_linear_walk_to_1300():
+    assert check_cab_column(1300) == 4143
+
+
 class TestCertificate:
     X, Y, V, K, LAM = (MPoly.var(n) for n in ("b", "c", "v", "k", "lam"))
 
@@ -765,10 +786,13 @@ class TestThm51Shortcut:
     def no_walk(self, monkeypatch):
         refuse_walk(monkeypatch)
 
-    def test_thm51_rows_match_linear_walk(self, no_walk):
+    def test_thm51_rows_match_linear_walk(self, monkeypatch):
+        # picked by their reports before the walk is refused: _report builds
+        # the cubic on the other rows
         rows = [row for row in _primitive_rows(3000, FeasibilityLevel.COUNTING)
-                if cab_module._thm51(row[0], row[3])]
+                if cab_module._report(*row).thm51]
         assert len(rows) == 386
+        refuse_walk(monkeypatch)
         for row in rows:
             rep = cab_module._report(*row)
             assert (rep.cab, rep.cab_witness) == cab_linear(row[0].edge_regular), row[0]

@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -646,7 +647,8 @@ class TestConjecture:
 
 class TestGarbageCollectorPause:
     """scan_compare and conjecture_scan build their records with the cyclic
-    garbage collector paused, and leave it as they found it."""
+    garbage collector paused, and leave it as they found it: enabled or
+    not, and with the objects the caller froze still frozen."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -686,6 +688,65 @@ class TestGarbageCollectorPause:
     def test_enumeration_never_yields_paused(self):
         assert gc.isenabled()
         assert all(gc.isenabled() for _ in enumerate_feasible(500))
+
+    # With the collector enabled and nothing frozen, the pause collects the
+    # caller's young objects on entry and moves the scan's survivors to the
+    # oldest generation on exit; otherwise it does neither.
+    enabled = pytest.mark.parametrize("state", [True], ids=["enabled"], indirect=True)
+
+    @staticmethod
+    def generation(objs, gen: int) -> list[bool]:
+        """Whether each of objs is in gc.get_objects(gen)."""
+        ids = {id(o) for o in gc.get_objects(gen)}
+        return [id(o) in ids for o in objs]
+
+    @enabled
+    def test_kept_records_skip_the_young_generations(self, state):
+        assert gc.get_freeze_count() == 0
+        reports, _ = scan_compare(ScanConfig(v_max=150))
+        params = [r.params for r in reports]
+        assert reports
+        for gen in (0, 1):
+            assert not any(self.generation(reports, gen)), gen
+            assert not any(self.generation(params, gen)), gen
+        assert all(self.generation(reports, 2))
+
+    @enabled
+    @pytest.mark.parametrize("scan", [scan_compare, conjecture_scan])
+    def test_young_garbage_is_collected_on_entry(self, state, scan):
+        class Node:
+            pass
+
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        scan(ScanConfig(v_max=150))
+        assert ref() is None
+
+    @enabled
+    @pytest.mark.parametrize("scan", [scan_compare, conjecture_scan])
+    def test_objects_frozen_by_the_caller_stay_frozen(self, state, scan):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            scan(ScanConfig(v_max=150))
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("state", [False], ids=["disabled"], indirect=True)
+    def test_a_disabled_collector_is_left_alone(self, state):
+        frozen = gc.get_freeze_count()
+        reports, _ = scan_compare(ScanConfig(v_max=150))
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+        # nothing collected or promoted: the records are still young
+        assert all(self.generation(reports, 0))
 
 
 class TestEmitters:
