@@ -5,13 +5,13 @@ Exit codes: 0 success, 1 invariant violation, 2 usage error, 130 Ctrl-C.
 Only the bounds core (srg, cab) loads with this module; each handler
 imports the catalog, graph and arithmetic modules it needs, so that
 `srgbounds bounds` starts without them, and json loads only where JSON
-is written.  Likewise each call builds one ArgumentParser, the named
-subcommand's own (_SUBCOMMANDS), since building all seven takes far
-longer than a `bounds` answer.  The full parser holds the same
-subparser, so help and usage errors read the same either way; it also
-serves `srgbounds --help`, an empty argv, an unknown command and the
-arguments a subcommand's parser leaves over, which it reports as
-unrecognized.
+is written.  Likewise a valid call builds one ArgumentParser, a silent
+one for the named subcommand (_SUBCOMMANDS, _QuietParser), since
+building all seven takes far longer than a `bounds` answer.  It has no
+-h, never prints and never asks the terminal for its width.  Whatever it
+cannot parse whole (help, a usage error, arguments left over) and every
+argv without a known command goes to the full parser, so each help text
+and usage error comes from that one parser.
 """
 
 from __future__ import annotations
@@ -97,16 +97,31 @@ _SUBCOMMANDS = {
 }
 
 
+class _Unparsed(Exception):
+    """Raised by _QuietParser where argparse would print and exit."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """One subcommand's parser for main's first try: no -h, and a parse
+    error raises _Unparsed, so it never prints.  Its formatter has a fixed
+    width, since add_argument builds one per call to check metavars and
+    the default formatter asks the terminal for its size."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog=prog, add_help=False,
+                         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
+
+    def error(self, message: str):
+        raise _Unparsed
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand.  The subparsers are plain
-    ArgumentParsers named "srgbounds <command>", as main builds one alone,
-    so their help and usage errors do not depend on which parser holds them."""
+    """The parser of every subcommand, and the only one that prints."""
     ap = argparse.ArgumentParser(
         prog="srgbounds",
         description="Exact clique-number bounds for strongly regular graph parameters",
     )
-    sub = ap.add_subparsers(dest="command", required=True, prog="srgbounds",
-                            parser_class=argparse.ArgumentParser)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (summary, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=summary))
     return ap
@@ -294,13 +309,16 @@ def _cmd_conjecture(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the full parser serves what the subcommand's own cannot: no known
-    # command, or arguments left over, which it reports as unrecognized
+    # the full parser serves what the silent one cannot: no known command,
+    # help, a usage error, or arguments left over (reported as unrecognized)
     args, rest = None, argv
     if argv and argv[0] in _SUBCOMMANDS:
-        ap = argparse.ArgumentParser(prog=f"srgbounds {argv[0]}")
+        ap = _QuietParser(f"srgbounds {argv[0]}")
         _SUBCOMMANDS[argv[0]][1](ap)
-        args, rest = ap.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        try:
+            args, rest = ap.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except _Unparsed:
+            pass
     if args is None or rest:
         args = _build_parser().parse_args(argv)
     try:

@@ -490,7 +490,7 @@ def check_cab_column(v_max: int) -> int:
     """The CAB column of the scan against the plain walk: (cab, cab_witness)
     of every primitive report (0 < mu < k) of scan_compare(ScanConfig(v_max))
     equals cab_linear's.  Returns the number of rows checked.  The family
-    rows carry no witness; TestFamilyReport checks them in closed form.
+    rows carry no witness; check_cab_family_rows checks their CAB.
     Tier-1 runs it over the headline range, v <= 1300, and CI at v <= 10^4:
 
         PYTHONPATH=src:tests python -c \\
@@ -503,8 +503,28 @@ def check_cab_column(v_max: int) -> int:
     return len(rows)
 
 
+def check_cab_family_rows(v_max: int) -> int:
+    """The CAB of every family row (mu = 0 or mu = k) of
+    scan_compare(ScanConfig(v_max)) against cab_linear's level; the scan
+    drops these rows' witness.  Returns the number of rows checked.
+    Tier-1 runs it at v <= 1300, and CI at v <= 3000:
+
+        PYTHONPATH=src:tests python -c \\
+            'from test_cab import check_cab_family_rows; check_cab_family_rows(3000)'
+    """
+    reports, _ = scan_compare(ScanConfig(v_max=v_max))
+    rows = [rep for rep in reports if rep.params.mu in (0, rep.params.k)]
+    for rep in rows:
+        assert rep.cab == cab_linear(rep.params.edge_regular)[0], rep.params
+    return len(rows)
+
+
 def test_cab_column_matches_linear_walk_to_1300():
     assert check_cab_column(1300) == 4143
+
+
+def test_family_cab_matches_linear_walk_to_1300():
+    assert check_cab_family_rows(1300) == 13868
 
 
 class TestCertificate:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -796,9 +797,11 @@ def _outcome(parse, argv):
 
 # for every subcommand: -h, a missing required argument, an unknown option
 # and bad values; then the argv that the full parser serves; then valid and
-# invalid argv whose parse could tell a subcommand's own parser from the
+# invalid argv whose parse could tell a subcommand's silent parser from the
 # full one: abbreviations, "--", -h after positionals, "=" values, repeats,
-# negative numbers and empty strings
+# negative numbers and empty strings; then more parse errors that reach the
+# silent parser's error(): a missing option value, a value given to a flag,
+# only a flag where positionals are required, and a bad conjecture --max-v
 PARSER_CASES = [
     ["bounds", "-h"], ["bounds"], ["bounds", "17", "8", "3", "4", "--bogus"],
     ["bounds", "--json=1", "17"],
@@ -827,13 +830,36 @@ PARSER_CASES = [
     ["bounds", ""], ["bounds", "17", "", "3"], ["maxclique", ""], ["paley", ""],
     ["scan", "--max-v", "60", "--out", ""], ["delta3", ""], ["", "bounds"],
     ["bounds", "-x"], ["scan", "-m", "60"], ["verify-identities", "--json", "-j"],
+    ["scan", "--max-v"], ["bounds", "17", "8", "3", "4", "--json=1"], ["bounds", "--json"],
+    ["conjecture", "--max-v", "x"],
 ]
 
 
+def _plain_outcome(argv):
+    """The outcome of a plain ArgumentParser named "srgbounds <command>",
+    filled by the command's _add_*, on argv[1:] with parse_known_args.  It
+    prints its own help and usage errors, as the full parser's subparser
+    should, so it is the reference for what main prints.  When it parses,
+    the outcome's first item is the (Namespace, leftovers) pair."""
+    name = argv[0]
+    plain = argparse.ArgumentParser(prog=f"srgbounds {name}")
+    cli._SUBCOMMANDS[name][1](plain)
+    return _outcome(lambda rest: plain.parse_known_args(rest, argparse.Namespace(command=name)),
+                    argv[1:])
+
+
+# the subcommand cases in which that plain parser prints help or exits
+PLAIN_EXITS = [argv for argv in PARSER_CASES if argv[:1] and argv[0] in cli._SUBCOMMANDS
+               and not isinstance(_plain_outcome(argv)[0], tuple)]
+
+
 class TestParser:
-    """main builds one ArgumentParser, the subcommand's own; the full
-    _build_parser() stays the oracle for every Namespace, help text, usage
-    error and exit code."""
+    """A valid call builds one ArgumentParser, the subcommand's silent one,
+    which never prints; help, usage errors and leftovers go to the full
+    _build_parser().  The full parser is the oracle for every Namespace and
+    exit code.  Since main prints through it, the printed text is also
+    checked against a plain parser of the subcommand alone (_plain_outcome),
+    which is not the code under test."""
 
     @pytest.fixture
     def handlers(self, monkeypatch):
@@ -843,8 +869,17 @@ class TestParser:
             monkeypatch.setattr(cli, name, lambda args: args)
 
     def test_cases_cover_every_subcommand(self):
-        assert [name for name in cli._SUBCOMMANDS
-                if not any(argv[:1] == [name] for argv in PARSER_CASES)] == []
+        for cases in PARSER_CASES, PLAIN_EXITS:
+            assert [name for name in cli._SUBCOMMANDS
+                    if not any(argv[:1] == [name] for argv in cases)] == []
+
+    def test_no_option_shares_a_prefix_with_help(self):
+        # the silent parser has no -h, so such an option, or its
+        # abbreviation, would parse there but be ambiguous in the full parser
+        for _, add_arguments in cli._SUBCOMMANDS.values():
+            ap = argparse.ArgumentParser(add_help=False)
+            add_arguments(ap)
+            assert [o for o in ap._option_string_actions if o.startswith(("-h", "--h"))] == []
 
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
@@ -859,26 +894,46 @@ class TestParser:
             assert want[0] in (0, 2)
         assert _outcome(main, argv) == want
 
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", PLAIN_EXITS, ids=" ".join)
+    def test_prints_what_the_plain_subcommand_parser_printed(self, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        want = _plain_outcome(argv)
+        assert want[0] in (0, 2)
+        assert _outcome(main, argv) == want
+
     def test_a_subcommand_builds_only_its_subparser(self, capsys, monkeypatch):
-        built = []
+        built, sizes = [], []
         init = argparse.ArgumentParser.__init__
+        terminal_size = shutil.get_terminal_size
 
         def recorded(self, *args, **kwargs):
             init(self, *args, **kwargs)
             built.append(self.prog)
 
+        def measured(*args):
+            sizes.append(args)
+            return terminal_size(*args)
+
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        monkeypatch.setattr(shutil, "get_terminal_size", measured)
         full = ["srgbounds", *(f"srgbounds {name}" for name in cli._SUBCOMMANDS)]
-        assert run(capsys, "bounds", "17", "8", "3", "4")[0] == 0
-        assert built == ["srgbounds bounds"]
-        # an unknown option is reported by the full parser, whose usage lists
-        # every command
+        code, out, _ = run(capsys, "bounds", "17", "8", "3", "4", "--json")
+        assert (code, json.loads(out)["cab"]) == (0, 3)
+        assert (built, sizes) == (["srgbounds bounds"], [])
+        # help and a usage error go to the full parser once the silent one
+        # gives up
+        for argv, want in (["bounds", "-h"], 0), (["bounds"], 2):
+            built.clear()
+            assert _outcome(main, argv)[0] == want
+            assert built == ["srgbounds bounds", *full]
+        # so does an unknown option, whose usage lists every command (on
+        # one line at this width, which every Python version wraps alike)
         built.clear()
-        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("COLUMNS", "200")
         assert _outcome(main, ["bounds", "17", "8", "3", "4", "--bogus"]) == (2, "", (
-            "usage: srgbounds [-h]\n"
-            "                 {bounds,scan,verify-identities,paley,maxclique,delta3,conjecture}\n"
-            "                 ...\n"
+            "usage: srgbounds [-h] "
+            "{bounds,scan,verify-identities,paley,maxclique,delta3,conjecture} ...\n"
             "srgbounds: error: unrecognized arguments: --bogus\n"))
         assert built == ["srgbounds bounds", *full]
         built.clear()
